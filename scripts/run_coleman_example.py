@@ -13,7 +13,7 @@ import numpy as np
 from lcmdiv import datasets
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions, canonicalize, fit
-from lcmdiv.inference import gof_statistic, sequential_selection
+from lcmdiv.inference import estimator_sweep, gof_statistic, sequential_selection
 
 A_GRID = (-1.0, -0.5, 0.0, 2.0 / 3.0, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -39,9 +39,8 @@ def main():
     print(latent.P)
 
     print("\ngoodness of fit, statistic index 2/3, estimator index a:")
-    warm = FitOptions(starts=5, seed=args.seed, init_theta=result.theta_hat)
-    for a in A_GRID:
-        estimate = result if a == 2.0 / 3.0 else fit(design, counts, power(a), warm)
+    estimates = estimator_sweep(design, counts, A_GRID, result, seed=args.seed)
+    for a, estimate in zip(A_GRID, estimates):
         test = gof_statistic(design, counts, power(2.0 / 3.0), estimate, alpha=args.alpha)
         flag = "reject" if test.reject else "ok"
         print(

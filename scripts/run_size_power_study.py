@@ -12,6 +12,7 @@ Examples:
 """
 
 import argparse
+import logging
 import time
 
 from lcmdiv.datasets import simulation_plan
@@ -51,8 +52,9 @@ def main():
             seed=args.seed,
         )
 
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     t0 = time.time()
-    table = run_simulation(plan, n_jobs=args.jobs, progress=True)
+    table = run_simulation(plan, n_jobs=args.jobs)
     print(f"finished in {time.time() - t0:.0f}s")
 
     band = dale_band(plan.alpha)

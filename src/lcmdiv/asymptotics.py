@@ -35,7 +35,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, RankDeficiencyError
 from .inference import NestedPair
-from .model import ModelDesign, Theta, manifest_distribution, manifest_jacobian
+from .model import ModelDesign, Theta, _evaluate
 
 _RANK_RTOL = 1e-8
 
@@ -91,11 +91,10 @@ def build_bundle(
     ``pseudo_inverse`` is set, in which case the trace of Q reflects the
     identifiable parameter count rather than the nominal one.
     """
-    p = manifest_distribution(design, theta0).p
+    p, J = _evaluate(design, theta0)
     if np.any(p <= 0):
         raise DomainError("manifest distribution must be strictly positive")
     s = np.sqrt(p)
-    J = manifest_jacobian(design, theta0)
     L = J / s[:, None]
     R, rank, cond = _projection(L, pseudo_inverse, "asymptotic bundle")
 
@@ -118,10 +117,8 @@ def build_nested_projections(
     zero) for the identities to carry their intended meaning, but the
     construction itself only needs full column rank.
     """
-    design = pair.design_A
-    p = manifest_distribution(design, theta0_A).p
-    s = np.sqrt(p)
-    L = manifest_jacobian(design, theta0_A) / s[:, None]
+    p, J = _evaluate(pair.design_A, theta0_A)
+    L = J / np.sqrt(p)[:, None]
     M = L[:, pair.kept_column_indices()]
     R_L, _, _ = _projection(L, pseudo_inverse, "full-model projection")
     R_M, _, _ = _projection(M, pseudo_inverse, "submodel projection")

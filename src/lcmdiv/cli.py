@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,12 +41,10 @@ from .inference import (
     NestedChain,
     NestedPair,
     TestResult,
+    _nested_statistic,
+    fit_pair,
     gof_statistic,
     gof_statistic_h,
-    nested_S,
-    nested_S_h,
-    nested_T,
-    nested_T_h,
     sequential_selection,
 )
 from .model import ModelDesign, ObservedCounts, Theta
@@ -520,20 +519,15 @@ def _run_gof(cfg: RunConfig) -> int:
 
 def _run_nested(cfg: RunConfig) -> int:
     pair = NestedPair(cfg.design, cfg.zero_lam, cfg.zero_eta)
-    tests = {}
-    use_h = cfg.h.tag != "identity"
-    if cfg.statistic in ("S", "both"):
-        fn = nested_S_h if use_h else nested_S
-        args = (pair, cfg.counts, cfg.phi1, cfg.phi2)
-        tests["S"] = fn(*args, cfg.h, options=cfg.fit_options, alpha=cfg.alpha) if use_h else fn(
-            *args, options=cfg.fit_options, alpha=cfg.alpha
+    # Both statistics are built from the same two fits.
+    fit_A, fit_B = fit_pair(pair, cfg.counts, cfg.phi2, cfg.fit_options)
+    tests = {
+        kind: _nested_statistic(
+            pair, cfg.counts, cfg.phi1, cfg.h, fit_A, fit_B, kind, cfg.alpha
         )
-    if cfg.statistic in ("T", "both"):
-        fn = nested_T_h if use_h else nested_T
-        args = (pair, cfg.counts, cfg.phi1, cfg.phi2)
-        tests["T"] = fn(*args, cfg.h, options=cfg.fit_options, alpha=cfg.alpha) if use_h else fn(
-            *args, options=cfg.fit_options, alpha=cfg.alpha
-        )
+        for kind in ("S", "T")
+        if cfg.statistic in (kind, "both")
+    }
     doc = _base_doc(cfg)
     doc["options"] = {
         "zero_lambda": [i + 1 for i in pair.zero_lam],
@@ -574,7 +568,17 @@ def _run_select(cfg: RunConfig) -> int:
 def _run_simulate(cfg: RunConfig) -> int:
     from .montecarlo import emit_power_curves
 
-    table = run_simulation(cfg.plan, n_jobs=cfg.jobs, progress=cfg.progress)
+    # --progress shows the per-cell log records on stderr; stdout carries only the report.
+    logger = logging.getLogger("lcmdiv.montecarlo")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    if cfg.progress:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        table = run_simulation(cfg.plan, n_jobs=cfg.jobs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     os.makedirs(cfg.out_dir, exist_ok=True)
     table_path = os.path.join(cfg.out_dir, "size_power.csv")
     rows = table.rows()

@@ -74,10 +74,12 @@ class PhiSpec:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("phi is only defined for x >= 0")
-        if self.family == "power":
+        if self.family != "power":
+            out = _map_positive(self.phi, x, self.at_zero())
+        elif self.a in (0.0, -1.0):
             out = _power_phi(self.a, x)
         else:
-            out = _map_positive(self.phi, x, self.at_zero())
+            out = _power_terms(self.a, x)[0]
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, x):
@@ -135,19 +137,31 @@ class PhiSpec:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("gradient weight requires x >= 0")
-        if self.family == "power":
-            a = self.a
-            if a == -1.0:
-                out = np.asarray(-_safe_log(x))
-            elif a == 0.0:
-                out = np.asarray(1.0 - x)
-            else:
-                out = np.asarray((1.0 - x ** (a + 1.0)) / (a + 1.0))
-        else:
+        if self.family != "power":
             out = _map_positive(
                 lambda v: self.phi(v) - v * self.dphi(v), x, self.at_zero()
             )
+        elif self.a == -1.0:
+            out = np.asarray(-_safe_log(x))
+        elif self.a == 0.0:
+            out = np.asarray(1.0 - x)
+        else:
+            out = _power_terms(self.a, x)[1]
         return float(out) if out.ndim == 0 else out
+
+    def value_and_gradient_weight(self, x):
+        """``(phi(x), phi(x) - x phi'(x))`` on an array ``x >= 0``.
+
+        Equal element for element to :meth:`value` and
+        :meth:`gradient_weight`; for a power index outside {0, -1} both come
+        from one evaluation of ``x**(a+1)``.
+        """
+        if self.family != "power" or self.a in (0.0, -1.0):
+            return self.value(x), self.gradient_weight(x)
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(x < 0):
+            raise DomainError("phi is only defined for x >= 0")
+        return _power_terms(self.a, x)
 
 
 def power(a: float) -> PhiSpec:
@@ -176,6 +190,7 @@ def _map_positive(f, x: np.ndarray, zero_value: float) -> np.ndarray:
 
 
 def _power_phi(a: float, x: np.ndarray) -> np.ndarray:
+    """phi_a(x) for a in {0, -1}, the two logarithmic members."""
     scalar = x.ndim == 0
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty_like(xv)
@@ -185,13 +200,24 @@ def _power_phi(a: float, x: np.ndarray) -> np.ndarray:
     if a == 0.0:
         out[pos] = xp * np.log(xp) - xp + 1.0
         out[zero] = 1.0
-    elif a == -1.0:
+    else:
         out[pos] = -np.log(xp) + xp - 1.0
         out[zero] = math.inf
-    else:
-        out[pos] = (xp ** (a + 1.0) - xp - a * (xp - 1.0)) / (a * (a + 1.0))
-        out[zero] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
     return out.reshape(()) if scalar else out
+
+
+def _power_terms(a: float, x: np.ndarray) -> tuple:
+    """``(phi_a(x), phi_a(x) - x phi_a'(x))`` for ``a`` not in {0, -1}.
+
+    Both come from one ``x**(a+1)``; ``phi_a(0)`` is its limit, and the
+    weight's formula is already the limit at x = 0.
+    """
+    xv = np.atleast_1d(x)
+    with np.errstate(divide="ignore"):
+        xa1 = xv ** (a + 1.0)
+    phi = (xa1 - xv - a * (xv - 1.0)) / (a * (a + 1.0))
+    phi[xv == 0.0] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
+    return phi.reshape(x.shape), ((1.0 - xa1) / (a + 1.0)).reshape(x.shape)
 
 
 def _power_dphi(a: float, x: np.ndarray) -> np.ndarray:

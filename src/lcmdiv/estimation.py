@@ -33,12 +33,12 @@ from .model import (
     ModelDesign,
     ObservedCounts,
     Theta,
+    _evaluate,
     class_weights,
     item_probs,
     jacobian_rank,
     log_likelihood,
     manifest_distribution,
-    manifest_jacobian,
 )
 
 # scipy's BFGS can stall on "precision loss" short of a tight gtol; a fresh
@@ -112,17 +112,16 @@ def objective_and_gradient(
     if counts.k != design.k:
         raise DomainError("counts and design disagree on the number of items")
     p_hat = counts.p_hat()
-    p = manifest_distribution(design, theta).p
+    p, J = _evaluate(design, theta)
     bad = np.inf if np.any((p == 0.0) & (p_hat > 0.0)) else 0.0
     # Cells where p underflowed and the data are empty contribute nothing.
     ratio = np.divide(p_hat, p, out=np.zeros_like(p), where=p > 0.0)
     with np.errstate(over="ignore"):
-        value = float(np.sum(p * spec.value(ratio)) + bad)
+        phi, weight = spec.value_and_gradient_weight(ratio)
+        value = float(np.sum(p * phi) + bad)
     if not math.isfinite(value):
         return math.inf, np.full(design.t + design.u, np.nan)
-    J = manifest_jacobian(design, theta)
-    grad = spec.gradient_weight(ratio) @ J
-    return value, np.asarray(grad, dtype=np.float64)
+    return value, np.asarray(weight @ J, dtype=np.float64)
 
 
 def _minimize_one(design, counts, spec, x0, options: FitOptions):

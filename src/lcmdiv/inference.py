@@ -42,7 +42,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from .divergence import HSpec, PhiSpec, identity_h, phi_divergence
+from .divergence import HSpec, PhiSpec, identity_h, phi_divergence, power
 from .errors import DomainError
 from .estimation import FitOptions, FitResult, fit
 from .model import ModelDesign, ObservedCounts, Theta
@@ -191,6 +191,27 @@ def gof_statistic_h(
     statistic = scale * h.value(D) if math.isfinite(D) else _h_of_inf(h)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
     return _decide(statistic, dof, alpha, phi1, fit2.spec, h, "gof_h", policy)
+
+
+def estimator_sweep(
+    design: ModelDesign,
+    counts: ObservedCounts,
+    a_values,
+    anchor: FitResult,
+    seed: int = 0,
+) -> list:
+    """Minimum phi_a-divergence fits for each power index ``a`` in ``a_values``.
+
+    Every fit is warm-started from ``anchor``: five launches, the first at
+    ``anchor.theta_hat``.  Where ``a`` is the anchor's own index the anchor
+    is reused rather than refitted.  Evaluating one statistic over these fits
+    gives a row ``T^{phi_1}(theta_hat_{phi_a})`` with the estimator swept.
+    """
+    warm = FitOptions(starts=5, seed=seed, init_theta=anchor.theta_hat)
+    return [
+        anchor if a == anchor.spec.a else fit(design, counts, power(a), warm)
+        for a in a_values
+    ]
 
 
 def _h_of_inf(h: HSpec) -> float:

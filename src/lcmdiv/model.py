@@ -18,10 +18,11 @@ so ``(0,...,0)`` is pattern 1 and ``(1,...,1)`` is pattern ``2**k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit, gammaln, log_expit
 
 from .errors import DomainError
 
@@ -101,6 +102,21 @@ class ModelDesign:
         """Nominal free-parameter count ``t + u`` (ignores any softmax redundancy)."""
         return self.t + self.u
 
+    @cached_property
+    def _kernel_constants(self) -> tuple:
+        """``(Y, Q_flat)`` for :func:`_evaluate`, built on first use.
+
+        ``Y`` is the (2**k, k) pattern matrix as floats (read-only) and
+        ``Q_flat`` is ``Q`` reshaped to (m*k, t).
+        """
+        Y = all_patterns(self.k).astype(np.float64)
+        Y.setflags(write=False)
+        return Y, self.Q.reshape(self.m * self.k, self.t)
+
+    def __getstate__(self):
+        # Pickles carry the design only; derived constants are rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class Theta:
@@ -168,6 +184,13 @@ class LatentParams:
             raise DomainError("item probabilities must lie in [0, 1]")
 
 
+def _check_manifest(p: np.ndarray) -> None:
+    if np.any(p < 0.0):
+        raise DomainError("manifest probabilities must be nonnegative")
+    if abs(float(p.sum()) - 1.0) > 1e-12:
+        raise DomainError("manifest probabilities must sum to 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class ManifestDistribution:
     """Probability vector over the ``2**k`` answer patterns."""
@@ -178,10 +201,7 @@ class ManifestDistribution:
         object.__setattr__(self, "p", _frozen_array(self.p))
         if self.p.ndim != 1 or self.p.shape[0] < 2 or (self.p.shape[0] & (self.p.shape[0] - 1)):
             raise DomainError("manifest vector length must be a power of two >= 2")
-        if np.any(self.p < 0.0):
-            raise DomainError("manifest probabilities must be nonnegative")
-        if abs(float(self.p.sum()) - 1.0) > 1e-12:
-            raise DomainError("manifest probabilities must sum to 1 within 1e-12")
+        _check_manifest(self.p)
 
     @property
     def k(self) -> int:
@@ -275,26 +295,40 @@ def latent_params(design: ModelDesign, theta: Theta) -> LatentParams:
     return LatentParams(w=class_weights(design, theta), P=item_probs(design, theta))
 
 
-def _class_pattern_probs(P: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Per-class pattern probabilities, shape (m, 2**k).
+def _evaluate(design: ModelDesign, theta: Theta, jacobian: bool = True) -> tuple:
+    """Manifest vector ``p`` and its Jacobian ``J`` from one class-pattern table.
 
-    Accumulates the product item by item to keep peak memory at m * 2**k.
+    The table is built in log space from the item logits ``S`` and the
+    pattern matrix ``Y``::
+
+        log B = log_expit(S) Y' + log_expit(-S) (1 - Y)'
+
+    so a logit that saturates ``expit`` still leaves a positive cell, down to
+    the underflow of ``exp`` (a log cell below about -745).  ``p`` is checked to be nonnegative and to sum to one within 1e-12.
+    Returns ``(p, J)``; ``J`` is None when ``jacobian`` is false, which keeps
+    sampling at large ``k`` from materializing the (2**k, m*k) residual.
     """
-    m, k = P.shape
-    out = np.ones((m, patterns.shape[0]))
-    for i in range(k):
-        yi = patterns[:, i]
-        col = np.where(yi == 1, P[:, i][:, None], (1.0 - P[:, i])[:, None])
-        out *= col
-    return out
+    w = class_weights(design, theta)
+    Y, Q_flat = design._kernel_constants
+    S = design.Q @ theta.lam + design.C
+    # Patterns count up in binary, so the rows of 1 - Y are those of Y reversed.
+    B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[:, ::-1])
+    p = w @ B
+    _check_manifest(p)
+    if not jacobian:
+        return p, None
+
+    # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].
+    resid = (w[:, None] * B).T[:, :, None] * (Y[:, None, :] - expit(S)[None, :, :])
+    J_lam = resid.reshape(B.shape[1], -1) @ Q_flat
+    # d w_j / d eta_s = w_j (V[j, s] - sum_h w_h V[h, s]).
+    J_eta = B.T @ (w[:, None] * (design.V - w @ design.V))
+    return p, np.concatenate([J_lam, J_eta], axis=1)
 
 
 def manifest_distribution(design: ModelDesign, theta: Theta) -> ManifestDistribution:
     """Mixture distribution over answer patterns implied by ``theta``."""
-    w = class_weights(design, theta)
-    P = item_probs(design, theta)
-    B = _class_pattern_probs(P, all_patterns(design.k))
-    return ManifestDistribution(p=w @ B)
+    return ManifestDistribution(p=_evaluate(design, theta, jacobian=False)[0])
 
 
 def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
@@ -303,26 +337,12 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     Columns are ordered ``(lambda_1..lambda_t, eta_1..eta_u)``.  Each column
     sums to zero because the pattern probabilities sum to one identically.
     """
-    w = class_weights(design, theta)
-    P = item_probs(design, theta)
-    patterns = all_patterns(design.k)
-    B = _class_pattern_probs(P, patterns)
-
-    # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].
-    resid = patterns[None, :, :] - P[:, None, :]
-    G = np.einsum("jvi,jir->jvr", resid, design.Q)
-    J_lam = np.einsum("j,jv,jvr->vr", w, B, G)
-
-    # d w_j / d eta_s = w_j (V[j, s] - sum_h w_h V[h, s]).
-    W_grad = w[:, None] * (design.V - (w @ design.V)[None, :])
-    J_eta = np.einsum("jv,js->vs", B, W_grad)
-
-    return np.concatenate([J_lam, J_eta], axis=1)
+    return _evaluate(design, theta)[1]
 
 
 def jacobian_rank(design: ModelDesign, theta: Theta, rtol: float = 1e-8) -> int:
     """Numerical rank of the manifest Jacobian (singular values > rtol * largest)."""
-    s = np.linalg.svd(manifest_jacobian(design, theta), compute_uv=False)
+    s = np.linalg.svd(_evaluate(design, theta)[1], compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
@@ -340,13 +360,13 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
     if N < 1:
         raise DomainError("N must be >= 1")
-    dist = manifest_distribution(design, theta)
+    p = _evaluate(design, theta, jacobian=False)[0]
     rng = np.random.Generator(np.random.Philox(seed))
-    cum = np.cumsum(dist.p)
+    cum = np.cumsum(p)
     cum[-1] = max(cum[-1], 1.0)
     cells = np.searchsorted(cum, rng.random(N), side="right")
-    cells = np.minimum(cells, dist.p.size - 1)
-    return ObservedCounts(n=np.bincount(cells, minlength=dist.p.size))
+    cells = np.minimum(cells, p.size - 1)
+    return ObservedCounts(n=np.bincount(cells, minlength=p.size))
 
 
 def log_likelihood(counts: ObservedCounts, dist: ManifestDistribution) -> float:

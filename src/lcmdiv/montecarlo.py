@@ -15,10 +15,12 @@ whose fit does not converge are excluded from the denominator and counted.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,8 @@ from .errors import DomainError
 from .estimation import FitOptions, fit
 from .inference import chi2_quantile
 from .model import ModelDesign, Theta, sample_counts
+
+_log = logging.getLogger(__name__)
 
 
 def dale_band(alpha: float, logit_distance: float = 0.35) -> tuple:
@@ -184,14 +188,14 @@ def _replicate_chunk(args):
     return [_replicate(plan, size_idx, coef_idx, rep) for rep in reps]
 
 
-def run_simulation(
-    plan: SimulationPlan, n_jobs: Optional[int] = None, progress: bool = False
-) -> SizePowerTable:
+def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePowerTable:
     """Run the full grid of the plan and tally rejection rates.
 
     ``n_jobs`` > 1 distributes replications over processes; the output is
     identical to the serial run.  Defaults to the LCMDIV_JOBS environment
-    variable, else 1.
+    variable, else 1.  Each finished cell is logged at INFO level on the
+    ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
+    failures and wall time.
     """
     if n_jobs is None:
         n_jobs = int(os.environ.get("LCMDIV_JOBS", "1"))
@@ -201,6 +205,7 @@ def run_simulation(
     quantile_cache: dict = {}
     for size_idx, N in enumerate(plan.sample_sizes):
         for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
+            start = perf_counter()
             records = _run_cell(plan, size_idx, coef_idx, n_jobs)
             failures = sum(1 for _, ok, _, _ in records if not ok)
             effective = len(records) - failures
@@ -239,8 +244,10 @@ def run_simulation(
                         dale_pass=bool(effective and band[0] <= rate <= band[1]),
                     )
                 )
-            if progress:
-                print(f"cell N={N} lambda8={lambda8}: done ({failures} fit failures)")
+            _log.info(
+                "cell N=%d lambda8=%r: %d fit failures, %.3f s",
+                N, lambda8, failures, perf_counter() - start,
+            )
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 

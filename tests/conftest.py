@@ -4,7 +4,8 @@ import pytest
 from lcmdiv import datasets
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions, fit
-from lcmdiv.model import ModelDesign, Theta
+from lcmdiv.inference import estimator_sweep
+from lcmdiv.model import ModelDesign, Theta, all_patterns, class_weights, item_probs
 
 
 def make_design(seed=0, k=3, m=2, t=2, u=1, logit_scale=0.8) -> ModelDesign:
@@ -24,6 +25,43 @@ def random_theta(design: ModelDesign, seed=0, scale=0.7) -> Theta:
     return Theta(
         lam=rng.normal(0.0, scale, design.t), eta=rng.normal(0.0, scale, design.u)
     )
+
+
+def reference_class_pattern_probs(P: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Per-class pattern probabilities, shape (m, 2**k), multiplied item by item.
+
+    The loop reference for the package's log-space kernel: where an item
+    logit saturates ``expit`` to exactly 0 or 1 the product gives exact zero
+    cells.
+    """
+    m, k = P.shape
+    out = np.ones((m, patterns.shape[0]))
+    for i in range(k):
+        yi = patterns[:, i]
+        out *= np.where(yi == 1, P[:, i][:, None], (1.0 - P[:, i])[:, None])
+    return out
+
+
+def reference_manifest(design: ModelDesign, theta: Theta) -> np.ndarray:
+    """Manifest vector ``w @ B`` from the item-by-item class-pattern table."""
+    B = reference_class_pattern_probs(item_probs(design, theta), all_patterns(design.k))
+    return class_weights(design, theta) @ B
+
+
+def reference_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
+    """Manifest Jacobian, shape (2**k, t + u), by einsum over the product table."""
+    w = class_weights(design, theta)
+    P = item_probs(design, theta)
+    patterns = all_patterns(design.k)
+    B = reference_class_pattern_probs(P, patterns)
+    # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].
+    resid = patterns[None, :, :] - P[:, None, :]
+    G = np.einsum("jvi,jir->jvr", resid, design.Q)
+    J_lam = np.einsum("j,jv,jvr->vr", w, B, G)
+    # d w_j / d eta_s = w_j (V[j, s] - sum_h w_h V[h, s]).
+    W_grad = w[:, None] * (design.V - (w @ design.V)[None, :])
+    J_eta = np.einsum("jv,js->vs", B, W_grad)
+    return np.concatenate([J_lam, J_eta], axis=1)
 
 
 # Reference values from the original published analysis of the Coleman data.
@@ -104,11 +142,7 @@ def coleman_estimator_sweep(design, counts, fit_23):
     Each fit is warm-started from the index-2/3 fit ``fit_23``, which is
     reused as the a = 2/3 member.
     """
-    warm = FitOptions(starts=5, seed=1, init_theta=fit_23.theta_hat)
-    return [
-        fit_23 if a == 2.0 / 3.0 else fit(design, counts, power(a), warm)
-        for a in COLEMAN_REF_A_GRID
-    ]
+    return estimator_sweep(design, counts, COLEMAN_REF_A_GRID, fit_23, seed=1)
 
 
 @pytest.fixture(scope="session")

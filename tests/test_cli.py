@@ -177,6 +177,33 @@ class TestNestedAndSelect:
         assert doc["tests"]["T"]["h"] == "renyi:a=2.0"
         assert doc["tests"]["T"]["statistic"] > 0
 
+    @pytest.mark.parametrize("h", ["identity", "renyi:a=2"])
+    def test_nested_both_fits_each_model_once(self, capsys, monkeypatch, h):
+        import lcmdiv.inference
+
+        calls = []
+        real_fit = lcmdiv.inference.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[0])
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(lcmdiv.inference, "fit", counting_fit)
+        argv = (
+            "nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+            "--zero-lambda", "7,8", "--h", h,
+            "--phi1", "power:a=0.6666666666666666", "--phi2", "power:a=0.6666666666666666",
+            "--starts", "5", "--seed", "5", "--format", "json",
+        )
+        tests = {}
+        for statistic in ("both", "S", "T"):
+            calls.clear()
+            code, out, _ = run_cli(capsys, *argv, "--statistic", statistic)
+            assert code == EXIT_OK
+            assert len(calls) == 2
+            tests[statistic] = json.loads(out)["tests"]
+        assert tests["both"] == {"S": tests["S"]["S"], "T": tests["T"]["T"]}
+
     def test_select_reports_second_model(self, capsys):
         code, out, _ = run_cli(
             capsys, "select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman",
@@ -211,6 +238,21 @@ class TestSimulateCommand:
         assert (out_dir / "size_power.csv").exists()
         assert (out_dir / "power_N200.csv").exists()
         assert doc["cells"][0]["dof"] == 19
+
+    def test_progress_goes_to_stderr_only(self, capsys, tmp_path):
+        argv = (
+            "simulate", "--plan", "bundled:sim", "--sizes", "200", "--lambda8", "0,2",
+            "--a-values", "0.6666666666666666", "--replications", "2", "--seed", "11",
+            "--out-dir", str(tmp_path / "results"),
+        )
+        code, quiet_out, quiet_err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and quiet_err == ""
+        code, out, err = run_cli(capsys, *argv, "--progress")
+        assert code == EXIT_OK
+        assert out == quiet_out
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("cell N=200 lambda8=0.0: 0 fit failures, ")
 
     def test_plan_overrides(self, capsys, tmp_path):
         out_dir = tmp_path / "results"

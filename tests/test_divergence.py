@@ -78,9 +78,21 @@ class TestPowerFamily:
                 direct = spec.value(x) - x * spec.deriv(x)
                 assert spec.gradient_weight(x) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("a", SHIPPED_A + (-2.0, 3.0))
+    def test_fused_value_and_weight_equal_separate(self, a):
+        spec = power(a)
+        x = np.array([0.0, 1e-300, 0.2, 1.0, 2.5, 1e6, 0.0])
+        with np.errstate(divide="ignore"):
+            expected = (spec.value(x), spec.gradient_weight(x))
+        phi, weight = spec.value_and_gradient_weight(x)
+        np.testing.assert_array_equal(phi, expected[0])
+        np.testing.assert_array_equal(weight, expected[1])
+
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             power(1.0).value(-0.1)
+        with pytest.raises(DomainError):
+            power(1.0).value_and_gradient_weight(np.array([0.5, -0.1]))
 
     def test_custom_spec_matches_power(self):
         custom = PhiSpec(

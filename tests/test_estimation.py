@@ -18,12 +18,13 @@ from lcmdiv.model import (
     ModelDesign,
     ObservedCounts,
     Theta,
+    all_patterns,
     log_likelihood,
     manifest_distribution,
     sample_counts,
 )
 
-from conftest import make_design, random_theta
+from conftest import make_design, random_theta, reference_class_pattern_probs
 
 
 def tv_distance(p, q):
@@ -149,10 +150,8 @@ class TestFit:
 
 
 def manifest_distribution_from(result):
-    from lcmdiv.model import _class_pattern_probs, all_patterns
-
-    B = _class_pattern_probs(np.asarray(result.latent.P), all_patterns(result.latent.P.shape[1]))
-    return np.asarray(result.latent.w) @ B
+    P = np.asarray(result.latent.P)
+    return np.asarray(result.latent.w) @ reference_class_pattern_probs(P, all_patterns(P.shape[1]))
 
 
 def _grad_at(design, counts, result):

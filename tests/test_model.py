@@ -11,6 +11,7 @@ from lcmdiv.model import (
     ModelDesign,
     ObservedCounts,
     Theta,
+    _evaluate,
     all_patterns,
     class_weights,
     item_probs,
@@ -24,7 +25,20 @@ from lcmdiv.model import (
 )
 from lcmdiv.divergence import kl_divergence
 
-from conftest import COLEMAN_REF_ETA, COLEMAN_REF_LAMBDA, make_design, random_theta
+from conftest import (
+    COLEMAN_REF_ETA,
+    COLEMAN_REF_LAMBDA,
+    make_design,
+    random_theta,
+    reference_jacobian,
+    reference_manifest,
+)
+
+# Kernel against loop reference, absolute.  Entries of p are at most 1 and
+# entries of J at most a few hundred at the largest logit scale below; the
+# two sides round differently (log-space sums against an item-by-item
+# product), so 1e-12 allows a few thousand ulps of 1.0.
+KERNEL_ATOL = 1e-12
 
 
 class TestPatternIndex:
@@ -180,6 +194,53 @@ class TestManifestJacobian:
         assert coleman_fit_23.rank == 11
         theta = Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA)
         assert jacobian_rank(coleman_design, theta) == 11
+
+
+class TestEvaluationKernel:
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([0.8, 3.0, 60.0, 400.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, seed, k, m, t, u, logit_scale):
+        design = make_design(seed=seed, k=k, m=m, t=t, u=u, logit_scale=logit_scale)
+        theta = random_theta(design, seed=seed)
+        p, J = _evaluate(design, theta)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
+        np.testing.assert_allclose(p, reference_manifest(design, theta), rtol=0, atol=KERNEL_ATOL)
+        np.testing.assert_allclose(J, reference_jacobian(design, theta), rtol=0, atol=KERNEL_ATOL)
+
+    def test_saturated_logits_stay_finite(self):
+        # |logit| >= 40 saturates expit to exactly 0 or 1, so the product
+        # reference has exact zero cells; the log-space table does not.
+        design = ModelDesign(
+            Q=np.ones((2, 3, 1)),
+            C=np.array([[45.0, -45.0, 50.0], [-60.0, 40.0, 0.3]]),
+            V=np.ones((2, 1)),
+            d=np.array([0.2, -0.1]),
+        )
+        theta = Theta(lam=[0.1], eta=[0.0])
+        ref = reference_manifest(design, theta)
+        assert np.count_nonzero(ref == 0.0) > 0
+        p, J = _evaluate(design, theta)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
+        assert abs(p.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(p, ref, rtol=0, atol=KERNEL_ATOL)
+        np.testing.assert_allclose(J, reference_jacobian(design, theta), rtol=0, atol=KERNEL_ATOL)
+
+    def test_public_views_share_the_kernel(self):
+        design = make_design(seed=41, k=4, m=3, t=3, u=2)
+        theta = random_theta(design, seed=42)
+        p, J = _evaluate(design, theta)
+        np.testing.assert_array_equal(manifest_distribution(design, theta).p, p)
+        np.testing.assert_array_equal(manifest_jacobian(design, theta), J)
+        p_only, no_J = _evaluate(design, theta, jacobian=False)
+        np.testing.assert_array_equal(p_only, p)
+        assert no_J is None
 
 
 class TestSampling:

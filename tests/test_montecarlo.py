@@ -1,10 +1,18 @@
+import logging
 import math
+import pickle
 
 import pytest
 
 from lcmdiv.datasets import simulation_plan
 from lcmdiv.errors import DomainError
-from lcmdiv.montecarlo import dale_band, emit_power_curves, run_simulation
+from lcmdiv.montecarlo import (
+    _replicate_chunk,
+    _run_cell,
+    dale_band,
+    emit_power_curves,
+    run_simulation,
+)
 
 
 class TestDaleBand:
@@ -99,6 +107,41 @@ class TestRunSimulation:
         parallel = run_simulation(plan, n_jobs=2)
         for cs, cp in zip(serial.cells, parallel.cells):
             assert (cs.rate, cs.rejections, cs.fit_failures) == (cp.rate, cp.rejections, cp.fit_failures)
+
+    def test_chunking_matches_serial_records(self):
+        # Replications regrouped into chunks of any size, each sent through a
+        # pickle as the pool does, give the serial records exactly; running
+        # them leaves nothing behind in the pickled plan.
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            replications=7, seed=21,
+        )
+        fresh = pickle.dumps(plan)
+        for coef_idx in (0, 1):
+            serial = _run_cell(plan, 0, coef_idx, 1)
+            for size in (1, 3, 7):
+                records = []
+                for lo in range(0, plan.replications, size):
+                    task = (plan, 0, coef_idx, list(range(lo, min(lo + size, plan.replications))))
+                    records.extend(_replicate_chunk(pickle.loads(pickle.dumps(task))))
+                assert records == serial
+        assert pickle.dumps(plan) == fresh
+
+    def test_logs_one_record_per_cell(self, caplog):
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0, 2.0),
+            replications=2, seed=5,
+        )
+        with caplog.at_level(logging.INFO, logger="lcmdiv.montecarlo"):
+            table = run_simulation(plan)
+        records = [r for r in caplog.records if r.name == "lcmdiv.montecarlo"]
+        assert len(records) == 2
+        for record, cell in zip(records, table.cells):
+            assert record.levelno == logging.INFO
+            N, lambda8, failures, wall = record.args
+            assert (N, lambda8, failures) == (cell.N, cell.lambda8, cell.fit_failures)
+            assert wall > 0.0
+            assert record.getMessage().startswith(f"cell N=200 lambda8={lambda8!r}:")
 
     def test_plan_validation(self):
         plan = simulation_plan()
