@@ -3,7 +3,7 @@
 One executable, subcommand style::
 
     lcmdiv fit      --design D.json --counts C.csv --phi power:a=0.6667
-    lcmdiv gof      --design D.json --counts C.csv --phi1 power:a=0 --phi2 power:a=0.6667
+    lcmdiv gof      --design D.json --counts C.csv --phi1 power:a=0.6667 --phi2 power:a=0.6667
     lcmdiv nested   --design D.json --counts C.csv --zero-lambda 7,8
     lcmdiv select   --chain chain.json --counts C.csv
     lcmdiv simulate --plan plan.json --out-dir results/
@@ -44,7 +44,6 @@ from .inference import (
     _nested_statistic,
     fit_pair,
     gof_statistic,
-    gof_statistic_h,
     sequential_selection,
 )
 from .model import ModelDesign, ObservedCounts, Theta
@@ -84,9 +83,9 @@ _BUNDLED_PLANS = {"sim": datasets.simulation_plan}
 
 def _phi_spec(text: str) -> PhiSpec:
     try:
-        family, _, rest = text.partition(":")
-        if family.strip() != "power":
-            raise ValueError("only the power family is expressible here")
+        name, _, rest = text.partition(":")
+        if name.strip() != "power":
+            raise ValueError("only power divergences are expressible here")
         key, _, value = rest.partition("=")
         if key.strip() != "a":
             raise ValueError("expected power:a=<real>")
@@ -130,11 +129,7 @@ def _indices(text: str) -> tuple:
 
 
 def _phi_str(spec: Optional[PhiSpec]) -> Optional[str]:
-    if spec is None:
-        return None
-    if spec.family == "power":
-        return f"power:a={spec.a!r}"
-    return "custom"
+    return None if spec is None else f"power:a={spec.a!r}"
 
 
 def _h_str(h: Optional[HSpec]) -> Optional[str]:
@@ -496,14 +491,9 @@ def _run_gof(cfg: RunConfig) -> int:
     if not fit2.converged:
         print(f"estimation failed: {fit2.message}", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.h.tag == "identity":
-        result = gof_statistic(
-            cfg.design, cfg.counts, cfg.phi1, fit2, cfg.alpha, cfg.dof_policy, cfg.dof_override
-        )
-    else:
-        result = gof_statistic_h(
-            cfg.design, cfg.counts, cfg.phi1, cfg.h, fit2, cfg.alpha, cfg.dof_policy, cfg.dof_override
-        )
+    result = gof_statistic(
+        cfg.design, cfg.counts, cfg.phi1, fit2, cfg.alpha, cfg.dof_policy, cfg.dof_override, cfg.h
+    )
     doc = _base_doc(cfg)
     doc["options"] = {
         "phi1": _phi_str(cfg.phi1), "phi2": _phi_str(cfg.phi2), "h": _h_str(cfg.h),

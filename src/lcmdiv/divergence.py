@@ -1,6 +1,6 @@
 """Convex divergences between finite distributions.
 
-The workhorse is the power family
+Every divergence here is generated by a Cressie-Read power function
 
     phi_a(x) = (x**(a+1) - x - a*(x-1)) / (a*(a+1))    a not in {0, -1}
     phi_0(x) = x*log(x) - x + 1
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,32 +40,13 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """A divergence-generating convex function.
+    """The power-divergence member ``phi_a`` with a finite index ``a``."""
 
-    Either a member of the power family (``family="power"`` with index
-    ``a``) or a user-supplied triple of callables ``phi, dphi, d2phi``.
-    Custom functions must be convex on (0, inf) with ``phi(1) = 0`` and
-    ``0 < phi''(1) < inf``; the boundary limits ``phi(0+)`` and
-    ``lim phi(x)/x`` may be supplied and are otherwise probed numerically.
-    """
-
-    family: str = "power"
-    a: Optional[float] = None
-    phi: Optional[Callable[[float], float]] = None
-    dphi: Optional[Callable[[float], float]] = None
-    d2phi: Optional[Callable[[float], float]] = None
-    phi_at_zero: Optional[float] = None
-    slope_at_inf: Optional[float] = None
+    a: float
 
     def __post_init__(self):
-        if self.family == "power":
-            if self.a is None or not np.isfinite(self.a):
-                raise DomainError("power family requires a finite index a")
-        elif self.family == "custom":
-            if self.phi is None or self.dphi is None or self.d2phi is None:
-                raise DomainError("custom spec requires phi, dphi and d2phi callables")
-        else:
-            raise DomainError(f"unknown phi family: {self.family!r}")
+        if self.a is None or not np.isfinite(self.a):
+            raise DomainError("phi_a requires a finite index a")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -74,9 +55,7 @@ class PhiSpec:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("phi is only defined for x >= 0")
-        if self.family != "power":
-            out = _map_positive(self.phi, x, self.at_zero())
-        elif self.a in (0.0, -1.0):
+        if self.a in (0.0, -1.0):
             out = _power_phi(self.a, x)
         else:
             out = _power_terms(self.a, x)[0]
@@ -86,20 +65,14 @@ class PhiSpec:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x <= 0):
             raise DomainError("phi' requires x > 0")
-        if self.family == "power":
-            out = _power_dphi(self.a, x)
-        else:
-            out = np.vectorize(self.dphi, otypes=[np.float64])(x)
+        out = _power_dphi(self.a, x)
         return float(out) if out.ndim == 0 else out
 
     def second_deriv(self, x):
         x = np.asarray(x, dtype=np.float64)
         if np.any(x <= 0):
             raise DomainError("phi'' requires x > 0")
-        if self.family == "power":
-            out = np.asarray(x ** (self.a - 1.0))
-        else:
-            out = np.vectorize(self.d2phi, otypes=[np.float64])(x)
+        out = np.asarray(x ** (self.a - 1.0))
         return float(out) if out.ndim == 0 else out
 
     def curvature_at_one(self) -> float:
@@ -113,35 +86,23 @@ class PhiSpec:
 
     def at_zero(self) -> float:
         """lim_{x->0+} phi(x); +inf for power indices a <= -1."""
-        if self.family == "power":
-            return 1.0 / (self.a + 1.0) if self.a > -1.0 else math.inf
-        if self.phi_at_zero is not None:
-            return self.phi_at_zero
-        return float(self.phi(1e-12))
+        return 1.0 / (self.a + 1.0) if self.a > -1.0 else math.inf
 
     def slope_limit(self) -> float:
         """lim_{x->inf} phi(x)/x; +inf for power indices a >= 0."""
-        if self.family == "power":
-            return math.inf if self.a >= 0.0 else -1.0 / self.a
-        if self.slope_at_inf is not None:
-            return self.slope_at_inf
-        return float(self.phi(1e12) / 1e12)
+        return math.inf if self.a >= 0.0 else -1.0 / self.a
 
     def gradient_weight(self, x):
         """phi(x) - x * phi'(x), the cell weight in the objective gradient.
 
-        For the power family this collapses to ``(1 - x**(a+1)) / (a + 1)``
-        (``1 - x`` at a = 0, ``-log x`` at a = -1), which is also the correct
-        limit at x = 0 for a > -1.
+        For ``phi_a`` this collapses to ``(1 - x**(a+1)) / (a + 1)`` (``1 - x``
+        at a = 0, ``-log x`` at a = -1), which is also the correct limit at
+        x = 0 for a > -1.
         """
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("gradient weight requires x >= 0")
-        if self.family != "power":
-            out = _map_positive(
-                lambda v: self.phi(v) - v * self.dphi(v), x, self.at_zero()
-            )
-        elif self.a == -1.0:
+        if self.a == -1.0:
             out = np.asarray(-_safe_log(x))
         elif self.a == 0.0:
             out = np.asarray(1.0 - x)
@@ -156,7 +117,7 @@ class PhiSpec:
         :meth:`gradient_weight`; for a power index outside {0, -1} both come
         from one evaluation of ``x**(a+1)``.
         """
-        if self.family != "power" or self.a in (0.0, -1.0):
+        if self.a in (0.0, -1.0):
             return self.value(x), self.gradient_weight(x)
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
@@ -165,8 +126,8 @@ class PhiSpec:
 
 
 def power(a: float) -> PhiSpec:
-    """Power-family member with index ``a``."""
-    return PhiSpec(family="power", a=float(a))
+    """The power divergence ``phi_a`` with index ``a``."""
+    return PhiSpec(a=float(a))
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -175,17 +136,6 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
     out = np.full_like(xv, -math.inf)
     pos = xv > 0
     out[pos] = np.log(xv[pos])
-    return out.reshape(()) if scalar else out
-
-
-def _map_positive(f, x: np.ndarray, zero_value: float) -> np.ndarray:
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    out = np.empty_like(xv)
-    pos = xv > 0
-    if np.any(pos):
-        out[pos] = np.vectorize(f, otypes=[np.float64])(xv[pos])
-    out[~pos] = zero_value
     return out.reshape(()) if scalar else out
 
 

@@ -3,7 +3,7 @@
 The estimator minimizes ``D_phi(p_hat, p(theta))`` over the unconstrained
 ``(lam, eta)`` space; the logistic/softmax parametrization removes every
 constraint, so a quasi-Newton method with an analytic gradient applies
-directly.  Maximum likelihood is the power-index-0 member of the family.
+directly.  Maximum likelihood is the estimator at power index 0.
 
 The gradient of the objective is
 
@@ -11,7 +11,7 @@ The gradient of the objective is
 
 with ``r_nu = p_hat_nu / p_nu(theta)``: differentiating ``p_nu * phi(r_nu)``
 by ``p_nu`` gives ``phi(r_nu) + p_nu phi'(r_nu) * (-r_nu / p_nu)``.  The
-closed form of the bracket for the power family lives in
+closed form of the bracket for the power divergences lives in
 ``PhiSpec.gradient_weight`` and is checked against finite differences in the
 test suite rather than trusted.
 """
@@ -240,7 +240,7 @@ def _failure_result(design, counts, spec, message, traces=()):
 def fit_mle(
     design: ModelDesign, counts: ObservedCounts, options: FitOptions = FitOptions()
 ) -> FitResult:
-    """Maximum likelihood fit: the power-index-0 member of the family.
+    """Maximum likelihood fit: the minimum divergence fit at power index 0.
 
     Cross-checks that ``logL(theta_hat) + N * D_KL(p_hat, p(theta_hat))``
     equals the theta-free multinomial constant.

@@ -8,7 +8,7 @@ Goodness of fit of a fitted model against the empirical distribution:
 
 with an optional increasing transform ``h`` applied to the divergence and a
 matching ``1 / h'(0)`` factor.  The estimate ``theta_hat`` may come from any
-member of the divergence family, not only maximum likelihood; under the model
+power index, not only maximum likelihood (index 0); under the model
 the statistic is asymptotically chi-square with ``2**k - r - 1`` degrees of
 freedom, ``r`` the number of identifiable parameters.
 
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaincc
+from scipy.special import chdtrc, chdtri
 
 from .divergence import HSpec, PhiSpec, identity_h, phi_divergence, power
 from .errors import DomainError
@@ -49,31 +48,21 @@ from .model import ModelDesign, ObservedCounts, Theta
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution.
-
-    Goes through the regularized upper incomplete gamma function; absolute
-    error is far below the 1e-10 the tests pin.
-    """
+    """Upper-tail probability of the chi-square distribution."""
     if dof < 1:
         raise DomainError("dof must be >= 1")
     if x < 0:
         raise DomainError("chi-square statistic must be >= 0")
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    return float(chdtrc(dof, x))
 
 
 def chi2_quantile(q: float, dof: int) -> float:
-    """Value ``x`` with ``P(X <= x) = q``, by bracketed root finding on the sf."""
+    """Value ``x`` with ``P(X <= x) = q``, the inverse of :func:`chi2_sf` at ``1 - q``."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     if dof < 1:
         raise DomainError("dof must be >= 1")
-    target = 1.0 - q
-    hi = float(max(dof, 1.0))
-    while chi2_sf(hi, dof) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("quantile bracket expansion failed")
-    return float(brentq(lambda x: chi2_sf(x, dof) - target, 0.0, hi, xtol=1e-12))
+    return float(chdtri(dof, 1.0 - q))
 
 
 @dataclass(frozen=True)
@@ -161,36 +150,21 @@ def gof_statistic(
     alpha: float = 0.05,
     dof_policy: str = "rank",
     dof_override: Optional[int] = None,
+    h: HSpec = identity_h(),
 ) -> TestResult:
-    """Goodness-of-fit statistic of the fitted model, tested at level ``alpha``."""
-    fit2.require_converged("goodness-of-fit statistic")
-    D = phi_divergence(counts.p_hat(), fit2.manifest.p, phi1)
-    statistic = 2.0 * counts.N / phi1.curvature_at_one() * D
-    dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
-    return _decide(statistic, dof, alpha, phi1, fit2.spec, None, "gof", policy)
+    """Goodness-of-fit statistic ``2N h(D) / (phi1''(1) h'(0))`` of the fitted model.
 
-
-def gof_statistic_h(
-    design: ModelDesign,
-    counts: ObservedCounts,
-    phi1: PhiSpec,
-    h: HSpec,
-    fit2: FitResult,
-    alpha: float = 0.05,
-    dof_policy: str = "rank",
-    dof_override: Optional[int] = None,
-) -> TestResult:
-    """Transformed goodness-of-fit statistic ``2N h(D) / (phi1''(1) h'(0))``.
-
-    Raises ``DomainError`` when the divergence falls outside the domain of
-    the transform (e.g. the bhattacharyya transform needs D < 1).
+    ``D`` is the phi1-divergence of the empirical distribution from the fit,
+    and the test is at level ``alpha``.  Raises ``DomainError`` when ``D``
+    falls outside the domain of ``h`` (e.g. the bhattacharyya transform
+    needs D < 1).
     """
     fit2.require_converged("goodness-of-fit statistic")
     D = phi_divergence(counts.p_hat(), fit2.manifest.p, phi1)
-    scale = 2.0 * counts.N / (phi1.curvature_at_one() * h.deriv_at_zero())
-    statistic = scale * h.value(D) if math.isfinite(D) else _h_of_inf(h)
+    statistic = _transformed(_scale(counts, phi1, h), h, D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
-    return _decide(statistic, dof, alpha, phi1, fit2.spec, h, "gof_h", policy)
+    h_field, kind = _h_label(h, "gof")
+    return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy)
 
 
 def estimator_sweep(
@@ -214,10 +188,26 @@ def estimator_sweep(
     ]
 
 
+def _scale(counts: ObservedCounts, phi1: PhiSpec, h: HSpec) -> float:
+    return 2.0 * counts.N / (phi1.curvature_at_one() * h.deriv_at_zero())
+
+
 def _h_of_inf(h: HSpec) -> float:
     if h.tag == "bhattacharyya":
         raise DomainError("divergence is outside the domain of the bhattacharyya transform")
     return math.inf
+
+
+def _transformed(scale: float, h: HSpec, D: float) -> float:
+    """``scale * h(D)``, with the limit of ``h`` when ``D`` is infinite."""
+    return scale * h.value(D) if math.isfinite(D) else _h_of_inf(h)
+
+
+def _h_label(h: HSpec, kind: str) -> tuple:
+    """``(h, kind)`` as a TestResult records them; the identity is not recorded."""
+    if h.tag == "identity":
+        return None, kind
+    return h, f"{kind}_h"
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +303,7 @@ def fit_pair(
 def _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, kind, alpha):
     fit_A.require_converged("nested test")
     fit_B.require_converged("nested test")
-    c = phi1.curvature_at_one() * h.deriv_at_zero()
-    scale = 2.0 * counts.N / c
+    scale = _scale(counts, phi1, h)
     if kind.startswith("S"):
         D_B = phi_divergence(counts.p_hat(), fit_B.manifest.p, phi1)
         D_A = phi_divergence(counts.p_hat(), fit_A.manifest.p, phi1)
@@ -327,11 +316,10 @@ def _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, kind, alpha):
             statistic = math.nan
     else:
         D = phi_divergence(fit_A.manifest.p, fit_B.manifest.p, phi1)
-        statistic = scale * h.value(D) if math.isfinite(D) else _h_of_inf(h)
-    label = kind if h.tag == "identity" else f"{kind}_h"
+        statistic = _transformed(scale, h, D)
+    h_field, label = _h_label(h, f"nested_{kind}")
     return _decide(
-        statistic, pair.dof, alpha, phi1, fit_A.spec, None if h.tag == "identity" else h,
-        f"nested_{label}", "nominal_difference",
+        statistic, pair.dof, alpha, phi1, fit_A.spec, h_field, label, "nominal_difference"
     )
 
 
@@ -342,14 +330,15 @@ def nested_S(
     phi2: PhiSpec,
     options: FitOptions = FitOptions(),
     alpha: float = 0.05,
+    h: HSpec = identity_h(),
 ) -> TestResult:
     """Divergence-difference statistic for B nested in A.
 
     Equals the classical likelihood-ratio statistic ``G2`` when both
-    transforms are the power member at 0.
+    transforms are the power member at 0 and ``h`` is the identity.
     """
     fit_A, fit_B = fit_pair(pair, counts, phi2, options)
-    return _nested_statistic(pair, counts, phi1, identity_h(), fit_A, fit_B, "S", alpha)
+    return _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, "S", alpha)
 
 
 def nested_T(
@@ -359,34 +348,9 @@ def nested_T(
     phi2: PhiSpec,
     options: FitOptions = FitOptions(),
     alpha: float = 0.05,
+    h: HSpec = identity_h(),
 ) -> TestResult:
     """Between-fits divergence statistic for B nested in A (always >= 0)."""
-    fit_A, fit_B = fit_pair(pair, counts, phi2, options)
-    return _nested_statistic(pair, counts, phi1, identity_h(), fit_A, fit_B, "T", alpha)
-
-
-def nested_S_h(
-    pair: NestedPair,
-    counts: ObservedCounts,
-    phi1: PhiSpec,
-    phi2: PhiSpec,
-    h: HSpec,
-    options: FitOptions = FitOptions(),
-    alpha: float = 0.05,
-) -> TestResult:
-    fit_A, fit_B = fit_pair(pair, counts, phi2, options)
-    return _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, "S", alpha)
-
-
-def nested_T_h(
-    pair: NestedPair,
-    counts: ObservedCounts,
-    phi1: PhiSpec,
-    phi2: PhiSpec,
-    h: HSpec,
-    options: FitOptions = FitOptions(),
-    alpha: float = 0.05,
-) -> TestResult:
     fit_A, fit_B = fit_pair(pair, counts, phi2, options)
     return _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, "T", alpha)
 
@@ -466,7 +430,7 @@ def sequential_selection(
     phi2: PhiSpec,
     alpha: float = 0.05,
     statistic: str = "S",
-    h: Optional[HSpec] = None,
+    h: HSpec = identity_h(),
     options: FitOptions = FitOptions(),
 ) -> SelectionResult:
     """Walk the chain testing each reduction; stop at the first rejection.
@@ -478,7 +442,6 @@ def sequential_selection(
     """
     if statistic not in ("S", "T"):
         raise DomainError("statistic must be 'S' or 'T'")
-    h = h or identity_h()
     fits = {1: fit(chain.model_design(1), counts, phi2, options)}
     tests = []
     selected = chain.n_models

@@ -29,7 +29,7 @@ from scipy.stats import beta as _beta_dist
 from .divergence import phi_divergence, power
 from .errors import DomainError
 from .estimation import FitOptions, fit
-from .inference import chi2_quantile
+from .inference import chi2_quantile, resolve_gof_dof
 from .model import ModelDesign, Theta, sample_counts
 
 _log = logging.getLogger(__name__)
@@ -171,10 +171,7 @@ def _replicate(plan: SimulationPlan, size_idx: int, coef_idx: int, rep: int):
     if not result.converged:
         return rep, False, 0, {}
 
-    if plan.dof_policy == "rank":
-        dof = plan.null_design.n_patterns - result.rank - 1
-    else:
-        dof = plan.null_design.n_patterns - plan.null_design.n_params - 1
+    dof, _ = resolve_gof_dof(plan.null_design, result, plan.dof_policy)
     p_hat = counts.p_hat()
     stats = {}
     for a in plan.a_values:

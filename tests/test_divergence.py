@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmdiv.divergence import HSpec, PhiSpec, identity_h, kl_divergence, phi_divergence, power
+from lcmdiv.divergence import HSpec, identity_h, kl_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError
 
 SHIPPED_A = (-1.0, -0.5, 0.0, 2.0 / 3.0, 1.0, 2.0)
@@ -93,21 +93,6 @@ class TestPowerFamily:
             power(1.0).value(-0.1)
         with pytest.raises(DomainError):
             power(1.0).value_and_gradient_weight(np.array([0.5, -0.1]))
-
-    def test_custom_spec_matches_power(self):
-        custom = PhiSpec(
-            family="custom",
-            phi=lambda x: 0.5 * (x - 1.0) ** 2,
-            dphi=lambda x: x - 1.0,
-            d2phi=lambda x: 1.0,
-            phi_at_zero=0.5,
-            slope_at_inf=math.inf,
-        )
-        p = np.array([0.2, 0.5, 0.3])
-        q = np.array([0.3, 0.4, 0.3])
-        assert phi_divergence(p, q, custom) == pytest.approx(
-            phi_divergence(p, q, power(1.0)), rel=1e-12
-        )
 
 
 class TestPhiDivergence:
