@@ -13,6 +13,7 @@ Examples:
 
 import argparse
 import logging
+import os
 import time
 
 from lcmdiv.datasets import simulation_plan
@@ -68,17 +69,8 @@ def main():
         )
 
     paths = emit_power_curves(table, args.out_dir)
-    import os
-
     table_path = os.path.join(args.out_dir, "size_power.csv")
-    with open(table_path, "w") as fh:
-        fh.write(
-            "\n".join(
-                ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-                for row in table.rows()
-            )
-            + "\n"
-        )
+    table.write_csv(table_path)
     print(f"table: {table_path}")
     for path in paths:
         print(f"curve data: {path}")

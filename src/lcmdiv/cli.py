@@ -571,10 +571,7 @@ def _run_simulate(cfg: RunConfig) -> int:
         logger.setLevel(level)
     os.makedirs(cfg.out_dir, exist_ok=True)
     table_path = os.path.join(cfg.out_dir, "size_power.csv")
-    rows = table.rows()
-    with open(table_path, "w") as fh:
-        fh.write("\n".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-                           for row in rows) + "\n")
+    table.write_csv(table_path)
     curve_paths = emit_power_curves(table, cfg.out_dir)
     doc = _base_doc(cfg)
     doc["options"] = {
@@ -608,6 +605,8 @@ _BUNDLE_TOL = {"symmetry": 1e-8, "idempotency": 1e-8, "trace": 1e-6, "annihilati
 def _run_verify(cfg: RunConfig) -> int:
     design = cfg.design
     if cfg.drop_eta is not None:
+        if not 1 <= cfg.drop_eta <= design.u:
+            raise DomainError(f"--drop-eta must be in [1, {design.u}], got {cfg.drop_eta}")
         keep = [i for i in range(design.u) if i != cfg.drop_eta - 1]
         if not keep:
             raise DomainError("cannot drop the only eta coordinate")

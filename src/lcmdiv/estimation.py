@@ -34,9 +34,8 @@ from .model import (
     ObservedCounts,
     Theta,
     _evaluate,
-    class_weights,
-    item_probs,
     jacobian_rank,
+    latent_params,
     log_likelihood,
     manifest_distribution,
 )
@@ -209,9 +208,7 @@ def fit(
         objective=best[0],
         converged=True,
         traces=tuple(traces),
-        latent=LatentParams(
-            w=class_weights(design, theta_hat), P=item_probs(design, theta_hat)
-        ),
+        latent=latent_params(design, theta_hat),
         manifest=manifest_distribution(design, theta_hat),
         rank=jacobian_rank(design, theta_hat),
         spec=spec,
@@ -226,9 +223,7 @@ def _failure_result(design, counts, spec, message, traces=()):
         objective=math.inf,
         converged=False,
         traces=traces,
-        latent=LatentParams(
-            w=class_weights(design, theta), P=item_probs(design, theta)
-        ),
+        latent=latent_params(design, theta),
         manifest=manifest_distribution(design, theta),
         rank=0,
         spec=spec,

@@ -71,8 +71,9 @@ class TestResult:
 
     ``reject`` is computed from the critical value; ``p_value`` gives the
     same decision by construction (both routes are derived from the same
-    survival function).  ``warnings`` may carry ``negative_statistic`` or
-    ``infinite_statistic`` flags.
+    survival function).  ``warnings`` may carry ``negative_statistic``,
+    ``infinite_statistic`` or ``undefined_statistic`` flags; an undefined
+    (NaN) statistic has a NaN ``p_value`` and never rejects.
     """
 
     statistic: float
@@ -91,18 +92,18 @@ class TestResult:
 
 def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, warnings=()):
     warnings = tuple(warnings)
-    if dof <= 0:
+    critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
+    if math.isnan(statistic):
+        p_value, reject = math.nan, False
+        warnings = warnings + ("undefined_statistic",)
+    elif dof <= 0:
         # Degenerate null: no free directions, point mass at zero.
         p_value = 1.0 if statistic <= 1e-12 else 0.0
-        critical = 0.0
         reject = statistic > 1e-12
     elif math.isinf(statistic):
-        p_value = 0.0
-        critical = chi2_quantile(1.0 - alpha, dof)
-        reject = True
+        p_value, reject = 0.0, True
         warnings = warnings + ("infinite_statistic",)
     else:
-        critical = chi2_quantile(1.0 - alpha, dof)
         p_value = chi2_sf(max(statistic, 0.0), dof)
         reject = statistic > critical
     if statistic < 0 and "negative_statistic" not in warnings:
@@ -312,7 +313,7 @@ def _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, kind, alpha):
         elif math.isinf(D_B) and math.isfinite(D_A):
             statistic = _h_of_inf(h)
         else:
-            # inf - inf has no usable value; report NaN with a flag.
+            # inf - inf has no usable value; _decide flags the NaN as undefined.
             statistic = math.nan
     else:
         D = phi_divergence(fit_A.manifest.p, fit_B.manifest.p, phi1)
@@ -442,17 +443,17 @@ def sequential_selection(
     """
     if statistic not in ("S", "T"):
         raise DomainError("statistic must be 'S' or 'T'")
-    fits = {1: fit(chain.model_design(1), counts, phi2, options)}
+    fit_A = fit(chain.model_design(1), counts, phi2, options)
     tests = []
     selected = chain.n_models
     for level in range(1, chain.n_models):
-        pair = chain.adjacent_pair(level)
-        fits.setdefault(level + 1, fit(chain.model_design(level + 1), counts, phi2, options))
+        fit_B = fit(chain.model_design(level + 1), counts, phi2, options)
         result = _nested_statistic(
-            pair, counts, phi1, h, fits[level], fits[level + 1], statistic, alpha
+            chain.adjacent_pair(level), counts, phi1, h, fit_A, fit_B, statistic, alpha
         )
         tests.append(result)
         if result.reject:
             selected = level
             break
+        fit_A = fit_B
     return SelectionResult(selected=selected, tests=tuple(tests), statistic=statistic)

@@ -2,9 +2,11 @@
 
 Each replication draws a sample from the true model (the null design, or its
 one-column extension at a nonzero coefficient), fits the null design by
-minimum divergence, and evaluates the whole grid of test statistics on that
-single fit.  The rejection rate against the chi-square critical value is the
-simulated exact size (at coefficient zero) or power (elsewhere).
+minimum divergence, and tests that single fit with
+:func:`lcmdiv.inference.gof_statistic` at every statistic index.  The share of
+those decisions that reject is the simulated exact size (at coefficient zero)
+or power (elsewhere), so the study measures exactly the test a user runs on
+one data set.
 
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
@@ -26,10 +28,10 @@ from typing import Optional
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from .divergence import phi_divergence, power
+from .divergence import power
 from .errors import DomainError
 from .estimation import FitOptions, fit
-from .inference import chi2_quantile, resolve_gof_dof
+from .inference import gof_statistic
 from .model import ModelDesign, Theta, sample_counts
 
 _log = logging.getLogger(__name__)
@@ -150,9 +152,19 @@ class SizePowerTable:
             ])
         return out
 
+    def write_csv(self, path) -> None:
+        """Write :meth:`rows` as comma-separated lines, floats as ``repr``."""
+        with open(path, "w") as fh:
+            for row in self.rows():
+                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
 
 def _replicate(plan: SimulationPlan, size_idx: int, coef_idx: int, rep: int):
-    """One replication: sample, fit the null design, return per-a statistics."""
+    """One replication: sample, fit the null design, test the fit at each index.
+
+    Returns one ``TestResult`` per entry of ``plan.a_values``, or ``None``
+    when the fit does not converge.
+    """
     N = plan.sample_sizes[size_idx]
     lambda8 = plan.lambda8_grid[coef_idx]
     seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
@@ -169,15 +181,11 @@ def _replicate(plan: SimulationPlan, size_idx: int, coef_idx: int, rep: int):
     )
     result = fit(plan.null_design, counts, power(plan.estimator_a), options)
     if not result.converged:
-        return rep, False, 0, {}
-
-    dof, _ = resolve_gof_dof(plan.null_design, result, plan.dof_policy)
-    p_hat = counts.p_hat()
-    stats = {}
-    for a in plan.a_values:
-        D = phi_divergence(p_hat, result.manifest.p, power(a))
-        stats[a] = 2.0 * N * D  # power members have phi''(1) = 1
-    return rep, True, dof, stats
+        return None
+    return tuple(
+        gof_statistic(plan.null_design, counts, power(a), result, plan.alpha, plan.dof_policy)
+        for a in plan.a_values
+    )
 
 
 def _replicate_chunk(args):
@@ -198,34 +206,20 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
         n_jobs = int(os.environ.get("LCMDIV_JOBS", "1"))
     n_jobs = max(1, n_jobs)
 
+    band = dale_band(plan.alpha)
     cells = []
-    quantile_cache: dict = {}
     for size_idx, N in enumerate(plan.sample_sizes):
         for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
             start = perf_counter()
             records = _run_cell(plan, size_idx, coef_idx, n_jobs)
-            failures = sum(1 for _, ok, _, _ in records if not ok)
-            effective = len(records) - failures
-            for a in plan.a_values:
-                rejections = 0
-                infinite = 0
-                dofs = []
-                for _, ok, dof, stats in records:
-                    if not ok:
-                        continue
-                    dofs.append(dof)
-                    crit = quantile_cache.get(dof)
-                    if crit is None:
-                        crit = chi2_quantile(1.0 - plan.alpha, dof)
-                        quantile_cache[dof] = crit
-                    stat = stats[a]
-                    if math.isinf(stat):
-                        infinite += 1
-                        rejections += 1
-                    elif stat > crit:
-                        rejections += 1
+            converged = [tests for tests in records if tests is not None]
+            effective = len(converged)
+            failures = len(records) - effective
+            for i, a in enumerate(plan.a_values):
+                column = [tests[i] for tests in converged]
+                dofs = [t.dof for t in column]
+                rejections = sum(t.reject for t in column)
                 rate = rejections / effective if effective else math.nan
-                band = dale_band(plan.alpha)
                 cells.append(
                     SizePowerCell(
                         N=N,
@@ -235,8 +229,9 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
                         rejections=rejections,
                         n_effective=effective,
                         fit_failures=failures,
-                        infinite_statistics=infinite,
-                        dof=int(np.bincount(dofs).argmax()) if dofs else -1,
+                        infinite_statistics=sum("infinite_statistic" in t.warnings for t in column),
+                        # The mode, smallest first among ties; dof may be <= 0.
+                        dof=max(sorted(set(dofs)), key=dofs.count) if dofs else -1,
                         binomial_ci=_clopper_pearson(rejections, effective),
                         dale_pass=bool(effective and band[0] <= rate <= band[1]),
                     )
@@ -251,19 +246,15 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
 def _run_cell(plan, size_idx, coef_idx, n_jobs):
     reps = list(range(plan.replications))
     if n_jobs == 1:
-        records = [_replicate(plan, size_idx, coef_idx, rep) for rep in reps]
-    else:
-        chunk = max(1, len(reps) // (n_jobs * 8))
-        tasks = [
-            (plan, size_idx, coef_idx, reps[i : i + chunk])
-            for i in range(0, len(reps), chunk)
-        ]
-        records = []
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for batch in pool.map(_replicate_chunk, tasks):
-                records.extend(batch)
-        records.sort(key=lambda r: r[0])
-    return records
+        return _replicate_chunk((plan, size_idx, coef_idx, reps))
+    chunk = max(1, len(reps) // (n_jobs * 8))
+    tasks = [
+        (plan, size_idx, coef_idx, reps[i : i + chunk])
+        for i in range(0, len(reps), chunk)
+    ]
+    # map yields the chunks in task order, so records stay in replication order.
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return [tests for batch in pool.map(_replicate_chunk, tasks) for tests in batch]
 
 
 def emit_power_curves(table: SizePowerTable, out_dir) -> list:

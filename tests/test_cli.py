@@ -293,3 +293,14 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["all_pass"] is True
+
+    @pytest.mark.parametrize("drop", ["0", "7"])
+    @pytest.mark.parametrize("extra", [(), ("--pseudo-inverse",)])
+    def test_drop_eta_out_of_range_is_refused(self, capsys, drop, extra):
+        # The bundled null design has u = 6 eta coordinates.
+        code, out, err = run_cli(
+            capsys, "verify", "--design", "bundled:sim_null", "--drop-eta", drop, *extra
+        )
+        assert code == EXIT_COMPUTE
+        assert out == ""
+        assert "--drop-eta must be in [1, 6]" in err

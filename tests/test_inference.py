@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lcmdiv.datasets import simulation_null_design, simulation_theta0
 from lcmdiv.divergence import HSpec, identity_h, kl_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError, NotConvergedError
 from lcmdiv.estimation import FitOptions, fit
@@ -358,6 +359,26 @@ class TestNestedStatistics:
         result = _decide(math.inf, 4, 0.05, power(-1.0), power(0.0), None, "gof", "rank")
         assert result.reject and result.p_value == 0.0
         assert "infinite_statistic" in result.warnings
+
+    @pytest.mark.parametrize("dof", [2, 0])
+    def test_undefined_statistic_flagged_never_rejects(self, dof):
+        result = _decide(math.nan, dof, 0.05, power(-1.0), power(0.0), None, "nested_S", "nominal_difference")
+        assert math.isnan(result.statistic) and math.isnan(result.p_value)
+        assert not result.reject
+        assert result.warnings == ("undefined_statistic",)
+
+    def test_infinite_minus_infinite_is_flagged(self):
+        # Three empty cells make both divergences infinite at index -1.
+        design = simulation_null_design()
+        counts = sample_counts(design, simulation_theta0(), 200, seed=3)
+        assert np.count_nonzero(counts.n == 0) == 3
+        result = nested_S(
+            NestedPair(design, zero_lam=(6,)), counts, power(-1.0), power(0.0),
+            FitOptions(starts=2, seed=1, grad_tol=1e-6),
+        )
+        assert math.isnan(result.statistic) and math.isnan(result.p_value)
+        assert not result.reject
+        assert result.warnings == ("undefined_statistic",)
 
 
 class TestColemanChain:

@@ -1,18 +1,27 @@
 import logging
 import math
 import pickle
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from lcmdiv.datasets import simulation_plan
+from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
+from lcmdiv.estimation import FitOptions, fit
+from lcmdiv.inference import gof_statistic
+from lcmdiv.model import ModelDesign, sample_counts
 from lcmdiv.montecarlo import (
+    SimulationPlan,
     _replicate_chunk,
     _run_cell,
     dale_band,
     emit_power_curves,
     run_simulation,
 )
+
+from conftest import make_design, random_theta
 
 
 class TestDaleBand:
@@ -143,6 +152,66 @@ class TestRunSimulation:
             assert wall > 0.0
             assert record.getMessage().startswith(f"cell N=200 lambda8={lambda8!r}:")
 
+    def test_cells_recount_gof_statistic_decisions(self):
+        # Every replication rebuilt by hand and tested with gof_statistic; the
+        # table must tally exactly these decisions.  Index -1 has an infinite
+        # statistic whenever the sample leaves a cell empty.
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(-1.0, -0.5, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            replications=40, seed=3,
+        )
+        table = run_simulation(plan)
+        for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
+            design, theta = plan.true_model(lambda8)
+            tests, failures = [], 0
+            for rep in range(plan.replications):
+                seq = np.random.SeedSequence(plan.seed, spawn_key=(0, coef_idx, rep))
+                sample_seq, fit_seq = seq.spawn(2)
+                counts = sample_counts(design, theta, 200, sample_seq)
+                options = FitOptions(
+                    starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
+                    seed=int(fit_seq.generate_state(1)[0]), init_theta=plan.theta0,
+                )
+                result = fit(plan.null_design, counts, power(plan.estimator_a), options)
+                if not result.converged:
+                    failures += 1
+                    continue
+                tests.append([
+                    gof_statistic(
+                        plan.null_design, counts, power(a), result, plan.alpha, plan.dof_policy
+                    )
+                    for a in plan.a_values
+                ])
+            for i, a in enumerate(plan.a_values):
+                column = [row[i] for row in tests]
+                cell = table.cell(200, a, lambda8)
+                assert (
+                    cell.rejections, cell.infinite_statistics, cell.dof,
+                    cell.n_effective, cell.fit_failures,
+                ) == (
+                    sum(t.reject for t in column),
+                    sum("infinite_statistic" in t.warnings for t in column),
+                    Counter(t.dof for t in column).most_common(1)[0][0],
+                    len(tests),
+                    failures,
+                )
+        assert sum(c.infinite_statistics for c in table.cells) > 0
+
+    def test_degenerate_null_follows_decision_rule(self):
+        # Eight parameters on eight cells: nominal dof is -1, which the
+        # goodness-of-fit decision treats as a point mass at zero.
+        null = make_design(seed=11, k=3, m=2, t=7, u=1)
+        alt = ModelDesign(
+            Q=np.concatenate([null.Q, np.full((2, 3, 1), 0.5)], axis=2), C=null.C, V=null.V, d=null.d
+        )
+        plan = SimulationPlan(
+            null_design=null, alt_design=alt, theta0=random_theta(null, seed=2),
+            replications=3, dof_policy="nominal",
+        )
+        cell = run_simulation(plan).cells[0]
+        assert cell.dof == 8 - 8 - 1
+        assert cell.n_effective + cell.fit_failures == 3
+
     def test_plan_validation(self):
         plan = simulation_plan()
         from dataclasses import replace
@@ -177,6 +246,17 @@ class TestPowerCurveFiles:
         rows = smoke_table.rows()
         assert rows[0][0] == "N"
         assert len(rows) == 1 + len(smoke_table.cells)
+
+    def test_write_csv_prints_rows(self, smoke_table, tmp_path):
+        path = tmp_path / "size_power.csv"
+        smoke_table.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(smoke_table.rows()[0])
+        first = smoke_table.cells[0]
+        assert lines[1].split(",")[:5] == [
+            "200", repr(first.a), repr(first.lambda8), repr(first.rate), str(first.rejections)
+        ]
+        assert len(lines) == 1 + len(smoke_table.cells)
 
 
 @pytest.mark.extended
