@@ -35,9 +35,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, RankDeficiencyError
 from .inference import NestedPair
-from .model import ModelDesign, Theta, _evaluate
-
-_RANK_RTOL = 1e-8
+from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,7 @@ class NestedProjections:
 
 def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
     """Orthogonal projection onto the column space of L, plus rank/condition."""
-    sv = np.linalg.svd(L, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = numerical_rank(L)
     if rank < L.shape[1] and not pseudo_inverse:
         raise RankDeficiencyError(
             f"{what}: Gram matrix is singular (rank {rank} of {L.shape[1]}); "
@@ -72,7 +69,7 @@ def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
         )
     G = L.T @ L
     if pseudo_inverse and rank < L.shape[1]:
-        R = L @ np.linalg.pinv(G, rcond=_RANK_RTOL) @ L.T
+        R = L @ np.linalg.pinv(G, rcond=RANK_RTOL) @ L.T
         cond = np.inf
     else:
         factor = cho_factor(G)

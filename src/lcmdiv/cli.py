@@ -28,7 +28,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ from .divergence import HSpec, PhiSpec, identity_h, power
 from .errors import DomainError, InputFormatError, LcmdivError, NotConvergedError, RankDeficiencyError
 from .estimation import FitOptions, fit
 from .inference import (
-    NestedChain,
     NestedPair,
     TestResult,
     _nested_statistic,
@@ -46,7 +45,7 @@ from .inference import (
     gof_statistic,
     sequential_selection,
 )
-from .model import ModelDesign, ObservedCounts, Theta
+from .model import ModelDesign, Theta
 from .montecarlo import run_simulation
 from .asymptotics import (
     build_bundle,
@@ -67,18 +66,30 @@ _CONVENTIONS = {
     "indices": "1-based on the command line and in chain files",
 }
 
-_BUNDLED_DESIGNS = {
-    "coleman_m1": datasets.coleman_design_m1,
-    "coleman_m1_chain_basis": datasets.coleman_design_chain_basis,
-    "coleman_m2": datasets.coleman_design_m2,
-    "coleman_m3": datasets.coleman_design_m3,
-    "coleman_m4": datasets.coleman_design_m4,
-    "sim_null": datasets.simulation_null_design,
-    "sim_alt": datasets.simulation_alt_design,
+# Input kind -> (bundled constructors, file loader, to-dict for a bundled object's digest).
+# The order is the order of the report's ``inputs``.
+_INPUTS = {
+    "design": (
+        {
+            "coleman_m1": datasets.coleman_design_m1,
+            "coleman_m1_chain_basis": datasets.coleman_design_chain_basis,
+            "coleman_m2": datasets.coleman_design_m2,
+            "coleman_m3": datasets.coleman_design_m3,
+            "coleman_m4": datasets.coleman_design_m4,
+            "sim_null": datasets.simulation_null_design,
+            "sim_alt": datasets.simulation_alt_design,
+        },
+        fileio.read_design,
+        fileio.design_to_dict,
+    ),
+    "counts": (
+        {"coleman": datasets.coleman_counts},
+        fileio.read_counts,
+        lambda counts: {"n": np.asarray(counts.n).tolist()},
+    ),
+    "chain": ({"coleman_chain": datasets.coleman_chain}, fileio.read_chain, fileio.chain_to_dict),
+    "plan": ({"sim": datasets.simulation_plan}, fileio.read_plan, fileio.plan_to_dict),
 }
-_BUNDLED_COUNTS = {"coleman": datasets.coleman_counts}
-_BUNDLED_CHAINS = {"coleman_chain": datasets.coleman_chain}
-_BUNDLED_PLANS = {"sim": datasets.simulation_plan}
 
 
 def _phi_spec(text: str) -> PhiSpec:
@@ -116,13 +127,18 @@ def _h_spec(text: str) -> HSpec:
         raise argparse.ArgumentTypeError(f"bad h spec {text!r}: {exc}")
 
 
+def _comma_list(convert):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad comma list {text!r}")
+
+    return parse
+
+
 def _indices(text: str) -> tuple:
-    if not text.strip():
-        return ()
-    try:
-        values = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}")
+    values = _comma_list(int)(text) if text.strip() else ()
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("indices are 1-based and must be >= 1")
     return tuple(v - 1 for v in values)
@@ -142,65 +158,6 @@ def _h_str(h: Optional[HSpec]) -> Optional[str]:
     if h.tag == "renyi":
         return f"renyi:a={h.a!r}"
     return f"sharma-mittal:a={h.a!r},b={h.b!r}"
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: the subcommand plus everything it needs to run."""
-
-    subcommand: str
-    design: Optional[ModelDesign] = None
-    counts: Optional[ObservedCounts] = None
-    chain: Optional[NestedChain] = None
-    plan: object = None
-    phi: Optional[PhiSpec] = None
-    phi1: Optional[PhiSpec] = None
-    phi2: Optional[PhiSpec] = None
-    h: Optional[HSpec] = None
-    alpha: float = 0.05
-    statistic: str = "both"
-    zero_lam: tuple = ()
-    zero_eta: tuple = ()
-    dof_policy: str = "rank"
-    dof_override: Optional[int] = None
-    fit_options: FitOptions = field(default_factory=FitOptions)
-    out: Optional[str] = None
-    out_dir: Optional[str] = None
-    fmt: str = "text"
-    jobs: int = 1
-    progress: bool = False
-    theta_seed: int = 0
-    theta_scale: float = 0.5
-    pseudo_inverse: bool = False
-    drop_eta: Optional[int] = None
-    inputs: dict = field(default_factory=dict)
-
-
-def _resolve(path: str, bundled: dict, loader, kind: str):
-    """Load ``path``, honoring the bundled: scheme; returns (object, provenance)."""
-    if path.startswith("bundled:"):
-        name = path[len("bundled:") :]
-        if name not in bundled:
-            raise InputFormatError(
-                f"unknown bundled {kind} {name!r}; available: {', '.join(sorted(bundled))}"
-            )
-        obj = bundled[name]()
-        return obj, {"path": path, "sha256": _object_digest(obj)}
-    obj = loader(path)
-    return obj, {"path": str(path), "sha256": fileio.file_digest(path)}
-
-
-def _object_digest(obj) -> str:
-    if isinstance(obj, ModelDesign):
-        doc = fileio.design_to_dict(obj)
-    elif isinstance(obj, ObservedCounts):
-        doc = {"n": np.asarray(obj.n).tolist()}
-    elif isinstance(obj, NestedChain):
-        doc = fileio.chain_to_dict(obj)
-    else:
-        doc = fileio.plan_to_dict(obj)
-    payload = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,9 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulated exact size and power study")
     p.add_argument("--plan", required=True)
-    p.add_argument("--sizes", help="comma list overriding the plan's sample sizes")
-    p.add_argument("--lambda8", help="comma list overriding the coefficient grid")
-    p.add_argument("--a-values", help="comma list overriding the statistic indices")
+    p.add_argument("--sizes", dest="sample_sizes", metavar="SIZES", type=_comma_list(int),
+                   help="comma list overriding the plan's sample sizes")
+    p.add_argument("--lambda8", dest="lambda8_grid", metavar="LAMBDA8", type=_comma_list(float),
+                   help="comma list overriding the coefficient grid")
+    p.add_argument("--a-values", type=_comma_list(float),
+                   help="comma list overriding the statistic indices")
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
@@ -292,83 +252,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` and load its inputs in place, their provenance in ``ns.inputs``."""
     if "--list-bundled" in argv:
-        return RunConfig(subcommand="list-bundled")
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-
-    cfg = RunConfig(subcommand=ns.subcommand)
-    cfg.fmt = getattr(ns, "fmt", "text")
-    cfg.out = getattr(ns, "out", None)
-
+        return argparse.Namespace(subcommand="list-bundled", fmt="text", out=None)
+    ns = build_parser().parse_args(argv)
     if hasattr(ns, "starts"):
-        cfg.fit_options = FitOptions(
+        ns.fit_options = FitOptions(
             starts=ns.starts,
             init_scale=ns.init_scale,
             grad_tol=ns.grad_tol,
             max_iters=ns.max_iters,
             seed=ns.seed,
         )
-    if getattr(ns, "design", None):
-        cfg.design, cfg.inputs["design"] = _resolve(
-            ns.design, _BUNDLED_DESIGNS, fileio.read_design, "design"
+    ns.inputs = {}
+    for kind, (bundled, loader, to_dict) in _INPUTS.items():
+        path = getattr(ns, kind, None)
+        if not path:
+            continue
+        if path.startswith("bundled:"):
+            name = path[len("bundled:") :]
+            if name not in bundled:
+                raise InputFormatError(
+                    f"unknown bundled {kind} {name!r}; available: {', '.join(sorted(bundled))}"
+                )
+            obj = bundled[name]()
+            digest = hashlib.sha256(json.dumps(to_dict(obj), sort_keys=True).encode()).hexdigest()
+        else:
+            obj = loader(path)
+            digest = fileio.file_digest(path)
+        setattr(ns, kind, obj)
+        ns.inputs[kind] = {"path": path, "sha256": digest}
+    if hasattr(ns, "design") and hasattr(ns, "counts") and ns.counts.k != ns.design.k:
+        raise InputFormatError(
+            f"counts have k = {ns.counts.k} items but the design has k = {ns.design.k}"
         )
-    if getattr(ns, "counts", None):
-        cfg.counts, cfg.inputs["counts"] = _resolve(
-            ns.counts, _BUNDLED_COUNTS, fileio.read_counts, "counts"
-        )
-        if cfg.design is not None and cfg.counts.k != cfg.design.k:
-            raise InputFormatError(
-                f"counts have k = {cfg.counts.k} items but the design has k = {cfg.design.k}"
-            )
-    if getattr(ns, "chain", None):
-        cfg.chain, cfg.inputs["chain"] = _resolve(
-            ns.chain, _BUNDLED_CHAINS, fileio.read_chain, "chain"
-        )
-    if getattr(ns, "plan", None):
-        cfg.plan, cfg.inputs["plan"] = _resolve(
-            ns.plan, _BUNDLED_PLANS, fileio.read_plan, "plan"
-        )
-
-    for name in ("phi", "phi1", "phi2", "h", "alpha", "statistic", "dof_override",
-                 "progress", "theta_seed", "theta_scale", "pseudo_inverse", "drop_eta",
-                 "out_dir"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "dof_policy"):
-        cfg.dof_policy = ns.dof_policy
-    if hasattr(ns, "zero_lambda"):
-        cfg.zero_lam = ns.zero_lambda
-    if hasattr(ns, "zero_eta"):
-        cfg.zero_eta = ns.zero_eta
-    if hasattr(ns, "jobs"):
-        cfg.jobs = ns.jobs
-
-    if cfg.subcommand == "simulate":
-        cfg.plan = _override_plan(cfg.plan, ns)
-    if cfg.subcommand == "select" and cfg.counts.k != cfg.chain.design.k:
+    if ns.subcommand == "select" and ns.counts.k != ns.chain.design.k:
         raise InputFormatError("chain design and counts disagree on the item count")
-    return cfg
-
-
-def _override_plan(plan, ns):
-    from dataclasses import replace
-
-    kwargs = {}
-    if ns.sizes:
-        kwargs["sample_sizes"] = tuple(int(x) for x in ns.sizes.split(","))
-    if ns.lambda8:
-        kwargs["lambda8_grid"] = tuple(float(x) for x in ns.lambda8.split(","))
-    if ns.a_values:
-        kwargs["a_values"] = tuple(float(x) for x in ns.a_values.split(","))
-    if ns.replications is not None:
-        kwargs["replications"] = ns.replications
-    if ns.seed is not None:
-        kwargs["seed"] = ns.seed
-    if ns.alpha is not None:
-        kwargs["alpha"] = ns.alpha
-    return replace(plan, **kwargs) if kwargs else plan
+    if ns.subcommand == "simulate":
+        overrides = {
+            name: getattr(ns, name)
+            for name in ("sample_sizes", "lambda8_grid", "a_values", "replications", "seed", "alpha")
+            if getattr(ns, name) is not None
+        }
+        ns.plan = replace(ns.plan, **overrides)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +338,20 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    text = _render(doc, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(doc: dict, ns: argparse.Namespace) -> None:
+    text = _render(doc, ns.fmt)
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _base_doc(cfg: RunConfig) -> dict:
+def _base_doc(ns: argparse.Namespace) -> dict:
     return {
-        "command": cfg.subcommand,
+        "command": ns.subcommand,
         "version": __version__,
-        "inputs": cfg.inputs,
+        "inputs": ns.inputs,
         "conventions": dict(_CONVENTIONS),
     }
 
@@ -473,117 +401,117 @@ def _fit_doc(result) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_fit(cfg: RunConfig) -> int:
-    result = fit(cfg.design, cfg.counts, cfg.phi, cfg.fit_options)
-    doc = _base_doc(cfg)
-    doc["options"] = {"phi": _phi_str(cfg.phi), "seed": cfg.fit_options.seed,
-                      "starts": cfg.fit_options.starts, "grad_tol": cfg.fit_options.grad_tol}
+def _run_fit(ns: argparse.Namespace) -> int:
+    result = fit(ns.design, ns.counts, ns.phi, ns.fit_options)
+    doc = _base_doc(ns)
+    doc["options"] = {"phi": _phi_str(ns.phi), "seed": ns.fit_options.seed,
+                      "starts": ns.fit_options.starts, "grad_tol": ns.fit_options.grad_tol}
     doc["fit"] = _fit_doc(result)
-    _emit(doc, cfg)
+    _emit(doc, ns)
     if not result.converged:
         print(f"fit did not converge: {result.message}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK
 
 
-def _run_gof(cfg: RunConfig) -> int:
-    fit2 = fit(cfg.design, cfg.counts, cfg.phi2, cfg.fit_options)
+def _run_gof(ns: argparse.Namespace) -> int:
+    fit2 = fit(ns.design, ns.counts, ns.phi2, ns.fit_options)
     if not fit2.converged:
         print(f"estimation failed: {fit2.message}", file=sys.stderr)
         return EXIT_COMPUTE
     result = gof_statistic(
-        cfg.design, cfg.counts, cfg.phi1, fit2, cfg.alpha, cfg.dof_policy, cfg.dof_override, cfg.h
+        ns.design, ns.counts, ns.phi1, fit2, ns.alpha, ns.dof_policy, ns.dof_override, ns.h
     )
-    doc = _base_doc(cfg)
+    doc = _base_doc(ns)
     doc["options"] = {
-        "phi1": _phi_str(cfg.phi1), "phi2": _phi_str(cfg.phi2), "h": _h_str(cfg.h),
-        "alpha": cfg.alpha, "dof_policy": cfg.dof_policy, "dof_override": cfg.dof_override,
-        "seed": cfg.fit_options.seed, "starts": cfg.fit_options.starts,
+        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
+        "alpha": ns.alpha, "dof_policy": ns.dof_policy, "dof_override": ns.dof_override,
+        "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
     }
     doc["fit"] = _fit_doc(fit2)
     doc["test"] = _test_result_doc(result)
     doc["decision"] = "reject" if result.reject else "no evidence against the model"
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK
 
 
-def _run_nested(cfg: RunConfig) -> int:
-    pair = NestedPair(cfg.design, cfg.zero_lam, cfg.zero_eta)
+def _run_nested(ns: argparse.Namespace) -> int:
+    pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
     # Both statistics are built from the same two fits.
-    fit_A, fit_B = fit_pair(pair, cfg.counts, cfg.phi2, cfg.fit_options)
+    fit_A, fit_B = fit_pair(pair, ns.counts, ns.phi2, ns.fit_options)
     tests = {
         kind: _nested_statistic(
-            pair, cfg.counts, cfg.phi1, cfg.h, fit_A, fit_B, kind, cfg.alpha
+            pair, ns.counts, ns.phi1, ns.h, fit_A, fit_B, kind, ns.alpha
         )
         for kind in ("S", "T")
-        if cfg.statistic in (kind, "both")
+        if ns.statistic in (kind, "both")
     }
-    doc = _base_doc(cfg)
+    doc = _base_doc(ns)
     doc["options"] = {
         "zero_lambda": [i + 1 for i in pair.zero_lam],
         "zero_eta": [i + 1 for i in pair.zero_eta],
-        "phi1": _phi_str(cfg.phi1), "phi2": _phi_str(cfg.phi2), "h": _h_str(cfg.h),
-        "alpha": cfg.alpha, "seed": cfg.fit_options.seed, "starts": cfg.fit_options.starts,
+        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
+        "alpha": ns.alpha, "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
         "h1": pair.h1, "h2": pair.h2,
     }
     doc["tests"] = {name: _test_result_doc(res) for name, res in tests.items()}
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK
 
 
-def _run_select(cfg: RunConfig) -> int:
+def _run_select(ns: argparse.Namespace) -> int:
     result = sequential_selection(
-        cfg.chain, cfg.counts, cfg.phi1, cfg.phi2,
-        alpha=cfg.alpha, statistic=cfg.statistic, h=cfg.h, options=cfg.fit_options,
+        ns.chain, ns.counts, ns.phi1, ns.phi2,
+        alpha=ns.alpha, statistic=ns.statistic, h=ns.h, options=ns.fit_options,
     )
-    doc = _base_doc(cfg)
+    doc = _base_doc(ns)
     doc["options"] = {
-        "phi1": _phi_str(cfg.phi1), "phi2": _phi_str(cfg.phi2), "h": _h_str(cfg.h),
-        "alpha": cfg.alpha, "statistic": cfg.statistic,
-        "seed": cfg.fit_options.seed, "starts": cfg.fit_options.starts,
+        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
+        "alpha": ns.alpha, "statistic": ns.statistic,
+        "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
     }
     doc["selected_model"] = result.selected
     doc["models"] = {
-        f"M{lvl}": {"free_params": cfg.chain.free_params(lvl)}
-        for lvl in range(1, cfg.chain.n_models + 1)
+        f"M{lvl}": {"free_params": ns.chain.free_params(lvl)}
+        for lvl in range(1, ns.chain.n_models + 1)
     }
     doc["trail"] = [
         dict(_test_result_doc(t), hypothesis=f"M{i + 2} within M{i + 1}")
         for i, t in enumerate(result.tests)
     ]
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig) -> int:
+def _run_simulate(ns: argparse.Namespace) -> int:
     from .montecarlo import emit_power_curves
 
     # --progress shows the per-cell log records on stderr; stdout carries only the report.
     logger = logging.getLogger("lcmdiv.montecarlo")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
-    if cfg.progress:
+    if ns.progress:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
     try:
-        table = run_simulation(cfg.plan, n_jobs=cfg.jobs)
+        table = run_simulation(ns.plan, n_jobs=ns.jobs)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    table_path = os.path.join(cfg.out_dir, "size_power.csv")
+    os.makedirs(ns.out_dir, exist_ok=True)
+    table_path = os.path.join(ns.out_dir, "size_power.csv")
     table.write_csv(table_path)
-    curve_paths = emit_power_curves(table, cfg.out_dir)
-    doc = _base_doc(cfg)
+    curve_paths = emit_power_curves(table, ns.out_dir)
+    doc = _base_doc(ns)
     doc["options"] = {
-        "sample_sizes": list(cfg.plan.sample_sizes),
-        "lambda8_grid": list(cfg.plan.lambda8_grid),
-        "a_values": list(cfg.plan.a_values),
-        "replications": cfg.plan.replications,
-        "alpha": cfg.plan.alpha,
-        "seed": cfg.plan.seed,
-        "estimator_a": cfg.plan.estimator_a,
-        "dof_policy": cfg.plan.dof_policy,
-        "jobs": cfg.jobs,
+        "sample_sizes": list(ns.plan.sample_sizes),
+        "lambda8_grid": list(ns.plan.lambda8_grid),
+        "a_values": list(ns.plan.a_values),
+        "replications": ns.plan.replications,
+        "alpha": ns.plan.alpha,
+        "seed": ns.plan.seed,
+        "estimator_a": ns.plan.estimator_a,
+        "dof_policy": ns.plan.dof_policy,
+        "jobs": ns.jobs,
     }
     doc["outputs"] = {"table": table_path, "curves": curve_paths}
     doc["cells"] = [
@@ -595,29 +523,29 @@ def _run_simulate(cfg: RunConfig) -> int:
         }
         for c in table.cells
     ]
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK
 
 
 _BUNDLE_TOL = {"symmetry": 1e-8, "idempotency": 1e-8, "trace": 1e-6, "annihilation": 1e-8}
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    design = cfg.design
-    if cfg.drop_eta is not None:
-        if not 1 <= cfg.drop_eta <= design.u:
-            raise DomainError(f"--drop-eta must be in [1, {design.u}], got {cfg.drop_eta}")
-        keep = [i for i in range(design.u) if i != cfg.drop_eta - 1]
+def _run_verify(ns: argparse.Namespace) -> int:
+    design = ns.design
+    if ns.drop_eta is not None:
+        if not 1 <= ns.drop_eta <= design.u:
+            raise DomainError(f"--drop-eta must be in [1, {design.u}], got {ns.drop_eta}")
+        keep = [i for i in range(design.u) if i != ns.drop_eta - 1]
         if not keep:
             raise DomainError("cannot drop the only eta coordinate")
         design = ModelDesign(Q=design.Q, C=design.C, V=np.asarray(design.V)[:, keep], d=design.d)
-    rng = np.random.Generator(np.random.Philox(cfg.theta_seed))
+    rng = np.random.Generator(np.random.Philox(ns.theta_seed))
     theta0 = Theta(
-        lam=rng.normal(0.0, cfg.theta_scale, design.t),
-        eta=rng.normal(0.0, cfg.theta_scale, design.u),
+        lam=rng.normal(0.0, ns.theta_scale, design.t),
+        eta=rng.normal(0.0, ns.theta_scale, design.u),
     )
     checks = []
-    bundle = build_bundle(design, theta0, pseudo_inverse=cfg.pseudo_inverse)
+    bundle = build_bundle(design, theta0, pseudo_inverse=ns.pseudo_inverse)
     measured = bundle_identity_checks(bundle, design)
     checks.extend([
         ("Q symmetry", measured["q_symmetry"], _BUNDLE_TOL["symmetry"]),
@@ -626,14 +554,14 @@ def _run_verify(cfg: RunConfig) -> int:
         ("sqrt-p annihilation", measured["sqrtp_annihilation"], _BUNDLE_TOL["annihilation"]),
     ])
     projections_doc = None
-    if cfg.zero_lam or cfg.zero_eta:
-        pair = NestedPair(design, cfg.zero_lam, cfg.zero_eta)
+    if ns.zero_lambda or ns.zero_eta:
+        pair = NestedPair(design, ns.zero_lambda, ns.zero_eta)
         lam0 = np.array(theta0.lam)
-        lam0[list(cfg.zero_lam)] = 0.0
+        lam0[list(ns.zero_lambda)] = 0.0
         eta0 = np.array(theta0.eta)
-        if cfg.zero_eta:
-            eta0[list(cfg.zero_eta)] = 0.0
-        proj = build_nested_projections(pair, Theta(lam=lam0, eta=eta0), cfg.pseudo_inverse)
+        if ns.zero_eta:
+            eta0[list(ns.zero_eta)] = 0.0
+        proj = build_nested_projections(pair, Theta(lam=lam0, eta=eta0), ns.pseudo_inverse)
         pm = projection_identity_checks(proj)
         checks.extend([
             ("R_L trace = h1", pm["rl_trace_deviation"], _BUNDLE_TOL["trace"]),
@@ -647,10 +575,10 @@ def _run_verify(cfg: RunConfig) -> int:
         projections_doc = pm
 
     all_pass = all(dev <= tol for _, dev, tol in checks)
-    doc = _base_doc(cfg)
+    doc = _base_doc(ns)
     doc["options"] = {
-        "theta_seed": cfg.theta_seed, "theta_scale": cfg.theta_scale,
-        "pseudo_inverse": cfg.pseudo_inverse, "drop_eta": cfg.drop_eta,
+        "theta_seed": ns.theta_seed, "theta_scale": ns.theta_scale,
+        "pseudo_inverse": ns.pseudo_inverse, "drop_eta": ns.drop_eta,
         "rank": bundle.rank, "gram_condition": bundle.gram_condition,
     }
     doc["identities"] = [
@@ -660,22 +588,17 @@ def _run_verify(cfg: RunConfig) -> int:
     if projections_doc is not None:
         doc["projection_measurements"] = projections_doc
     doc["all_pass"] = all_pass
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK if all_pass else EXIT_COMPUTE
 
 
-def _run_list_bundled(cfg: RunConfig) -> int:
-    doc = {
-        "designs": sorted(_BUNDLED_DESIGNS),
-        "counts": sorted(_BUNDLED_COUNTS),
-        "chains": sorted(_BUNDLED_CHAINS),
-        "plans": sorted(_BUNDLED_PLANS),
-    }
-    _emit(doc, cfg)
+def _run_list_bundled(ns: argparse.Namespace) -> int:
+    doc = {kind.rstrip("s") + "s": sorted(bundled) for kind, (bundled, _, _) in _INPUTS.items()}
+    _emit(doc, ns)
     return EXIT_OK
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     handlers = {
         "fit": _run_fit,
         "gof": _run_gof,
@@ -685,18 +608,21 @@ def run(cfg: RunConfig) -> int:
         "verify": _run_verify,
         "list-bundled": _run_list_bundled,
     }
-    return handlers[cfg.subcommand](cfg)
+    return handlers[ns.subcommand](ns)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parse_args(argv)
+        ns = parse_args(argv)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except DomainError as exc:  # an option value the library refuses, e.g. --starts 0
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return run(cfg)
+        return run(ns)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

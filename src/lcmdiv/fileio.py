@@ -103,9 +103,11 @@ def read_counts(path, k: int = None) -> ObservedCounts:
 
     first = [tok.strip() for tok in lines[0].replace("\t", ",").split(",")]
     has_header = any(not _is_number(tok) for tok in first)
-    if has_header:
-        return _read_pattern_rows(lines, path, k)
-    return _read_dense(lines, path, k)
+    n = (_read_pattern_rows if has_header else _read_dense)(lines, path, k)
+    try:
+        return ObservedCounts(n=n)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}")
 
 
 def _is_number(tok: str) -> bool:
@@ -143,7 +145,7 @@ def _read_pattern_rows(lines, path, k):
             raise InputFormatError(f"{path}:{row_no}: duplicate pattern {y}")
         seen.add(nu)
         n[nu - 1] = count
-    return ObservedCounts(n=n)
+    return n
 
 
 def _read_dense(lines, path, k):
@@ -159,7 +161,7 @@ def _read_dense(lines, path, k):
         raise InputFormatError(f"{path}: dense counts length must be a power of two, got {size}")
     if k is not None and size != 2 ** k:
         raise InputFormatError(f"{path}: expected {2 ** k} cells, got {size}")
-    return ObservedCounts(n=np.array(values, dtype=np.int64))
+    return np.array(values, dtype=np.int64)
 
 
 def write_counts(counts: ObservedCounts, path) -> None:
@@ -199,9 +201,9 @@ def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
             )
             for step in doc["steps"]
         )
+        return NestedChain(design=design, steps=steps)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: bad chain structure ({exc})")
-    return NestedChain(design=design, steps=steps)
 
 
 def read_chain(path) -> NestedChain:
@@ -242,9 +244,22 @@ def plan_to_dict(plan: SimulationPlan, comment: str = None) -> dict:
     return doc
 
 
+# Optional plan keys as (JSON key, SimulationPlan field, type); the fit options sit
+# under "fit".  An absent key takes the SimulationPlan default.
+_PLAN_OPTIONAL = (("alpha", "alpha", float), ("seed", "seed", int),
+                  ("estimator_a", "estimator_a", float), ("dof_policy", "dof_policy", str))
+_PLAN_FIT_OPTIONAL = (("starts", "fit_starts", int), ("start_at_truth", "start_at_truth", bool),
+                      ("grad_tol", "fit_grad_tol", float), ("max_iters", "fit_max_iters", int))
+
+
 def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
     try:
-        fit_doc = doc.get("fit", {})
+        optional = {
+            field: convert(section[key])
+            for section, keys in ((doc, _PLAN_OPTIONAL), (doc.get("fit", {}), _PLAN_FIT_OPTIONAL))
+            for key, field, convert in keys
+            if key in section
+        }
         return SimulationPlan(
             null_design=design_from_dict(doc["null_design"], f"{where}.null_design"),
             alt_design=design_from_dict(doc["alt_design"], f"{where}.alt_design"),
@@ -256,14 +271,7 @@ def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
             sample_sizes=tuple(int(x) for x in doc["sample_sizes"]),
             a_values=tuple(float(x) for x in doc["a_values"]),
             replications=int(doc["replications"]),
-            alpha=float(doc.get("alpha", 0.05)),
-            seed=int(doc.get("seed", 0)),
-            estimator_a=float(doc.get("estimator_a", 2.0 / 3.0)),
-            dof_policy=str(doc.get("dof_policy", "rank")),
-            fit_starts=int(fit_doc.get("starts", 1)),
-            start_at_truth=bool(fit_doc.get("start_at_truth", True)),
-            fit_grad_tol=float(fit_doc.get("grad_tol", 1e-6)),
-            fit_max_iters=int(fit_doc.get("max_iters", 300)),
+            **optional,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: bad plan structure ({exc})")

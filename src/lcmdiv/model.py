@@ -29,6 +29,8 @@ from .errors import DomainError
 # Inverse-CDF sampling materializes the full 2**k cell table.
 MAX_ITEMS_FOR_SAMPLING = 20
 
+RANK_RTOL = 1e-8  # relative singular-value cut of numerical_rank
+
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -340,12 +342,17 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     return _evaluate(design, theta)[1]
 
 
-def jacobian_rank(design: ModelDesign, theta: Theta, rtol: float = 1e-8) -> int:
-    """Numerical rank of the manifest Jacobian (singular values > rtol * largest)."""
-    s = np.linalg.svd(_evaluate(design, theta)[1], compute_uv=False)
+def numerical_rank(A: np.ndarray) -> int:
+    """Number of singular values of ``A`` above ``RANK_RTOL`` times the largest."""
+    s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+def jacobian_rank(design: ModelDesign, theta: Theta) -> int:
+    """Numerical rank of the manifest Jacobian."""
+    return numerical_rank(_evaluate(design, theta)[1])
 
 
 def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCounts:

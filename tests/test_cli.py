@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lcmdiv import fileio
-from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main, parse_args
+from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
 from lcmdiv.inference import gof_statistic
 
@@ -71,6 +71,39 @@ class TestParsing:
             "--h", "sharma-mittal:a=2,b=3",
         ])
         assert cfg.h.tag == "sharma_mittal" and cfg.h.a == 2.0 and cfg.h.b == 3.0
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--starts", "0"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--replications", "0",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--sizes", "200,abc",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--lambda8", "0,",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/negative.csv"), EXIT_INPUT),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/empty.csv"), EXIT_INPUT),
+            (("select", "--chain", "{tmp}/chain.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+        ],
+    )
+    def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
+        from lcmdiv.datasets import coleman_chain
+
+        (tmp_path / "negative.csv").write_text("1,2,-3,4\n")
+        (tmp_path / "empty.csv").write_text("0,0,0,0\n")
+        doc = fileio.chain_to_dict(coleman_chain())
+        doc["steps"] = [{"zero_lambda": [7, 8]}, {"zero_lambda": [7, 8]}]
+        (tmp_path / "chain.json").write_text(json.dumps(doc))
+        try:
+            code = main([arg.format(tmp=tmp_path) for arg in argv])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_list_bundled(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--list-bundled")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from lcmdiv import fileio
 from lcmdiv.errors import InputFormatError
 from lcmdiv.inference import NestedChain
+from lcmdiv.montecarlo import SimulationPlan
 
 from conftest import make_design
 
@@ -81,6 +83,9 @@ class TestCountsFiles:
             "y_1,y_2,total\n0,0,5\n",        # bad header
             "5,1,2\n",                        # dense length not a power of two
             "y_1,y_2,count\n0,0,1.5\n",      # non-integer count
+            "1,2,-3,4\n",                     # negative dense count
+            "0,0,0,0\n",                      # zero total
+            "y_1,y_2,count\n0,0,0\n",        # zero total, pattern rows
         ],
     )
     def test_malformed_inputs_rejected(self, tmp_path, content):
@@ -106,7 +111,7 @@ class TestChainFiles:
         doc = {"design": fileio.design_to_dict(design), "steps": [{"zero_lambda": [1]}, {"zero_lambda": [1]}]}
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(Exception):
+        with pytest.raises(InputFormatError, match="chain.json"):
             fileio.read_chain(path)
 
 
@@ -128,6 +133,29 @@ class TestPlanFiles:
         assert loaded.seed == plan.seed
         np.testing.assert_array_equal(loaded.theta0.lam, plan.theta0.lam)
         np.testing.assert_array_equal(np.asarray(loaded.null_design.Q), np.asarray(plan.null_design.Q))
+
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        from lcmdiv.datasets import simulation_plan
+
+        plan = replace(
+            simulation_plan(sample_sizes=(200,), a_values=(-0.5,), lambda8_grid=(0.0, 2.0),
+                            replications=9, seed=5),
+            alpha=0.1, estimator_a=1.0, dof_policy="nominal", fit_starts=3,
+            start_at_truth=False, fit_grad_tol=1e-7, fit_max_iters=123,
+        )
+        path = tmp_path / "plan.json"
+        fileio.write_plan(plan, path)
+        assert fileio.plan_to_dict(fileio.read_plan(path)) == fileio.plan_to_dict(plan)
+
+    def test_absent_optional_keys_take_plan_defaults(self):
+        from lcmdiv.datasets import simulation_plan
+
+        full = simulation_plan(sample_sizes=(200,), replications=9)
+        required = ("null_design", "alt_design", "theta0", "lambda8_grid", "sample_sizes",
+                    "a_values", "replications")
+        doc = {key: value for key, value in fileio.plan_to_dict(full).items() if key in required}
+        expected = SimulationPlan(**{name: getattr(full, name) for name in required})
+        assert fileio.plan_to_dict(fileio.plan_from_dict(doc)) == fileio.plan_to_dict(expected)
 
     def test_digest_stability(self, tmp_path):
         design = make_design(seed=405)
