@@ -35,7 +35,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, RankDeficiencyError
 from .inference import NestedPair
-from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, numerical_rank
+from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, _vector, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,9 @@ class AsymptoticBundle:
 
 @dataclass(frozen=True)
 class NestedProjections:
+    """``h1`` and ``h2`` are the ranks of ``L`` and ``M``: the free-parameter
+    counts on a full-rank design, the identifiable ones under a pseudo-inverse."""
+
     R_L: np.ndarray
     R_M: np.ndarray
     h1: int
@@ -67,11 +70,12 @@ def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
             "drop redundant coordinates or pass pseudo_inverse=True",
             rank=rank,
         )
-    G = L.T @ L
     if pseudo_inverse and rank < L.shape[1]:
-        R = L @ np.linalg.pinv(G, rcond=RANK_RTOL) @ L.T
+        # pinv(L), not pinv(L'L): the Gram matrix squares the singular values.
+        R = L @ np.linalg.pinv(L, rcond=RANK_RTOL)
         cond = np.inf
     else:
+        G = L.T @ L
         factor = cho_factor(G)
         R = L @ cho_solve(factor, L.T)
         eig = np.linalg.eigvalsh(G)
@@ -88,7 +92,7 @@ def build_bundle(
     ``pseudo_inverse`` is set, in which case the trace of Q reflects the
     identifiable parameter count rather than the nominal one.
     """
-    p, J = _evaluate(design, theta0)
+    p, J = _evaluate(design, _vector(design, theta0))
     if np.any(p <= 0):
         raise DomainError("manifest distribution must be strictly positive")
     s = np.sqrt(p)
@@ -114,12 +118,12 @@ def build_nested_projections(
     zero) for the identities to carry their intended meaning, but the
     construction itself only needs full column rank.
     """
-    p, J = _evaluate(pair.design_A, theta0_A)
+    p, J = _evaluate(pair.design_A, _vector(pair.design_A, theta0_A))
     L = J / np.sqrt(p)[:, None]
     M = L[:, pair.kept_column_indices()]
-    R_L, _, _ = _projection(L, pseudo_inverse, "full-model projection")
-    R_M, _, _ = _projection(M, pseudo_inverse, "submodel projection")
-    return NestedProjections(R_L=R_L, R_M=R_M, h1=pair.h1, h2=pair.h2, p=p)
+    R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
+    R_M, h2, _ = _projection(M, pseudo_inverse, "submodel projection")
+    return NestedProjections(R_L=R_L, R_M=R_M, h1=h1, h2=h2, p=p)
 
 
 def bundle_identity_checks(bundle: AsymptoticBundle, design: ModelDesign) -> dict:

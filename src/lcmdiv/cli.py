@@ -160,6 +160,11 @@ def _h_str(h: Optional[HSpec]) -> Optional[str]:
     return f"sharma-mittal:a={h.a!r},b={h.b!r}"
 
 
+def _add_output_opts(p) -> None:
+    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcmdiv",
@@ -174,16 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
 
-    def add_output_opts(p):
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-
     p = sub.add_parser("fit", help="minimum divergence parameter estimate")
     p.add_argument("--design", required=True)
     p.add_argument("--counts", required=True)
     p.add_argument("--phi", type=_phi_spec, default=power(0.0))
     add_fit_opts(p)
-    add_output_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("gof", help="goodness-of-fit test")
     p.add_argument("--design", required=True)
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dof-policy", choices=("rank", "nominal"), default="rank")
     p.add_argument("--dof-override", type=int)
     add_fit_opts(p)
-    add_output_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("nested", help="test a zero-restricted submodel")
     p.add_argument("--design", required=True, help="the full model A")
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statistic", choices=("S", "T", "both"), default="both")
     p.add_argument("--alpha", type=float, default=0.05)
     add_fit_opts(p)
-    add_output_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("select", help="sequential selection over a nested chain")
     p.add_argument("--chain", required=True)
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statistic", choices=("S", "T"), default="S")
     p.add_argument("--alpha", type=float, default=0.05)
     add_fit_opts(p)
-    add_output_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("simulate", help="simulated exact size and power study")
     p.add_argument("--plan", required=True)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, help="parallel processes (default: LCMDIV_JOBS or 1)")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out-dir", required=True)
-    add_output_opts(p)
+    _add_output_opts(p)
 
     p = sub.add_parser("verify", help="check the projection-matrix identities on a design")
     p.add_argument("--design", required=True)
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-eta", type=int, help="1-based eta coordinate to drop (identifiable reduction)")
     p.add_argument("--zero-lambda", type=_indices, default=(), help="also check nested projections for this restriction")
     p.add_argument("--zero-eta", type=_indices, default=())
-    add_output_opts(p)
+    _add_output_opts(p)
 
     for sp in sub.choices.values():
         sp.add_argument("--list-bundled", action="store_true", help="list bundled input names and exit")
@@ -255,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     """Parse ``argv`` and load its inputs in place, their provenance in ``ns.inputs``."""
     if "--list-bundled" in argv:
-        return argparse.Namespace(subcommand="list-bundled", fmt="text", out=None)
+        # The subcommand's required inputs do not apply; only the output options do.
+        p = argparse.ArgumentParser(prog="lcmdiv", add_help=False)
+        _add_output_opts(p)
+        ns = p.parse_known_args(argv)[0]
+        ns.subcommand = "list-bundled"
+        return ns
     ns = build_parser().parse_args(argv)
     if hasattr(ns, "starts"):
         ns.fit_options = FitOptions(

@@ -6,7 +6,11 @@ Every divergence here is generated by a Cressie-Read power function
     phi_0(x) = x*log(x) - x + 1
     phi_-1(x) = -log(x) + x - 1
 
-normalized so that phi_a(1) = 0 and phi_a''(1) = 1 for every ``a``.  The
+normalized so that phi_a(1) = 0 and phi_a''(1) = 1 for every ``a`` (so the
+test statistics carry no curvature factor).  These formulas, and the
+gradient weight ``phi(x) - x phi'(x)``, are written once, in ``_terms``: the
+``PhiSpec`` methods check ``x >= 0`` and call it, and the optimizer loop
+calls it directly on a ratio that is nonnegative by construction.  The
 divergence of an empirical vector ``p`` from a model vector ``q`` is
 
     D_phi(p, q) = sum_i q_i * phi(p_i / q_i)
@@ -52,45 +56,7 @@ class PhiSpec:
 
     def value(self, x):
         """phi(x) for scalar or array ``x >= 0`` (limit value at x = 0)."""
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise DomainError("phi is only defined for x >= 0")
-        if self.a in (0.0, -1.0):
-            out = _power_phi(self.a, x)
-        else:
-            out = _power_terms(self.a, x)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x <= 0):
-            raise DomainError("phi' requires x > 0")
-        out = _power_dphi(self.a, x)
-        return float(out) if out.ndim == 0 else out
-
-    def second_deriv(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x <= 0):
-            raise DomainError("phi'' requires x > 0")
-        out = np.asarray(x ** (self.a - 1.0))
-        return float(out) if out.ndim == 0 else out
-
-    def curvature_at_one(self) -> float:
-        """phi''(1), the normalizing constant of the test statistics."""
-        c = float(self.second_deriv(1.0))
-        if not (np.isfinite(c) and c > 0):
-            raise DomainError("phi''(1) must be finite and positive")
-        return c
-
-    # -- boundary limits ----------------------------------------------------
-
-    def at_zero(self) -> float:
-        """lim_{x->0+} phi(x); +inf for power indices a <= -1."""
-        return 1.0 / (self.a + 1.0) if self.a > -1.0 else math.inf
-
-    def slope_limit(self) -> float:
-        """lim_{x->inf} phi(x)/x; +inf for power indices a >= 0."""
-        return math.inf if self.a >= 0.0 else -1.0 / self.a
+        return self.value_and_gradient_weight(x)[0]
 
     def gradient_weight(self, x):
         """phi(x) - x * phi'(x), the cell weight in the objective gradient.
@@ -99,30 +65,27 @@ class PhiSpec:
         at a = 0, ``-log x`` at a = -1), which is also the correct limit at
         x = 0 for a > -1.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise DomainError("gradient weight requires x >= 0")
-        if self.a == -1.0:
-            out = np.asarray(-_safe_log(x))
-        elif self.a == 0.0:
-            out = np.asarray(1.0 - x)
-        else:
-            out = _power_terms(self.a, x)[1]
-        return float(out) if out.ndim == 0 else out
+        return self.value_and_gradient_weight(x)[1]
 
     def value_and_gradient_weight(self, x):
-        """``(phi(x), phi(x) - x phi'(x))`` on an array ``x >= 0``.
-
-        Equal element for element to :meth:`value` and
-        :meth:`gradient_weight`; for a power index outside {0, -1} both come
-        from one evaluation of ``x**(a+1)``.
-        """
-        if self.a in (0.0, -1.0):
-            return self.value(x), self.gradient_weight(x)
+        """``(phi(x), phi(x) - x phi'(x))`` for scalar or array ``x >= 0``."""
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("phi is only defined for x >= 0")
-        return _power_terms(self.a, x)
+        phi, weight = _terms(self.a, np.atleast_1d(x))
+        if x.ndim == 0:
+            return float(phi[0]), float(weight[0])
+        return phi.reshape(x.shape), weight.reshape(x.shape)
+
+    # -- boundary limits ----------------------------------------------------
+
+    def at_zero(self) -> float:
+        """lim_{x->0+} phi(x); +inf for power indices a <= -1."""
+        return self.value(0.0)
+
+    def slope_limit(self) -> float:
+        """lim_{x->inf} phi(x)/x; +inf for power indices a >= 0."""
+        return math.inf if self.a >= 0.0 else -1.0 / self.a
 
 
 def power(a: float) -> PhiSpec:
@@ -130,52 +93,26 @@ def power(a: float) -> PhiSpec:
     return PhiSpec(a=float(a))
 
 
-def _safe_log(x: np.ndarray) -> np.ndarray:
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    out = np.full_like(xv, -math.inf)
-    pos = xv > 0
-    out[pos] = np.log(xv[pos])
-    return out.reshape(()) if scalar else out
+def _terms(a: float, x: np.ndarray) -> tuple:
+    """``(phi_a(x), phi_a(x) - x phi_a'(x))`` on a vector ``x >= 0``, unchecked.
 
-
-def _power_phi(a: float, x: np.ndarray) -> np.ndarray:
-    """phi_a(x) for a in {0, -1}, the two logarithmic members."""
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(xv)
-    zero = xv == 0.0
-    pos = ~zero
-    xp = xv[pos]
-    if a == 0.0:
-        out[pos] = xp * np.log(xp) - xp + 1.0
-        out[zero] = 1.0
-    else:
-        out[pos] = -np.log(xp) + xp - 1.0
-        out[zero] = math.inf
-    return out.reshape(()) if scalar else out
-
-
-def _power_terms(a: float, x: np.ndarray) -> tuple:
-    """``(phi_a(x), phi_a(x) - x phi_a'(x))`` for ``a`` not in {0, -1}.
-
-    Both come from one ``x**(a+1)``; ``phi_a(0)`` is its limit, and the
-    weight's formula is already the limit at x = 0.
+    Outside a in {0, -1} both come from one ``x**(a+1)``, and the weight's
+    formula is already its limit at x = 0; ``phi_a(0)`` is set to its limit.
     """
-    xv = np.atleast_1d(x)
-    with np.errstate(divide="ignore"):
-        xa1 = xv ** (a + 1.0)
-    phi = (xa1 - xv - a * (xv - 1.0)) / (a * (a + 1.0))
-    phi[xv == 0.0] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
-    return phi.reshape(x.shape), ((1.0 - xa1) / (a + 1.0)).reshape(x.shape)
-
-
-def _power_dphi(a: float, x: np.ndarray) -> np.ndarray:
-    if a == 0.0:
-        return np.log(x)
-    if a == -1.0:
-        return 1.0 - 1.0 / x
-    return (x ** a - 1.0) / a
+    zero = x == 0.0
+    if a in (0.0, -1.0):
+        log_x = np.full_like(x, -math.inf)
+        log_x[~zero] = np.log(x[~zero])
+        with np.errstate(invalid="ignore"):  # 0 * log 0, overwritten below
+            phi = x * log_x - x + 1.0 if a == 0.0 else -log_x + x - 1.0
+        weight = 1.0 - x if a == 0.0 else -log_x
+    else:
+        with np.errstate(divide="ignore"):
+            xa1 = x ** (a + 1.0)
+        phi = (xa1 - x - a * (x - 1.0)) / (a * (a + 1.0))
+        weight = (1.0 - xa1) / (a + 1.0)
+    phi[zero] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
+    return phi, weight
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -286,7 +223,7 @@ class HSpec:
             return math.log(inner) / c
         return (inner ** ((self.b - 1.0) / (self.a - 1.0)) - 1.0) / (self.b - 1.0)
 
-    def deriv_at_zero(self) -> float:
+    def slope_at_zero(self) -> float:
         """h'(0), the scale factor of the transformed statistics."""
         if self.tag == "sharma_mittal":
             return self.a

@@ -11,21 +11,25 @@ The gradient of the objective is
 
 with ``r_nu = p_hat_nu / p_nu(theta)``: differentiating ``p_nu * phi(r_nu)``
 by ``p_nu`` gives ``phi(r_nu) + p_nu phi'(r_nu) * (-r_nu / p_nu)``.  The
-closed form of the bracket for the power divergences lives in
-``PhiSpec.gradient_weight`` and is checked against finite differences in the
-test suite rather than trusted.
+closed form of the bracket is written once, in ``divergence._terms`` beside
+phi itself, and is checked against finite differences in the test suite
+rather than trusted.
+
+Arguments are validated at the public entry points; the optimizer loop runs
+on the raw ``(t + u,)`` vector and checks only that it is finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .divergence import PhiSpec, kl_divergence, power
+from .divergence import PhiSpec, _terms, kl_divergence, power
 from .errors import DomainError, NotConvergedError
 from .model import (
     LatentParams,
@@ -34,10 +38,11 @@ from .model import (
     ObservedCounts,
     Theta,
     _evaluate,
-    jacobian_rank,
+    _vector,
     latent_params,
     log_likelihood,
     manifest_distribution,
+    numerical_rank,
 )
 
 # scipy's BFGS can stall on "precision loss" short of a tight gtol; a fresh
@@ -71,11 +76,14 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class StartTrace:
+    """One optimizer launch; ``evaluations`` counts objective evaluations."""
+
     start: int
     objective: float
     grad_norm: float
     iterations: int
     converged: bool
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -108,32 +116,42 @@ def objective_and_gradient(
     divergence is infinite (empty cells with a transform that diverges at 0)
     the value is ``inf`` and the gradient entries are NaN.
     """
+    _check_items(design, counts)
+    value, grad = _objective(design, counts.p_hat(), spec.a, _vector(design, theta))
+    if not math.isfinite(value):
+        return math.inf, np.full(design.t + design.u, np.nan)
+    return value, grad
+
+
+def _check_items(design: ModelDesign, counts: ObservedCounts) -> None:
     if counts.k != design.k:
         raise DomainError("counts and design disagree on the number of items")
-    p_hat = counts.p_hat()
-    p, J = _evaluate(design, theta)
+
+
+def _objective(design, p_hat, a, x):
+    """``D_phi_a(p_hat, p(x))`` and its gradient at the raw vector ``x``.
+
+    Unchecked but for finiteness of ``x``; an infinite value comes with a
+    zero gradient, which is what the optimizer expects.
+    """
+    if not np.isfinite(x).all():
+        raise DomainError("parameter values must be finite")
+    p, J = _evaluate(design, x)
     bad = np.inf if np.any((p == 0.0) & (p_hat > 0.0)) else 0.0
     # Cells where p underflowed and the data are empty contribute nothing.
     ratio = np.divide(p_hat, p, out=np.zeros_like(p), where=p > 0.0)
     with np.errstate(over="ignore"):
-        phi, weight = spec.value_and_gradient_weight(ratio)
+        phi, weight = _terms(a, ratio)
         value = float(np.sum(p * phi) + bad)
     if not math.isfinite(value):
-        return math.inf, np.full(design.t + design.u, np.nan)
-    return value, np.asarray(weight @ J, dtype=np.float64)
+        return math.inf, np.zeros_like(x)
+    return value, weight @ J
 
 
-def _minimize_one(design, counts, spec, x0, options: FitOptions):
-    def fun(x):
-        value, grad = objective_and_gradient(
-            design, counts, spec, Theta.from_vector(design, x)
-        )
-        if not math.isfinite(value):
-            return math.inf, np.zeros_like(x)
-        return value, grad
-
+def _minimize_one(fun, x0, options: FitOptions):
     x = np.asarray(x0, dtype=np.float64)
     iterations = 0
+    evaluations = 1  # the final evaluation below
     res = None
     for _ in range(_MAX_RESTARTS):
         remaining = options.max_iters - iterations
@@ -147,13 +165,14 @@ def _minimize_one(design, counts, spec, x0, options: FitOptions):
             options={"gtol": options.grad_tol, "maxiter": remaining},
         )
         iterations += res.nit
+        evaluations += res.nfev
         x = res.x
         gnorm = float(np.max(np.abs(res.jac)))
         if gnorm <= options.grad_tol or res.nit == 0:
             break
     value, grad = fun(x)
     gnorm = float(np.max(np.abs(grad)))
-    return x, value, gnorm, iterations
+    return x, value, gnorm, iterations, evaluations
 
 
 def fit(
@@ -170,6 +189,7 @@ def fit(
     ``converged=False`` carrying every per-start trace is returned when no
     start reaches ``grad_tol``.
     """
+    _check_items(design, counts)
     empty = bool(np.any(counts.n == 0))
     if empty and not math.isfinite(spec.at_zero()):
         return _failure_result(
@@ -183,17 +203,17 @@ def fit(
     dim = design.t + design.u
     inits = []
     if options.init_theta is not None:
-        options.init_theta.check_shape(design)
-        inits.append(options.init_theta.vector())
+        inits.append(_vector(design, options.init_theta))
     while len(inits) < options.starts:
         inits.append(rng.normal(0.0, options.init_scale, size=dim))
 
+    fun = partial(_objective, design, counts.p_hat(), spec.a)
     traces = []
     best = None  # (objective, start index, x)
     for s, x0 in enumerate(inits):
-        x, value, gnorm, iters = _minimize_one(design, counts, spec, x0, options)
+        x, value, gnorm, iters, evals = _minimize_one(fun, x0, options)
         converged = gnorm <= options.grad_tol and math.isfinite(value)
-        traces.append(StartTrace(s, value, gnorm, iters, converged))
+        traces.append(StartTrace(s, value, gnorm, iters, converged, evals))
         if converged and (best is None or value < best[0]):
             best = (value, s, x)
 
@@ -203,14 +223,15 @@ def fit(
         )
 
     theta_hat = Theta.from_vector(design, best[2])
+    p, J = _evaluate(design, best[2])
     return FitResult(
         theta_hat=theta_hat,
         objective=best[0],
         converged=True,
         traces=tuple(traces),
         latent=latent_params(design, theta_hat),
-        manifest=manifest_distribution(design, theta_hat),
-        rank=jacobian_rank(design, theta_hat),
+        manifest=ManifestDistribution(p=p),
+        rank=numerical_rank(J),
         spec=spec,
         empty_cells=empty,
     )

@@ -162,7 +162,7 @@ def gof_statistic(
     """
     fit2.require_converged("goodness-of-fit statistic")
     D = phi_divergence(counts.p_hat(), fit2.manifest.p, phi1)
-    statistic = _transformed(_scale(counts, phi1, h), h, D)
+    statistic = _transformed(_scale(counts, h), h, D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
     h_field, kind = _h_label(h, "gof")
     return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy)
@@ -189,8 +189,9 @@ def estimator_sweep(
     ]
 
 
-def _scale(counts: ObservedCounts, phi1: PhiSpec, h: HSpec) -> float:
-    return 2.0 * counts.N / (phi1.curvature_at_one() * h.deriv_at_zero())
+def _scale(counts: ObservedCounts, h: HSpec) -> float:
+    # Every power member has phi''(1) = 1, so only h'(0) scales the statistic.
+    return 2.0 * counts.N / h.slope_at_zero()
 
 
 def _h_of_inf(h: HSpec) -> float:
@@ -304,7 +305,7 @@ def fit_pair(
 def _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, kind, alpha):
     fit_A.require_converged("nested test")
     fit_B.require_converged("nested test")
-    scale = _scale(counts, phi1, h)
+    scale = _scale(counts, h)
     if kind.startswith("S"):
         D_B = phi_divergence(counts.p_hat(), fit_B.manifest.p, phi1)
         D_A = phi_divergence(counts.p_hat(), fit_A.manifest.p, phi1)

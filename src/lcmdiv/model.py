@@ -167,7 +167,8 @@ class LatentParams:
     For finite parameters both are strictly interior mathematically; in
     float64 the logistic/softmax saturate once a logit passes roughly +-37
     (+-745 for weights), so the validator only rejects values outside
-    [0, 1].  Strict interiority at moderate parameters is covered by tests.
+    [0, 1] (NaN included).  Strict interiority at moderate parameters is
+    covered by tests.
     """
 
     w: np.ndarray
@@ -178,18 +179,20 @@ class LatentParams:
         object.__setattr__(self, "P", _frozen_array(self.P))
         if self.w.ndim != 1 or self.P.ndim != 2 or self.P.shape[0] != self.w.shape[0]:
             raise DomainError("w must be length m and P shape (m, k)")
-        if abs(float(self.w.sum()) - 1.0) > 1e-12:
+        # Comparisons are written so that NaN fails them.
+        if not abs(float(self.w.sum()) - 1.0) <= 1e-12:
             raise DomainError("class weights must sum to 1 within 1e-12")
-        if np.any(self.w < 0.0):
-            raise DomainError("class weights must be nonnegative")
-        if np.any(self.P < 0.0) or np.any(self.P > 1.0):
+        if not np.all(self.w >= 0.0):
+            raise DomainError("class weights must be finite and nonnegative")
+        if not np.all((self.P >= 0.0) & (self.P <= 1.0)):
             raise DomainError("item probabilities must lie in [0, 1]")
 
 
 def _check_manifest(p: np.ndarray) -> None:
-    if np.any(p < 0.0):
-        raise DomainError("manifest probabilities must be nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
+    # Comparisons are written so that NaN fails them; the sum then rules out inf.
+    if not np.all(p >= 0.0):
+        raise DomainError("manifest probabilities must be finite and nonnegative")
+    if not abs(float(p.sum()) - 1.0) <= 1e-12:
         raise DomainError("manifest probabilities must sum to 1 within 1e-12")
 
 
@@ -273,6 +276,13 @@ def all_patterns(k: int) -> np.ndarray:
     return ((idx >> shifts) & 1).astype(np.int64)
 
 
+def _softmax(design: ModelDesign, eta: np.ndarray) -> np.ndarray:
+    z = design.V @ eta + design.d
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
 def item_probs(design: ModelDesign, theta: Theta) -> np.ndarray:
     """Per-class item success probabilities, shape (m, k).
 
@@ -280,25 +290,31 @@ def item_probs(design: ModelDesign, theta: Theta) -> np.ndarray:
     (0, 1) up to floating-point saturation at extreme logits.
     """
     theta.check_shape(design)
-    logits = design.Q @ theta.lam + design.C
-    return expit(logits)
+    return expit(design.Q @ theta.lam + design.C)
 
 
 def class_weights(design: ModelDesign, theta: Theta) -> np.ndarray:
     """Class membership probabilities via a max-shifted softmax, shape (m,)."""
     theta.check_shape(design)
-    z = design.V @ theta.eta + design.d
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax(design, theta.eta)
 
 
 def latent_params(design: ModelDesign, theta: Theta) -> LatentParams:
     return LatentParams(w=class_weights(design, theta), P=item_probs(design, theta))
 
 
-def _evaluate(design: ModelDesign, theta: Theta, jacobian: bool = True) -> tuple:
+def _vector(design: ModelDesign, theta: Theta) -> np.ndarray:
+    """``theta`` checked against ``design`` and flattened for :func:`_evaluate`."""
+    theta.check_shape(design)
+    return theta.vector()
+
+
+def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tuple:
     """Manifest vector ``p`` and its Jacobian ``J`` from one class-pattern table.
+
+    ``x`` is the raw ``(t + u,)`` parameter vector ``(lam, eta)``; its shape
+    and finiteness are the caller's to check (the public views take a
+    validated :class:`Theta`).
 
     The table is built in log space from the item logits ``S`` and the
     pattern matrix ``Y``::
@@ -306,13 +322,15 @@ def _evaluate(design: ModelDesign, theta: Theta, jacobian: bool = True) -> tuple
         log B = log_expit(S) Y' + log_expit(-S) (1 - Y)'
 
     so a logit that saturates ``expit`` still leaves a positive cell, down to
-    the underflow of ``exp`` (a log cell below about -745).  ``p`` is checked to be nonnegative and to sum to one within 1e-12.
+    the underflow of ``exp`` (a log cell below about -745).  ``p`` is checked
+    to be nonnegative and to sum to one within 1e-12, which also rules out
+    NaN and inf.
     Returns ``(p, J)``; ``J`` is None when ``jacobian`` is false, which keeps
     sampling at large ``k`` from materializing the (2**k, m*k) residual.
     """
-    w = class_weights(design, theta)
+    w = _softmax(design, x[design.t :])
     Y, Q_flat = design._kernel_constants
-    S = design.Q @ theta.lam + design.C
+    S = design.Q @ x[: design.t] + design.C
     # Patterns count up in binary, so the rows of 1 - Y are those of Y reversed.
     B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[:, ::-1])
     p = w @ B
@@ -330,7 +348,7 @@ def _evaluate(design: ModelDesign, theta: Theta, jacobian: bool = True) -> tuple
 
 def manifest_distribution(design: ModelDesign, theta: Theta) -> ManifestDistribution:
     """Mixture distribution over answer patterns implied by ``theta``."""
-    return ManifestDistribution(p=_evaluate(design, theta, jacobian=False)[0])
+    return ManifestDistribution(p=_evaluate(design, _vector(design, theta), jacobian=False)[0])
 
 
 def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
@@ -339,7 +357,7 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     Columns are ordered ``(lambda_1..lambda_t, eta_1..eta_u)``.  Each column
     sums to zero because the pattern probabilities sum to one identically.
     """
-    return _evaluate(design, theta)[1]
+    return _evaluate(design, _vector(design, theta))[1]
 
 
 def numerical_rank(A: np.ndarray) -> int:
@@ -352,7 +370,7 @@ def numerical_rank(A: np.ndarray) -> int:
 
 def jacobian_rank(design: ModelDesign, theta: Theta) -> int:
     """Numerical rank of the manifest Jacobian."""
-    return numerical_rank(_evaluate(design, theta)[1])
+    return numerical_rank(_evaluate(design, _vector(design, theta))[1])
 
 
 def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCounts:
@@ -367,7 +385,7 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
     if N < 1:
         raise DomainError("N must be >= 1")
-    p = _evaluate(design, theta, jacobian=False)[0]
+    p = _evaluate(design, _vector(design, theta), jacobian=False)[0]
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(p)
     cum[-1] = max(cum[-1], 1.0)

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
@@ -196,11 +197,11 @@ def _replicate_chunk(args):
 def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePowerTable:
     """Run the full grid of the plan and tally rejection rates.
 
-    ``n_jobs`` > 1 distributes replications over processes; the output is
-    identical to the serial run.  Defaults to the LCMDIV_JOBS environment
-    variable, else 1.  Each finished cell is logged at INFO level on the
-    ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
-    failures and wall time.
+    ``n_jobs`` > 1 distributes replications over one pool of processes,
+    opened once for the whole grid; the output is identical to the serial
+    run.  Defaults to the LCMDIV_JOBS environment variable, else 1.  Each
+    finished cell is logged at INFO level on the ``lcmdiv.montecarlo``
+    logger with its sample size, coefficient, fit failures and wall time.
     """
     if n_jobs is None:
         n_jobs = int(os.environ.get("LCMDIV_JOBS", "1"))
@@ -208,44 +209,47 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
 
     band = dale_band(plan.alpha)
     cells = []
-    for size_idx, N in enumerate(plan.sample_sizes):
-        for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
-            start = perf_counter()
-            records = _run_cell(plan, size_idx, coef_idx, n_jobs)
-            converged = [tests for tests in records if tests is not None]
-            effective = len(converged)
-            failures = len(records) - effective
-            for i, a in enumerate(plan.a_values):
-                column = [tests[i] for tests in converged]
-                dofs = [t.dof for t in column]
-                rejections = sum(t.reject for t in column)
-                rate = rejections / effective if effective else math.nan
-                cells.append(
-                    SizePowerCell(
-                        N=N,
-                        a=a,
-                        lambda8=lambda8,
-                        rate=rate,
-                        rejections=rejections,
-                        n_effective=effective,
-                        fit_failures=failures,
-                        infinite_statistics=sum("infinite_statistic" in t.warnings for t in column),
-                        # The mode, smallest first among ties; dof may be <= 0.
-                        dof=max(sorted(set(dofs)), key=dofs.count) if dofs else -1,
-                        binomial_ci=_clopper_pearson(rejections, effective),
-                        dale_pass=bool(effective and band[0] <= rate <= band[1]),
+    pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
+    with pool or nullcontext():
+        for size_idx, N in enumerate(plan.sample_sizes):
+            for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
+                start = perf_counter()
+                records = _run_cell(plan, size_idx, coef_idx, n_jobs, pool)
+                converged = [tests for tests in records if tests is not None]
+                effective = len(converged)
+                failures = len(records) - effective
+                for i, a in enumerate(plan.a_values):
+                    column = [tests[i] for tests in converged]
+                    dofs = [t.dof for t in column]
+                    rejections = sum(t.reject for t in column)
+                    rate = rejections / effective if effective else math.nan
+                    cells.append(
+                        SizePowerCell(
+                            N=N,
+                            a=a,
+                            lambda8=lambda8,
+                            rate=rate,
+                            rejections=rejections,
+                            n_effective=effective,
+                            fit_failures=failures,
+                            infinite_statistics=sum("infinite_statistic" in t.warnings for t in column),
+                            # The mode, smallest first among ties; dof may be <= 0.
+                            dof=max(sorted(set(dofs)), key=dofs.count) if dofs else -1,
+                            binomial_ci=_clopper_pearson(rejections, effective),
+                            dale_pass=bool(effective and band[0] <= rate <= band[1]),
+                        )
                     )
+                _log.info(
+                    "cell N=%d lambda8=%r: %d fit failures, %.3f s",
+                    N, lambda8, failures, perf_counter() - start,
                 )
-            _log.info(
-                "cell N=%d lambda8=%r: %d fit failures, %.3f s",
-                N, lambda8, failures, perf_counter() - start,
-            )
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 
-def _run_cell(plan, size_idx, coef_idx, n_jobs):
+def _run_cell(plan, size_idx, coef_idx, n_jobs, pool=None):
+    """Records of one cell in replication order; serial when ``pool`` is None."""
     reps = list(range(plan.replications))
-    if n_jobs == 1:
+    if pool is None:
         return _replicate_chunk((plan, size_idx, coef_idx, reps))
     chunk = max(1, len(reps) // (n_jobs * 8))
     tasks = [
@@ -253,8 +257,7 @@ def _run_cell(plan, size_idx, coef_idx, n_jobs):
         for i in range(0, len(reps), chunk)
     ]
     # map yields the chunks in task order, so records stay in replication order.
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return [tests for batch in pool.map(_replicate_chunk, tasks) for tests in batch]
+    return [tests for batch in pool.map(_replicate_chunk, tasks) for tests in batch]
 
 
 def emit_power_curves(table: SizePowerTable, out_dir) -> list:

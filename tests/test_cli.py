@@ -109,6 +109,15 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "fit", "--list-bundled")
         assert code == EXIT_OK and "coleman_m1" in out and "sim" in out
 
+    def test_list_bundled_honours_format_and_out(self, capsys, tmp_path):
+        path = tmp_path / "bundled.json"
+        code, out, _ = run_cli(
+            capsys, "fit", "--list-bundled", "--format", "json", "--out", str(path)
+        )
+        assert code == EXIT_OK and out == ""
+        doc = json.loads(path.read_text())
+        assert "coleman_m1" in doc["designs"] and doc["plans"] == ["sim"]
+
 
 class TestGofCommand:
     @pytest.mark.parametrize("a,expected", [(0.0, 1.277), (2.0 / 3.0, 1.277), (1.0, 1.277)])
@@ -326,6 +335,18 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["all_pass"] is True
+
+    def test_pseudo_inverse_traces_follow_the_rank(self, capsys):
+        # Rank 11 of 13 for the full model and 9 of 11 for the submodel.
+        code, out, _ = run_cli(
+            capsys, "verify", "--design", "bundled:coleman_m1_chain_basis",
+            "--zero-lambda", "7,8", "--pseudo-inverse", "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["all_pass"] is True
+        assert doc["options"]["rank"] == 11
+        pm = doc["projection_measurements"]
+        assert pm["rl_trace"] == pytest.approx(11.0) and pm["rm_trace"] == pytest.approx(9.0)
 
     @pytest.mark.parametrize("drop", ["0", "7"])
     @pytest.mark.parametrize("extra", [(), ("--pseudo-inverse",)])

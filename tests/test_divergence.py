@@ -32,18 +32,11 @@ class TestPowerFamily:
         assert power(0.0).value(2.0) == pytest.approx(0.3862943611198906, abs=1e-12)
 
     @pytest.mark.parametrize("a", SHIPPED_A)
-    def test_derivatives_match_finite_differences(self, a):
-        spec = power(a)
-        for x in (0.3, 0.9, 1.4, 3.0):
-            h = 1e-6 * x
-            fd1 = (spec.value(x + h) - spec.value(x - h)) / (2 * h)
-            fd2 = (spec.deriv(x + h) - spec.deriv(x - h)) / (2 * h)
-            assert spec.deriv(x) == pytest.approx(fd1, rel=1e-6)
-            assert spec.second_deriv(x) == pytest.approx(fd2, rel=1e-6)
-
-    @pytest.mark.parametrize("a", SHIPPED_A)
     def test_unit_curvature(self, a):
-        assert power(a).curvature_at_one() == pytest.approx(1.0, abs=1e-12)
+        # phi''(1) = 1 is what lets the statistics scale by 2N / h'(0) alone.
+        spec, h = power(a), 1e-4
+        second = (spec.value(1.0 + h) - 2.0 * spec.value(1.0) + spec.value(1.0 - h)) / h**2
+        assert second == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("a", SHIPPED_A)
     @given(x=st.floats(0.01, 20.0), y=st.floats(0.01, 20.0))
@@ -75,8 +68,10 @@ class TestPowerFamily:
         for a in SHIPPED_A:
             spec = power(a)
             for x in (0.2, 0.7, 1.0, 2.5):
-                direct = spec.value(x) - x * spec.deriv(x)
-                assert spec.gradient_weight(x) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+                h = 1e-5 * x
+                slope = (spec.value(x + h) - spec.value(x - h)) / (2.0 * h)
+                direct = spec.value(x) - x * slope
+                assert spec.gradient_weight(x) == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("a", SHIPPED_A + (-2.0, 3.0))
     def test_fused_value_and_weight_equal_separate(self, a):
@@ -216,7 +211,7 @@ class TestHTransforms:
     def test_slope_at_zero_matches_finite_difference(self, h):
         eps = 1e-8
         fd = h.value(eps) / eps
-        assert h.deriv_at_zero() == pytest.approx(fd, rel=1e-6)
+        assert h.slope_at_zero() == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("h", ALL, ids=lambda h: h.tag)
     def test_increasing(self, h):

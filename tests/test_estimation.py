@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lcmdiv import estimation
+from lcmdiv.datasets import simulation_plan
 from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
 from lcmdiv.estimation import (
@@ -63,6 +65,66 @@ class TestObjectiveAndGradient:
         value, grad = objective_and_gradient(design, counts, power(-1.0), random_theta(design, 46))
         assert value == math.inf
         assert np.all(np.isnan(grad))
+
+
+class TestValidationBoundary:
+    """Arguments are checked at the entry points; the fit loop runs on raw vectors."""
+
+    @pytest.fixture
+    def sim_null(self):
+        plan = simulation_plan(sample_sizes=(200,), replications=1, seed=3)
+        counts = sample_counts(plan.null_design, plan.theta0, 200, seed=4)
+        return plan, counts
+
+    @pytest.mark.parametrize("starts", (1, 3))
+    def test_no_theta_per_evaluation(self, monkeypatch, sim_null, starts):
+        plan, counts = sim_null
+        built = []
+        post_init = Theta.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Theta, "__post_init__", counting)
+        options = FitOptions(starts=starts, seed=1, init_theta=plan.theta0)
+        result = fit(plan.null_design, counts, power(2.0 / 3.0), options)
+        assert result.converged
+        assert sum(t.evaluations for t in result.traces) > 30 * starts
+        assert len(built) == 1  # theta_hat
+
+    def test_traces_count_kernel_evaluations(self, monkeypatch, sim_null):
+        plan, counts = sim_null
+        calls = []
+        kernel = estimation._evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_evaluate", counting)
+        result = fit(plan.null_design, counts, power(2.0 / 3.0), FitOptions(starts=3, seed=1))
+        assert result.converged
+        assert all(t.evaluations > t.iterations for t in result.traces)
+        # One kernel call per objective evaluation, plus one for the result.
+        assert sum(t.evaluations for t in result.traces) + 1 == len(calls)
+
+    def test_loop_refuses_non_finite_vector(self, sim_null):
+        plan, counts = sim_null
+        x = plan.theta0.vector()
+        x[0] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            estimation._objective(plan.null_design, counts.p_hat(), 2.0 / 3.0, x)
+
+    def test_entry_points_check_arguments(self, sim_null):
+        plan, counts = sim_null
+        wrong = Theta(lam=np.zeros(plan.null_design.t + 1), eta=np.zeros(plan.null_design.u))
+        with pytest.raises(DomainError):
+            objective_and_gradient(plan.null_design, counts, power(0.0), wrong)
+        with pytest.raises(DomainError):
+            fit(plan.null_design, counts, power(0.0), FitOptions(starts=1, init_theta=wrong))
+        with pytest.raises(DomainError, match="number of items"):
+            fit(plan.null_design, ObservedCounts(n=[1, 2, 3, 4]), power(0.0))
 
 
 class TestFit:

@@ -8,6 +8,8 @@ from scipy.stats import chisquare, multinomial
 
 from lcmdiv.errors import DomainError
 from lcmdiv.model import (
+    LatentParams,
+    ManifestDistribution,
     ModelDesign,
     ObservedCounts,
     Theta,
@@ -168,6 +170,32 @@ class TestManifestDistribution:
         assert abs(dist.p.sum() - 1.0) <= 1e-12
         assert np.all(dist.p > 0)
 
+    @pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_non_finite_vector_rejected(self, p):
+        # NaN fails every comparison, so it has to be refused explicitly.
+        with pytest.raises(DomainError):
+            ManifestDistribution(p=p)
+
+    def test_kernel_rejects_non_finite_parameters(self):
+        design = make_design(seed=9, k=3, m=2, t=2, u=1)
+        with pytest.raises(DomainError):
+            _evaluate(design, np.full(design.t + design.u, np.nan))
+
+
+class TestLatentParams:
+    @pytest.mark.parametrize(
+        "w,P",
+        [
+            ([math.nan, math.nan], [[0.5], [0.5]]),
+            ([0.5, 0.5], [[math.nan], [math.nan]]),
+            ([0.5, 0.5], [[0.5], [math.nan]]),
+            ([math.inf, 0.0], [[0.5], [0.5]]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, w, P):
+        with pytest.raises(DomainError):
+            LatentParams(w=np.array(w), P=np.array(P))
+
 
 class TestManifestJacobian:
     def test_columns_sum_to_zero(self):
@@ -209,7 +237,7 @@ class TestEvaluationKernel:
     def test_matches_loop_reference(self, seed, k, m, t, u, logit_scale):
         design = make_design(seed=seed, k=k, m=m, t=t, u=u, logit_scale=logit_scale)
         theta = random_theta(design, seed=seed)
-        p, J = _evaluate(design, theta)
+        p, J = _evaluate(design, theta.vector())
         assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
         np.testing.assert_allclose(p, reference_manifest(design, theta), rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(J, reference_jacobian(design, theta), rtol=0, atol=KERNEL_ATOL)
@@ -226,7 +254,7 @@ class TestEvaluationKernel:
         theta = Theta(lam=[0.1], eta=[0.0])
         ref = reference_manifest(design, theta)
         assert np.count_nonzero(ref == 0.0) > 0
-        p, J = _evaluate(design, theta)
+        p, J = _evaluate(design, theta.vector())
         assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
         assert abs(p.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(p, ref, rtol=0, atol=KERNEL_ATOL)
@@ -235,10 +263,10 @@ class TestEvaluationKernel:
     def test_public_views_share_the_kernel(self):
         design = make_design(seed=41, k=4, m=3, t=3, u=2)
         theta = random_theta(design, seed=42)
-        p, J = _evaluate(design, theta)
+        p, J = _evaluate(design, theta.vector())
         np.testing.assert_array_equal(manifest_distribution(design, theta).p, p)
         np.testing.assert_array_equal(manifest_jacobian(design, theta), J)
-        p_only, no_J = _evaluate(design, theta, jacobian=False)
+        p_only, no_J = _evaluate(design, theta.vector(), jacobian=False)
         np.testing.assert_array_equal(p_only, p)
         assert no_J is None
 

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lcmdiv import montecarlo
 from lcmdiv.datasets import simulation_plan
 from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
@@ -107,15 +108,27 @@ class TestRunSimulation:
         table = run_simulation(plan)
         assert table.cells[0].dof == 32 - 13 - 1
 
-    def test_parallel_matches_serial(self):
-        plan = simulation_plan(
-            sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0,),
-            replications=6, seed=9,
-        )
-        serial = run_simulation(plan, n_jobs=1)
-        parallel = run_simulation(plan, n_jobs=2)
-        for cs, cp in zip(serial.cells, parallel.cells):
-            assert (cs.rate, cs.rejections, cs.fit_failures) == (cp.rate, cp.rejections, cp.fit_failures)
+    def test_parallel_matches_serial(self, monkeypatch):
+        pools = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        for grid in ((0.0,), (0.0, 2.0)):
+            plan = simulation_plan(
+                sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=grid,
+                replications=6, seed=9,
+            )
+            serial = run_simulation(plan, n_jobs=1)
+            pools.clear()
+            parallel = run_simulation(plan, n_jobs=2)
+            assert len(pools) == 1  # one pool per run, not per cell
+            for cs, cp in zip(serial.cells, parallel.cells):
+                assert (cs.rate, cs.rejections, cs.fit_failures) == (cp.rate, cp.rejections, cp.fit_failures)
+            assert serial.rows() == parallel.rows()
 
     def test_chunking_matches_serial_records(self):
         # Replications regrouped into chunks of any size, each sent through a
