@@ -396,6 +396,8 @@ def _fit_doc(result) -> dict:
                 "grad_norm": tr.grad_norm,
                 "iterations": tr.iterations,
                 "converged": tr.converged,
+                "status": tr.status,
+                "restarts": tr.restarts,
             }
             for tr in result.traces
         ],

@@ -15,19 +15,20 @@ closed form of the bracket is written once, in ``divergence._terms`` beside
 phi itself, and is checked against finite differences in the test suite
 rather than trusted.
 
-Arguments are validated at the public entry points; the optimizer loop runs
-on the raw ``(t + u,)`` vector and checks only that it is finite.
+The optimizer is one batched BFGS (:func:`_minimize`): every start of a
+multi-start fit, and every data set of :func:`fit_many`, is a row of one
+array, and rows that converge drop out.  Arguments are validated at the
+public entry points; the loop runs on raw ``(b, t + u)`` arrays and checks
+only that they are finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .divergence import PhiSpec, _terms, kl_divergence, power
 from .errors import DomainError, NotConvergedError
@@ -45,9 +46,13 @@ from .model import (
     numerical_rank,
 )
 
-# scipy's BFGS can stall on "precision loss" short of a tight gtol; a fresh
-# restart from the stalled point (identity Hessian) usually finishes the job.
-_MAX_RESTARTS = 3
+# Outcome of one optimizer launch; ``StartTrace.status`` holds the name.
+_STATUSES = ("converged", "max_iters", "line_search", "infinite_objective")
+_PENDING = -1
+_CONVERGED, _MAX_ITERS, _LINE_SEARCH, _INFINITE = range(4)
+# Sufficient-decrease constant of the Armijo line search, and its halvings.
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,14 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class StartTrace:
-    """One optimizer launch; ``evaluations`` counts objective evaluations."""
+    """One optimizer launch.
+
+    ``evaluations`` counts objective evaluations, ``restarts`` the resets of
+    the inverse Hessian to the identity, and ``status`` is one of
+    ``converged``, ``max_iters``, ``line_search`` (no decrease found along
+    the gradient) or ``infinite_objective`` (the launch point has an
+    infinite objective).
+    """
 
     start: int
     objective: float
@@ -84,6 +96,8 @@ class StartTrace:
     iterations: int
     converged: bool
     evaluations: int
+    status: str
+    restarts: int
 
 
 @dataclass(frozen=True)
@@ -117,10 +131,10 @@ def objective_and_gradient(
     the value is ``inf`` and the gradient entries are NaN.
     """
     _check_items(design, counts)
-    value, grad = _objective(design, counts.p_hat(), spec.a, _vector(design, theta))
-    if not math.isfinite(value):
+    value, grad = _objective(design, counts.p_hat()[None], spec.a, _vector(design, theta)[None])
+    if not math.isfinite(value[0]):
         return math.inf, np.full(design.t + design.u, np.nan)
-    return value, grad
+    return float(value[0]), grad[0]
 
 
 def _check_items(design: ModelDesign, counts: ObservedCounts) -> None:
@@ -128,51 +142,135 @@ def _check_items(design: ModelDesign, counts: ObservedCounts) -> None:
         raise DomainError("counts and design disagree on the number of items")
 
 
-def _objective(design, p_hat, a, x):
-    """``D_phi_a(p_hat, p(x))`` and its gradient at the raw vector ``x``.
+def _objective(design, P_hat, a, X):
+    """``D_phi_a(p_hat, p(x))`` and its gradient for each row of ``X``.
 
-    Unchecked but for finiteness of ``x``; an infinite value comes with a
-    zero gradient, which is what the optimizer expects.
+    ``P_hat`` and ``X`` are stacked on a leading batch axis, shapes
+    ``(b, 2**k)`` and ``(b, t + u)``; returns values ``(b,)`` and gradients
+    ``(b, t + u)``.  Unchecked but for finiteness of ``X``.  A row whose
+    value is infinite gets ``inf`` and a zero gradient: a cell where ``p``
+    underflowed holds data, or ``p_hat / p`` overflowed and ``_terms`` met
+    inf - inf there.  Cells where ``p`` underflowed and the data are empty
+    contribute nothing.
     """
-    if not np.isfinite(x).all():
+    if not np.isfinite(X).all():
         raise DomainError("parameter values must be finite")
-    p, J = _evaluate(design, x)
-    bad = np.inf if np.any((p == 0.0) & (p_hat > 0.0)) else 0.0
-    # Cells where p underflowed and the data are empty contribute nothing.
-    ratio = np.divide(p_hat, p, out=np.zeros_like(p), where=p > 0.0)
-    with np.errstate(over="ignore"):
+    p, J = _evaluate(design, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.divide(P_hat, p, out=np.zeros_like(p), where=p > 0.0)
         phi, weight = _terms(a, ratio)
-        value = float(np.sum(p * phi) + bad)
-    if not math.isfinite(value):
-        return math.inf, np.zeros_like(x)
-    return value, weight @ J
+        value = np.sum(p * phi, axis=1)
+    infinite = ~np.isfinite(value) | np.any((p == 0.0) & (P_hat > 0.0), axis=1)
+    value[infinite] = np.inf
+    weight[infinite] = 0.0
+    return value, np.matmul(weight[:, None, :], J)[:, 0]
 
 
-def _minimize_one(fun, x0, options: FitOptions):
-    x = np.asarray(x0, dtype=np.float64)
-    iterations = 0
-    evaluations = 1  # the final evaluation below
-    res = None
-    for _ in range(_MAX_RESTARTS):
-        remaining = options.max_iters - iterations
-        if remaining <= 0:
+def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
+    """Batched BFGS on the objective of each row of ``X0``, rows independent.
+
+    Every row keeps its own inverse Hessian, started at the identity and
+    scaled by ``s'y / y'y`` after its first accepted step.  A step is
+    accepted by Armijo backtracking that evaluates only the rows still
+    searching; the update is skipped where ``s'y <= 0``.  A non-descent
+    direction or a failed line search resets the row's inverse Hessian to
+    the identity (a restart); a line search that fails along the gradient
+    itself ends the row.  Converged rows drop out of the batch.  Since every
+    kernel product is stacked on the batch axis, a row's path is the same bit
+    for bit whatever else is in the batch.
+
+    ``grad_tol`` and ``max_iters`` hold one value per row.  Returns
+    ``(X, value, grad_norm, iterations, evaluations, restarts, status)``, one
+    entry per row; ``status`` indexes ``_STATUSES``.
+    """
+    X = np.array(X0, dtype=np.float64)
+    b, dim = X.shape
+    f, G = _objective(design, P_hat, a, X)
+    evaluations = np.ones(b, dtype=np.int64)
+    iterations = np.zeros(b, dtype=np.int64)
+    restarts = np.zeros(b, dtype=np.int64)
+    H = np.tile(np.eye(dim), (b, 1, 1))
+    fresh = np.ones(b, dtype=bool)  # H is the unscaled identity
+    gnorm = np.max(np.abs(G), axis=1)
+    status = np.full(b, _PENDING)
+    status[gnorm <= grad_tol] = _CONVERGED
+    status[np.isinf(f)] = _INFINITE
+
+    def reset(rows):
+        H[rows] = np.eye(dim)
+        fresh[rows] = True
+        restarts[rows] += 1
+
+    while True:
+        status[(status == _PENDING) & (iterations >= max_iters)] = _MAX_ITERS
+        rows = np.flatnonzero(status == _PENDING)
+        if rows.size == 0:
             break
-        res = minimize(
-            fun,
-            x,
-            jac=True,
-            method="BFGS",
-            options={"gtol": options.grad_tol, "maxiter": remaining},
+        g = G[rows]
+        D = -np.matmul(H[rows], g[:, :, None])[:, :, 0]
+        slope = np.sum(D * g, axis=1)
+        uphill = ~(slope < 0.0)
+        if uphill.any():
+            reset(rows[uphill])
+            D[uphill] = -g[uphill]
+            slope[uphill] = -np.sum(g[uphill] ** 2, axis=1)
+        # Along the gradient the first trial is a step of length at most one.
+        step = np.where(fresh[rows], np.minimum(1.0, 1.0 / np.sqrt(-slope)), 1.0)
+
+        found = np.zeros(rows.size, dtype=bool)
+        X_new, f_new, G_new = np.empty_like(g), np.empty(rows.size), np.empty_like(g)
+        search = np.arange(rows.size)
+        for _ in range(_MAX_BACKTRACKS):
+            r = rows[search]
+            X_try = X[r] + step[search, None] * D[search]
+            f_try, G_try = _objective(design, P_hat[r], a, X_try)
+            evaluations[r] += 1
+            ok = (f_try < f[r]) & (f_try <= f[r] + _ARMIJO * step[search] * slope[search])
+            done = search[ok]
+            found[done] = True
+            X_new[done], f_new[done], G_new[done] = X_try[ok], f_try[ok], G_try[ok]
+            search = search[~ok]
+            if search.size == 0:
+                break
+            step[search] *= 0.5
+
+        failed = rows[~found]
+        status[failed[fresh[failed]]] = _LINE_SEARCH
+        reset(failed[~fresh[failed]])
+
+        acc = rows[found]
+        s = X_new[found] - X[acc]
+        y = G_new[found] - G[acc]
+        X[acc], f[acc], G[acc] = X_new[found], f_new[found], G_new[found]
+        iterations[acc] += 1
+        gnorm[acc] = np.max(np.abs(G[acc]), axis=1)
+        status[acc[gnorm[acc] <= grad_tol[acc]]] = _CONVERGED
+
+        sy = np.sum(s * y, axis=1)
+        curved = sy > 0.0
+        acc, s, y, sy = acc[curved], s[curved], y[curved], sy[curved]
+        first = fresh[acc]
+        H[acc[first]] *= (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
+        fresh[acc] = False
+        rho = 1.0 / sy
+        Hy = np.matmul(H[acc], y[:, :, None])[:, :, 0]
+        coef = (rho + rho * rho * np.sum(y * Hy, axis=1))[:, None, None]
+        H[acc] += coef * (s[:, :, None] * s[:, None, :]) - rho[:, None, None] * (
+            s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :]
         )
-        iterations += res.nit
-        evaluations += res.nfev
-        x = res.x
-        gnorm = float(np.max(np.abs(res.jac)))
-        if gnorm <= options.grad_tol or res.nit == 0:
-            break
-    value, grad = fun(x)
-    gnorm = float(np.max(np.abs(grad)))
-    return x, value, gnorm, iterations, evaluations
+    return X, f, gnorm, iterations, evaluations, restarts, status
+
+
+def _initial_points(design: ModelDesign, options: FitOptions) -> np.ndarray:
+    """The ``(starts, t + u)`` launch points: ``init_theta`` first, then draws."""
+    rng = np.random.Generator(np.random.Philox(options.seed))
+    dim = design.t + design.u
+    inits = []
+    if options.init_theta is not None:
+        inits.append(_vector(design, options.init_theta))
+    while len(inits) < options.starts:
+        inits.append(rng.normal(0.0, options.init_scale, size=dim))
+    return np.array(inits)
 
 
 def fit(
@@ -183,57 +281,95 @@ def fit(
 ) -> FitResult:
     """Minimum divergence estimate of the model parameters.
 
-    Runs ``options.starts`` quasi-Newton searches and keeps the converged
-    start with the smallest objective (ties broken by start index, so the
-    result is deterministic given the seed).  A result with
+    Runs ``options.starts`` quasi-Newton searches, as one batch, and keeps
+    the converged start with the smallest objective (ties broken by start
+    index, so the result is deterministic given the seed).  A result with
     ``converged=False`` carrying every per-start trace is returned when no
-    start reaches ``grad_tol``.
+    start reaches ``grad_tol``; its message counts the starts by status.
     """
-    _check_items(design, counts)
-    empty = bool(np.any(counts.n == 0))
-    if empty and not math.isfinite(spec.at_zero()):
-        return _failure_result(
-            design,
-            counts,
-            spec,
-            "objective is identically infinite: empty cells and phi(0+) = inf",
+    return fit_many(design, (counts,), spec, (options,))[0]
+
+
+def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tuple:
+    """:func:`fit` of each data set in ``counts_seq`` with its ``options_seq`` entry.
+
+    Every start of every data set is one row of a single batched
+    optimization, and a row's path does not depend on the rest of the batch,
+    so each result equals the one :func:`fit` returns for that data set
+    alone, bit for bit.
+    """
+    counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
+    if len(counts_seq) != len(options_seq):
+        raise DomainError("fit_many needs one FitOptions per data set")
+    results = [None] * len(counts_seq)
+    launches = {}  # data set -> its (starts, t + u) launch points
+    for i, (counts, options) in enumerate(zip(counts_seq, options_seq)):
+        _check_items(design, counts)
+        if np.any(counts.n == 0) and not math.isfinite(spec.at_zero()):
+            results[i] = _failure_result(
+                design, counts, spec,
+                "objective is identically infinite: empty cells and phi(0+) = inf",
+            )
+        else:
+            launches[i] = _initial_points(design, options)
+    if not launches:
+        return tuple(results)
+
+    owner = np.repeat(list(launches), [len(X0) for X0 in launches.values()])
+    outcome = _minimize(
+        design,
+        np.array([counts.p_hat() for counts in counts_seq])[owner],
+        spec.a,
+        np.concatenate(list(launches.values())),
+        np.array([options.grad_tol for options in options_seq])[owner],
+        np.array([options.max_iters for options in options_seq])[owner],
+    )
+    lo = 0
+    for i, X0 in launches.items():
+        rows = slice(lo, lo + len(X0))
+        lo = rows.stop
+        results[i] = _fit_result(design, counts_seq[i], spec, *(column[rows] for column in outcome))
+    return tuple(results)
+
+
+def _fit_result(design, counts, spec, X, value, gnorm, iterations, evaluations, restarts, status):
+    """The :class:`FitResult` of one data set from its rows of :func:`_minimize`."""
+    traces = tuple(
+        StartTrace(
+            start=s,
+            objective=float(value[s]),
+            grad_norm=float(gnorm[s]),
+            iterations=int(iterations[s]),
+            converged=bool(status[s] == _CONVERGED),
+            evaluations=int(evaluations[s]),
+            status=_STATUSES[status[s]],
+            restarts=int(restarts[s]),
         )
-
-    rng = np.random.Generator(np.random.Philox(options.seed))
-    dim = design.t + design.u
-    inits = []
-    if options.init_theta is not None:
-        inits.append(_vector(design, options.init_theta))
-    while len(inits) < options.starts:
-        inits.append(rng.normal(0.0, options.init_scale, size=dim))
-
-    fun = partial(_objective, design, counts.p_hat(), spec.a)
-    traces = []
-    best = None  # (objective, start index, x)
-    for s, x0 in enumerate(inits):
-        x, value, gnorm, iters, evals = _minimize_one(fun, x0, options)
-        converged = gnorm <= options.grad_tol and math.isfinite(value)
-        traces.append(StartTrace(s, value, gnorm, iters, converged, evals))
-        if converged and (best is None or value < best[0]):
-            best = (value, s, x)
-
-    if best is None:
-        return _failure_result(
-            design, counts, spec, "no start converged", traces=tuple(traces)
+        for s in range(len(X))
+    )
+    converged = [tr for tr in traces if tr.converged]
+    if not converged:
+        tally = ", ".join(
+            f"{n} {name}"
+            for name in _STATUSES[1:]
+            if (n := sum(tr.status == name for tr in traces))
         )
-
-    theta_hat = Theta.from_vector(design, best[2])
-    p, J = _evaluate(design, best[2])
+        return _failure_result(
+            design, counts, spec, f"no start converged: {tally}", traces=traces
+        )
+    best = min(converged, key=lambda tr: tr.objective)  # first start among ties
+    theta_hat = Theta.from_vector(design, X[best.start])
+    p, J = _evaluate(design, X[best.start])
     return FitResult(
         theta_hat=theta_hat,
-        objective=best[0],
+        objective=best.objective,
         converged=True,
-        traces=tuple(traces),
+        traces=traces,
         latent=latent_params(design, theta_hat),
         manifest=ManifestDistribution(p=p),
         rank=numerical_rank(J),
         spec=spec,
-        empty_cells=empty,
+        empty_cells=bool(np.any(counts.n == 0)),
     )
 
 

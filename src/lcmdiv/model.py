@@ -189,10 +189,11 @@ class LatentParams:
 
 
 def _check_manifest(p: np.ndarray) -> None:
+    """Check one manifest vector, or each row of a stack of them."""
     # Comparisons are written so that NaN fails them; the sum then rules out inf.
     if not np.all(p >= 0.0):
         raise DomainError("manifest probabilities must be finite and nonnegative")
-    if not abs(float(p.sum()) - 1.0) <= 1e-12:
+    if not np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12):
         raise DomainError("manifest probabilities must sum to 1 within 1e-12")
 
 
@@ -277,10 +278,10 @@ def all_patterns(k: int) -> np.ndarray:
 
 
 def _softmax(design: ModelDesign, eta: np.ndarray) -> np.ndarray:
-    z = design.V @ eta + design.d
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Class weights of ``eta``, shape (..., u), by a max-shifted softmax per row."""
+    z = np.matmul(design.V, eta[..., None])[..., 0] + design.d
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def item_probs(design: ModelDesign, theta: Theta) -> np.ndarray:
@@ -310,11 +311,17 @@ def _vector(design: ModelDesign, theta: Theta) -> np.ndarray:
 
 
 def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tuple:
-    """Manifest vector ``p`` and its Jacobian ``J`` from one class-pattern table.
+    """Manifest vectors ``p`` and Jacobians ``J`` from one class-pattern table per row.
 
-    ``x`` is the raw ``(t + u,)`` parameter vector ``(lam, eta)``; its shape
-    and finiteness are the caller's to check (the public views take a
-    validated :class:`Theta`).
+    ``x`` holds raw parameter vectors ``(lam, eta)`` on a leading batch axis,
+    shape ``(b, t + u)``, or one vector of shape ``(t + u,)``; the outputs
+    carry the same leading axis, ``p`` of shape ``(b, 2**k)`` and ``J`` of
+    shape ``(b, 2**k, t + u)``.  Shapes and finiteness are the caller's to
+    check (the public views take a validated :class:`Theta`).
+
+    Every product of a row goes through a matmul stacked on the batch axis,
+    and every sum runs along a row's own last axis, so a row's bits do not
+    depend on what else is in the batch.
 
     The table is built in log space from the item logits ``S`` and the
     pattern matrix ``Y``::
@@ -322,28 +329,35 @@ def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tupl
         log B = log_expit(S) Y' + log_expit(-S) (1 - Y)'
 
     so a logit that saturates ``expit`` still leaves a positive cell, down to
-    the underflow of ``exp`` (a log cell below about -745).  ``p`` is checked
-    to be nonnegative and to sum to one within 1e-12, which also rules out
-    NaN and inf.
+    the underflow of ``exp`` (a log cell below about -745).  Each row of ``p``
+    is checked to be nonnegative and to sum to one within 1e-12, which also
+    rules out NaN and inf.
     Returns ``(p, J)``; ``J`` is None when ``jacobian`` is false, which keeps
     sampling at large ``k`` from materializing the (2**k, m*k) residual.
     """
-    w = _softmax(design, x[design.t :])
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim == 1:
+        p, J = _evaluate(design, X[None], jacobian)
+        return p[0], None if J is None else J[0]
+    b, t = X.shape[0], design.t
     Y, Q_flat = design._kernel_constants
-    S = design.Q @ x[: design.t] + design.C
+    w = _softmax(design, X[:, t:])
+    S = np.matmul(Q_flat, X[:, :t, None]).reshape(b, design.m, design.k) + design.C
     # Patterns count up in binary, so the rows of 1 - Y are those of Y reversed.
-    B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[:, ::-1])
-    p = w @ B
+    B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[..., ::-1])
+    p = np.matmul(w[:, None, :], B)[:, 0]
     _check_manifest(p)
     if not jacobian:
         return p, None
 
     # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].
-    resid = (w[:, None] * B).T[:, :, None] * (Y[:, None, :] - expit(S)[None, :, :])
-    J_lam = resid.reshape(B.shape[1], -1) @ Q_flat
+    wB = w[:, :, None] * B
+    resid = wB.transpose(0, 2, 1)[..., None] * (Y[None, :, None, :] - expit(S)[:, None])
+    J_lam = resid.reshape(b, B.shape[2], -1) @ Q_flat
     # d w_j / d eta_s = w_j (V[j, s] - sum_h w_h V[h, s]).
-    J_eta = B.T @ (w[:, None] * (design.V - w @ design.V))
-    return p, np.concatenate([J_lam, J_eta], axis=1)
+    mean_V = np.matmul(w[:, None, :], design.V)
+    J_eta = np.matmul(B.transpose(0, 2, 1), w[:, :, None] * (design.V - mean_V))
+    return p, np.concatenate([J_lam, J_eta], axis=2)
 
 
 def manifest_distribution(design: ModelDesign, theta: Theta) -> ManifestDistribution:

@@ -10,8 +10,11 @@ one data set.
 
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
-bit-reproducible no matter how replications are scheduled; the process-pool
-parallel path and the serial path produce identical tables.  Replications
+bit-reproducible no matter how replications are scheduled.  A cell is cut
+into one contiguous chunk per worker (the whole cell when serial), and each
+chunk's fits run as one :func:`lcmdiv.estimation.fit_many` batch, whose rows
+do not depend on each other; the process-pool parallel path and the serial
+path produce identical tables.  Replications
 whose fit does not converge are excluded from the denominator and counted.
 """
 
@@ -31,7 +34,7 @@ from scipy.stats import beta as _beta_dist
 
 from .divergence import power
 from .errors import DomainError
-from .estimation import FitOptions, fit
+from .estimation import FitOptions, fit_many
 from .inference import gof_statistic
 from .model import ModelDesign, Theta, sample_counts
 
@@ -122,7 +125,7 @@ class SizePowerCell:
     n_effective: int
     fit_failures: int
     infinite_statistics: int
-    dof: int
+    dof: Optional[int]  # None when no replication converged
     binomial_ci: tuple
     dale_pass: bool
 
@@ -154,44 +157,52 @@ class SizePowerTable:
         return out
 
     def write_csv(self, path) -> None:
-        """Write :meth:`rows` as comma-separated lines, floats as ``repr``."""
+        """Write :meth:`rows` as comma-separated lines, floats as ``repr``, None empty."""
         with open(path, "w") as fh:
             for row in self.rows():
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+                fh.write(",".join(_csv_field(v) for v in row) + "\n")
 
 
-def _replicate(plan: SimulationPlan, size_idx: int, coef_idx: int, rep: int):
-    """One replication: sample, fit the null design, test the fit at each index.
-
-    Returns one ``TestResult`` per entry of ``plan.a_values``, or ``None``
-    when the fit does not converge.
-    """
-    N = plan.sample_sizes[size_idx]
-    lambda8 = plan.lambda8_grid[coef_idx]
-    seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
-    sample_seq, fit_seq = seq.spawn(2)
-    design_true, theta_true = plan.true_model(lambda8)
-    counts = sample_counts(design_true, theta_true, N, sample_seq)
-
-    options = FitOptions(
-        starts=plan.fit_starts,
-        grad_tol=plan.fit_grad_tol,
-        max_iters=plan.fit_max_iters,
-        seed=int(fit_seq.generate_state(1)[0]),
-        init_theta=plan.theta0 if plan.start_at_truth else None,
-    )
-    result = fit(plan.null_design, counts, power(plan.estimator_a), options)
-    if not result.converged:
-        return None
-    return tuple(
-        gof_statistic(plan.null_design, counts, power(a), result, plan.alpha, plan.dof_policy)
-        for a in plan.a_values
-    )
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _replicate_chunk(args):
+    """Records of a run of replications, in order.
+
+    Samples every replication, fits the null design to all of them in one
+    :func:`fit_many` batch, and tests each fit at every entry of
+    ``plan.a_values``.  A record is one ``TestResult`` per index, or ``None``
+    when the replication's fit did not converge.  A fit does not depend on
+    the rest of its batch, so neither does a record.
+    """
     plan, size_idx, coef_idx, reps = args
-    return [_replicate(plan, size_idx, coef_idx, rep) for rep in reps]
+    N = plan.sample_sizes[size_idx]
+    design_true, theta_true = plan.true_model(plan.lambda8_grid[coef_idx])
+    counts_seq, options_seq = [], []
+    for rep in reps:
+        seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
+        sample_seq, fit_seq = seq.spawn(2)
+        counts_seq.append(sample_counts(design_true, theta_true, N, sample_seq))
+        options_seq.append(FitOptions(
+            starts=plan.fit_starts,
+            grad_tol=plan.fit_grad_tol,
+            max_iters=plan.fit_max_iters,
+            seed=int(fit_seq.generate_state(1)[0]),
+            init_theta=plan.theta0 if plan.start_at_truth else None,
+        ))
+    fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
+    return [
+        tuple(
+            gof_statistic(plan.null_design, counts, power(a), result, plan.alpha, plan.dof_policy)
+            for a in plan.a_values
+        )
+        if result.converged
+        else None
+        for counts, result in zip(counts_seq, fits)
+    ]
 
 
 def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePowerTable:
@@ -234,7 +245,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
                             fit_failures=failures,
                             infinite_statistics=sum("infinite_statistic" in t.warnings for t in column),
                             # The mode, smallest first among ties; dof may be <= 0.
-                            dof=max(sorted(set(dofs)), key=dofs.count) if dofs else -1,
+                            dof=max(sorted(set(dofs)), key=dofs.count) if dofs else None,
                             binomial_ci=_clopper_pearson(rejections, effective),
                             dale_pass=bool(effective and band[0] <= rate <= band[1]),
                         )
@@ -251,7 +262,8 @@ def _run_cell(plan, size_idx, coef_idx, n_jobs, pool=None):
     reps = list(range(plan.replications))
     if pool is None:
         return _replicate_chunk((plan, size_idx, coef_idx, reps))
-    chunk = max(1, len(reps) // (n_jobs * 8))
+    # One contiguous chunk per worker, so each worker fits one batch.
+    chunk = -(-len(reps) // n_jobs)
     tasks = [
         (plan, size_idx, coef_idx, reps[i : i + chunk])
         for i in range(0, len(reps), chunk)

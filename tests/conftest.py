@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from lcmdiv import datasets
+from lcmdiv import datasets, estimation
 from lcmdiv.divergence import power
-from lcmdiv.estimation import FitOptions, fit
+from lcmdiv.estimation import FitOptions, _objective, fit
 from lcmdiv.inference import estimator_sweep
 from lcmdiv.model import ModelDesign, Theta, all_patterns, class_weights, item_probs
 
@@ -62,6 +63,51 @@ def reference_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     W_grad = w[:, None] * (design.V - (w @ design.V)[None, :])
     J_eta = np.einsum("jv,js->vs", B, W_grad)
     return np.concatenate([J_lam, J_eta], axis=1)
+
+
+def scipy_bfgs_fit(design: ModelDesign, counts, a: float, x0, grad_tol: float, max_iters: int):
+    """One launch of scipy's BFGS from ``x0``: ``(objective, converged)``.
+
+    The optimizer reference for the package's batched BFGS, run on the same
+    objective.  scipy can stop on precision loss short of a tight
+    ``grad_tol``; up to three restarts from the stopping point (identity
+    Hessian) finish the job, within ``max_iters`` iterations in total.
+    """
+    p_hat = counts.p_hat()[None]
+
+    def fun(x):
+        value, grad = _objective(design, p_hat, a, x[None])
+        return value[0], grad[0]
+
+    x, iterations = np.asarray(x0, dtype=np.float64), 0
+    for _ in range(3):
+        if iterations >= max_iters:
+            break
+        res = minimize(
+            fun, x, jac=True, method="BFGS",
+            options={"gtol": grad_tol, "maxiter": max_iters - iterations},
+        )
+        iterations += res.nit
+        x = res.x
+        if np.max(np.abs(res.jac)) <= grad_tol or res.nit == 0:
+            break
+    value, grad = fun(x)
+    return float(value), bool(np.max(np.abs(grad)) <= grad_tol and np.isfinite(value))
+
+
+@pytest.fixture
+def infinite_rows(monkeypatch):
+    """Counts of rows with an infinite objective, one entry per objective call."""
+    counts = []
+    objective = estimation._objective
+
+    def counting(*args):
+        value, grad = objective(*args)
+        counts.append(int(np.isinf(value).sum()))
+        return value, grad
+
+    monkeypatch.setattr(estimation, "_objective", counting)
+    return counts
 
 
 # Reference values from the original published analysis of the Coleman data.

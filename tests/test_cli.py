@@ -119,6 +119,25 @@ class TestParsing:
         assert "coleman_m1" in doc["designs"] and doc["plans"] == ["sim"]
 
 
+class TestFitCommand:
+    ARGV = ("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+            "--phi", "power:a=0", "--starts", "5", "--seed", "1", "--format", "json")
+
+    def test_json_reports_each_start_status(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == EXIT_OK
+        starts = json.loads(out)["fit"]["starts"]
+        assert [s["status"] for s in starts] == ["converged"] * 5
+        assert all(isinstance(s["restarts"], int) for s in starts)
+        assert run_cli(capsys, *self.ARGV)[1] == out  # no timings: re-runs are identical
+
+    def test_failed_fit_names_the_reasons(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV, "--max-iters", "1")
+        assert code == EXIT_COMPUTE
+        assert "no start converged: 5 max_iters" in err
+        assert [s["status"] for s in json.loads(out)["fit"]["starts"]] == ["max_iters"] * 5
+
+
 class TestGofCommand:
     @pytest.mark.parametrize("a,expected", [(0.0, 1.277), (2.0 / 3.0, 1.277), (1.0, 1.277)])
     def test_reproduces_worked_example_values(self, capsys, a, expected):
@@ -280,6 +299,26 @@ class TestSimulateCommand:
         assert (out_dir / "size_power.csv").exists()
         assert (out_dir / "power_N200.csv").exists()
         assert doc["cells"][0]["dof"] == 19
+
+    def test_cell_without_converged_fit_reports_null_dof(self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from lcmdiv.datasets import simulation_plan
+
+        plan_path = tmp_path / "plan.json"
+        plan = simulation_plan(sample_sizes=(200,), a_values=(2.0 / 3.0,),
+                               lambda8_grid=(0.0,), replications=2, seed=3)
+        fileio.write_plan(replace(plan, fit_max_iters=1), plan_path)
+        out_dir = tmp_path / "results"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--plan", str(plan_path), "--out-dir", str(out_dir),
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        cell = json.loads(out)["cells"][0]
+        assert (cell["n_effective"], cell["fit_failures"], cell["dof"]) == (0, 2, None)
+        header, row = (out_dir / "size_power.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["dof"] == ""
 
     def test_progress_goes_to_stderr_only(self, capsys, tmp_path):
         argv = (

@@ -1,4 +1,6 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lcmdiv.estimation import (
     canonical_class_order,
     canonicalize,
     fit,
+    fit_many,
     fit_mle,
     objective_and_gradient,
 )
@@ -26,7 +29,7 @@ from lcmdiv.model import (
     sample_counts,
 )
 
-from conftest import make_design, random_theta, reference_class_pattern_probs
+from conftest import make_design, random_theta, reference_class_pattern_probs, scipy_bfgs_fit
 
 
 def tv_distance(p, q):
@@ -95,19 +98,21 @@ class TestValidationBoundary:
 
     def test_traces_count_kernel_evaluations(self, monkeypatch, sim_null):
         plan, counts = sim_null
-        calls = []
+        rows = []
         kernel = estimation._evaluate
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counting(design, x, *args, **kwargs):
+            rows.append(len(np.atleast_2d(x)))
+            return kernel(design, x, *args, **kwargs)
 
         monkeypatch.setattr(estimation, "_evaluate", counting)
         result = fit(plan.null_design, counts, power(2.0 / 3.0), FitOptions(starts=3, seed=1))
         assert result.converged
         assert all(t.evaluations > t.iterations for t in result.traces)
-        # One kernel call per objective evaluation, plus one for the result.
-        assert sum(t.evaluations for t in result.traces) + 1 == len(calls)
+        # One kernel row per objective evaluation, plus one for the result;
+        # the starts share kernel calls.
+        assert sum(t.evaluations for t in result.traces) + 1 == sum(rows)
+        assert len(rows) < sum(rows)
 
     def test_loop_refuses_non_finite_vector(self, sim_null):
         plan, counts = sim_null
@@ -209,6 +214,102 @@ class TestFit:
             coleman_design, coleman_counts, power(2.0 / 3.0), ref
         )
         assert coleman_fit_23.objective <= at_ref
+
+
+def _cell_fits(N, lambda8, replications, seed=1):
+    """A cell's plan, its sampled data sets and the study's single-start options."""
+    plan = simulation_plan(sample_sizes=(N,), lambda8_grid=(lambda8,), seed=seed)
+    design, theta = plan.true_model(lambda8)
+    counts = [sample_counts(design, theta, N, seed=seed * 1000 + rep) for rep in range(replications)]
+    options = FitOptions(
+        starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
+        init_theta=plan.theta0,
+    )
+    return plan, counts, options
+
+
+class TestBatchedFit:
+    """One batched BFGS fits every start of every data set."""
+
+    @pytest.mark.parametrize("lambda8", (0.0, 2.0))
+    def test_reaches_the_scipy_optimum(self, lambda8):
+        # scipy's BFGS on the same objective is the reference.  The batched
+        # fit may find a lower stationary point, never a higher one, and
+        # fails no more often.
+        plan, counts, options = _cell_fits(200, lambda8, 25)
+        fits = fit_many(plan.null_design, counts, power(plan.estimator_a), [options] * len(counts))
+        oracle = [
+            scipy_bfgs_fit(
+                plan.null_design, c, plan.estimator_a, plan.theta0.vector(),
+                options.grad_tol, options.max_iters,
+            )
+            for c in counts
+        ]
+        assert sum(not r.converged for r in fits) <= sum(not ok for _, ok in oracle)
+        for result, (value, ok) in zip(fits, oracle):
+            if result.converged and ok:
+                assert result.objective <= value + 1e-7
+
+    def test_batch_composition_does_not_matter(self):
+        plan, counts, _ = _cell_fits(200, 2.0, 9, seed=4)
+        options = [
+            FitOptions(starts=2, grad_tol=1e-6, max_iters=300, seed=i, init_theta=plan.theta0)
+            for i in range(len(counts))
+        ]
+        spec = power(plan.estimator_a)
+        whole = fit_many(plan.null_design, counts, spec, options)
+        assert all(r.converged for r in whole)
+        for size in (1, 3, 7):
+            parts = []
+            for lo in range(0, len(counts), size):
+                parts += fit_many(
+                    plan.null_design, counts[lo : lo + size], spec, options[lo : lo + size]
+                )
+            assert [pickle.dumps(r) for r in parts] == [pickle.dumps(r) for r in whole]
+        alone = fit(plan.null_design, counts[5], spec, options[5])
+        assert pickle.dumps(alone) == pickle.dumps(whole[5])
+
+    def test_one_options_per_data_set(self):
+        plan, counts, options = _cell_fits(200, 0.0, 2)
+        with pytest.raises(DomainError, match="one FitOptions"):
+            fit_many(plan.null_design, counts, power(0.0), [options])
+
+    def test_failed_fit_counts_starts_by_status(self):
+        plan, counts, _ = _cell_fits(200, 0.0, 1)
+        options = FitOptions(starts=3, max_iters=1, seed=2, init_theta=plan.theta0)
+        result = fit(plan.null_design, counts[0], power(2.0 / 3.0), options)
+        assert not result.converged
+        assert result.message == "no start converged: 3 max_iters"
+        assert [t.status for t in result.traces] == ["max_iters"] * 3
+        assert all(t.iterations == 1 and not t.converged for t in result.traces)
+
+    def test_infinite_launch_point_is_flagged(self):
+        # Logits of several hundred underflow every class at some pattern that
+        # holds data, so the objective is infinite where the launch starts.
+        design = make_design(seed=70, k=3, m=2, t=2, u=1)
+        counts = ObservedCounts(n=[5, 6, 7, 8, 9, 10, 11, 12])
+        far = Theta(lam=[900.0, -900.0], eta=[0.0])
+        value, _ = objective_and_gradient(design, counts, power(0.0), far)
+        assert value == math.inf
+        lone = fit(design, counts, power(0.0), FitOptions(starts=1, init_theta=far))
+        assert lone.message == "no start converged: 1 infinite_objective"
+        assert lone.traces[0].iterations == 0 and lone.traces[0].evaluations == 1
+        mixed = fit(design, counts, power(0.0), FitOptions(starts=4, seed=3, init_theta=far))
+        assert mixed.converged
+        assert [t.status for t in mixed.traces][0] == "infinite_objective"
+
+    def test_coleman_wide_starts_warn_nothing(self, infinite_rows, coleman_design, coleman_counts):
+        # Starts drawn with scale 5 meet underflowed cells and overflowing
+        # ratios; the objective flags them as infinite without a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(
+                coleman_design, coleman_counts, power(2.0 / 3.0),
+                FitOptions(starts=30, seed=1, init_scale=5.0),
+            )
+        assert sum(infinite_rows) > 0
+        assert result.converged
+        assert 2 * coleman_counts.N * result.objective == pytest.approx(1.277, abs=0.02)
 
 
 def manifest_distribution_from(result):

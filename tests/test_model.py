@@ -260,6 +260,28 @@ class TestEvaluationKernel:
         np.testing.assert_allclose(p, ref, rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(J, reference_jacobian(design, theta), rtol=0, atol=KERNEL_ATOL)
 
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_single_rows(self, seed, k, m, t, u, b):
+        # Bit for bit: a row's result does not depend on the rest of the batch.
+        design = make_design(seed=seed, k=k, m=m, t=t, u=u, logit_scale=3.0)
+        X = np.random.default_rng(seed).normal(0.0, 2.0, size=(b, t + u))
+        P, J = _evaluate(design, X)
+        assert P.shape == (b, 2 ** k) and J.shape == (b, 2 ** k, t + u)
+        for i in range(b):
+            p, Ji = _evaluate(design, X[i])
+            np.testing.assert_array_equal(P[i], p)
+            np.testing.assert_array_equal(J[i], Ji)
+            p_only, _ = _evaluate(design, X[i : i + 1], jacobian=False)
+            np.testing.assert_array_equal(p_only[0], p)
+
     def test_public_views_share_the_kernel(self):
         design = make_design(seed=41, k=4, m=3, t=3, u=2)
         theta = random_theta(design, seed=42)

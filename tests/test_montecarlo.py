@@ -1,6 +1,7 @@
 import logging
 import math
 import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -224,6 +225,25 @@ class TestRunSimulation:
         cell = run_simulation(plan).cells[0]
         assert cell.dof == 8 - 8 - 1
         assert cell.n_effective + cell.fit_failures == 3
+        assert cell.fit_failures == 0  # -1 is the plan's dof, not a marker of failed fits
+
+    def test_wide_starts_on_the_power_cell_warn_nothing(self, infinite_rows):
+        # Random starts underflow cells and overflow p_hat / p; the objective
+        # flags those points as infinite without a RuntimeWarning.
+        from dataclasses import replace
+
+        plan = replace(
+            simulation_plan(
+                sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(2.0,),
+                replications=10, seed=20140915,
+            ),
+            fit_starts=6,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cell = run_simulation(plan).cells[0]
+        assert sum(infinite_rows) > 0
+        assert cell.n_effective == 10
 
     def test_plan_validation(self):
         plan = simulation_plan()
