@@ -40,9 +40,9 @@ from .estimation import FitOptions, fit
 from .inference import (
     NestedPair,
     TestResult,
-    _nested_statistic,
-    fit_pair,
     gof_statistic,
+    nested_S,
+    nested_T,
     sequential_selection,
 )
 from .model import ModelDesign, Theta
@@ -108,22 +108,13 @@ def _phi_spec(text: str) -> PhiSpec:
 def _h_spec(text: str) -> HSpec:
     try:
         tag, _, rest = text.partition(":")
-        tag = tag.strip().lower().replace("-", "_")
         params = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                params[key.strip()] = float(value)
-        if tag == "identity":
-            return identity_h()
-        if tag == "bhattacharyya":
-            return HSpec(tag="bhattacharyya")
-        if tag == "renyi":
-            return HSpec(tag="renyi", a=params["a"])
-        if tag == "sharma_mittal":
-            return HSpec(tag="sharma_mittal", a=params["a"], b=params["b"])
-        raise ValueError(f"unknown transform {tag!r}")
-    except (ValueError, KeyError, DomainError) as exc:
+        for item in rest.split(",") if rest else ():
+            key, _, value = item.partition("=")
+            params[key.strip()] = float(value)
+        # HSpec refuses unknown tags and indices (TypeError for a name it lacks).
+        return HSpec(tag=tag.strip().lower().replace("-", "_"), **params)
+    except (ValueError, TypeError, DomainError) as exc:
         raise argparse.ArgumentTypeError(f"bad h spec {text!r}: {exc}")
 
 
@@ -149,15 +140,12 @@ def _phi_str(spec: Optional[PhiSpec]) -> Optional[str]:
 
 
 def _h_str(h: Optional[HSpec]) -> Optional[str]:
+    """``h`` in the ``--h`` grammar, which :func:`_h_spec` reads back."""
     if h is None:
         return None
-    if h.tag == "identity":
-        return "identity"
-    if h.tag == "bhattacharyya":
-        return "bhattacharyya"
-    if h.tag == "renyi":
-        return f"renyi:a={h.a!r}"
-    return f"sharma-mittal:a={h.a!r},b={h.b!r}"
+    pairs = (("a", h.a), ("b", h.b))
+    indices = ",".join(f"{key}={value!r}" for key, value in pairs if value is not None)
+    return h.tag.replace("_", "-") + (f":{indices}" if indices else "")
 
 
 def _add_output_opts(p) -> None:
@@ -233,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--jobs", type=int, default=None, help="parallel processes (default: LCMDIV_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel processes (default: 1)")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out-dir", required=True)
     _add_output_opts(p)
@@ -445,13 +433,12 @@ def _run_gof(ns: argparse.Namespace) -> int:
 
 def _run_nested(ns: argparse.Namespace) -> int:
     pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
-    # Both statistics are built from the same two fits.
-    fit_A, fit_B = fit_pair(pair, ns.counts, ns.phi2, ns.fit_options)
+    # Both statistics test the same two fits.
+    fit_A = fit(pair.design_A, ns.counts, ns.phi2, ns.fit_options)
+    fit_B = fit(pair.design_B(), ns.counts, ns.phi2, ns.fit_options)
     tests = {
-        kind: _nested_statistic(
-            pair, ns.counts, ns.phi1, ns.h, fit_A, fit_B, kind, ns.alpha
-        )
-        for kind in ("S", "T")
+        kind: test(ns.counts, ns.phi1, fit_A, fit_B, ns.alpha, ns.h)
+        for kind, test in (("S", nested_S), ("T", nested_T))
         if ns.statistic in (kind, "both")
     }
     doc = _base_doc(ns)

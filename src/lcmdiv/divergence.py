@@ -171,7 +171,8 @@ def kl_divergence(p, q) -> float:
 # Increasing transforms h with h(0) = 0, used by the transformed statistics.
 # ---------------------------------------------------------------------------
 
-_H_TAGS = ("identity", "renyi", "sharma_mittal", "bhattacharyya")
+# Each transform with the indices it takes.
+_H_INDICES = {"identity": (), "renyi": ("a",), "sharma_mittal": ("a", "b"), "bhattacharyya": ()}
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,11 @@ class HSpec:
     b: Optional[float] = None
 
     def __post_init__(self):
-        if self.tag not in _H_TAGS:
+        if self.tag not in _H_INDICES:
             raise DomainError(f"unknown h transform: {self.tag!r}")
+        for key in ("a", "b"):
+            if getattr(self, key) is not None and key not in _H_INDICES[self.tag]:
+                raise DomainError(f"the {self.tag} transform takes no index {key}")
         if self.tag == "renyi":
             if self.a is None or self.a in (0.0, 1.0):
                 raise DomainError("renyi requires an index a outside {0, 1}")

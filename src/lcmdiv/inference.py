@@ -18,11 +18,13 @@ A model B nested in A (some coordinates fixed to zero) is tested with either
     T = (2N / phi1''(1)) * D_phi1(p(A), p(B))
 
 both asymptotically chi-square with ``h1 - h2`` degrees of freedom (the
-difference in free-parameter counts).  The S difference is oriented
-B-minus-A so that the classical likelihood-ratio case (both transforms at
-power index 0) is nonnegative.  With unequal estimation and testing
-transforms S can come out negative; it is returned raw with a warning flag,
-never clamped.
+difference in free-parameter counts).  Like :func:`gof_statistic`, the
+nested tests take fits made beforehand: fit A and B with one estimator,
+then test the two fits with :func:`nested_S` or :func:`nested_T`.  The S
+difference is oriented B-minus-A so that the classical likelihood-ratio
+case (both transforms at power index 0) is nonnegative.  With unequal
+estimation and testing transforms S can come out negative; it is returned
+raw with a warning flag, never clamped.
 
 Degrees-of-freedom policy
 -------------------------
@@ -262,10 +264,6 @@ class NestedPair:
     def h2(self) -> int:
         return self.h1 - len(self.zero_lam) - len(self.zero_eta)
 
-    @property
-    def dof(self) -> int:
-        return self.h1 - self.h2
-
     def design_B(self) -> ModelDesign:
         """The restricted design (columns of the zeroed coordinates dropped)."""
         A = self.design_A
@@ -290,71 +288,65 @@ class NestedPair:
         return list(self.keep_lam) + [self.design_A.t + i for i in self.keep_eta]
 
 
-def fit_pair(
-    pair: NestedPair,
-    counts: ObservedCounts,
-    phi2: PhiSpec,
-    options: FitOptions = FitOptions(),
-) -> tuple[FitResult, FitResult]:
-    """Fit model A and the restricted model B with the same estimator."""
-    fit_A = fit(pair.design_A, counts, phi2, options)
-    fit_B = fit(pair.design_B(), counts, phi2, options)
-    return fit_A, fit_B
-
-
-def _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, kind, alpha):
+def _nested_dof(fit_A: FitResult, fit_B: FitResult) -> int:
+    """``h1 - h2``, the free parameters of A less those of B, after the boundary checks."""
     fit_A.require_converged("nested test")
     fit_B.require_converged("nested test")
-    scale = _scale(counts, h)
-    if kind.startswith("S"):
-        D_B = phi_divergence(counts.p_hat(), fit_B.manifest.p, phi1)
-        D_A = phi_divergence(counts.p_hat(), fit_A.manifest.p, phi1)
-        if math.isfinite(D_A) and math.isfinite(D_B):
-            statistic = scale * (h.value(D_B) - h.value(D_A))
-        elif math.isinf(D_B) and math.isfinite(D_A):
-            statistic = _h_of_inf(h)
-        else:
-            # inf - inf has no usable value; _decide flags the NaN as undefined.
-            statistic = math.nan
-    else:
-        D = phi_divergence(fit_A.manifest.p, fit_B.manifest.p, phi1)
-        statistic = _transformed(scale, h, D)
-    h_field, label = _h_label(h, f"nested_{kind}")
-    return _decide(
-        statistic, pair.dof, alpha, phi1, fit_A.spec, h_field, label, "nominal_difference"
-    )
+    if fit_A.spec != fit_B.spec:
+        raise DomainError("the nested fits must use the same estimator")
+    dof = fit_A.theta_hat.vector().size - fit_B.theta_hat.vector().size
+    if dof < 0:
+        raise DomainError("the nested model B has more parameters than model A")
+    return dof
 
 
 def nested_S(
-    pair: NestedPair,
     counts: ObservedCounts,
     phi1: PhiSpec,
-    phi2: PhiSpec,
-    options: FitOptions = FitOptions(),
+    fit_A: FitResult,
+    fit_B: FitResult,
     alpha: float = 0.05,
     h: HSpec = identity_h(),
 ) -> TestResult:
-    """Divergence-difference statistic for B nested in A.
+    """Divergence-difference statistic for the fit of B nested in the fit of A.
 
-    Equals the classical likelihood-ratio statistic ``G2`` when both
-    transforms are the power member at 0 and ``h`` is the identity.
+    Both fits come from the same estimator; the test has ``h1 - h2`` degrees
+    of freedom.  Equals the classical likelihood-ratio statistic ``G2`` when
+    both transforms are the power member at 0 and ``h`` is the identity.
     """
-    fit_A, fit_B = fit_pair(pair, counts, phi2, options)
-    return _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, "S", alpha)
+    dof = _nested_dof(fit_A, fit_B)
+    D_B = phi_divergence(counts.p_hat(), fit_B.manifest.p, phi1)
+    D_A = phi_divergence(counts.p_hat(), fit_A.manifest.p, phi1)
+    if math.isfinite(D_A) and math.isfinite(D_B):
+        statistic = _scale(counts, h) * (h.value(D_B) - h.value(D_A))
+    elif math.isinf(D_B) and math.isfinite(D_A):
+        statistic = _h_of_inf(h)
+    else:
+        # inf - inf has no usable value; _decide flags the NaN as undefined.
+        statistic = math.nan
+    return _decide(
+        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_S"), "nominal_difference"
+    )
 
 
 def nested_T(
-    pair: NestedPair,
     counts: ObservedCounts,
     phi1: PhiSpec,
-    phi2: PhiSpec,
-    options: FitOptions = FitOptions(),
+    fit_A: FitResult,
+    fit_B: FitResult,
     alpha: float = 0.05,
     h: HSpec = identity_h(),
 ) -> TestResult:
-    """Between-fits divergence statistic for B nested in A (always >= 0)."""
-    fit_A, fit_B = fit_pair(pair, counts, phi2, options)
-    return _nested_statistic(pair, counts, phi1, h, fit_A, fit_B, "T", alpha)
+    """Between-fits divergence statistic for B nested in A (always >= 0).
+
+    Takes the same arguments and makes the same checks as :func:`nested_S`.
+    """
+    dof = _nested_dof(fit_A, fit_B)
+    D = phi_divergence(fit_A.manifest.p, fit_B.manifest.p, phi1)
+    statistic = _transformed(_scale(counts, h), h, D)
+    return _decide(
+        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +398,6 @@ class NestedChain:
         zl, ze = self.mask(level)
         return self.design.n_params - len(zl) - len(ze)
 
-    def adjacent_pair(self, level: int) -> NestedPair:
-        """Pair testing model ``level + 1`` (null) inside model ``level``."""
-        zl_a, ze_a = self.mask(level)
-        zl_b, ze_b = self.mask(level + 1)
-        design_A = self.model_design(level)
-        keep_l = [i for i in range(self.design.t) if i not in zl_a]
-        keep_e = [i for i in range(self.design.u) if i not in ze_a]
-        rel_zl = tuple(keep_l.index(i) for i in zl_b if i not in zl_a)
-        rel_ze = tuple(keep_e.index(i) for i in ze_b if i not in ze_a)
-        return NestedPair(design_A, rel_zl, rel_ze)
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -442,16 +423,15 @@ def sequential_selection(
     surviving model index and the full test trail.  When nothing is rejected
     the smallest model wins.
     """
-    if statistic not in ("S", "T"):
+    test = {"S": nested_S, "T": nested_T}.get(statistic)
+    if test is None:
         raise DomainError("statistic must be 'S' or 'T'")
     fit_A = fit(chain.model_design(1), counts, phi2, options)
     tests = []
     selected = chain.n_models
     for level in range(1, chain.n_models):
         fit_B = fit(chain.model_design(level + 1), counts, phi2, options)
-        result = _nested_statistic(
-            chain.adjacent_pair(level), counts, phi1, h, fit_A, fit_B, statistic, alpha
-        )
+        result = test(counts, phi1, fit_A, fit_B, alpha, h)
         tests.append(result)
         if result.reject:
             selected = level

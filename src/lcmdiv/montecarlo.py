@@ -11,11 +11,12 @@ one data set.
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
 bit-reproducible no matter how replications are scheduled.  A cell is cut
-into one contiguous chunk per worker (the whole cell when serial), and each
-chunk's fits run as one :func:`lcmdiv.estimation.fit_many` batch, whose rows
-do not depend on each other; the process-pool parallel path and the serial
-path produce identical tables.  Replications
-whose fit does not converge are excluded from the denominator and counted.
+into contiguous chunks, at least one per worker and each small enough that
+its kernel arrays fit a fixed memory budget, and each chunk's fits run as one
+:func:`lcmdiv.estimation.fit_many` batch, whose rows do not depend on each
+other; the process-pool parallel path and the serial path produce identical
+tables.  Replications whose fit does not converge are excluded from the
+denominator and counted.
 """
 
 from __future__ import annotations
@@ -97,13 +98,28 @@ class SimulationPlan:
             raise DomainError("replications must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must be in (0, 1)")
-        if not self.sample_sizes:
-            raise DomainError("at least one sample size is required")
+        if not self.sample_sizes or min(self.sample_sizes) < 1:
+            raise DomainError("at least one sample size is required, each >= 1")
+        if not self.lambda8_grid or not self.a_values:
+            raise DomainError("the coefficient grid and the statistic indices must not be empty")
+        if not math.isfinite(self.estimator_a):
+            raise DomainError("the estimator index must be finite")
         if self.alt_design.t != self.null_design.t + 1:
             raise DomainError("alt design must extend the null design by one lambda column")
         if self.dof_policy not in ("rank", "nominal"):
             raise DomainError("dof policy must be 'rank' or 'nominal'")
         self.theta0.check_shape(self.null_design)
+        self.fit_options(seed=0)  # FitOptions checks the fit fields
+
+    def fit_options(self, seed: int) -> FitOptions:
+        """Options of one replication's fit, its random starts seeded by ``seed``."""
+        return FitOptions(
+            starts=self.fit_starts,
+            grad_tol=self.fit_grad_tol,
+            max_iters=self.fit_max_iters,
+            seed=seed,
+            init_theta=self.theta0 if self.start_at_truth else None,
+        )
 
     def true_model(self, lambda8: float) -> tuple:
         """(design, theta) of the data-generating model at this coefficient."""
@@ -186,13 +202,7 @@ def _replicate_chunk(args):
         seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
         sample_seq, fit_seq = seq.spawn(2)
         counts_seq.append(sample_counts(design_true, theta_true, N, sample_seq))
-        options_seq.append(FitOptions(
-            starts=plan.fit_starts,
-            grad_tol=plan.fit_grad_tol,
-            max_iters=plan.fit_max_iters,
-            seed=int(fit_seq.generate_state(1)[0]),
-            init_theta=plan.theta0 if plan.start_at_truth else None,
-        ))
+        options_seq.append(plan.fit_options(seed=int(fit_seq.generate_state(1)[0])))
     fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
     return [
         tuple(
@@ -205,27 +215,24 @@ def _replicate_chunk(args):
     ]
 
 
-def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePowerTable:
+def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     """Run the full grid of the plan and tally rejection rates.
 
     ``n_jobs`` > 1 distributes replications over one pool of processes,
     opened once for the whole grid; the output is identical to the serial
-    run.  Defaults to the LCMDIV_JOBS environment variable, else 1.  Each
-    finished cell is logged at INFO level on the ``lcmdiv.montecarlo``
-    logger with its sample size, coefficient, fit failures and wall time.
+    run.  Each finished cell is logged at INFO level on the
+    ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
+    failures and wall time.
     """
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("LCMDIV_JOBS", "1"))
     n_jobs = max(1, n_jobs)
-
     band = dale_band(plan.alpha)
     cells = []
-    pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
-    with pool or nullcontext():
+    with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
         for size_idx, N in enumerate(plan.sample_sizes):
             for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
                 start = perf_counter()
-                records = _run_cell(plan, size_idx, coef_idx, n_jobs, pool)
+                records = _run_cell(plan, size_idx, coef_idx, n_jobs, mapper)
                 converged = [tests for tests in records if tests is not None]
                 effective = len(converged)
                 failures = len(records) - effective
@@ -257,19 +264,26 @@ def run_simulation(plan: SimulationPlan, n_jobs: Optional[int] = None) -> SizePo
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 
-def _run_cell(plan, size_idx, coef_idx, n_jobs, pool=None):
-    """Records of one cell in replication order; serial when ``pool`` is None."""
+# Bytes the kernel's Jacobian residual, (rows, 2**k, m, k) float64, may take in
+# one chunk, where a chunk's rows are its replications times the fit's starts.
+_CHUNK_BYTES = 16 * 2**20
+
+
+def _run_cell(plan, size_idx, coef_idx, n_jobs, mapper=map):
+    """Records of one cell in replication order, its chunks run through ``mapper``.
+
+    The replications are cut into contiguous chunks, at least one per worker
+    and each within the memory budget of ``_CHUNK_BYTES``.
+    """
+    design = plan.null_design
+    row_bytes = 8 * design.n_patterns * design.m * design.k
+    cap = max(1, _CHUNK_BYTES // (row_bytes * plan.fit_starts))  # replications per chunk
+    n_chunks = max(n_jobs, -(-plan.replications // cap))
+    chunk = -(-plan.replications // n_chunks)
     reps = list(range(plan.replications))
-    if pool is None:
-        return _replicate_chunk((plan, size_idx, coef_idx, reps))
-    # One contiguous chunk per worker, so each worker fits one batch.
-    chunk = -(-len(reps) // n_jobs)
-    tasks = [
-        (plan, size_idx, coef_idx, reps[i : i + chunk])
-        for i in range(0, len(reps), chunk)
-    ]
+    tasks = [(plan, size_idx, coef_idx, reps[i : i + chunk]) for i in range(0, len(reps), chunk)]
     # map yields the chunks in task order, so records stay in replication order.
-    return [tests for batch in pool.map(_replicate_chunk, tasks) for tests in batch]
+    return [tests for batch in mapper(_replicate_chunk, tasks) for tests in batch]
 
 
 def emit_power_curves(table: SizePowerTable, out_dir) -> list:

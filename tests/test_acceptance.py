@@ -148,7 +148,7 @@ class TestCriterion2ReferenceEstimates:
 
 class TestCriterion3NestedUnconditional:
     def test_classical_equality_and_chain_dof(self, coleman_chain, coleman_counts):
-        from lcmdiv.inference import fit_pair, nested_S
+        from lcmdiv.inference import nested_S
 
         rel_errs = []
         for seed in (501, 502):
@@ -157,15 +157,19 @@ class TestCriterion3NestedUnconditional:
             truth = Theta(lam=np.array([0.5, -0.7, 0.4]), eta=np.array([0.2]))
             counts = sample_counts(design, truth, 900, seed=seed)
             opts = FitOptions(starts=8, seed=seed)
-            s = nested_S(pair, counts, power(0.0), power(0.0), opts)
-            # Direct likelihood-ratio form from identically seeded fits.
-            fit_A, fit_B = fit_pair(pair, counts, power(0.0), opts)
+            fit_A = fit(pair.design_A, counts, power(0.0), opts)
+            fit_B = fit(pair.design_B(), counts, power(0.0), opts)
+            s = nested_S(counts, power(0.0), fit_A, fit_B)
+            # Direct likelihood-ratio form from the same fits.
             pos = counts.n > 0
             direct = 2.0 * float(
                 np.sum(counts.n[pos] * np.log(fit_A.manifest.p[pos] / fit_B.manifest.p[pos]))
             )
             rel_errs.append(abs(s.statistic - direct) / abs(direct))
-        dofs = [coleman_chain.adjacent_pair(level).dof for level in (1, 2, 3)]
+        dofs = [
+            coleman_chain.free_params(level) - coleman_chain.free_params(level + 1)
+            for level in (1, 2, 3)
+        ]
         criticals = [chi2_quantile(0.95, d) for d in dofs]
         dof_ok = dofs == [2, 1, 1]
         crit_ok = (
@@ -184,24 +188,14 @@ class TestCriterion3NestedUnconditional:
 
 
 class TestCriterion4NestedConditional:
-    def test_reconstructed_chain_values(self, coleman_chain, coleman_counts, coleman_chain_fits):
-        from lcmdiv.divergence import identity_h
-        from lcmdiv.inference import _nested_statistic
+    def test_reconstructed_chain_values(self, coleman_counts, coleman_chain_fits):
+        from lcmdiv.inference import nested_S, nested_T
 
         S_vals, T_vals = [], []
         for level in (1, 2, 3):
-            pair = coleman_chain.adjacent_pair(level)
             fa, fb = coleman_chain_fits[level], coleman_chain_fits[level + 1]
-            S_vals.append(
-                _nested_statistic(
-                    pair, coleman_counts, power(2.0 / 3.0), identity_h(), fa, fb, "S", 0.05
-                ).statistic
-            )
-            T_vals.append(
-                _nested_statistic(
-                    pair, coleman_counts, power(2.0 / 3.0), identity_h(), fa, fb, "T", 0.05
-                ).statistic
-            )
+            S_vals.append(nested_S(coleman_counts, power(2.0 / 3.0), fa, fb).statistic)
+            T_vals.append(nested_T(coleman_counts, power(2.0 / 3.0), fa, fb).statistic)
         dev_S = np.abs(np.array(S_vals) - COLEMAN_REF_NESTED_S)
         dev_T = np.abs(np.array(T_vals) - COLEMAN_REF_NESTED_T)
         ok = bool(np.all(dev_S <= 0.05) and np.all(dev_T <= 0.05))

@@ -73,6 +73,26 @@ class TestParsing:
         assert cfg.h.tag == "sharma_mittal" and cfg.h.a == 2.0 and cfg.h.b == 3.0
 
     @pytest.mark.parametrize(
+        "text", ["identity", "bhattacharyya", "renyi:a=2.0", "sharma-mittal:a=2.0,b=3.0"]
+    )
+    def test_h_spec_reads_back_its_report_form(self, text):
+        from lcmdiv.cli import _h_spec, _h_str
+
+        assert _h_str(_h_spec(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["bhattacharyya:a=3", "identity:b=1", "renyi:a=2,b=7", "renyi:c=2", "renyi", "sharma-mittal:a=2"],
+    )
+    def test_h_spec_refuses_indices_its_transform_does_not_take(self, text):
+        import argparse
+
+        from lcmdiv.cli import _h_spec
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            _h_spec(text)
+
+    @pytest.mark.parametrize(
         "argv,expected",
         [
             (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
@@ -86,6 +106,8 @@ class TestParsing:
             (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/negative.csv"), EXIT_INPUT),
             (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/empty.csv"), EXIT_INPUT),
             (("select", "--chain", "{tmp}/chain.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            (("simulate", "--plan", "bundled:sim", "--sizes", "0",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -240,16 +262,16 @@ class TestNestedAndSelect:
 
     @pytest.mark.parametrize("h", ["identity", "renyi:a=2"])
     def test_nested_both_fits_each_model_once(self, capsys, monkeypatch, h):
-        import lcmdiv.inference
+        import lcmdiv.cli
 
         calls = []
-        real_fit = lcmdiv.inference.fit
+        real_fit = lcmdiv.cli.fit
 
         def counting_fit(*args, **kwargs):
             calls.append(args[0])
             return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(lcmdiv.inference, "fit", counting_fit)
+        monkeypatch.setattr(lcmdiv.cli, "fit", counting_fit)
         argv = (
             "nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
             "--zero-lambda", "7,8", "--h", h,
@@ -264,6 +286,38 @@ class TestNestedAndSelect:
             assert len(calls) == 2
             tests[statistic] = json.loads(out)["tests"]
         assert tests["both"] == {"S": tests["S"]["S"], "T": tests["T"]["T"]}
+
+    def test_nested_and_select_reach_the_nested_tests(self, capsys, monkeypatch):
+        # nested_S and nested_T are the one nested-test entry point: the CLI
+        # and sequential_selection call them, once per statistic and step.
+        import lcmdiv.cli
+        import lcmdiv.inference
+
+        calls = []
+        for name in ("nested_S", "nested_T"):
+            real = getattr(lcmdiv.inference, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in (lcmdiv.inference, lcmdiv.cli):
+                monkeypatch.setattr(module, name, counting)
+        phi = ("--phi1", "power:a=0.6666666666666666", "--phi2", "power:a=0.6666666666666666")
+        code, _, _ = run_cli(
+            capsys, "nested", "--design", "bundled:coleman_m1_chain_basis",
+            "--counts", "bundled:coleman", "--zero-lambda", "7,8", *phi,
+            "--statistic", "both", "--starts", "5", "--seed", "5",
+        )
+        assert code == EXIT_OK and sorted(calls) == ["nested_S", "nested_T"]
+        for statistic in ("S", "T"):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys, "select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman",
+                *phi, "--statistic", statistic, "--starts", "5", "--seed", "5", "--format", "json",
+            )
+            assert code == EXIT_OK
+            assert calls == [f"nested_{statistic}"] * len(json.loads(out)["trail"])
 
     def test_select_reports_second_model(self, capsys):
         code, out, _ = run_cli(
@@ -334,6 +388,25 @@ class TestSimulateCommand:
         lines = err.splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("cell N=200 lambda8=0.0: 0 fit failures, ")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("fit", "starts", 0), (None, "sample_sizes", [0]), ("fit", "grad_tol", 0),
+         (None, "a_values", [])],
+    )
+    def test_bad_plan_file_is_an_input_error(self, capsys, tmp_path, section, key, value):
+        # The plan refuses the value when it is built, before any cell runs.
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=2))
+        (doc[section] if section else doc)[key] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", "--plan", str(plan_path), "--out-dir", str(tmp_path / "d")
+        )
+        assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_plan_overrides(self, capsys, tmp_path):
         out_dir = tmp_path / "results"

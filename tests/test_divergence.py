@@ -230,3 +230,8 @@ class TestHTransforms:
             HSpec(tag="renyi", a=1.0)
         with pytest.raises(DomainError):
             HSpec(tag="nope")
+        # An index the transform does not take is refused, not dropped.
+        for tag, indices in (("identity", {"a": 2.0}), ("bhattacharyya", {"b": 3.0}),
+                             ("renyi", {"a": 2.0, "b": 7.0})):
+            with pytest.raises(DomainError, match="takes no index"):
+                HSpec(tag=tag, **indices)

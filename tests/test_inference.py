@@ -230,8 +230,8 @@ class TestGofStatisticH:
 
 class TestNestedPair:
     def test_free_param_counts(self, coleman_chain):
-        pair = coleman_chain.adjacent_pair(1)
-        assert (pair.h1, pair.h2, pair.dof) == (12, 10, 2)
+        pair = NestedPair(coleman_chain.design, *coleman_chain.mask(2))
+        assert (pair.h1, pair.h2) == (12, 10)
 
     def test_design_restriction_shapes(self):
         design = make_design(seed=81, k=3, m=2, t=4, u=2)
@@ -273,22 +273,26 @@ def synthetic_pair():
     return pair, counts
 
 
+def fit_models(pair, counts, phi2, options):
+    """Fits of model A and of the nested model B with one estimator."""
+    return fit(pair.design_A, counts, phi2, options), fit(pair.design_B(), counts, phi2, options)
+
+
 class TestNestedStatistics:
     def test_identical_models_give_zero(self, synthetic_pair):
         pair, counts = synthetic_pair
-        empty = NestedPair(pair.design_A)
-        s = nested_S(empty, counts, power(0.0), power(0.0), FitOptions(starts=5, seed=3))
-        t = nested_T(empty, counts, power(0.0), power(0.0), FitOptions(starts=5, seed=3))
+        fit_A, fit_B = fit_models(NestedPair(pair.design_A), counts, power(0.0), FitOptions(starts=5, seed=3))
+        s = nested_S(counts, power(0.0), fit_A, fit_B)
+        t = nested_T(counts, power(0.0), fit_A, fit_B)
         assert s.statistic == pytest.approx(0.0, abs=1e-9)
         assert t.statistic == pytest.approx(0.0, abs=1e-9)
-        assert s.p_value == 1.0 and not s.reject
+        assert s.dof == 0 and s.p_value == 1.0 and not s.reject
 
     def test_classical_likelihood_ratio_equality(self, synthetic_pair):
         pair, counts = synthetic_pair
-        opts = FitOptions(starts=8, seed=4)
-        s = nested_S(pair, counts, power(0.0), power(0.0), opts)
-        fit_A = fit(pair.design_A, counts, power(0.0), opts)
-        fit_B = fit(pair.design_B(), counts, power(0.0), opts)
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=8, seed=4))
+        s = nested_S(counts, power(0.0), fit_A, fit_B)
+        assert s.dof == pair.h1 - pair.h2 == 1
         pos = counts.n > 0
         direct = 2.0 * float(
             np.sum(counts.n[pos] * np.log(fit_A.manifest.p[pos] / fit_B.manifest.p[pos]))
@@ -298,10 +302,8 @@ class TestNestedStatistics:
 
     def test_pearson_nested_form(self, synthetic_pair):
         pair, counts = synthetic_pair
-        opts = FitOptions(starts=8, seed=5)
-        t = nested_T(pair, counts, power(1.0), power(0.0), opts)
-        fit_A = fit(pair.design_A, counts, power(0.0), opts)
-        fit_B = fit(pair.design_B(), counts, power(0.0), opts)
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=8, seed=5))
+        t = nested_T(counts, power(1.0), fit_A, fit_B)
         pA, pB = fit_A.manifest.p, fit_B.manifest.p
         direct = counts.N * float(np.sum((pA - pB) ** 2 / pB))
         assert t.statistic == pytest.approx(direct, rel=1e-10)
@@ -309,44 +311,31 @@ class TestNestedStatistics:
 
     def test_h_transforms_reduce_to_identity(self, synthetic_pair):
         pair, counts = synthetic_pair
-        opts = FitOptions(starts=6, seed=6)
-        s_plain = nested_S(pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts)
-        s_ident = nested_S(pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts, h=identity_h())
-        assert s_plain == s_ident
-        t_plain = nested_T(pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts)
-        t_ident = nested_T(pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts, h=identity_h())
-        assert t_plain == t_ident
+        fits = fit_models(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=6))
+        for test in (nested_S, nested_T):
+            assert test(counts, power(2.0 / 3.0), *fits) == test(
+                counts, power(2.0 / 3.0), *fits, h=identity_h()
+            )
 
     def test_h_transform_small_statistic_agreement(self, synthetic_pair):
         pair, counts = synthetic_pair
-        opts = FitOptions(starts=6, seed=7)
-        plain = nested_T(pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts)
-        renyi = nested_T(
-            pair, counts, power(2.0 / 3.0), power(2.0 / 3.0), opts, h=HSpec(tag="renyi", a=2.0)
-        )
+        fits = fit_models(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=7))
+        plain = nested_T(counts, power(2.0 / 3.0), *fits)
+        renyi = nested_T(counts, power(2.0 / 3.0), *fits, h=HSpec(tag="renyi", a=2.0))
         assert renyi.statistic == pytest.approx(plain.statistic, rel=0.01)
 
-    def test_h_transform_agreement_on_coleman_pair(
-        self, coleman_chain, coleman_counts, coleman_chain_fits
-    ):
-        from lcmdiv.inference import _nested_statistic
-
-        pair = coleman_chain.adjacent_pair(1)
+    def test_h_transform_agreement_on_coleman_pair(self, coleman_counts, coleman_chain_fits):
         fa, fb = coleman_chain_fits[1], coleman_chain_fits[2]
-        for kind in ("S", "T"):
-            plain = _nested_statistic(
-                pair, coleman_counts, power(2.0 / 3.0), identity_h(), fa, fb, kind, 0.05
-            )
-            transformed = _nested_statistic(
-                pair, coleman_counts, power(2.0 / 3.0), HSpec(tag="bhattacharyya"),
-                fa, fb, kind, 0.05,
-            )
+        for test in (nested_S, nested_T):
+            plain = test(coleman_counts, power(2.0 / 3.0), fa, fb)
+            transformed = test(coleman_counts, power(2.0 / 3.0), fa, fb, h=HSpec(tag="bhattacharyya"))
             assert transformed.statistic == pytest.approx(plain.statistic, rel=0.01)
 
     def test_nonnegative_when_transforms_match(self, synthetic_pair):
         pair, counts = synthetic_pair
         for a in (-0.5, 0.0, 2.0 / 3.0, 1.0):
-            s = nested_S(pair, counts, power(a), power(a), FitOptions(starts=8, seed=8))
+            fits = fit_models(pair, counts, power(a), FitOptions(starts=8, seed=8))
+            s = nested_S(counts, power(a), *fits)
             assert s.statistic >= -1e-12
 
     def test_negative_statistic_flagged_not_clamped(self):
@@ -372,18 +361,47 @@ class TestNestedStatistics:
         design = simulation_null_design()
         counts = sample_counts(design, simulation_theta0(), 200, seed=3)
         assert np.count_nonzero(counts.n == 0) == 3
-        result = nested_S(
-            NestedPair(design, zero_lam=(6,)), counts, power(-1.0), power(0.0),
+        fits = fit_models(
+            NestedPair(design, zero_lam=(6,)), counts, power(0.0),
             FitOptions(starts=2, seed=1, grad_tol=1e-6),
         )
+        result = nested_S(counts, power(-1.0), *fits)
         assert math.isnan(result.statistic) and math.isnan(result.p_value)
         assert not result.reject
         assert result.warnings == ("undefined_statistic",)
 
 
+class TestNestedBoundary:
+    def test_more_parameters_in_B_is_refused(self, synthetic_pair):
+        pair, counts = synthetic_pair
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        for test in (nested_S, nested_T):
+            with pytest.raises(DomainError, match="more parameters"):
+                test(counts, power(0.0), fit_B, fit_A)
+
+    def test_different_estimators_are_refused(self, synthetic_pair):
+        pair, counts = synthetic_pair
+        options = FitOptions(starts=3, seed=1)
+        fit_A = fit(pair.design_A, counts, power(0.0), options)
+        fit_B = fit(pair.design_B(), counts, power(2.0 / 3.0), options)
+        for test in (nested_S, nested_T):
+            with pytest.raises(DomainError, match="same estimator"):
+                test(counts, power(0.0), fit_A, fit_B)
+
+    def test_unconverged_fit_is_refused(self, synthetic_pair):
+        pair, counts = synthetic_pair
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=1, max_iters=1))
+        assert not fit_B.converged
+        with pytest.raises(NotConvergedError):
+            nested_T(counts, power(0.0), fit_A, fit_B)
+
+
 class TestColemanChain:
     def test_dof_column(self, coleman_chain):
-        dofs = [coleman_chain.adjacent_pair(level).dof for level in (1, 2, 3)]
+        dofs = [
+            coleman_chain.free_params(level) - coleman_chain.free_params(level + 1)
+            for level in (1, 2, 3)
+        ]
         assert dofs == [2, 1, 1]
         criticals = [chi2_quantile(0.95, d) for d in dofs]
         assert criticals[0] == pytest.approx(5.99, abs=0.005)

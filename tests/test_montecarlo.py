@@ -150,6 +150,31 @@ class TestRunSimulation:
                 assert records == serial
         assert pickle.dumps(plan) == fresh
 
+    def test_memory_budget_splits_a_cell_into_equal_chunks(self, monkeypatch):
+        # A budget of seven rows cuts a 30-replication cell into five chunks
+        # of six; the table is the one the unsplit cell gives.
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            replications=30, seed=23,
+        )
+        design = plan.null_design
+        row_bytes = 8 * design.n_patterns * design.m * design.k
+        chunks = []
+        real_chunk = montecarlo._replicate_chunk
+
+        def counting_chunk(task):
+            chunks.append(len(task[3]))
+            return real_chunk(task)
+
+        monkeypatch.setattr(montecarlo, "_replicate_chunk", counting_chunk)
+        unsplit = run_simulation(plan)
+        assert chunks == [30, 30]
+        chunks.clear()
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 7 * row_bytes + row_bytes // 2)
+        split = run_simulation(plan)
+        assert chunks == [6] * 10
+        assert split.rows() == unsplit.rows()
+
     def test_logs_one_record_per_cell(self, caplog):
         plan = simulation_plan(
             sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0, 2.0),
@@ -255,6 +280,14 @@ class TestRunSimulation:
             replace(plan, alpha=1.5)
         with pytest.raises(DomainError):
             replace(plan, dof_policy="taped")
+        # Refused when the plan is built, not in the middle of a run.
+        for bad in (
+            {"sample_sizes": (200, 0)}, {"sample_sizes": ()}, {"lambda8_grid": ()},
+            {"a_values": ()}, {"estimator_a": math.inf}, {"estimator_a": math.nan},
+            {"fit_starts": 0}, {"fit_grad_tol": 0.0}, {"fit_max_iters": 0},
+        ):
+            with pytest.raises(DomainError):
+                replace(plan, **bad)
 
 
 class TestPowerCurveFiles:
@@ -264,16 +297,6 @@ class TestPowerCurveFiles:
         lines = open(paths[0]).read().strip().splitlines()
         assert len(lines) == 1 + len(smoke_table.plan.lambda8_grid)
         assert lines[0].startswith("lambda8,")
-
-    def test_empty_a_list_gives_header_only(self, tmp_path):
-        plan = simulation_plan(
-            sample_sizes=(200,), a_values=(), lambda8_grid=(0.0,), replications=1, seed=4
-        )
-        table = run_simulation(plan)
-        paths = emit_power_curves(table, tmp_path)
-        lines = open(paths[0]).read().strip().splitlines()
-        assert lines[0] == "lambda8"
-        assert len(lines) == 1 + 1  # header plus one coefficient row (no rate columns)
 
     def test_table_rows_shape(self, smoke_table):
         rows = smoke_table.rows()
