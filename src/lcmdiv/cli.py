@@ -46,7 +46,7 @@ from .inference import (
     sequential_selection,
 )
 from .model import ModelDesign, Theta
-from .montecarlo import run_simulation
+from .montecarlo import emit_power_curves, run_simulation
 from .asymptotics import (
     build_bundle,
     build_nested_projections,
@@ -284,6 +284,8 @@ def parse_args(argv) -> argparse.Namespace:
     if ns.subcommand == "select" and ns.counts.k != ns.chain.design.k:
         raise InputFormatError("chain design and counts disagree on the item count")
     if ns.subcommand == "simulate":
+        if ns.jobs < 1:  # refused here: run_simulation's DomainError would exit as a failed run
+            raise DomainError("--jobs must be >= 1")
         overrides = {
             name: getattr(ns, name)
             for name in ("sample_sizes", "lambda8_grid", "a_values", "replications", "seed", "alpha")
@@ -479,8 +481,6 @@ def _run_select(ns: argparse.Namespace) -> int:
 
 
 def _run_simulate(ns: argparse.Namespace) -> int:
-    from .montecarlo import emit_power_curves
-
     # --progress shows the per-cell log records on stderr; stdout carries only the report.
     logger = logging.getLogger("lcmdiv.montecarlo")
     handler, level = logging.StreamHandler(sys.stderr), logger.level

@@ -31,7 +31,7 @@ from time import perf_counter
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .divergence import power
 from .errors import DomainError
@@ -60,9 +60,10 @@ def _clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple:
     if trials == 0:
         return 0.0, 1.0
     tail = (1.0 - level) / 2.0
-    lo = 0.0 if successes == 0 else float(_beta_dist.ppf(tail, successes, trials - successes + 1))
+    # betaincinv(a, b, q) is the beta quantile beta.ppf(q, a, b), without the stats module.
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
     hi = 1.0 if successes == trials else float(
-        _beta_dist.ppf(1.0 - tail, successes + 1, trials - successes)
+        betaincinv(successes + 1, trials - successes, 1.0 - tail)
     )
     return lo, hi
 
@@ -220,11 +221,12 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
 
     ``n_jobs`` > 1 distributes replications over one pool of processes,
     opened once for the whole grid; the output is identical to the serial
-    run.  Each finished cell is logged at INFO level on the
-    ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
-    failures and wall time.
+    run.  ``n_jobs`` below 1 raises :class:`DomainError`.  Each finished
+    cell is logged at INFO level on the ``lcmdiv.montecarlo`` logger with
+    its sample size, coefficient, fit failures and wall time.
     """
-    n_jobs = max(1, n_jobs)
+    if n_jobs < 1:
+        raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
     band = dale_band(plan.alpha)
     cells = []
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:

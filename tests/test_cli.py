@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lcmdiv
 from lcmdiv import fileio
 from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
@@ -14,6 +18,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_scipy_stats():
+    # A fresh interpreter: other test modules import scipy.stats into this one.
+    src = os.path.dirname(os.path.dirname(lcmdiv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, lcmdiv, lcmdiv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestParsing:
@@ -107,6 +123,10 @@ class TestParsing:
             (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/empty.csv"), EXIT_INPUT),
             (("select", "--chain", "{tmp}/chain.json", "--counts", "bundled:coleman"), EXIT_INPUT),
             (("simulate", "--plan", "bundled:sim", "--sizes", "0",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--jobs", "0",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--jobs", "-1",
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
         ],
     )

@@ -16,6 +16,7 @@ from lcmdiv.inference import gof_statistic
 from lcmdiv.model import ModelDesign, sample_counts
 from lcmdiv.montecarlo import (
     SimulationPlan,
+    _clopper_pearson,
     _replicate_chunk,
     _run_cell,
     dale_band,
@@ -50,6 +51,21 @@ class TestDaleBand:
             dale_band(0.0)
         with pytest.raises(DomainError):
             dale_band(1.0)
+
+
+def test_clopper_pearson_matches_beta_quantiles_bit_for_bit():
+    # scipy.stats.beta is the reference only; lcmdiv computes the same
+    # quantiles with scipy.special.betaincinv and never imports scipy.stats.
+    from scipy.stats import beta
+
+    tail = (1.0 - 0.95) / 2.0
+    grid = [(s, n) for n in range(1, 61) for s in range(n + 1)]
+    grid += [(s, n) for n in (200, 1000, 10000) for s in (0, 1, 2, n // 20, n // 2, n - 1, n)]
+    for s, n in grid:
+        lo = 0.0 if s == 0 else float(beta.ppf(tail, s, n - s + 1))
+        hi = 1.0 if s == n else float(beta.ppf(1.0 - tail, s + 1, n - s))
+        assert _clopper_pearson(s, n) == (lo, hi), (s, n)
+    assert _clopper_pearson(0, 0) == (0.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +304,12 @@ class TestRunSimulation:
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_jobs_below_one_are_refused(self, n_jobs):
+        plan = simulation_plan(sample_sizes=(200,), lambda8_grid=(0.0,), replications=1)
+        with pytest.raises(DomainError, match="n_jobs"):
+            run_simulation(plan, n_jobs=n_jobs)
 
 
 class TestPowerCurveFiles:
