@@ -9,6 +9,10 @@ With ``p`` the manifest vector, ``D = diag(p)``, ``J`` the manifest Jacobian
 and ``L = D^{-1/2} J``:
 
 * ``R = L (L'L)^{-1} L'`` projects onto the scaled parameter directions;
+  it is built as ``U_r U_r'`` from one thin SVD ``L = U S W'``, with ``U_r``
+  the left singular vectors of the ``r`` singular values above
+  ``RANK_RTOL`` times the largest, so ``L'L``, whose condition is the
+  square of ``L``'s, is never formed;
 * ``V = D^{1/2} R D^{-1/2}`` conjugates it back to probability space;
 * ``Sigma = D - p p'`` is the multinomial covariance;
 * ``Q = D^{-1/2} (I - V) Sigma (I - V') D^{-1/2}`` is the covariance of the
@@ -31,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, RankDeficiencyError
 from .inference import NestedPair
-from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, _vector, numerical_rank
+from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, _vector
 
 
 @dataclass(frozen=True)
@@ -62,25 +65,18 @@ class NestedProjections:
 
 
 def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
-    """Orthogonal projection onto the column space of L, plus rank/condition."""
-    rank = numerical_rank(L)
+    """Orthogonal projection onto the column space of L, its rank, and the
+    condition of ``L'L`` (inf when the rank is short)."""
+    U, s, _ = np.linalg.svd(L, full_matrices=False)
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     if rank < L.shape[1] and not pseudo_inverse:
         raise RankDeficiencyError(
             f"{what}: Gram matrix is singular (rank {rank} of {L.shape[1]}); "
             "drop redundant coordinates or pass pseudo_inverse=True",
             rank=rank,
         )
-    if pseudo_inverse and rank < L.shape[1]:
-        # pinv(L), not pinv(L'L): the Gram matrix squares the singular values.
-        R = L @ np.linalg.pinv(L, rcond=RANK_RTOL)
-        cond = np.inf
-    else:
-        G = L.T @ L
-        factor = cho_factor(G)
-        R = L @ cho_solve(factor, L.T)
-        eig = np.linalg.eigvalsh(G)
-        cond = float(eig[-1] / eig[0])
-    return R, rank, cond
+    cond = float((s[0] / s[-1]) ** 2) if rank == L.shape[1] else np.inf
+    return U[:, :rank] @ U[:, :rank].T, rank, cond
 
 
 def build_bundle(

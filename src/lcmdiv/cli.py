@@ -45,7 +45,7 @@ from .inference import (
     nested_T,
     sequential_selection,
 )
-from .model import ModelDesign, Theta
+from .model import Theta
 from .montecarlo import emit_power_curves, run_simulation
 from .asymptotics import (
     build_bundle,
@@ -283,6 +283,20 @@ def parse_args(argv) -> argparse.Namespace:
         )
     if ns.subcommand == "select" and ns.counts.k != ns.chain.design.k:
         raise InputFormatError("chain design and counts disagree on the item count")
+    # Option values the run would refuse only after fitting, or not at all.
+    if ns.subcommand in ("gof", "nested", "select") and not 0.0 < ns.alpha < 1.0:
+        raise DomainError("--alpha must be in (0, 1)")
+    if ns.subcommand == "gof" and ns.dof_override is not None and ns.dof_override < 1:
+        raise DomainError("--dof-override must be >= 1")
+    if ns.subcommand == "verify":
+        if not ns.theta_scale > 0.0:
+            raise DomainError("--theta-scale must be > 0")
+        if ns.drop_eta is not None:
+            if not 1 <= ns.drop_eta <= ns.design.u:
+                raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")
+            ns.design = NestedPair(ns.design, (), (ns.drop_eta - 1,)).design_B()
+    if ns.subcommand in ("nested", "verify"):
+        ns.pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
     if ns.subcommand == "simulate":
         if ns.jobs < 1:  # refused here: run_simulation's DomainError would exit as a failed run
             raise DomainError("--jobs must be >= 1")
@@ -434,10 +448,9 @@ def _run_gof(ns: argparse.Namespace) -> int:
 
 
 def _run_nested(ns: argparse.Namespace) -> int:
-    pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
     # Both statistics test the same two fits.
-    fit_A = fit(pair.design_A, ns.counts, ns.phi2, ns.fit_options)
-    fit_B = fit(pair.design_B(), ns.counts, ns.phi2, ns.fit_options)
+    fit_A = fit(ns.pair.design_A, ns.counts, ns.phi2, ns.fit_options)
+    fit_B = fit(ns.pair.design_B(), ns.counts, ns.phi2, ns.fit_options)
     tests = {
         kind: test(ns.counts, ns.phi1, fit_A, fit_B, ns.alpha, ns.h)
         for kind, test in (("S", nested_S), ("T", nested_T))
@@ -445,11 +458,11 @@ def _run_nested(ns: argparse.Namespace) -> int:
     }
     doc = _base_doc(ns)
     doc["options"] = {
-        "zero_lambda": [i + 1 for i in pair.zero_lam],
-        "zero_eta": [i + 1 for i in pair.zero_eta],
+        "zero_lambda": [i + 1 for i in ns.pair.zero_lam],
+        "zero_eta": [i + 1 for i in ns.pair.zero_eta],
         "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
         "alpha": ns.alpha, "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
-        "h1": pair.h1, "h2": pair.h2,
+        "h1": ns.pair.h1, "h2": ns.pair.h2,
     }
     doc["tests"] = {name: _test_result_doc(res) for name, res in tests.items()}
     _emit(doc, ns)
@@ -526,14 +539,7 @@ _BUNDLE_TOL = {"symmetry": 1e-8, "idempotency": 1e-8, "trace": 1e-6, "annihilati
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
-    design = ns.design
-    if ns.drop_eta is not None:
-        if not 1 <= ns.drop_eta <= design.u:
-            raise DomainError(f"--drop-eta must be in [1, {design.u}], got {ns.drop_eta}")
-        keep = [i for i in range(design.u) if i != ns.drop_eta - 1]
-        if not keep:
-            raise DomainError("cannot drop the only eta coordinate")
-        design = ModelDesign(Q=design.Q, C=design.C, V=np.asarray(design.V)[:, keep], d=design.d)
+    design = ns.design  # already without the --drop-eta coordinate
     rng = np.random.Generator(np.random.Philox(ns.theta_seed))
     theta0 = Theta(
         lam=rng.normal(0.0, ns.theta_scale, design.t),
@@ -550,13 +556,12 @@ def _run_verify(ns: argparse.Namespace) -> int:
     ])
     projections_doc = None
     if ns.zero_lambda or ns.zero_eta:
-        pair = NestedPair(design, ns.zero_lambda, ns.zero_eta)
         lam0 = np.array(theta0.lam)
         lam0[list(ns.zero_lambda)] = 0.0
         eta0 = np.array(theta0.eta)
         if ns.zero_eta:
             eta0[list(ns.zero_eta)] = 0.0
-        proj = build_nested_projections(pair, Theta(lam=lam0, eta=eta0), ns.pseudo_inverse)
+        proj = build_nested_projections(ns.pair, Theta(lam=lam0, eta=eta0), ns.pseudo_inverse)
         pm = projection_identity_checks(proj)
         checks.extend([
             ("R_L trace = h1", pm["rl_trace_deviation"], _BUNDLE_TOL["trace"]),

@@ -8,10 +8,8 @@ Every divergence here is generated by a Cressie-Read power function
 
 normalized so that phi_a(1) = 0 and phi_a''(1) = 1 for every ``a`` (so the
 test statistics carry no curvature factor).  These formulas, and the
-gradient weight ``phi(x) - x phi'(x)``, are written once, in ``_terms``: the
-``PhiSpec`` methods check ``x >= 0`` and call it, and the optimizer loop
-calls it directly on a ratio that is nonnegative by construction.  The
-divergence of an empirical vector ``p`` from a model vector ``q`` is
+gradient weight ``phi(x) - x phi'(x)``, are written once, in ``_terms``.
+The divergence of an empirical vector ``p`` from a model vector ``q`` is
 
     D_phi(p, q) = sum_i q_i * phi(p_i / q_i)
 
@@ -20,6 +18,11 @@ i.e. the second argument weights the sum.  With this convention the member
 ``a = 1`` is half the Pearson chi-square discrepancy ``0.5 * sum
 (p_i - q_i)**2 / q_i``, and ``a = -1`` is the reversed Kullback-Leibler
 divergence, which is infinite whenever ``p`` has an empty cell.
+
+That sum is written once too, in ``_divergence``, which returns it with the
+cell weights: the estimator's objective calls it on stacked rows, unchecked,
+and ``phi_divergence`` checks its arguments and calls it, so a fit's
+objective is the divergence its tests measure, bit for bit.
 
 Zero cells follow the limit conventions for convex-function divergences:
 terms with ``q_i = 0 = p_i`` contribute nothing, terms with ``q_i = 0 <
@@ -56,26 +59,11 @@ class PhiSpec:
 
     def value(self, x):
         """phi(x) for scalar or array ``x >= 0`` (limit value at x = 0)."""
-        return self.value_and_gradient_weight(x)[0]
-
-    def gradient_weight(self, x):
-        """phi(x) - x * phi'(x), the cell weight in the objective gradient.
-
-        For ``phi_a`` this collapses to ``(1 - x**(a+1)) / (a + 1)`` (``1 - x``
-        at a = 0, ``-log x`` at a = -1), which is also the correct limit at
-        x = 0 for a > -1.
-        """
-        return self.value_and_gradient_weight(x)[1]
-
-    def value_and_gradient_weight(self, x):
-        """``(phi(x), phi(x) - x phi'(x))`` for scalar or array ``x >= 0``."""
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("phi is only defined for x >= 0")
-        phi, weight = _terms(self.a, np.atleast_1d(x))
-        if x.ndim == 0:
-            return float(phi[0]), float(weight[0])
-        return phi.reshape(x.shape), weight.reshape(x.shape)
+        phi = _terms(self.a, np.atleast_1d(x))[0]
+        return float(phi[0]) if x.ndim == 0 else phi.reshape(x.shape)
 
     # -- boundary limits ----------------------------------------------------
 
@@ -115,6 +103,19 @@ def _terms(a: float, x: np.ndarray) -> tuple:
     return phi, weight
 
 
+def _divergence(a: float, P: np.ndarray, Q: np.ndarray) -> tuple:
+    """``sum Q phi_a(P / Q)`` along the last axis, and the cell weights; unchecked.
+
+    A cell with ``Q = 0`` takes the ratio 1, where phi and its weight are
+    exactly 0, so it contributes nothing: the caller adds what ``P > 0``
+    there means.  An overflowing ratio gives ``nan`` or ``inf``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.divide(P, Q, out=np.ones_like(Q), where=Q > 0.0)
+        phi, weight = _terms(a, ratio)
+        return np.sum(Q * phi, axis=-1), weight
+
+
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
@@ -144,16 +145,8 @@ def phi_divergence(p, q, spec: PhiSpec) -> float:
     q = _check_distribution(q, "q")
     if p.shape != q.shape:
         raise DomainError("p and q must have equal length")
-
-    both = (q > 0) & (p > 0)
-    q_only = (q > 0) & (p == 0)
-    p_only = (q == 0) & (p > 0)
-
-    total = 0.0
-    if np.any(both):
-        total += float(np.sum(q[both] * spec.value(p[both] / q[both])))
-    if np.any(q_only):
-        total += float(q[q_only].sum() * spec.at_zero())
+    total = float(_divergence(spec.a, p, q)[0])
+    p_only = (q == 0.0) & (p > 0.0)
     if np.any(p_only):
         total += float(p[p_only].sum() * spec.slope_limit())
     # Tiny negatives can appear from cancellation when p ~= q.

@@ -13,7 +13,9 @@ with ``r_nu = p_hat_nu / p_nu(theta)``: differentiating ``p_nu * phi(r_nu)``
 by ``p_nu`` gives ``phi(r_nu) + p_nu phi'(r_nu) * (-r_nu / p_nu)``.  The
 closed form of the bracket is written once, in ``divergence._terms`` beside
 phi itself, and is checked against finite differences in the test suite
-rather than trusted.
+rather than trusted.  The value and the brackets come from
+``divergence._divergence``, the routine behind ``phi_divergence``, so a
+fit's objective is the divergence its tests measure.
 
 The optimizer is one batched BFGS (:func:`_minimize`): every start of a
 multi-start fit, and every data set of :func:`fit_many`, is a row of one
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .divergence import PhiSpec, _terms, kl_divergence, power
+from .divergence import PhiSpec, _divergence, kl_divergence, power
 from .errors import DomainError, NotConvergedError
 from .model import (
     LatentParams,
@@ -149,17 +151,13 @@ def _objective(design, P_hat, a, X):
     ``(b, 2**k)`` and ``(b, t + u)``; returns values ``(b,)`` and gradients
     ``(b, t + u)``.  Unchecked but for finiteness of ``X``.  A row whose
     value is infinite gets ``inf`` and a zero gradient: a cell where ``p``
-    underflowed holds data, or ``p_hat / p`` overflowed and ``_terms`` met
-    inf - inf there.  Cells where ``p`` underflowed and the data are empty
-    contribute nothing.
+    underflowed holds data, or ``p_hat / p`` overflowed into inf - inf.
+    Cells where ``p`` underflowed and the data are empty contribute nothing.
     """
     if not np.isfinite(X).all():
         raise DomainError("parameter values must be finite")
     p, J = _evaluate(design, X)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.divide(P_hat, p, out=np.zeros_like(p), where=p > 0.0)
-        phi, weight = _terms(a, ratio)
-        value = np.sum(p * phi, axis=1)
+    value, weight = _divergence(a, P_hat, p)
     infinite = ~np.isfinite(value) | np.any((p == 0.0) & (P_hat > 0.0), axis=1)
     value[infinite] = np.inf
     weight[infinite] = 0.0
@@ -395,11 +393,11 @@ def fit_mle(
     """Maximum likelihood fit: the minimum divergence fit at power index 0.
 
     Cross-checks that ``logL(theta_hat) + N * D_KL(p_hat, p(theta_hat))``
-    equals the theta-free multinomial constant.
+    equals the theta-free log-likelihood of the saturated model ``p_hat``.
     """
     result = fit(design, counts, power(0.0), options)
     if result.converged:
-        const = _multinomial_constant(counts)
+        const = log_likelihood(counts, ManifestDistribution(p=counts.p_hat()))
         logl = log_likelihood(counts, result.manifest)
         resid = logl + counts.N * kl_divergence(counts.p_hat(), result.manifest.p) - const
         if abs(resid) > 1e-6:
@@ -407,18 +405,6 @@ def fit_mle(
                 f"likelihood/divergence identity violated by {resid:.3e}"
             )
     return result
-
-
-def _multinomial_constant(counts: ObservedCounts) -> float:
-    from scipy.special import gammaln
-
-    n = counts.n
-    pos = n > 0
-    return float(
-        gammaln(counts.N + 1)
-        - gammaln(n + 1).sum()
-        + (n[pos] * np.log(n[pos] / counts.N)).sum()
-    )
 
 
 def canonical_class_order(latent: LatentParams) -> np.ndarray:

@@ -37,12 +37,17 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_text(path) -> str:
+    """The file's text; a missing, unreadable or non-UTF-8 file is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}")
+
+
 def _load_json(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputFormatError(f"file not found: {path}")
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})")
 
@@ -93,10 +98,7 @@ def write_design(design: ModelDesign, path, comment: str = None) -> None:
 
 
 def read_counts(path, k: int = None) -> ObservedCounts:
-    try:
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    except FileNotFoundError:
-        raise InputFormatError(f"file not found: {path}")
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise InputFormatError(f"{path}: empty counts file")

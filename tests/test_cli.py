@@ -25,11 +25,14 @@ def test_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(lcmdiv.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, lcmdiv, lcmdiv.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, lcmdiv, lcmdiv.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 class TestParsing:
@@ -128,6 +131,26 @@ class TestParsing:
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
             (("simulate", "--plan", "bundled:sim", "--jobs", "-1",
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--alpha", "0"), EXIT_USAGE),
+            (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+              "--zero-lambda", "7,8", "--alpha", "1"), EXIT_USAGE),
+            (("select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman",
+              "--alpha", "1.5"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--dof-override", "0"), EXIT_USAGE),
+            (("nested", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--zero-lambda", "99"), EXIT_USAGE),
+            (("verify", "--design", "bundled:sim_null", "--drop-eta", "1",
+              "--theta-scale", "-1"), EXIT_USAGE),
+            (("verify", "--design", "bundled:sim_null", "--drop-eta", "1",
+              "--theta-scale", "0"), EXIT_USAGE),
+            (("fit", "--design", "{tmp}", "--counts", "bundled:coleman"), EXIT_INPUT),
+            (("fit", "--design", "{tmp}/latin1.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}"), EXIT_INPUT),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/latin1.csv"), EXIT_INPUT),
+            (("select", "--chain", "{tmp}/latin1.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            (("simulate", "--plan", "{tmp}", "--out-dir", "{tmp}/d"), EXIT_INPUT),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -135,6 +158,8 @@ class TestParsing:
 
         (tmp_path / "negative.csv").write_text("1,2,-3,4\n")
         (tmp_path / "empty.csv").write_text("0,0,0,0\n")
+        (tmp_path / "latin1.csv").write_bytes("# café\n1,2,3,4\n".encode("latin-1"))
+        (tmp_path / "latin1.json").write_bytes('{"comment": "café"}'.encode("latin-1"))
         doc = fileio.chain_to_dict(coleman_chain())
         doc["steps"] = [{"zero_lambda": [7, 8]}, {"zero_lambda": [7, 8]}]
         (tmp_path / "chain.json").write_text(json.dumps(doc))
@@ -480,6 +505,21 @@ class TestVerifyCommand:
         pm = doc["projection_measurements"]
         assert pm["rl_trace"] == pytest.approx(11.0) and pm["rm_trace"] == pytest.approx(9.0)
 
+    def test_ill_conditioned_reduction_passes(self, capsys):
+        # L'L has condition 2.9e11 here.  The sqrt-p annihilation measures the
+        # Jacobian's own rounding over L's smallest singular value, so it keeps
+        # its tolerance.
+        code, out, _ = run_cli(
+            capsys, "verify", "--design", "bundled:coleman_m1_chain_basis", "--drop-eta", "1",
+            "--zero-lambda", "7,8", "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["all_pass"] is True
+        assert doc["options"]["gram_condition"] > 1e11
+        for item in doc["identities"]:
+            if "annihilat" not in item["name"]:
+                assert item["deviation"] < 1e-12, item["name"]
+
     @pytest.mark.parametrize("drop", ["0", "7"])
     @pytest.mark.parametrize("extra", [(), ("--pseudo-inverse",)])
     def test_drop_eta_out_of_range_is_refused(self, capsys, drop, extra):
@@ -487,6 +527,6 @@ class TestVerifyCommand:
         code, out, err = run_cli(
             capsys, "verify", "--design", "bundled:sim_null", "--drop-eta", drop, *extra
         )
-        assert code == EXIT_COMPUTE
+        assert code == EXIT_USAGE
         assert out == ""
         assert "--drop-eta must be in [1, 6]" in err

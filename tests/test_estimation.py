@@ -7,7 +7,7 @@ import pytest
 
 from lcmdiv import estimation
 from lcmdiv.datasets import simulation_plan
-from lcmdiv.divergence import power
+from lcmdiv.divergence import phi_divergence, power
 from lcmdiv.errors import DomainError
 from lcmdiv.estimation import (
     FitOptions,
@@ -249,6 +249,19 @@ class TestBatchedFit:
         for result, (value, ok) in zip(fits, oracle):
             if result.converged and ok:
                 assert result.objective <= value + 1e-7
+
+    @pytest.mark.parametrize("a", (-0.5, 0.0, 2.0 / 3.0, 1.0, 2.0))
+    def test_objective_is_the_tested_divergence(self, a):
+        # The fit and the statistics share one divergence routine, so a fit's
+        # objective is the divergence its tests measure, bit for bit, on data
+        # with empty cells too.
+        plan, counts, options = _cell_fits(200, 0.0, 40)
+        assert sum(bool(np.any(c.n == 0)) for c in counts) >= 10
+        fits = fit_many(plan.null_design, counts, power(a), [options] * len(counts))
+        assert sum(r.converged for r in fits) >= 35
+        for c, r in zip(counts, fits):
+            if r.converged:
+                assert r.objective == phi_divergence(c.p_hat(), r.manifest.p, power(a))
 
     def test_batch_composition_does_not_matter(self):
         plan, counts, _ = _cell_fits(200, 2.0, 9, seed=4)

@@ -42,6 +42,15 @@ class TestDesignFiles:
         with pytest.raises(InputFormatError):
             fileio.read_design(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("reader", [fileio.read_design, fileio.read_counts])
+    def test_unreadable_file_is_an_input_error(self, tmp_path, reader):
+        # A directory, and a file that is not UTF-8.
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("# café\n1,2,3,4\n".encode("latin-1"))
+        for path in (tmp_path, latin1):
+            with pytest.raises(InputFormatError, match="cannot read"):
+                reader(path)
+
 
 class TestCountsFiles:
     def test_pattern_rows_round_trip(self, tmp_path, coleman_counts):
