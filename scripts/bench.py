@@ -9,11 +9,13 @@ Run from the root of a source checkout.  The record has two parts:
   metrics), each as perfbench writes it under ``.perfbench_out/``, with its
   environment record.
 * ``layers``: direct timings on the simulation's null design (N = 200) of
-  the evaluation kernel at one row and at a 25-row batch, of one fit alone
-  against its share of a 25-data-set ``fit_many`` batch, and of one
-  replication alone against its share of a 25-replication chunk.  Each
-  timing is the best of 5 repeats of a loop, in raw seconds and scaled by
-  ``perfbench/clock.py``'s reference reading taken just before it.
+  the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
+  batch, of the fit's objective and gradient at a 25-row batch, of one fit
+  alone against its share of a 25-data-set ``fit_many`` batch, of the four
+  ``gof_statistic`` calls of one replication, and of one replication alone
+  against its share of a 25-replication chunk.  Each timing is the best of
+  5 repeats of a loop, in raw seconds and scaled by ``perfbench/clock.py``'s
+  reference reading taken just before it.
 
 The script reuses perfbench's clock, checks and environment record; it
 changes no gate or bound of ``BENCHMARK.json``.
@@ -39,7 +41,8 @@ from workloads import NAMES  # noqa: E402
 
 from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
-from lcmdiv.estimation import FitOptions, fit, fit_many  # noqa: E402
+from lcmdiv.estimation import FitOptions, _objective, fit, fit_many  # noqa: E402
+from lcmdiv.inference import gof_statistic  # noqa: E402
 from lcmdiv.model import _evaluate, sample_counts  # noqa: E402
 from lcmdiv.montecarlo import _replicate_chunk  # noqa: E402
 
@@ -77,15 +80,25 @@ def layer_timings(seed: int) -> dict:
     counts = [sample_counts(design, plan.theta0, 200, seed=(seed, rep)) for rep in range(BATCH)]
     options = [FitOptions(starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
                           init_theta=plan.theta0)] * BATCH
-    evaluations = sum(r.traces[0].evaluations for r in fit_many(design, counts, spec, options))
+    fits = fit_many(design, counts, spec, options)
+    evaluations = sum(r.traces[0].evaluations for r in fits)
+    P_hat = np.array([c.p_hat() for c in counts])
+
+    def gof_batch():
+        return [gof_statistic(design, c, power(a), r, plan.alpha, plan.dof_policy)
+                for c, r in zip(counts, fits) for a in plan.a_values]
 
     clock = Clock()
     return {
-        "design": "sim_null (m=10, k=5, t=7, u=6), N=200, estimator index 2/3",
+        "design": ("sim_null (m=10, k=5, t=7, u=6), N=200, estimator index 2/3, "
+                   "statistic indices -1/2, 0, 2/3, 1"),
         "batch": BATCH,
         "evaluations_per_fit": evaluations / BATCH,
         "evaluate_b1_per_call": timed(clock, lambda: _evaluate(design, X[0]), 300),
         "evaluate_b25_per_row": timed(clock, lambda: _evaluate(design, X), 100, BATCH),
+        "objective_b25_per_row": timed(
+            clock, lambda: _objective(design, P_hat, plan.estimator_a, X), 100, BATCH),
+        "gof_per_replication": timed(clock, gof_batch, 10, BATCH),
         "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options[0]), 5),
         "fit_batch_share": timed(clock, lambda: fit_many(design, counts, spec, options), 1, BATCH),
         "replication_alone": timed(clock, lambda: _replicate_chunk((plan, 0, 0, [0])), 5),

@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudo-inverse", action="store_true")
     p.add_argument("--drop-eta", type=int, help="1-based eta coordinate to drop (identifiable reduction)")
     p.add_argument("--zero-lambda", type=_indices, default=(), help="also check nested projections for this restriction")
-    p.add_argument("--zero-eta", type=_indices, default=())
+    p.add_argument("--zero-eta", type=_indices, default=(),
+                   help="1-based eta coordinates of the loaded design to zero as well, "
+                        "numbered as --drop-eta numbers them (not the dropped one)")
     _add_output_opts(p)
 
     for sp in sub.choices.values():
@@ -273,8 +275,8 @@ def parse_args(argv) -> argparse.Namespace:
             obj = bundled[name]()
             digest = hashlib.sha256(json.dumps(to_dict(obj), sort_keys=True).encode()).hexdigest()
         else:
-            obj = loader(path)
-            digest = fileio.file_digest(path)
+            source = fileio.InputFile(path)  # parsed and hashed from one read
+            obj, digest = loader(source), source.sha256
         setattr(ns, kind, obj)
         ns.inputs[kind] = {"path": path, "sha256": digest}
     if hasattr(ns, "design") and hasattr(ns, "counts") and ns.counts.k != ns.design.k:
@@ -294,7 +296,11 @@ def parse_args(argv) -> argparse.Namespace:
         if ns.drop_eta is not None:
             if not 1 <= ns.drop_eta <= ns.design.u:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")
+            if ns.drop_eta - 1 in ns.zero_eta:
+                raise DomainError(f"--zero-eta {ns.drop_eta} is the coordinate --drop-eta removes")
             ns.design = NestedPair(ns.design, (), (ns.drop_eta - 1,)).design_B()
+            # --zero-eta counts the loaded design's coordinates; renumber past the dropped one.
+            ns.zero_eta = tuple(i - (i >= ns.drop_eta) for i in ns.zero_eta)
     if ns.subcommand in ("nested", "verify"):
         ns.pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
     if ns.subcommand == "simulate":

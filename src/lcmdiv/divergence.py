@@ -21,8 +21,10 @@ divergence, which is infinite whenever ``p`` has an empty cell.
 
 That sum is written once too, in ``_divergence``, which returns it with the
 cell weights: the estimator's objective calls it on stacked rows, unchecked,
-and ``phi_divergence`` checks its arguments and calls it, so a fit's
-objective is the divergence its tests measure, bit for bit.
+and ``_phi_divergence`` adds the zero-cell limits to it.  ``phi_divergence``
+checks its arguments and calls ``_phi_divergence``; the test statistics call
+``_phi_divergence`` directly on vectors their dataclasses already validated.
+So a fit's objective is the divergence its tests measure, bit for bit.
 
 Zero cells follow the limit conventions for convex-function divergences:
 terms with ``q_i = 0 = p_i`` contribute nothing, terms with ``q_i = 0 <
@@ -145,6 +147,16 @@ def phi_divergence(p, q, spec: PhiSpec) -> float:
     q = _check_distribution(q, "q")
     if p.shape != q.shape:
         raise DomainError("p and q must have equal length")
+    return _phi_divergence(spec, p, q)
+
+
+def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`phi_divergence` of two float vectors of equal length, unchecked.
+
+    For callers whose vectors are already validated, such as the test
+    statistics, which take them from ``ObservedCounts`` and a fit's
+    ``ManifestDistribution``.
+    """
     total = float(_divergence(spec.a, p, q)[0])
     p_only = (q == 0.0) & (p > 0.0)
     if np.any(p_only):

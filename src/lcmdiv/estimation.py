@@ -15,13 +15,17 @@ closed form of the bracket is written once, in ``divergence._terms`` beside
 phi itself, and is checked against finite differences in the test suite
 rather than trusted.  The value and the brackets come from
 ``divergence._divergence``, the routine behind ``phi_divergence``, so a
-fit's objective is the divergence its tests measure.
+fit's objective is the divergence its tests measure.  The sum over patterns
+is the vector-Jacobian product ``weight @ J``, which ``model._pullback``
+contracts through the class-pattern table without forming ``J``; the
+Jacobian itself is built once per fit, at the result, for its rank.
 
 The optimizer is one batched BFGS (:func:`_minimize`): every start of a
 multi-start fit, and every data set of :func:`fit_many`, is a row of one
 array, and rows that converge drop out.  Arguments are validated at the
 public entry points; the loop runs on raw ``(b, t + u)`` arrays and checks
-only that they are finite.
+only that they are finite.  After the loop, the best start of every data
+set is evaluated in one kernel call and ranked by one stacked SVD.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from .model import (
     ModelDesign,
     ObservedCounts,
     Theta,
-    _evaluate,
+    _jacobian,
+    _pullback,
+    _table,
     _vector,
     latent_params,
     log_likelihood,
@@ -149,19 +155,21 @@ def _objective(design, P_hat, a, X):
 
     ``P_hat`` and ``X`` are stacked on a leading batch axis, shapes
     ``(b, 2**k)`` and ``(b, t + u)``; returns values ``(b,)`` and gradients
-    ``(b, t + u)``.  Unchecked but for finiteness of ``X``.  A row whose
-    value is infinite gets ``inf`` and a zero gradient: a cell where ``p``
-    underflowed holds data, or ``p_hat / p`` overflowed into inf - inf.
+    ``(b, t + u)``.  The gradient is the pull-back ``weight @ J`` of
+    ``model._pullback``, so no Jacobian is formed.  Unchecked but for
+    finiteness of ``X``.  A row whose value is infinite gets ``inf`` and a
+    zero gradient: a cell where ``p`` underflowed holds data, or
+    ``p_hat / p`` overflowed into inf - inf.
     Cells where ``p`` underflowed and the data are empty contribute nothing.
     """
     if not np.isfinite(X).all():
         raise DomainError("parameter values must be finite")
-    p, J = _evaluate(design, X)
+    w, S, B, p = _table(design, X)
     value, weight = _divergence(a, P_hat, p)
     infinite = ~np.isfinite(value) | np.any((p == 0.0) & (P_hat > 0.0), axis=1)
     value[infinite] = np.inf
     weight[infinite] = 0.0
-    return value, np.matmul(weight[:, None, :], J)[:, 0]
+    return value, _pullback(design, w, S, B, weight)
 
 
 def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
@@ -294,7 +302,8 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
     Every start of every data set is one row of a single batched
     optimization, and a row's path does not depend on the rest of the batch,
     so each result equals the one :func:`fit` returns for that data set
-    alone, bit for bit.
+    alone, bit for bit.  The data sets' result points share one kernel call
+    and one stacked SVD, both row by row as well.
     """
     counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
     if len(counts_seq) != len(options_seq):
@@ -322,17 +331,52 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
         np.array([options.grad_tol for options in options_seq])[owner],
         np.array([options.max_iters for options in options_seq])[owner],
     )
+    X, value = outcome[:2]
+    traces, best = {}, {}  # data set -> its start traces, and the row of its best start
     lo = 0
     for i, X0 in launches.items():
         rows = slice(lo, lo + len(X0))
         lo = rows.stop
-        results[i] = _fit_result(design, counts_seq[i], spec, *(column[rows] for column in outcome))
+        traces[i] = _traces(*(column[rows] for column in outcome[1:]))
+        converged = [tr for tr in traces[i] if tr.converged]
+        if converged:
+            # min keeps the first start among ties.
+            best[i] = rows.start + min(converged, key=lambda tr: tr.objective).start
+        else:
+            tally = ", ".join(
+                f"{n} {name}"
+                for name in _STATUSES[1:]
+                if (n := sum(tr.status == name for tr in traces[i]))
+            )
+            results[i] = _failure_result(
+                design, counts_seq[i], spec, f"no start converged: {tally}", traces=traces[i]
+            )
+    if not best:
+        return tuple(results)
+
+    # Every data set's result point in one kernel call, ranked by one stacked SVD.
+    X_best = X[list(best.values())]
+    w, S, B, P = _table(design, X_best)
+    ranks = numerical_rank(_jacobian(design, w, S, B))
+    for (i, row), x, p, rank in zip(best.items(), X_best, P, ranks):
+        theta_hat = Theta.from_vector(design, x)
+        results[i] = FitResult(
+            theta_hat=theta_hat,
+            objective=float(value[row]),
+            converged=True,
+            traces=traces[i],
+            latent=latent_params(design, theta_hat),
+            manifest=ManifestDistribution(p=p),
+            rank=int(rank),
+            spec=spec,
+            empty_cells=bool(np.any(counts_seq[i].n == 0)),
+        )
     return tuple(results)
 
 
-def _fit_result(design, counts, spec, X, value, gnorm, iterations, evaluations, restarts, status):
-    """The :class:`FitResult` of one data set from its rows of :func:`_minimize`."""
-    traces = tuple(
+def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
+    """The :class:`StartTrace` of each start of one data set, from its rows of :func:`_minimize`."""
+    return tuple(
         StartTrace(
             start=s,
             objective=float(value[s]),
@@ -343,31 +387,7 @@ def _fit_result(design, counts, spec, X, value, gnorm, iterations, evaluations, 
             status=_STATUSES[status[s]],
             restarts=int(restarts[s]),
         )
-        for s in range(len(X))
-    )
-    converged = [tr for tr in traces if tr.converged]
-    if not converged:
-        tally = ", ".join(
-            f"{n} {name}"
-            for name in _STATUSES[1:]
-            if (n := sum(tr.status == name for tr in traces))
-        )
-        return _failure_result(
-            design, counts, spec, f"no start converged: {tally}", traces=traces
-        )
-    best = min(converged, key=lambda tr: tr.objective)  # first start among ties
-    theta_hat = Theta.from_vector(design, X[best.start])
-    p, J = _evaluate(design, X[best.start])
-    return FitResult(
-        theta_hat=theta_hat,
-        objective=best.objective,
-        converged=True,
-        traces=traces,
-        latent=latent_params(design, theta_hat),
-        manifest=ManifestDistribution(p=p),
-        rank=numerical_rank(J),
-        spec=spec,
-        empty_cells=bool(np.any(counts.n == 0)),
+        for s in range(len(value))
     )
 
 

@@ -33,16 +33,34 @@ from .model import ModelDesign, ObservedCounts, Theta, pattern_index
 from .montecarlo import SimulationPlan
 
 
+class InputFile:
+    """One read of an input file: its UTF-8 ``text`` and the ``sha256`` of the bytes read.
+
+    Every reader below takes an ``InputFile`` in place of a path, so a caller
+    that records the digest parses exactly the bytes it hashed.  A missing,
+    unreadable or non-UTF-8 file is an input error.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            data = Path(path).read_bytes()
+            self.text = data.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"cannot read {path}: {exc}")
+        self.sha256 = hashlib.sha256(data).hexdigest()
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return InputFile(path).sha256
 
 
-def _read_text(path) -> str:
-    """The file's text; a missing, unreadable or non-UTF-8 file is an input error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}")
+def _read_text(source) -> str:
+    """The text of ``source``, an :class:`InputFile` or a path read here."""
+    return (source if isinstance(source, InputFile) else InputFile(source)).text
 
 
 def _load_json(path):

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import chdtrc, chdtri
 
-from .divergence import HSpec, PhiSpec, identity_h, phi_divergence, power
+from .divergence import HSpec, PhiSpec, _phi_divergence, identity_h, power
 from .errors import DomainError
 from .estimation import FitOptions, FitResult, fit
 from .model import ModelDesign, ObservedCounts, Theta
@@ -163,11 +163,22 @@ def gof_statistic(
     needs D < 1).
     """
     fit2.require_converged("goodness-of-fit statistic")
-    D = phi_divergence(counts.p_hat(), fit2.manifest.p, phi1)
+    _check_cells(counts, fit2)
+    D = _phi_divergence(phi1, counts.p_hat(), fit2.manifest.p)
     statistic = _transformed(_scale(counts, h), h, D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
     h_field, kind = _h_label(h, "gof")
     return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy)
+
+
+def _check_cells(counts: ObservedCounts, *fits: FitResult) -> None:
+    """Refuse a fit whose manifest length differs from the counts'.
+
+    The statistics' only check on their vectors: ``ObservedCounts`` and
+    ``ManifestDistribution`` validated the entries when they were built.
+    """
+    if any(counts.n.shape != result.manifest.p.shape for result in fits):
+        raise DomainError("counts and fitted distribution have different lengths")
 
 
 def estimator_sweep(
@@ -288,10 +299,11 @@ class NestedPair:
         return list(self.keep_lam) + [self.design_A.t + i for i in self.keep_eta]
 
 
-def _nested_dof(fit_A: FitResult, fit_B: FitResult) -> int:
+def _nested_dof(counts: ObservedCounts, fit_A: FitResult, fit_B: FitResult) -> int:
     """``h1 - h2``, the free parameters of A less those of B, after the boundary checks."""
     fit_A.require_converged("nested test")
     fit_B.require_converged("nested test")
+    _check_cells(counts, fit_A, fit_B)
     if fit_A.spec != fit_B.spec:
         raise DomainError("the nested fits must use the same estimator")
     dof = fit_A.theta_hat.vector().size - fit_B.theta_hat.vector().size
@@ -314,9 +326,9 @@ def nested_S(
     of freedom.  Equals the classical likelihood-ratio statistic ``G2`` when
     both transforms are the power member at 0 and ``h`` is the identity.
     """
-    dof = _nested_dof(fit_A, fit_B)
-    D_B = phi_divergence(counts.p_hat(), fit_B.manifest.p, phi1)
-    D_A = phi_divergence(counts.p_hat(), fit_A.manifest.p, phi1)
+    dof = _nested_dof(counts, fit_A, fit_B)
+    D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
+    D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
     if math.isfinite(D_A) and math.isfinite(D_B):
         statistic = _scale(counts, h) * (h.value(D_B) - h.value(D_A))
     elif math.isinf(D_B) and math.isfinite(D_A):
@@ -341,8 +353,8 @@ def nested_T(
 
     Takes the same arguments and makes the same checks as :func:`nested_S`.
     """
-    dof = _nested_dof(fit_A, fit_B)
-    D = phi_divergence(fit_A.manifest.p, fit_B.manifest.p, phi1)
+    dof = _nested_dof(counts, fit_A, fit_B)
+    D = _phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p)
     statistic = _transformed(_scale(counts, h), h, D)
     return _decide(
         statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference"

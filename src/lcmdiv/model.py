@@ -14,6 +14,14 @@ the item responses with item 1 as the most significant bit::
     nu = 1 + sum_i y_i * 2**(k - i)
 
 so ``(0,...,0)`` is pattern 1 and ``(1,...,1)`` is pattern ``2**k``.
+
+One checked routine, ``_table``, builds the class-by-pattern table and the
+manifest vector for a batch of parameter vectors.  Two consumers sit on
+it: ``_jacobian``, behind :func:`manifest_jacobian`, :func:`jacobian_rank`
+and the asymptotic projections, and ``_pullback``, which gives the fit's
+gradient ``weight @ J`` without forming ``J``.  The views that need only
+``p`` (:func:`manifest_distribution`, :func:`sample_counts`) stop at the
+table.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ class ModelDesign:
 
     @cached_property
     def _kernel_constants(self) -> tuple:
-        """``(Y, Q_flat)`` for :func:`_evaluate`, built on first use.
+        """``(Y, Q_flat)`` for :func:`_table` and its consumers, built on first use.
 
         ``Y`` is the (2**k, k) pattern matrix as floats (read-only) and
         ``Q_flat`` is ``Q`` reshaped to (m*k, t).
@@ -305,23 +313,25 @@ def latent_params(design: ModelDesign, theta: Theta) -> LatentParams:
 
 
 def _vector(design: ModelDesign, theta: Theta) -> np.ndarray:
-    """``theta`` checked against ``design`` and flattened for :func:`_evaluate`."""
+    """``theta`` checked against ``design`` and flattened for :func:`_table`."""
     theta.check_shape(design)
     return theta.vector()
 
 
-def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tuple:
-    """Manifest vectors ``p`` and Jacobians ``J`` from one class-pattern table per row.
+def _table(design: ModelDesign, x: np.ndarray) -> tuple:
+    """Class weights ``w``, item logits ``S``, class-pattern table ``B`` and manifest ``p``.
 
     ``x`` holds raw parameter vectors ``(lam, eta)`` on a leading batch axis,
     shape ``(b, t + u)``, or one vector of shape ``(t + u,)``; the outputs
-    carry the same leading axis, ``p`` of shape ``(b, 2**k)`` and ``J`` of
-    shape ``(b, 2**k, t + u)``.  Shapes and finiteness are the caller's to
-    check (the public views take a validated :class:`Theta`).
+    carry the same leading axis: ``w`` of shape ``(b, m)``, ``S`` of shape
+    ``(b, m, k)``, ``B`` of shape ``(b, m, 2**k)`` and ``p`` of shape
+    ``(b, 2**k)``.  Shapes and finiteness are the caller's to check (the
+    public views take a validated :class:`Theta`).
 
     Every product of a row goes through a matmul stacked on the batch axis,
     and every sum runs along a row's own last axis, so a row's bits do not
-    depend on what else is in the batch.
+    depend on what else is in the batch.  The same holds for the two
+    consumers of the table, :func:`_jacobian` and :func:`_pullback`.
 
     The table is built in log space from the item logits ``S`` and the
     pattern matrix ``Y``::
@@ -332,13 +342,10 @@ def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tupl
     the underflow of ``exp`` (a log cell below about -745).  Each row of ``p``
     is checked to be nonnegative and to sum to one within 1e-12, which also
     rules out NaN and inf.
-    Returns ``(p, J)``; ``J`` is None when ``jacobian`` is false, which keeps
-    sampling at large ``k`` from materializing the (2**k, m*k) residual.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim == 1:
-        p, J = _evaluate(design, X[None], jacobian)
-        return p[0], None if J is None else J[0]
+        return tuple(part[0] for part in _table(design, X[None]))
     b, t = X.shape[0], design.t
     Y, Q_flat = design._kernel_constants
     w = _softmax(design, X[:, t:])
@@ -347,22 +354,62 @@ def _evaluate(design: ModelDesign, x: np.ndarray, jacobian: bool = True) -> tupl
     B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[..., ::-1])
     p = np.matmul(w[:, None, :], B)[:, 0]
     _check_manifest(p)
-    if not jacobian:
-        return p, None
+    return w, S, B, p
 
+
+def _jacobian(design: ModelDesign, w, S, B) -> np.ndarray:
+    """Jacobians ``dp/d(lam, eta)`` of a batched :func:`_table`, shape ``(b, 2**k, t + u)``.
+
+    Builds a ``(b, 2**k, m, k)`` residual; the fit's gradient, which needs
+    only ``weight @ J``, goes through :func:`_pullback` instead.
+    """
+    Y, Q_flat = design._kernel_constants
     # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].
     wB = w[:, :, None] * B
     resid = wB.transpose(0, 2, 1)[..., None] * (Y[None, :, None, :] - expit(S)[:, None])
-    J_lam = resid.reshape(b, B.shape[2], -1) @ Q_flat
+    J_lam = resid.reshape(B.shape[0], B.shape[2], -1) @ Q_flat
     # d w_j / d eta_s = w_j (V[j, s] - sum_h w_h V[h, s]).
     mean_V = np.matmul(w[:, None, :], design.V)
     J_eta = np.matmul(B.transpose(0, 2, 1), w[:, :, None] * (design.V - mean_V))
-    return p, np.concatenate([J_lam, J_eta], axis=2)
+    return np.concatenate([J_lam, J_eta], axis=2)
+
+
+def _pullback(design: ModelDesign, w, S, B, weight) -> np.ndarray:
+    """``weight @ J`` for each row of a batched :func:`_table`, without forming ``J``.
+
+    ``weight`` has shape ``(b, 2**k)``; returns ``(b, t + u)``.  With ``Bw =
+    B @ weight``, one number per class, the chain rule of :func:`_jacobian`
+    contracts to::
+
+        g_S   = w * ((B * weight) @ Y - expit(S) * Bw)      # (m, k)
+        g_lam = vec(g_S) @ Q_flat
+        g_eta = (w * Bw) @ (V - w V)
+
+    so the largest array is the table itself, ``2**k * m`` floats per row.
+    """
+    Y, Q_flat = design._kernel_constants
+    b = B.shape[0]
+    Bw = np.matmul(B, weight[:, :, None])
+    g_S = w[:, :, None] * (np.matmul(B * weight[:, None, :], Y) - expit(S) * Bw)
+    g_lam = np.matmul(g_S.reshape(b, 1, -1), Q_flat)[:, 0]
+    mean_V = np.matmul(w[:, None, :], design.V)
+    g_eta = np.matmul((w * Bw[..., 0])[:, None, :], design.V - mean_V)[:, 0]
+    return np.concatenate([g_lam, g_eta], axis=1)
+
+
+def _evaluate(design: ModelDesign, x: np.ndarray) -> tuple:
+    """Manifest vectors ``p`` and Jacobians ``J`` of ``x``, batched as in :func:`_table`."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim == 1:
+        p, J = _evaluate(design, X[None])
+        return p[0], J[0]
+    w, S, B, p = _table(design, X)
+    return p, _jacobian(design, w, S, B)
 
 
 def manifest_distribution(design: ModelDesign, theta: Theta) -> ManifestDistribution:
     """Mixture distribution over answer patterns implied by ``theta``."""
-    return ManifestDistribution(p=_evaluate(design, _vector(design, theta), jacobian=False)[0])
+    return ManifestDistribution(p=_table(design, _vector(design, theta))[3])
 
 
 def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
@@ -374,12 +421,16 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     return _evaluate(design, _vector(design, theta))[1]
 
 
-def numerical_rank(A: np.ndarray) -> int:
-    """Number of singular values of ``A`` above ``RANK_RTOL`` times the largest."""
+def numerical_rank(A: np.ndarray):
+    """Number of singular values of ``A`` above ``RANK_RTOL`` times the largest.
+
+    ``A`` is one matrix, whose rank is returned as an int, or a stack of
+    matrices on leading axes, whose ranks come from one stacked SVD as an
+    integer array of the stack's shape.  A zero matrix has rank 0.
+    """
     s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def jacobian_rank(design: ModelDesign, theta: Theta) -> int:
@@ -399,7 +450,7 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
     if N < 1:
         raise DomainError("N must be >= 1")
-    p = _evaluate(design, _vector(design, theta), jacobian=False)[0]
+    p = _table(design, _vector(design, theta))[3]
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(p)
     cum[-1] = max(cum[-1], 1.0)

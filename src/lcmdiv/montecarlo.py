@@ -266,8 +266,10 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 
-# Bytes the kernel's Jacobian residual, (rows, 2**k, m, k) float64, may take in
-# one chunk, where a chunk's rows are its replications times the fit's starts.
+# Bytes a chunk's largest kernel array may take.  Per replication that is the
+# larger of the result Jacobian's residual, 2**k * m * k float64 (one row per
+# converged fit), and the fit loop's class-pattern tables, 2**k * m float64
+# for each of the fit's starts.
 _CHUNK_BYTES = 16 * 2**20
 
 
@@ -278,8 +280,8 @@ def _run_cell(plan, size_idx, coef_idx, n_jobs, mapper=map):
     and each within the memory budget of ``_CHUNK_BYTES``.
     """
     design = plan.null_design
-    row_bytes = 8 * design.n_patterns * design.m * design.k
-    cap = max(1, _CHUNK_BYTES // (row_bytes * plan.fit_starts))  # replications per chunk
+    rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
+    cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
     n_chunks = max(n_jobs, -(-plan.replications // cap))
     chunk = -(-plan.replications // n_chunks)
     reps = list(range(plan.replications))

@@ -1,12 +1,16 @@
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lcmdiv
-from lcmdiv import fileio
+from lcmdiv import datasets, fileio
 from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
 from lcmdiv.inference import gof_statistic
@@ -50,6 +54,27 @@ class TestParsing:
         assert cfg.phi2.a == pytest.approx(0.66667)
         assert cfg.counts.N == 3398
         assert "sha256" in cfg.inputs["design"]
+
+    def test_each_input_file_is_read_once_and_its_bytes_hashed(self, monkeypatch, tmp_path):
+        chain_path = tmp_path / "chain.json"
+        counts_path = tmp_path / "counts.csv"
+        fileio.write_chain(datasets.coleman_chain(), chain_path)
+        fileio.write_counts(datasets.coleman_counts(), counts_path)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        ns = parse_args(["select", "--chain", str(chain_path), "--counts", str(counts_path)])
+        monkeypatch.undo()
+        assert sorted(opened) == sorted([str(chain_path), str(counts_path)])
+        for kind, path in (("chain", chain_path), ("counts", counts_path)):
+            assert ns.inputs[kind]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert ns.counts.N == 3398 and ns.chain.n_models == 4
 
     def test_malformed_phi_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -519,6 +544,28 @@ class TestVerifyCommand:
         for item in doc["identities"]:
             if "annihilat" not in item["name"]:
                 assert item["deviation"] < 1e-12, item["name"]
+
+    @pytest.mark.parametrize("zero, removed", [("6", [0, 5]), ("2", [0, 1])])
+    def test_zero_eta_counts_the_loaded_design(self, capsys, zero, removed):
+        # --drop-eta 1 --zero-eta 6 leaves the loaded design's eta 2..5, and
+        # --zero-eta 2 its eta 3..6: both number the loaded coordinates.
+        argv = ("verify", "--design", "bundled:sim_null", "--drop-eta", "1", "--zero-eta", zero)
+        ns = parse_args(list(argv))
+        loaded = datasets.simulation_null_design()
+        np.testing.assert_array_equal(ns.pair.design_B().V, np.delete(loaded.V, removed, axis=1))
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["all_pass"] is True
+
+    @pytest.mark.parametrize("zero, message", [
+        ("1", "--zero-eta 1 is the coordinate --drop-eta removes"),
+        ("7", "zeroed eta index out of range"),
+    ])
+    def test_zero_eta_of_the_dropped_or_a_missing_coordinate_is_refused(self, capsys, zero, message):
+        code, out, err = run_cli(
+            capsys, "verify", "--design", "bundled:sim_null", "--drop-eta", "1", "--zero-eta", zero
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("drop", ["0", "7"])
     @pytest.mark.parametrize("extra", [(), ("--pseudo-inverse",)])

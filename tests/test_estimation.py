@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lcmdiv import estimation
+from lcmdiv import estimation, model
 from lcmdiv.datasets import simulation_plan
 from lcmdiv.divergence import phi_divergence, power
 from lcmdiv.errors import DomainError
@@ -24,6 +24,7 @@ from lcmdiv.model import (
     ObservedCounts,
     Theta,
     all_patterns,
+    jacobian_rank,
     log_likelihood,
     manifest_distribution,
     sample_counts,
@@ -99,13 +100,13 @@ class TestValidationBoundary:
     def test_traces_count_kernel_evaluations(self, monkeypatch, sim_null):
         plan, counts = sim_null
         rows = []
-        kernel = estimation._evaluate
+        kernel = estimation._table
 
-        def counting(design, x, *args, **kwargs):
+        def counting(design, x):
             rows.append(len(np.atleast_2d(x)))
-            return kernel(design, x, *args, **kwargs)
+            return kernel(design, x)
 
-        monkeypatch.setattr(estimation, "_evaluate", counting)
+        monkeypatch.setattr(estimation, "_table", counting)
         result = fit(plan.null_design, counts, power(2.0 / 3.0), FitOptions(starts=3, seed=1))
         assert result.converged
         assert all(t.evaluations > t.iterations for t in result.traces)
@@ -113,6 +114,35 @@ class TestValidationBoundary:
         # the starts share kernel calls.
         assert sum(t.evaluations for t in result.traces) + 1 == sum(rows)
         assert len(rows) < sum(rows)
+
+    def test_loop_builds_no_jacobian(self, monkeypatch, sim_null):
+        # The loop's gradient is the pull-back weight @ J; only the result
+        # evaluation after the loop may build a Jacobian.
+        plan, counts = sim_null
+        in_loop = []
+        minimize, jacobian = estimation._minimize, estimation._jacobian
+
+        def guarded_minimize(*args):
+            in_loop.append(True)
+            try:
+                return minimize(*args)
+            finally:
+                in_loop.pop()
+
+        def guarded_jacobian(*args):
+            if in_loop:
+                raise AssertionError("Jacobian built inside _minimize")
+            return jacobian(*args)
+
+        monkeypatch.setattr(estimation, "_minimize", guarded_minimize)
+        monkeypatch.setattr(estimation, "_jacobian", guarded_jacobian)
+        monkeypatch.setattr(model, "_jacobian", guarded_jacobian)
+        result = fit(plan.null_design, counts, power(2.0 / 3.0), FitOptions(starts=3, seed=1))
+        assert result.converged and sum(t.evaluations for t in result.traces) > 30
+        in_loop.append(True)  # and the guard does fire inside the loop
+        table = model._table(plan.null_design, plan.theta0.vector()[None])
+        with pytest.raises(AssertionError, match="inside _minimize"):
+            estimation._jacobian(plan.null_design, *table[:3])
 
     def test_loop_refuses_non_finite_vector(self, sim_null):
         plan, counts = sim_null
@@ -281,6 +311,21 @@ class TestBatchedFit:
             assert [pickle.dumps(r) for r in parts] == [pickle.dumps(r) for r in whole]
         alone = fit(plan.null_design, counts[5], spec, options[5])
         assert pickle.dumps(alone) == pickle.dumps(whole[5])
+
+    def test_batched_rank_is_the_jacobian_rank(self):
+        # The results of a batch are ranked by one stacked SVD; each rank is
+        # the one jacobian_rank gives at the fitted point.  Data set 3 gets
+        # one iteration, so no start of it converges.
+        plan, counts, options = _cell_fits(200, 0.0, 25)
+        options_seq = [options] * len(counts)
+        options_seq[3] = FitOptions(starts=2, max_iters=1, seed=1, init_theta=plan.theta0)
+        fits = fit_many(plan.null_design, counts, power(plan.estimator_a), options_seq)
+        assert [r.converged for r in fits].count(False) == 1 and not fits[3].converged
+        assert fits[3].rank == 0
+        assert len({r.rank for r in fits if r.converged}) > 1
+        for r in fits:
+            if r.converged:
+                assert r.rank == jacobian_rank(plan.null_design, r.theta_hat)
 
     def test_one_options_per_data_set(self):
         plan, counts, options = _cell_fits(200, 0.0, 2)

@@ -14,6 +14,9 @@ from lcmdiv.model import (
     ObservedCounts,
     Theta,
     _evaluate,
+    _jacobian,
+    _pullback,
+    _table,
     all_patterns,
     class_weights,
     item_probs,
@@ -25,6 +28,7 @@ from lcmdiv.model import (
     pattern_vector,
     sample_counts,
 )
+from lcmdiv import datasets
 from lcmdiv.divergence import kl_divergence
 
 from conftest import (
@@ -279,7 +283,7 @@ class TestEvaluationKernel:
             p, Ji = _evaluate(design, X[i])
             np.testing.assert_array_equal(P[i], p)
             np.testing.assert_array_equal(J[i], Ji)
-            p_only, _ = _evaluate(design, X[i : i + 1], jacobian=False)
+            p_only = _table(design, X[i : i + 1])[3]
             np.testing.assert_array_equal(p_only[0], p)
 
     def test_public_views_share_the_kernel(self):
@@ -288,9 +292,58 @@ class TestEvaluationKernel:
         p, J = _evaluate(design, theta.vector())
         np.testing.assert_array_equal(manifest_distribution(design, theta).p, p)
         np.testing.assert_array_equal(manifest_jacobian(design, theta), J)
-        p_only, no_J = _evaluate(design, theta.vector(), jacobian=False)
-        np.testing.assert_array_equal(p_only, p)
-        assert no_J is None
+        np.testing.assert_array_equal(_table(design, theta.vector())[3], p)
+
+
+class TestPullback:
+    """``_pullback`` gives the fit's gradient ``weight @ J`` without forming ``J``."""
+
+    @staticmethod
+    def rows(design):
+        # Five ordinary rows, one whose item logits saturate (|S| up to about 100
+        # on the simulation design, 190 on Coleman) and one with zero weights.
+        rng = np.random.default_rng(5)
+        X = rng.normal(0.0, 1.0, size=(7, design.t + design.u))
+        X[5, : design.t] *= 80.0
+        weight = rng.normal(0.0, 1.0, size=(7, design.n_patterns))
+        weight[6] = 0.0
+        return X, weight
+
+    @pytest.mark.parametrize(
+        "design", (datasets.simulation_null_design(), datasets.coleman_design_m1()),
+        ids=("sim_null", "coleman_m1"),
+    )
+    def test_equals_weight_times_jacobian(self, design):
+        X, weight = self.rows(design)
+        w, S, B, p = _table(design, X)
+        assert np.max(np.abs(S[5])) > 40.0
+        J = _jacobian(design, w, S, B)
+        expected = np.matmul(weight[:, None, :], J)[:, 0]
+        g = _pullback(design, w, S, B, weight)
+        err = np.max(np.abs(g - expected), axis=1)
+        for i in range(5):
+            assert err[i] <= 1e-13 * np.max(np.abs(expected[i]))
+        # Where logits saturate, both routes sum O(1) terms to a gradient that
+        # can be orders of magnitude smaller (on Coleman both sit about 1e-8
+        # relative from a long-double evaluation), so the bound is relative
+        # to the size of the terms summed: each class's weighted pattern mass
+        # times the largest loading.
+        terms = np.max(w * np.matmul(B, np.abs(weight)[:, :, None])[..., 0], axis=1)
+        loading = max(np.max(np.abs(design.Q)), np.max(np.abs(design.V)))
+        assert err[5] <= 1e-13 * terms[5] * loading
+        np.testing.assert_array_equal(g[6], 0.0)
+        np.testing.assert_array_equal(expected[6], 0.0)
+
+    @pytest.mark.parametrize(
+        "design", (datasets.simulation_null_design(), datasets.coleman_design_m1()),
+        ids=("sim_null", "coleman_m1"),
+    )
+    def test_rows_alone_equal_rows_in_a_batch(self, design):
+        X, weight = self.rows(design)
+        g = _pullback(design, *_table(design, X)[:3], weight)
+        for i in range(len(X)):
+            alone = _pullback(design, *_table(design, X[i : i + 1])[:3], weight[i : i + 1])
+            np.testing.assert_array_equal(alone[0], g[i])
 
 
 class TestSampling:
