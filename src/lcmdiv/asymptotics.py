@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .inference import NestedPair
-from .model import RANK_RTOL, ModelDesign, Theta, _evaluate, _vector
+from .model import ModelDesign, Theta, _evaluate, _rank_of, _vector
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,19 @@ class NestedProjections:
     p: np.ndarray
 
 
+def _scaled_jacobian(design: ModelDesign, theta: Theta) -> tuple:
+    """``p`` and ``L = diag(p)^{-1/2} J`` at ``theta``; refuses a cell with ``p <= 0``."""
+    p, J = _evaluate(design, _vector(design, theta))
+    if np.any(p <= 0):
+        raise DomainError("manifest distribution must be strictly positive")
+    return p, J / np.sqrt(p)[:, None]
+
+
 def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
     """Orthogonal projection onto the column space of L, its rank, and the
     condition of ``L'L`` (inf when the rank is short)."""
     U, s, _ = np.linalg.svd(L, full_matrices=False)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    rank = int(_rank_of(s))
     if rank < L.shape[1] and not pseudo_inverse:
         raise RankDeficiencyError(
             f"{what}: Gram matrix is singular (rank {rank} of {L.shape[1]}); "
@@ -88,11 +96,8 @@ def build_bundle(
     ``pseudo_inverse`` is set, in which case the trace of Q reflects the
     identifiable parameter count rather than the nominal one.
     """
-    p, J = _evaluate(design, _vector(design, theta0))
-    if np.any(p <= 0):
-        raise DomainError("manifest distribution must be strictly positive")
+    p, L = _scaled_jacobian(design, theta0)
     s = np.sqrt(p)
-    L = J / s[:, None]
     R, rank, cond = _projection(L, pseudo_inverse, "asymptotic bundle")
 
     Vmat = s[:, None] * R / s[None, :]
@@ -112,10 +117,10 @@ def build_nested_projections(
 
     ``theta0_A`` should satisfy the submodel (zeroed coordinates actually
     zero) for the identities to carry their intended meaning, but the
-    construction itself only needs full column rank.
+    construction itself only needs full column rank and a strictly positive
+    manifest distribution.
     """
-    p, J = _evaluate(pair.design_A, _vector(pair.design_A, theta0_A))
-    L = J / np.sqrt(p)[:, None]
+    p, L = _scaled_jacobian(pair.design_A, theta0_A)
     M = L[:, pair.kept_column_indices()]
     R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
     R_M, h2, _ = _projection(M, pseudo_inverse, "submodel projection")

@@ -66,6 +66,9 @@ _CONVENTIONS = {
     "indices": "1-based on the command line and in chain files",
 }
 
+# The FitOptions fields the fit commands set: their options' dests and the report's keys.
+_FIT_OPTIONS = ("seed", "starts", "grad_tol", "init_scale", "max_iters")
+
 # Input kind -> (bundled constructors, file loader, to-dict for a bundled object's digest).
 # The order is the order of the report's ``inputs``.
 _INPUTS = {
@@ -254,13 +257,7 @@ def parse_args(argv) -> argparse.Namespace:
         return ns
     ns = build_parser().parse_args(argv)
     if hasattr(ns, "starts"):
-        ns.fit_options = FitOptions(
-            starts=ns.starts,
-            init_scale=ns.init_scale,
-            grad_tol=ns.grad_tol,
-            max_iters=ns.max_iters,
-            seed=ns.seed,
-        )
+        ns.fit_options = FitOptions(**{name: getattr(ns, name) for name in _FIT_OPTIONS})
     ns.inputs = {}
     for kind, (bundled, loader, to_dict) in _INPUTS.items():
         path = getattr(ns, kind, None)
@@ -414,6 +411,11 @@ def _fit_doc(result) -> dict:
     }
 
 
+def _fit_options_doc(options: FitOptions) -> dict:
+    """Every option the command line sets on the fit, so the report re-runs it."""
+    return {name: getattr(options, name) for name in _FIT_OPTIONS}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -422,8 +424,7 @@ def _fit_doc(result) -> dict:
 def _run_fit(ns: argparse.Namespace) -> int:
     result = fit(ns.design, ns.counts, ns.phi, ns.fit_options)
     doc = _base_doc(ns)
-    doc["options"] = {"phi": _phi_str(ns.phi), "seed": ns.fit_options.seed,
-                      "starts": ns.fit_options.starts, "grad_tol": ns.fit_options.grad_tol}
+    doc["options"] = {"phi": _phi_str(ns.phi), **_fit_options_doc(ns.fit_options)}
     doc["fit"] = _fit_doc(result)
     _emit(doc, ns)
     if not result.converged:
@@ -434,9 +435,6 @@ def _run_fit(ns: argparse.Namespace) -> int:
 
 def _run_gof(ns: argparse.Namespace) -> int:
     fit2 = fit(ns.design, ns.counts, ns.phi2, ns.fit_options)
-    if not fit2.converged:
-        print(f"estimation failed: {fit2.message}", file=sys.stderr)
-        return EXIT_COMPUTE
     result = gof_statistic(
         ns.design, ns.counts, ns.phi1, fit2, ns.alpha, ns.dof_policy, ns.dof_override, ns.h
     )
@@ -444,7 +442,7 @@ def _run_gof(ns: argparse.Namespace) -> int:
     doc["options"] = {
         "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
         "alpha": ns.alpha, "dof_policy": ns.dof_policy, "dof_override": ns.dof_override,
-        "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
+        **_fit_options_doc(ns.fit_options),
     }
     doc["fit"] = _fit_doc(fit2)
     doc["test"] = _test_result_doc(result)
@@ -467,7 +465,7 @@ def _run_nested(ns: argparse.Namespace) -> int:
         "zero_lambda": [i + 1 for i in ns.pair.zero_lam],
         "zero_eta": [i + 1 for i in ns.pair.zero_eta],
         "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
-        "alpha": ns.alpha, "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
+        "alpha": ns.alpha, **_fit_options_doc(ns.fit_options),
         "h1": ns.pair.h1, "h2": ns.pair.h2,
     }
     doc["tests"] = {name: _test_result_doc(res) for name, res in tests.items()}
@@ -483,8 +481,7 @@ def _run_select(ns: argparse.Namespace) -> int:
     doc = _base_doc(ns)
     doc["options"] = {
         "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
-        "alpha": ns.alpha, "statistic": ns.statistic,
-        "seed": ns.fit_options.seed, "starts": ns.fit_options.starts,
+        "alpha": ns.alpha, "statistic": ns.statistic, **_fit_options_doc(ns.fit_options),
     }
     doc["selected_model"] = result.selected
     doc["models"] = {

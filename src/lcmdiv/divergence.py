@@ -214,7 +214,8 @@ class HSpec:
                 raise DomainError("sharma_mittal requires a > 0")
 
     def value(self, x: float) -> float:
-        """h(x) for x >= 0 inside the transform's domain."""
+        """h(x) for x >= 0 inside the transform's domain; ``x = inf`` gives the
+        limit of ``h``, finite (``1 / (1 - b)``) for sharma_mittal with ``a > 1 > b``."""
         x = float(x)
         if x < 0:
             raise DomainError("h transforms are defined for x >= 0")

@@ -54,10 +54,6 @@ class InputFile:
         return str(self.path)
 
 
-def file_digest(path) -> str:
-    return InputFile(path).sha256
-
-
 def _read_text(source) -> str:
     """The text of ``source``, an :class:`InputFile` or a path read here."""
     return (source if isinstance(source, InputFile) else InputFile(source)).text

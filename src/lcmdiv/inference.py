@@ -92,24 +92,24 @@ class TestResult:
     warnings: tuple = ()
 
 
-def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, warnings=()):
-    warnings = tuple(warnings)
+def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy):
+    warnings = ()
     critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
     if math.isnan(statistic):
         p_value, reject = math.nan, False
-        warnings = warnings + ("undefined_statistic",)
+        warnings = ("undefined_statistic",)
     elif dof <= 0:
         # Degenerate null: no free directions, point mass at zero.
         p_value = 1.0 if statistic <= 1e-12 else 0.0
         reject = statistic > 1e-12
     elif math.isinf(statistic):
         p_value, reject = 0.0, True
-        warnings = warnings + ("infinite_statistic",)
+        warnings = ("infinite_statistic",)
     else:
         p_value = chi2_sf(max(statistic, 0.0), dof)
         reject = statistic > critical
-    if statistic < 0 and "negative_statistic" not in warnings:
-        warnings = warnings + ("negative_statistic",)
+    if statistic < 0:
+        warnings += ("negative_statistic",)
     return TestResult(
         statistic=float(statistic),
         dof=int(dof),
@@ -158,14 +158,15 @@ def gof_statistic(
     """Goodness-of-fit statistic ``2N h(D) / (phi1''(1) h'(0))`` of the fitted model.
 
     ``D`` is the phi1-divergence of the empirical distribution from the fit,
-    and the test is at level ``alpha``.  Raises ``DomainError`` when ``D``
-    falls outside the domain of ``h`` (e.g. the bhattacharyya transform
+    and the test is at level ``alpha``.  An infinite ``D`` takes the limit
+    of ``h`` at infinity, which may be finite.  Raises ``DomainError`` when
+    ``D`` falls outside the domain of ``h`` (e.g. the bhattacharyya transform
     needs D < 1).
     """
     fit2.require_converged("goodness-of-fit statistic")
     _check_cells(counts, fit2)
     D = _phi_divergence(phi1, counts.p_hat(), fit2.manifest.p)
-    statistic = _transformed(_scale(counts, h), h, D)
+    statistic = _scale(counts, h) * h.value(D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
     h_field, kind = _h_label(h, "gof")
     return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy)
@@ -205,17 +206,6 @@ def estimator_sweep(
 def _scale(counts: ObservedCounts, h: HSpec) -> float:
     # Every power member has phi''(1) = 1, so only h'(0) scales the statistic.
     return 2.0 * counts.N / h.slope_at_zero()
-
-
-def _h_of_inf(h: HSpec) -> float:
-    if h.tag == "bhattacharyya":
-        raise DomainError("divergence is outside the domain of the bhattacharyya transform")
-    return math.inf
-
-
-def _transformed(scale: float, h: HSpec, D: float) -> float:
-    """``scale * h(D)``, with the limit of ``h`` when ``D`` is infinite."""
-    return scale * h.value(D) if math.isfinite(D) else _h_of_inf(h)
 
 
 def _h_label(h: HSpec, kind: str) -> tuple:
@@ -329,12 +319,10 @@ def nested_S(
     dof = _nested_dof(counts, fit_A, fit_B)
     D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
     D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
-    if math.isfinite(D_A) and math.isfinite(D_B):
+    if math.isfinite(D_A):
         statistic = _scale(counts, h) * (h.value(D_B) - h.value(D_A))
-    elif math.isinf(D_B) and math.isfinite(D_A):
-        statistic = _h_of_inf(h)
     else:
-        # inf - inf has no usable value; _decide flags the NaN as undefined.
+        # An infinite D_A leaves no usable difference; _decide flags the NaN as undefined.
         statistic = math.nan
     return _decide(
         statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_S"), "nominal_difference"
@@ -355,7 +343,7 @@ def nested_T(
     """
     dof = _nested_dof(counts, fit_A, fit_B)
     D = _phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p)
-    statistic = _transformed(_scale(counts, h), h, D)
+    statistic = _scale(counts, h) * h.value(D)
     return _decide(
         statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference"
     )

@@ -428,9 +428,13 @@ def numerical_rank(A: np.ndarray):
     matrices on leading axes, whose ranks come from one stacked SVD as an
     integer array of the stack's shape.  A zero matrix has rank 0.
     """
-    s = np.linalg.svd(A, compute_uv=False)
-    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    ranks = _rank_of(np.linalg.svd(A, compute_uv=False))
     return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def _rank_of(s: np.ndarray) -> np.ndarray:
+    """:func:`numerical_rank` from descending singular values ``s`` (on the last axis)."""
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
 def jacobian_rank(design: ModelDesign, theta: Theta) -> int:

@@ -7,8 +7,10 @@ from lcmdiv.asymptotics import (
     bundle_identity_checks,
     projection_identity_checks,
 )
-from lcmdiv.errors import RankDeficiencyError
+from lcmdiv.datasets import simulation_null_design
+from lcmdiv.errors import DomainError, RankDeficiencyError
 from lcmdiv.inference import NestedPair
+from lcmdiv.model import manifest_distribution
 from lcmdiv.model import ModelDesign, Theta
 
 from conftest import make_design, random_theta
@@ -108,3 +110,26 @@ class TestRankDeficiency:
         assert bundle.rank == 11
         assert checks["q_trace_deviation"] < 1e-6
         assert checks["q_idempotency"] < 1e-8
+
+
+class TestUnderflowedCells:
+    """Both builders scale the Jacobian by ``p**-0.5`` and refuse a zero cell."""
+
+    @pytest.fixture(scope="class")
+    def underflowed(self):
+        # At scale 800 the logits saturate and several pattern probabilities underflow to 0.
+        design = simulation_null_design()
+        rng = np.random.Generator(np.random.Philox(0))
+        theta = Theta(lam=rng.normal(0.0, 800.0, design.t), eta=rng.normal(0.0, 800.0, design.u))
+        assert np.any(manifest_distribution(design, theta).p == 0.0)
+        return design, theta
+
+    def test_bundle_refuses(self, underflowed):
+        design, theta = underflowed
+        with pytest.raises(DomainError, match="strictly positive"):
+            build_bundle(design, theta, pseudo_inverse=True)
+
+    def test_nested_projections_refuse(self, underflowed):
+        design, theta = underflowed
+        with pytest.raises(DomainError, match="strictly positive"):
+            build_nested_projections(NestedPair(design, (0,), ()), theta, pseudo_inverse=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import lcmdiv
 from lcmdiv import datasets, fileio
 from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
+from lcmdiv.estimation import FitOptions
 from lcmdiv.inference import gof_statistic
 
 from conftest import make_design
@@ -211,6 +213,25 @@ class TestParsing:
         assert "coleman_m1" in doc["designs"] and doc["plans"] == ["sim"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman"),
+    ("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman"),
+    ("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+     "--zero-lambda", "7,8"),
+    ("select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman"),
+])
+def test_report_records_every_fit_option(capsys, argv):
+    options = FitOptions(starts=4, init_scale=0.5, grad_tol=1e-7, max_iters=300, seed=3)
+    code, out, _ = run_cli(
+        capsys, *argv, "--starts", "4", "--init-scale", "0.5", "--grad-tol", "1e-7",
+        "--max-iters", "300", "--seed", "3", "--format", "json",
+    )
+    assert code == EXIT_OK
+    recorded = json.loads(out)["options"]
+    names = [f.name for f in fields(FitOptions) if f.name != "init_theta"]
+    assert FitOptions(**{name: recorded[name] for name in names}) == options
+
+
 class TestFitCommand:
     ARGV = ("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
             "--phi", "power:a=0", "--starts", "5", "--seed", "1", "--format", "json")
@@ -255,6 +276,15 @@ class TestGofCommand:
         doc = json.loads(out)
         library = gof_statistic(coleman_design, coleman_counts, power(1.0), coleman_fit_23)
         assert doc["test"]["statistic"] == pytest.approx(library.statistic, rel=1e-9)
+
+    def test_unconverged_fit_exits_without_a_report(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+            "--max-iters", "1", "--starts", "5", "--format", "json",
+        )
+        assert code == EXIT_COMPUTE
+        assert "no start converged: 5 max_iters" in err
+        assert out == ""
 
     def test_h_transformed_run(self, capsys):
         code, out, _ = run_cli(

@@ -170,4 +170,4 @@ class TestPlanFiles:
         design = make_design(seed=405)
         path = tmp_path / "d.json"
         fileio.write_design(design, path)
-        assert fileio.file_digest(path) == fileio.file_digest(path)
+        assert fileio.InputFile(path).sha256 == fileio.InputFile(path).sha256

@@ -117,6 +117,18 @@ def uniform_perfect_fit():
     return design, counts, result
 
 
+@pytest.fixture(scope="module")
+def empty_cell_fit():
+    """The design above fitted to counts with one empty cell, where ``D_{-1}`` is infinite."""
+    design = ModelDesign(
+        Q=np.ones((2, 3, 2)), C=np.zeros((2, 3)), V=np.ones((2, 2)), d=np.zeros(2)
+    )
+    counts = ObservedCounts(n=[25] * 7 + [0])
+    result = fit(design, counts, power(2.0 / 3.0), FitOptions(starts=4, seed=0))
+    assert result.converged and np.all(result.manifest.p > 0.0)
+    return design, counts, result
+
+
 class TestGofStatistic:
     def test_perfect_fit_gives_zero(self, uniform_perfect_fit):
         design, counts, result = uniform_perfect_fit
@@ -212,6 +224,26 @@ class TestGofStatisticH:
                 coleman_design, coleman_counts, power(2.0 / 3.0), coleman_fit_23, h=h
             )
             assert transformed.statistic == pytest.approx(plain.statistic, rel=0.01)
+
+    def test_infinite_divergence_takes_a_bounded_limit(self, empty_cell_fit):
+        # h(inf) = 1 / (1 - b) and h'(0) = a, so the statistic is 2N / (a (1 - b)).
+        design, counts, result = empty_cell_fit
+        h = HSpec(tag="sharma_mittal", a=2.0, b=0.5)
+        test = gof_statistic(design, counts, power(-1.0), result, h=h)
+        assert test.statistic == pytest.approx(2 * counts.N / (2.0 * (1 - 0.5)))
+        assert test.warnings == ()
+
+    @pytest.mark.parametrize("h", [HSpec(tag="renyi", a=0.5), HSpec(tag="bhattacharyya")])
+    def test_infinite_divergence_outside_a_bounded_domain_is_refused(self, empty_cell_fit, h):
+        design, counts, result = empty_cell_fit
+        with pytest.raises(DomainError):
+            gof_statistic(design, counts, power(-1.0), result, h=h)
+
+    def test_infinite_divergence_under_the_identity_stays_infinite(self, empty_cell_fit):
+        design, counts, result = empty_cell_fit
+        test = gof_statistic(design, counts, power(-1.0), result)
+        assert math.isinf(test.statistic) and test.reject
+        assert test.warnings == ("infinite_statistic",)
 
     def test_bhattacharyya_domain_failure(self):
         # One exchangeable class cannot fit mass split between the two corner
