@@ -16,8 +16,8 @@ Input paths may use the ``bundled:<name>`` scheme to reach the data sets
 shipped with the package (``lcmdiv <cmd> --list-bundled`` prints them).
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 computation
-failure.  Reports embed input digests, seeds and the conventions in force so
-a run can be reproduced bit for bit.
+failure.  Reports embed input digests, every option as parsed and the
+conventions in force so a run can be reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -66,7 +67,7 @@ _CONVENTIONS = {
     "indices": "1-based on the command line and in chain files",
 }
 
-# The FitOptions fields the fit commands set: their options' dests and the report's keys.
+# The FitOptions fields the fit commands set, in the order their options are declared.
 _FIT_OPTIONS = ("seed", "starts", "grad_tol", "init_scale", "max_iters")
 
 # Input kind -> (bundled constructors, file loader, to-dict for a bundled object's digest).
@@ -93,6 +94,11 @@ _INPUTS = {
     "chain": ({"coleman_chain": datasets.coleman_chain}, fileio.read_chain, fileio.chain_to_dict),
     "plan": ({"sim": datasets.simulation_plan}, fileio.read_plan, fileio.plan_to_dict),
 }
+
+# Parsed values a report does not list under ``options``: the inputs, which it
+# records with their digests, and where and how the report itself and the
+# progress log are written (the report reads the same with or without them).
+_NOT_OPTIONS = ("subcommand", *_INPUTS, "out", "fmt", "list_bundled", "progress")
 
 
 def _phi_spec(text: str) -> PhiSpec:
@@ -135,7 +141,7 @@ def _indices(text: str) -> tuple:
     values = _comma_list(int)(text) if text.strip() else ()
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("indices are 1-based and must be >= 1")
-    return tuple(v - 1 for v in values)
+    return values
 
 
 def _phi_str(spec: Optional[PhiSpec]) -> Optional[str]:
@@ -163,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_fit_opts(p):
-        p.add_argument("--starts", type=int, default=20, help="multi-start launches")
-        p.add_argument("--init-scale", type=float, default=1.0)
-        p.add_argument("--grad-tol", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
+    def add_fit_opts(p):  # in _FIT_OPTIONS order
+        p.add_argument("--seed", type=int, default=FitOptions.seed)
+        p.add_argument("--starts", type=int, default=FitOptions.starts, help="multi-start launches")
+        p.add_argument("--grad-tol", type=float, default=FitOptions.grad_tol)
+        p.add_argument("--init-scale", type=float, default=FitOptions.init_scale)
+        p.add_argument("--max-iters", type=int, default=FitOptions.max_iters)
 
     p = sub.add_parser("fit", help="minimum divergence parameter estimate")
     p.add_argument("--design", required=True)
@@ -208,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi1", type=_phi_spec, default=power(0.0))
     p.add_argument("--phi2", type=_phi_spec, default=power(0.0))
     p.add_argument("--h", type=_h_spec, default=identity_h())
-    p.add_argument("--statistic", choices=("S", "T"), default="S")
     p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--statistic", choices=("S", "T"), default="S")
     add_fit_opts(p)
     _add_output_opts(p)
 
@@ -256,6 +262,13 @@ def parse_args(argv) -> argparse.Namespace:
         ns.subcommand = "list-bundled"
         return ns
     ns = build_parser().parse_args(argv)
+    # The report's options: every value as parsed, in the parser's order.
+    ns.options = {
+        name: _phi_str(value) if isinstance(value, PhiSpec)
+        else _h_str(value) if isinstance(value, HSpec) else value
+        for name, value in vars(ns).items()
+        if name not in _NOT_OPTIONS
+    }
     if hasattr(ns, "starts"):
         ns.fit_options = FitOptions(**{name: getattr(ns, name) for name in _FIT_OPTIONS})
     ns.inputs = {}
@@ -293,13 +306,18 @@ def parse_args(argv) -> argparse.Namespace:
         if ns.drop_eta is not None:
             if not 1 <= ns.drop_eta <= ns.design.u:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")
-            if ns.drop_eta - 1 in ns.zero_eta:
+            if ns.drop_eta in ns.zero_eta:
                 raise DomainError(f"--zero-eta {ns.drop_eta} is the coordinate --drop-eta removes")
             ns.design = NestedPair(ns.design, (), (ns.drop_eta - 1,)).design_B()
-            # --zero-eta counts the loaded design's coordinates; renumber past the dropped one.
-            ns.zero_eta = tuple(i - (i >= ns.drop_eta) for i in ns.zero_eta)
     if ns.subcommand in ("nested", "verify"):
-        ns.pair = NestedPair(ns.design, ns.zero_lambda, ns.zero_eta)
+        # The one place the 1-based indices become 0-based.  verify's --zero-eta
+        # counts the loaded design's coordinates, so those past a dropped one shift down.
+        dropped = getattr(ns, "drop_eta", None) or math.inf
+        ns.pair = NestedPair(
+            ns.design,
+            tuple(i - 1 for i in ns.zero_lambda),
+            tuple(i - 1 - (i > dropped) for i in ns.zero_eta),
+        )
     if ns.subcommand == "simulate":
         if ns.jobs < 1:  # refused here: run_simulation's DomainError would exit as a failed run
             raise DomainError("--jobs must be >= 1")
@@ -360,12 +378,14 @@ def _emit(doc: dict, ns: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _base_doc(ns: argparse.Namespace) -> dict:
+def _base_doc(ns: argparse.Namespace, **results) -> dict:
+    """The report's header; ``results`` follow the parsed options under ``options``."""
     return {
         "command": ns.subcommand,
         "version": __version__,
         "inputs": ns.inputs,
         "conventions": dict(_CONVENTIONS),
+        "options": {**ns.options, **results},
     }
 
 
@@ -411,11 +431,6 @@ def _fit_doc(result) -> dict:
     }
 
 
-def _fit_options_doc(options: FitOptions) -> dict:
-    """Every option the command line sets on the fit, so the report re-runs it."""
-    return {name: getattr(options, name) for name in _FIT_OPTIONS}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -424,7 +439,6 @@ def _fit_options_doc(options: FitOptions) -> dict:
 def _run_fit(ns: argparse.Namespace) -> int:
     result = fit(ns.design, ns.counts, ns.phi, ns.fit_options)
     doc = _base_doc(ns)
-    doc["options"] = {"phi": _phi_str(ns.phi), **_fit_options_doc(ns.fit_options)}
     doc["fit"] = _fit_doc(result)
     _emit(doc, ns)
     if not result.converged:
@@ -439,11 +453,6 @@ def _run_gof(ns: argparse.Namespace) -> int:
         ns.design, ns.counts, ns.phi1, fit2, ns.alpha, ns.dof_policy, ns.dof_override, ns.h
     )
     doc = _base_doc(ns)
-    doc["options"] = {
-        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
-        "alpha": ns.alpha, "dof_policy": ns.dof_policy, "dof_override": ns.dof_override,
-        **_fit_options_doc(ns.fit_options),
-    }
     doc["fit"] = _fit_doc(fit2)
     doc["test"] = _test_result_doc(result)
     doc["decision"] = "reject" if result.reject else "no evidence against the model"
@@ -460,14 +469,7 @@ def _run_nested(ns: argparse.Namespace) -> int:
         for kind, test in (("S", nested_S), ("T", nested_T))
         if ns.statistic in (kind, "both")
     }
-    doc = _base_doc(ns)
-    doc["options"] = {
-        "zero_lambda": [i + 1 for i in ns.pair.zero_lam],
-        "zero_eta": [i + 1 for i in ns.pair.zero_eta],
-        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
-        "alpha": ns.alpha, **_fit_options_doc(ns.fit_options),
-        "h1": ns.pair.h1, "h2": ns.pair.h2,
-    }
+    doc = _base_doc(ns, h1=ns.pair.h1, h2=ns.pair.h2)
     doc["tests"] = {name: _test_result_doc(res) for name, res in tests.items()}
     _emit(doc, ns)
     return EXIT_OK
@@ -479,10 +481,6 @@ def _run_select(ns: argparse.Namespace) -> int:
         alpha=ns.alpha, statistic=ns.statistic, h=ns.h, options=ns.fit_options,
     )
     doc = _base_doc(ns)
-    doc["options"] = {
-        "phi1": _phi_str(ns.phi1), "phi2": _phi_str(ns.phi2), "h": _h_str(ns.h),
-        "alpha": ns.alpha, "statistic": ns.statistic, **_fit_options_doc(ns.fit_options),
-    }
     doc["selected_model"] = result.selected
     doc["models"] = {
         f"M{lvl}": {"free_params": ns.chain.free_params(lvl)}
@@ -513,27 +511,14 @@ def _run_simulate(ns: argparse.Namespace) -> int:
     table.write_csv(table_path)
     curve_paths = emit_power_curves(table, ns.out_dir)
     doc = _base_doc(ns)
-    doc["options"] = {
-        "sample_sizes": list(ns.plan.sample_sizes),
-        "lambda8_grid": list(ns.plan.lambda8_grid),
-        "a_values": list(ns.plan.a_values),
-        "replications": ns.plan.replications,
-        "alpha": ns.plan.alpha,
-        "seed": ns.plan.seed,
-        "estimator_a": ns.plan.estimator_a,
-        "dof_policy": ns.plan.dof_policy,
-        "jobs": ns.jobs,
+    # The effective plan, after the overrides; the input digest covers the designs.
+    doc["plan"] = {
+        key: value for key, value in fileio.plan_to_dict(ns.plan).items()
+        if key not in ("null_design", "alt_design")
     }
     doc["outputs"] = {"table": table_path, "curves": curve_paths}
-    doc["cells"] = [
-        {
-            "N": c.N, "a": c.a, "lambda8": c.lambda8, "rate": c.rate,
-            "n_effective": c.n_effective, "fit_failures": c.fit_failures,
-            "infinite_statistics": c.infinite_statistics, "dof": c.dof,
-            "ci95": list(c.binomial_ci), "dale_pass": c.dale_pass,
-        }
-        for c in table.cells
-    ]
+    header, *rows = table.rows()
+    doc["cells"] = [dict(zip(header, row)) for row in rows]
     _emit(doc, ns)
     return EXIT_OK
 
@@ -558,12 +543,11 @@ def _run_verify(ns: argparse.Namespace) -> int:
         ("sqrt-p annihilation", measured["sqrtp_annihilation"], _BUNDLE_TOL["annihilation"]),
     ])
     projections_doc = None
-    if ns.zero_lambda or ns.zero_eta:
+    if ns.pair.zero_lam or ns.pair.zero_eta:
         lam0 = np.array(theta0.lam)
-        lam0[list(ns.zero_lambda)] = 0.0
+        lam0[list(ns.pair.zero_lam)] = 0.0
         eta0 = np.array(theta0.eta)
-        if ns.zero_eta:
-            eta0[list(ns.zero_eta)] = 0.0
+        eta0[list(ns.pair.zero_eta)] = 0.0
         proj = build_nested_projections(ns.pair, Theta(lam=lam0, eta=eta0), ns.pseudo_inverse)
         pm = projection_identity_checks(proj)
         checks.extend([
@@ -578,12 +562,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         projections_doc = pm
 
     all_pass = all(dev <= tol for _, dev, tol in checks)
-    doc = _base_doc(ns)
-    doc["options"] = {
-        "theta_seed": ns.theta_seed, "theta_scale": ns.theta_scale,
-        "pseudo_inverse": ns.pseudo_inverse, "drop_eta": ns.drop_eta,
-        "rank": bundle.rank, "gram_condition": bundle.gram_condition,
-    }
+    doc = _base_doc(ns, rank=bundle.rank, gram_condition=bundle.gram_condition)
     doc["identities"] = [
         {"name": name, "deviation": dev, "tolerance": tol, "pass": dev <= tol}
         for name, dev, tol in checks

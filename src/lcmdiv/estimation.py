@@ -308,33 +308,26 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
     counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
     if len(counts_seq) != len(options_seq):
         raise DomainError("fit_many needs one FitOptions per data set")
-    results = [None] * len(counts_seq)
-    launches = {}  # data set -> its (starts, t + u) launch points
-    for i, (counts, options) in enumerate(zip(counts_seq, options_seq)):
+    if not counts_seq:
+        return ()
+    for counts in counts_seq:
         _check_items(design, counts)
-        if np.any(counts.n == 0) and not math.isfinite(spec.at_zero()):
-            results[i] = _failure_result(
-                design, counts, spec,
-                "objective is identically infinite: empty cells and phi(0+) = inf",
-            )
-        else:
-            launches[i] = _initial_points(design, options)
-    if not launches:
-        return tuple(results)
+    launches = [_initial_points(design, options) for options in options_seq]
 
-    owner = np.repeat(list(launches), [len(X0) for X0 in launches.values()])
+    owner = np.repeat(np.arange(len(launches)), [len(X0) for X0 in launches])
     outcome = _minimize(
         design,
         np.array([counts.p_hat() for counts in counts_seq])[owner],
         spec.a,
-        np.concatenate(list(launches.values())),
+        np.concatenate(launches),
         np.array([options.grad_tol for options in options_seq])[owner],
         np.array([options.max_iters for options in options_seq])[owner],
     )
     X, value = outcome[:2]
+    results = [None] * len(counts_seq)
     traces, best = {}, {}  # data set -> its start traces, and the row of its best start
     lo = 0
-    for i, X0 in launches.items():
+    for i, X0 in enumerate(launches):
         rows = slice(lo, lo + len(X0))
         lo = rows.stop
         traces[i] = _traces(*(column[rows] for column in outcome[1:]))
@@ -391,7 +384,7 @@ def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
     )
 
 
-def _failure_result(design, counts, spec, message, traces=()):
+def _failure_result(design, counts, spec, message, traces):
     theta = Theta.zeros(design)
     return FitResult(
         theta_hat=theta,

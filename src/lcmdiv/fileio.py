@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ def write_design(design: ModelDesign, path, comment: str = None) -> None:
         fh.write("\n")
 
 
-def read_counts(path, k: int = None) -> ObservedCounts:
+def read_counts(path) -> ObservedCounts:
     lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -119,7 +120,7 @@ def read_counts(path, k: int = None) -> ObservedCounts:
 
     first = [tok.strip() for tok in lines[0].replace("\t", ",").split(",")]
     has_header = any(not _is_number(tok) for tok in first)
-    n = (_read_pattern_rows if has_header else _read_dense)(lines, path, k)
+    n = (_read_pattern_rows if has_header else _read_dense)(lines, path)
     try:
         return ObservedCounts(n=n)
     except ValueError as exc:
@@ -134,13 +135,11 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _read_pattern_rows(lines, path, k):
+def _read_pattern_rows(lines, path):
     header = [tok.strip().lower() for tok in lines[0].replace("\t", ",").split(",")]
     if header[-1] != "count" or not all(h.startswith("y") for h in header[:-1]):
         raise InputFormatError(f"{path}: expected header y_1,...,y_k,count")
     k_file = len(header) - 1
-    if k is not None and k != k_file:
-        raise InputFormatError(f"{path}: file has {k_file} items, expected {k}")
     n = np.zeros(2 ** k_file, dtype=np.int64)
     seen = set()
     for row_no, ln in enumerate(lines[1:], start=2):
@@ -164,7 +163,7 @@ def _read_pattern_rows(lines, path, k):
     return n
 
 
-def _read_dense(lines, path, k):
+def _read_dense(lines, path):
     toks = []
     for ln in lines:
         toks.extend(tok.strip() for tok in ln.replace("\t", ",").split(",") if tok.strip())
@@ -175,8 +174,6 @@ def _read_dense(lines, path, k):
     size = len(values)
     if size < 2 or size & (size - 1):
         raise InputFormatError(f"{path}: dense counts length must be a power of two, got {size}")
-    if k is not None and size != 2 ** k:
-        raise InputFormatError(f"{path}: expected {2 ** k} cells, got {size}")
     return np.array(values, dtype=np.int64)
 
 
@@ -232,63 +229,68 @@ def write_chain(chain: NestedChain, path, comment: str = None) -> None:
         fh.write("\n")
 
 
+def _floats(values) -> tuple:
+    return tuple(float(x) for x in values)
+
+
+def _ints(values) -> tuple:
+    return tuple(int(x) for x in values)
+
+
+def _theta_from_dict(doc: dict) -> Theta:
+    return Theta(
+        lam=np.array(doc["lambda"], dtype=np.float64), eta=np.array(doc["eta"], dtype=np.float64)
+    )
+
+
+# The plan format, one row per key in file order: (JSON key, section, SimulationPlan
+# field, converter from JSON, required).  The fit options sit in the "fit" section;
+# an absent optional key takes the SimulationPlan default.
+_PLAN_KEYS = (
+    ("null_design", None, "null_design", partial(design_from_dict, where="null_design"), True),
+    ("alt_design", None, "alt_design", partial(design_from_dict, where="alt_design"), True),
+    ("theta0", None, "theta0", _theta_from_dict, True),
+    ("lambda8_grid", None, "lambda8_grid", _floats, True),
+    ("sample_sizes", None, "sample_sizes", _ints, True),
+    ("a_values", None, "a_values", _floats, True),
+    ("replications", None, "replications", int, True),
+    ("alpha", None, "alpha", float, False),
+    ("seed", None, "seed", int, False),
+    ("estimator_a", None, "estimator_a", float, False),
+    ("dof_policy", None, "dof_policy", str, False),
+    ("starts", "fit", "fit_starts", int, False),
+    ("start_at_truth", "fit", "start_at_truth", bool, False),
+    ("grad_tol", "fit", "fit_grad_tol", float, False),
+    ("max_iters", "fit", "fit_max_iters", int, False),
+)
+
+
+def _plan_value(value):
+    """A plan field as its key holds it."""
+    if isinstance(value, ModelDesign):
+        return design_to_dict(value)
+    if isinstance(value, Theta):
+        return {"lambda": np.asarray(value.lam).tolist(), "eta": np.asarray(value.eta).tolist()}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def plan_to_dict(plan: SimulationPlan, comment: str = None) -> dict:
-    doc = {
-        "null_design": design_to_dict(plan.null_design),
-        "alt_design": design_to_dict(plan.alt_design),
-        "theta0": {
-            "lambda": np.asarray(plan.theta0.lam).tolist(),
-            "eta": np.asarray(plan.theta0.eta).tolist(),
-        },
-        "lambda8_grid": list(plan.lambda8_grid),
-        "sample_sizes": list(plan.sample_sizes),
-        "a_values": list(plan.a_values),
-        "replications": plan.replications,
-        "alpha": plan.alpha,
-        "seed": plan.seed,
-        "estimator_a": plan.estimator_a,
-        "dof_policy": plan.dof_policy,
-        "fit": {
-            "starts": plan.fit_starts,
-            "start_at_truth": plan.start_at_truth,
-            "grad_tol": plan.fit_grad_tol,
-            "max_iters": plan.fit_max_iters,
-        },
-    }
+    doc = {}
+    for key, section, field, _, _ in _PLAN_KEYS:
+        (doc.setdefault(section, {}) if section else doc)[key] = _plan_value(getattr(plan, field))
     if comment:
         doc["comment"] = comment
     return doc
 
 
-# Optional plan keys as (JSON key, SimulationPlan field, type); the fit options sit
-# under "fit".  An absent key takes the SimulationPlan default.
-_PLAN_OPTIONAL = (("alpha", "alpha", float), ("seed", "seed", int),
-                  ("estimator_a", "estimator_a", float), ("dof_policy", "dof_policy", str))
-_PLAN_FIT_OPTIONAL = (("starts", "fit_starts", int), ("start_at_truth", "start_at_truth", bool),
-                      ("grad_tol", "fit_grad_tol", float), ("max_iters", "fit_max_iters", int))
-
-
 def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
     try:
-        optional = {
-            field: convert(section[key])
-            for section, keys in ((doc, _PLAN_OPTIONAL), (doc.get("fit", {}), _PLAN_FIT_OPTIONAL))
-            for key, field, convert in keys
-            if key in section
-        }
-        return SimulationPlan(
-            null_design=design_from_dict(doc["null_design"], f"{where}.null_design"),
-            alt_design=design_from_dict(doc["alt_design"], f"{where}.alt_design"),
-            theta0=Theta(
-                lam=np.array(doc["theta0"]["lambda"], dtype=np.float64),
-                eta=np.array(doc["theta0"]["eta"], dtype=np.float64),
-            ),
-            lambda8_grid=tuple(float(x) for x in doc["lambda8_grid"]),
-            sample_sizes=tuple(int(x) for x in doc["sample_sizes"]),
-            a_values=tuple(float(x) for x in doc["a_values"]),
-            replications=int(doc["replications"]),
-            **optional,
-        )
+        fields = {}
+        for key, section, field, convert, required in _PLAN_KEYS:
+            source = doc.get(section, {}) if section else doc
+            if required or key in source:
+                fields[field] = convert(source[key])
+        return SimulationPlan(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: bad plan structure ({exc})")
 

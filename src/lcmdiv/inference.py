@@ -76,6 +76,8 @@ class TestResult:
     survival function).  ``warnings`` may carry ``negative_statistic``,
     ``infinite_statistic`` or ``undefined_statistic`` flags; an undefined
     (NaN) statistic has a NaN ``p_value`` and never rejects.
+    ``infinite_divergence`` marks a finite statistic that a bounded ``h``
+    took from an infinite divergence.
     """
 
     statistic: float
@@ -92,7 +94,7 @@ class TestResult:
     warnings: tuple = ()
 
 
-def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy):
+def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, divergences):
     warnings = ()
     critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
     if math.isnan(statistic):
@@ -110,6 +112,8 @@ def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy):
         reject = statistic > critical
     if statistic < 0:
         warnings += ("negative_statistic",)
+    if math.isfinite(statistic) and not all(map(math.isfinite, divergences)):
+        warnings += ("infinite_divergence",)
     return TestResult(
         statistic=float(statistic),
         dof=int(dof),
@@ -169,7 +173,7 @@ def gof_statistic(
     statistic = _scale(counts, h) * h.value(D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
     h_field, kind = _h_label(h, "gof")
-    return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy)
+    return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy, (D,))
 
 
 def _check_cells(counts: ObservedCounts, *fits: FitResult) -> None:
@@ -325,7 +329,8 @@ def nested_S(
         # An infinite D_A leaves no usable difference; _decide flags the NaN as undefined.
         statistic = math.nan
     return _decide(
-        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_S"), "nominal_difference"
+        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_S"), "nominal_difference",
+        (D_A, D_B),
     )
 
 
@@ -345,7 +350,8 @@ def nested_T(
     D = _phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p)
     statistic = _scale(counts, h) * h.value(D)
     return _decide(
-        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference"
+        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference",
+        (D,),
     )
 
 

@@ -232,6 +232,59 @@ def test_report_records_every_fit_option(capsys, argv):
     assert FitOptions(**{name: recorded[name] for name in names}) == options
 
 
+_FIT_ARGS = ("--seed", "3", "--starts", "2", "--grad-tol", "1e-07", "--init-scale", "0.5",
+             "--max-iters", "300")
+_FIT_TYPED = {"seed": 3, "starts": 2, "grad_tol": 1e-07, "init_scale": 0.5, "max_iters": 300}
+
+
+@pytest.mark.parametrize("argv, typed, results", [
+    (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+      "--phi", "power:a=1.0", *_FIT_ARGS),
+     {"phi": "power:a=1.0", **_FIT_TYPED}, ()),
+    (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+      "--phi1", "power:a=0.5", "--phi2", "power:a=1.0", "--h", "renyi:a=2.0", "--alpha", "0.1",
+      "--dof-policy", "nominal", "--dof-override", "7", *_FIT_ARGS),
+     {"phi1": "power:a=0.5", "phi2": "power:a=1.0", "h": "renyi:a=2.0", "alpha": 0.1,
+      "dof_policy": "nominal", "dof_override": 7, **_FIT_TYPED}, ()),
+    (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+      "--zero-lambda", "7,8", "--zero-eta", "4", "--phi1", "power:a=0.5", "--phi2", "power:a=1.0",
+      "--h", "renyi:a=2.0", "--statistic", "T", "--alpha", "0.1", *_FIT_ARGS),
+     {"zero_lambda": [7, 8], "zero_eta": [4], "phi1": "power:a=0.5", "phi2": "power:a=1.0",
+      "h": "renyi:a=2.0", "statistic": "T", "alpha": 0.1, **_FIT_TYPED}, ("h1", "h2")),
+    (("select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman",
+      "--phi1", "power:a=0.5", "--phi2", "power:a=1.0", "--h", "renyi:a=2.0", "--alpha", "0.1",
+      "--statistic", "T", *_FIT_ARGS),
+     {"phi1": "power:a=0.5", "phi2": "power:a=1.0", "h": "renyi:a=2.0", "alpha": 0.1,
+      "statistic": "T", **_FIT_TYPED}, ()),
+    (("verify", "--design", "bundled:coleman_m1_chain_basis", "--theta-seed", "4",
+      "--theta-scale", "0.25", "--pseudo-inverse", "--drop-eta", "1", "--zero-lambda", "7,8",
+      "--zero-eta", "3"),
+     {"theta_seed": 4, "theta_scale": 0.25, "pseudo_inverse": True, "drop_eta": 1,
+      "zero_lambda": [7, 8], "zero_eta": [3]}, ("rank", "gram_condition")),
+])
+def test_report_records_every_option_as_typed(capsys, argv, typed, results):
+    _, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert out, err
+    recorded = json.loads(out)["options"]
+    assert list(recorded) == [*typed, *results]
+    assert {name: recorded[name] for name in typed} == typed
+
+
+def test_simulate_report_records_every_option_as_typed(capsys, tmp_path):
+    # --progress is left out: it only routes the log, and the report reads the same without it.
+    out_dir = str(tmp_path / "results")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--plan", "bundled:sim", "--sizes", "200", "--lambda8", "0",
+        "--a-values", "0.5", "--replications", "2", "--seed", "11", "--alpha", "0.1",
+        "--jobs", "1", "--progress", "--out-dir", out_dir, "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["options"] == {
+        "sample_sizes": [200], "lambda8_grid": [0.0], "a_values": [0.5], "replications": 2,
+        "seed": 11, "alpha": 0.1, "jobs": 1, "out_dir": out_dir,
+    }
+
+
 class TestFitCommand:
     ARGV = ("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
             "--phi", "power:a=0", "--starts", "5", "--seed", "1", "--format", "json")
@@ -507,6 +560,28 @@ class TestSimulateCommand:
         )
         assert code == EXIT_INPUT and out == "" and "Traceback" not in err
         assert not (tmp_path / "d").exists()
+
+    def test_report_plan_and_cells_are_the_plan_file_and_the_table(self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from lcmdiv.montecarlo import run_simulation
+
+        code, out, _ = run_cli(
+            capsys, "simulate", "--plan", "bundled:sim", "--sizes", "200", "--lambda8", "0,2",
+            "--a-values", "0,0.6666666666666666", "--replications", "3", "--seed", "5",
+            "--out-dir", str(tmp_path / "results"), "--format", "json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        plan = replace(
+            datasets.simulation_plan(), sample_sizes=(200,), lambda8_grid=(0.0, 2.0),
+            a_values=(0.0, 2.0 / 3.0), replications=3, seed=5,
+        )
+        expected = fileio.plan_to_dict(plan)
+        del expected["null_design"], expected["alt_design"]
+        assert doc["plan"] == expected
+        header, *rows = run_simulation(plan).rows()
+        assert doc["cells"] == [dict(zip(header, row)) for row in rows]
 
     def test_plan_overrides(self, capsys, tmp_path):
         out_dir = tmp_path / "results"

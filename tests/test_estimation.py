@@ -213,6 +213,18 @@ class TestFit:
         assert "infinite" in result.message
         assert result.empty_cells
 
+    @pytest.mark.parametrize("a", [-1.0, -2.0])
+    def test_identically_infinite_objective_ends_every_start(self, coleman_design, coleman_counts, a):
+        # phi_a(0+) is infinite for a <= -1, so with an empty cell every launch
+        # point has an infinite objective and each start ends after one evaluation.
+        n = np.array(coleman_counts.n)
+        n[3] = 0
+        result = fit(coleman_design, ObservedCounts(n=n), power(a), FitOptions(starts=5, seed=1))
+        assert not result.converged and result.empty_cells
+        assert result.message == "no start converged: 5 infinite_objective"
+        assert [t.status for t in result.traces] == ["infinite_objective"] * 5
+        assert all(t.iterations == 0 and t.evaluations == 1 for t in result.traces)
+
     def test_empty_cells_flagged_but_fit_proceeds_above(self):
         design = make_design(seed=62, k=3, m=2, t=2, u=1)
         counts = ObservedCounts(n=[50, 0, 3, 7, 9, 4, 2, 25])

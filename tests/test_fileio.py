@@ -77,12 +77,6 @@ class TestCountsFiles:
         loaded = fileio.read_counts(path)
         np.testing.assert_array_equal(loaded.n, [5, 1, 2, 2])
 
-    def test_item_count_crosscheck(self, tmp_path):
-        path = tmp_path / "dense.csv"
-        path.write_text("5,1,2,2\n")
-        with pytest.raises(InputFormatError):
-            fileio.read_counts(path, k=3)
-
     @pytest.mark.parametrize(
         "content",
         [
@@ -165,6 +159,12 @@ class TestPlanFiles:
         doc = {key: value for key, value in fileio.plan_to_dict(full).items() if key in required}
         expected = SimulationPlan(**{name: getattr(full, name) for name in required})
         assert fileio.plan_to_dict(fileio.plan_from_dict(doc)) == fileio.plan_to_dict(expected)
+
+    def test_plan_that_is_not_an_object_is_an_input_error(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("[]")
+        with pytest.raises(InputFormatError, match="plan.json"):
+            fileio.read_plan(path)
 
     def test_digest_stability(self, tmp_path):
         design = make_design(seed=405)

@@ -231,7 +231,7 @@ class TestGofStatisticH:
         h = HSpec(tag="sharma_mittal", a=2.0, b=0.5)
         test = gof_statistic(design, counts, power(-1.0), result, h=h)
         assert test.statistic == pytest.approx(2 * counts.N / (2.0 * (1 - 0.5)))
-        assert test.warnings == ()
+        assert test.warnings == ("infinite_divergence",)
 
     @pytest.mark.parametrize("h", [HSpec(tag="renyi", a=0.5), HSpec(tag="bhattacharyya")])
     def test_infinite_divergence_outside_a_bounded_domain_is_refused(self, empty_cell_fit, h):
@@ -371,22 +371,36 @@ class TestNestedStatistics:
             assert s.statistic >= -1e-12
 
     def test_negative_statistic_flagged_not_clamped(self):
-        result = _decide(-0.37, 2, 0.05, power(3.0), power(0.0), None, "nested_S", "nominal_difference")
+        result = _decide(
+            -0.37, 2, 0.05, power(3.0), power(0.0), None, "nested_S", "nominal_difference", ()
+        )
         assert result.statistic == -0.37
         assert "negative_statistic" in result.warnings
         assert not result.reject
 
     def test_infinite_statistic_flagged_as_rejection(self):
-        result = _decide(math.inf, 4, 0.05, power(-1.0), power(0.0), None, "gof", "rank")
+        result = _decide(math.inf, 4, 0.05, power(-1.0), power(0.0), None, "gof", "rank", ())
         assert result.reject and result.p_value == 0.0
         assert "infinite_statistic" in result.warnings
 
     @pytest.mark.parametrize("dof", [2, 0])
     def test_undefined_statistic_flagged_never_rejects(self, dof):
-        result = _decide(math.nan, dof, 0.05, power(-1.0), power(0.0), None, "nested_S", "nominal_difference")
+        result = _decide(
+            math.nan, dof, 0.05, power(-1.0), power(0.0), None, "nested_S", "nominal_difference", ()
+        )
         assert math.isnan(result.statistic) and math.isnan(result.p_value)
         assert not result.reject
         assert result.warnings == ("undefined_statistic",)
+
+    def test_finite_statistic_on_an_infinite_divergence_is_flagged(self):
+        # A bounded h maps an infinite divergence to a finite statistic.
+        result = _decide(350.0, 2, 0.05, power(-1.0), power(0.0), None, "nested_S_h",
+                         "nominal_difference", (0.2, math.inf))
+        assert result.reject and result.warnings == ("infinite_divergence",)
+        for statistic, flag in ((math.inf, "infinite_statistic"), (math.nan, "undefined_statistic")):
+            result = _decide(statistic, 2, 0.05, power(-1.0), power(0.0), None, "nested_S",
+                             "nominal_difference", (math.inf, math.inf))
+            assert result.warnings == (flag,)
 
     def test_infinite_minus_infinite_is_flagged(self):
         # Three empty cells make both divergences infinite at index -1.
