@@ -41,7 +41,7 @@ from workloads import NAMES  # noqa: E402
 
 from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
-from lcmdiv.estimation import FitOptions, _objective, fit, fit_many  # noqa: E402
+from lcmdiv.estimation import _objective, fit, fit_many  # noqa: E402
 from lcmdiv.inference import gof_statistic  # noqa: E402
 from lcmdiv.model import _evaluate, sample_counts  # noqa: E402
 from lcmdiv.montecarlo import _replicate_chunk  # noqa: E402
@@ -78,8 +78,7 @@ def layer_timings(seed: int) -> dict:
     rng = np.random.Generator(np.random.Philox(seed))
     X = plan.theta0.vector() + rng.normal(0.0, 0.1, size=(BATCH, design.t + design.u))
     counts = [sample_counts(design, plan.theta0, 200, seed=(seed, rep)) for rep in range(BATCH)]
-    options = [FitOptions(starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
-                          init_theta=plan.theta0)] * BATCH
+    options = [plan.fit_options(seed=0)] * BATCH
     fits = fit_many(design, counts, spec, options)
     evaluations = sum(r.traces[0].evaluations for r in fits)
     P_hat = np.array([c.p_hat() for c in counts])

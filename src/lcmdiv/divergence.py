@@ -69,10 +69,6 @@ class PhiSpec:
 
     # -- boundary limits ----------------------------------------------------
 
-    def at_zero(self) -> float:
-        """lim_{x->0+} phi(x); +inf for power indices a <= -1."""
-        return self.value(0.0)
-
     def slope_limit(self) -> float:
         """lim_{x->inf} phi(x)/x; +inf for power indices a >= 0."""
         return math.inf if self.a >= 0.0 else -1.0 / self.a

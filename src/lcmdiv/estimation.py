@@ -24,8 +24,9 @@ The optimizer is one batched BFGS (:func:`_minimize`): every start of a
 multi-start fit, and every data set of :func:`fit_many`, is a row of one
 array, and rows that converge drop out.  Arguments are validated at the
 public entry points; the loop runs on raw ``(b, t + u)`` arrays and checks
-only that they are finite.  After the loop, the best start of every data
-set is evaluated in one kernel call and ranked by one stacked SVD.
+only that they are finite.  After the loop, every data set's best start,
+converged or not, is evaluated in one kernel call and ranked by one stacked
+SVD, and every result is built from that evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .divergence import PhiSpec, _divergence, kl_divergence, power
 from .errors import DomainError, NotConvergedError
@@ -48,9 +50,7 @@ from .model import (
     _pullback,
     _table,
     _vector,
-    latent_params,
     log_likelihood,
-    manifest_distribution,
     numerical_rank,
 )
 
@@ -110,7 +110,14 @@ class StartTrace:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a (multi-start) minimum divergence fit."""
+    """Outcome of a (multi-start) minimum divergence fit.
+
+    ``theta_hat``, ``objective``, ``latent``, ``manifest`` and ``rank``
+    describe the best start.  A failed result (``converged=False``) reports
+    where its best start stopped, and its ``message`` counts the starts by
+    status; when every launch point has an infinite objective that is start
+    0's launch point, with objective ``inf``.
+    """
 
     theta_hat: Theta
     objective: float
@@ -289,9 +296,10 @@ def fit(
 
     Runs ``options.starts`` quasi-Newton searches, as one batch, and keeps
     the converged start with the smallest objective (ties broken by start
-    index, so the result is deterministic given the seed).  A result with
-    ``converged=False`` carrying every per-start trace is returned when no
-    start reaches ``grad_tol``; its message counts the starts by status.
+    index, so the result is deterministic given the seed).  When no start
+    reaches ``grad_tol`` the result has ``converged=False`` and reports the
+    start with the smallest objective where it stopped, with every per-start
+    trace; its message counts the starts by status.
     """
     return fit_many(design, (counts,), spec, (options,))[0]
 
@@ -302,8 +310,10 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
     Every start of every data set is one row of a single batched
     optimization, and a row's path does not depend on the rest of the batch,
     so each result equals the one :func:`fit` returns for that data set
-    alone, bit for bit.  The data sets' result points share one kernel call
-    and one stacked SVD, both row by row as well.
+    alone, bit for bit.  A data set's result point is its best converged
+    start or, when none converged, its best start of all (the first start
+    wins ties).  The result points share one kernel call, which also gives
+    the class weights and item probabilities, and one stacked SVD.
     """
     counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
     if len(counts_seq) != len(options_seq):
@@ -324,47 +334,39 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
         np.array([options.max_iters for options in options_seq])[owner],
     )
     X, value = outcome[:2]
-    results = [None] * len(counts_seq)
-    traces, best = {}, {}  # data set -> its start traces, and the row of its best start
+    best, messages, traces = [], [], []
     lo = 0
-    for i, X0 in enumerate(launches):
+    for X0 in launches:
         rows = slice(lo, lo + len(X0))
         lo = rows.stop
-        traces[i] = _traces(*(column[rows] for column in outcome[1:]))
-        converged = [tr for tr in traces[i] if tr.converged]
-        if converged:
-            # min keeps the first start among ties.
-            best[i] = rows.start + min(converged, key=lambda tr: tr.objective).start
-        else:
-            tally = ", ".join(
-                f"{n} {name}"
-                for name in _STATUSES[1:]
-                if (n := sum(tr.status == name for tr in traces[i]))
-            )
-            results[i] = _failure_result(
-                design, counts_seq[i], spec, f"no start converged: {tally}", traces=traces[i]
-            )
-    if not best:
-        return tuple(results)
+        starts = _traces(*(column[rows] for column in outcome[1:]))
+        converged = [tr for tr in starts if tr.converged]
+        # min keeps the first start among ties.
+        best.append(rows.start + min(converged or starts, key=lambda tr: tr.objective).start)
+        traces.append(starts)
+        tally = ", ".join(
+            f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in starts))
+        )
+        messages.append("" if converged else f"no start converged: {tally}")
 
     # Every data set's result point in one kernel call, ranked by one stacked SVD.
-    X_best = X[list(best.values())]
-    w, S, B, P = _table(design, X_best)
+    w, S, B, P = _table(design, X[best])
     ranks = numerical_rank(_jacobian(design, w, S, B))
-    for (i, row), x, p, rank in zip(best.items(), X_best, P, ranks):
-        theta_hat = Theta.from_vector(design, x)
-        results[i] = FitResult(
-            theta_hat=theta_hat,
+    return tuple(
+        FitResult(
+            theta_hat=Theta.from_vector(design, X[row]),
             objective=float(value[row]),
-            converged=True,
+            converged=any(tr.converged for tr in traces[i]),
             traces=traces[i],
-            latent=latent_params(design, theta_hat),
-            manifest=ManifestDistribution(p=p),
-            rank=int(rank),
+            latent=LatentParams(w=w[i], P=expit(S[i])),
+            manifest=ManifestDistribution(p=P[i]),
+            rank=int(ranks[i]),
             spec=spec,
             empty_cells=bool(np.any(counts_seq[i].n == 0)),
+            message=messages[i],
         )
-    return tuple(results)
+        for i, row in enumerate(best)
+    )
 
 
 def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
@@ -381,22 +383,6 @@ def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
             restarts=int(restarts[s]),
         )
         for s in range(len(value))
-    )
-
-
-def _failure_result(design, counts, spec, message, traces):
-    theta = Theta.zeros(design)
-    return FitResult(
-        theta_hat=theta,
-        objective=math.inf,
-        converged=False,
-        traces=traces,
-        latent=latent_params(design, theta),
-        manifest=manifest_distribution(design, theta),
-        rank=0,
-        spec=spec,
-        empty_cells=bool(np.any(counts.n == 0)),
-        message=message,
     )
 
 

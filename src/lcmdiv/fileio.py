@@ -229,12 +229,25 @@ def write_chain(chain: NestedChain, path, comment: str = None) -> None:
         fh.write("\n")
 
 
-def _floats(values) -> tuple:
-    return tuple(float(x) for x in values)
+def _typed(what: str, kind: type, *also: type):
+    """Converter to ``kind`` of a JSON value of type ``kind`` or ``also``; a JSON
+    boolean (a Python ``bool``, hence an ``int``) passes only as ``bool``."""
+
+    def convert(value):
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, *also)):
+            raise TypeError(f"expected {what}, got {json.dumps(value, default=repr)}")
+        return kind(value)
+
+    return convert
 
 
-def _ints(values) -> tuple:
-    return tuple(int(x) for x in values)
+def _list_of(convert):
+    """Converter of a JSON list to the tuple of ``convert`` of its items."""
+    return lambda values: tuple(map(convert, _typed("a list", list)(values)))
+
+
+_INT = _typed("an integer", int)
+_FLOAT = _typed("a number", float, int)
 
 
 def _theta_from_dict(doc: dict) -> Theta:
@@ -250,18 +263,18 @@ _PLAN_KEYS = (
     ("null_design", None, "null_design", partial(design_from_dict, where="null_design"), True),
     ("alt_design", None, "alt_design", partial(design_from_dict, where="alt_design"), True),
     ("theta0", None, "theta0", _theta_from_dict, True),
-    ("lambda8_grid", None, "lambda8_grid", _floats, True),
-    ("sample_sizes", None, "sample_sizes", _ints, True),
-    ("a_values", None, "a_values", _floats, True),
-    ("replications", None, "replications", int, True),
-    ("alpha", None, "alpha", float, False),
-    ("seed", None, "seed", int, False),
-    ("estimator_a", None, "estimator_a", float, False),
-    ("dof_policy", None, "dof_policy", str, False),
-    ("starts", "fit", "fit_starts", int, False),
-    ("start_at_truth", "fit", "start_at_truth", bool, False),
-    ("grad_tol", "fit", "fit_grad_tol", float, False),
-    ("max_iters", "fit", "fit_max_iters", int, False),
+    ("lambda8_grid", None, "lambda8_grid", _list_of(_FLOAT), True),
+    ("sample_sizes", None, "sample_sizes", _list_of(_INT), True),
+    ("a_values", None, "a_values", _list_of(_FLOAT), True),
+    ("replications", None, "replications", _INT, True),
+    ("alpha", None, "alpha", _FLOAT, False),
+    ("seed", None, "seed", _INT, False),
+    ("estimator_a", None, "estimator_a", _FLOAT, False),
+    ("dof_policy", None, "dof_policy", _typed("a string", str), False),
+    ("starts", "fit", "fit_starts", _INT, False),
+    ("start_at_truth", "fit", "start_at_truth", _typed("true or false", bool), False),
+    ("grad_tol", "fit", "fit_grad_tol", _FLOAT, False),
+    ("max_iters", "fit", "fit_max_iters", _INT, False),
 )
 
 
@@ -284,15 +297,19 @@ def plan_to_dict(plan: SimulationPlan, comment: str = None) -> dict:
 
 
 def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
-    try:
-        fields = {}
-        for key, section, field, convert, required in _PLAN_KEYS:
+    """The plan a JSON document holds; a value of the wrong JSON type is refused."""
+    fields = {}
+    for key, section, field, convert, required in _PLAN_KEYS:
+        try:
             source = doc.get(section, {}) if section else doc
             if required or key in source:
                 fields[field] = convert(source[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"{where}: bad plan key {key!r} ({exc})")
+    try:
         return SimulationPlan(**fields)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: bad plan structure ({exc})")
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: bad plan ({exc})")
 
 
 def read_plan(path) -> SimulationPlan:

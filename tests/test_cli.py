@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -302,6 +303,14 @@ class TestFitCommand:
         assert code == EXIT_COMPUTE
         assert "no start converged: 5 max_iters" in err
         assert [s["status"] for s in json.loads(out)["fit"]["starts"]] == ["max_iters"] * 5
+
+    def test_failed_fit_reports_its_best_start(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV, "--max-iters", "1")
+        assert code == EXIT_COMPUTE
+        doc = json.loads(out)["fit"]
+        assert not doc["converged"]
+        assert doc["objective"] == min(s["objective"] for s in doc["starts"])
+        assert math.isfinite(doc["objective"]) and doc["jacobian_rank"] > 0
 
 
 class TestGofCommand:

@@ -225,6 +225,23 @@ class TestFit:
         assert [t.status for t in result.traces] == ["infinite_objective"] * 5
         assert all(t.iterations == 0 and t.evaluations == 1 for t in result.traces)
 
+    def test_identically_infinite_fit_reports_the_first_launch_point(
+        self, coleman_design, coleman_counts
+    ):
+        n = np.array(coleman_counts.n)
+        n[3] = 0
+        launch = random_theta(coleman_design, seed=8)
+        options = FitOptions(starts=3, seed=1, init_theta=launch)
+        result = fit(coleman_design, ObservedCounts(n=n), power(-1.0), options)
+        assert result.message == "no start converged: 3 infinite_objective"
+        assert result.objective == math.inf
+        np.testing.assert_array_equal(result.theta_hat.vector(), launch.vector())
+        np.testing.assert_array_equal(
+            result.manifest.p, manifest_distribution(coleman_design, launch).p
+        )
+        _assert_latent_is_reference(coleman_design, result)
+        assert result.rank == jacobian_rank(coleman_design, launch)
+
     def test_empty_cells_flagged_but_fit_proceeds_above(self):
         design = make_design(seed=62, k=3, m=2, t=2, u=1)
         counts = ObservedCounts(n=[50, 0, 3, 7, 9, 4, 2, 25])
@@ -333,11 +350,37 @@ class TestBatchedFit:
         options_seq[3] = FitOptions(starts=2, max_iters=1, seed=1, init_theta=plan.theta0)
         fits = fit_many(plan.null_design, counts, power(plan.estimator_a), options_seq)
         assert [r.converged for r in fits].count(False) == 1 and not fits[3].converged
-        assert fits[3].rank == 0
         assert len({r.rank for r in fits if r.converged}) > 1
         for r in fits:
+            assert r.rank == jacobian_rank(plan.null_design, r.theta_hat)
+
+    def test_converged_latent_is_the_latent_params(self, coleman_design, coleman_fit_23):
+        # The class weights and item probabilities come from the batch's
+        # kernel table; they equal latent_params at theta_hat bit for bit.
+        plan, counts, options = _cell_fits(200, 2.0, 25)
+        fits = fit_many(plan.null_design, counts, power(plan.estimator_a), [options] * len(counts))
+        assert sum(r.converged for r in fits) >= 20
+        for r in fits:
             if r.converged:
-                assert r.rank == jacobian_rank(plan.null_design, r.theta_hat)
+                _assert_latent_is_reference(plan.null_design, r)
+        _assert_latent_is_reference(coleman_design, coleman_fit_23)
+
+    def test_failed_fit_reports_its_best_start(self):
+        # No start converges; the result is the start with the smallest
+        # objective where it stopped, evaluated like a converged one.
+        plan, counts, _ = _cell_fits(200, 0.0, 1)
+        design, spec = plan.null_design, power(2.0 / 3.0)
+        result = fit(design, counts[0], spec, FitOptions(starts=4, max_iters=2, seed=1))
+        assert not result.converged
+        assert result.message == "no start converged: 4 max_iters"
+        objectives = [t.objective for t in result.traces]
+        assert result.objective == min(objectives) and objectives.index(min(objectives)) == 3
+        assert result.objective == objective_and_gradient(design, counts[0], spec, result.theta_hat)[0]
+        np.testing.assert_array_equal(
+            result.manifest.p, manifest_distribution(design, result.theta_hat).p
+        )
+        _assert_latent_is_reference(design, result)
+        assert result.rank == jacobian_rank(design, result.theta_hat)
 
     def test_one_options_per_data_set(self):
         plan, counts, options = _cell_fits(200, 0.0, 2)
@@ -385,6 +428,12 @@ class TestBatchedFit:
 def manifest_distribution_from(result):
     P = np.asarray(result.latent.P)
     return np.asarray(result.latent.w) @ reference_class_pattern_probs(P, all_patterns(P.shape[1]))
+
+
+def _assert_latent_is_reference(design, result):
+    reference = model.latent_params(design, result.theta_hat)
+    np.testing.assert_array_equal(result.latent.w, reference.w)
+    np.testing.assert_array_equal(result.latent.P, reference.P)
 
 
 def _grad_at(design, counts, result):

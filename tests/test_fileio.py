@@ -160,6 +160,49 @@ class TestPlanFiles:
         expected = SimulationPlan(**{name: getattr(full, name) for name in required})
         assert fileio.plan_to_dict(fileio.plan_from_dict(doc)) == fileio.plan_to_dict(expected)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            # integer keys take JSON integers only
+            (None, "replications", 12.9),
+            (None, "seed", True),
+            ("fit", "starts", 2.7),
+            ("fit", "max_iters", "300"),
+            # float keys take JSON numbers, not booleans or strings
+            (None, "alpha", "0.05"),
+            ("fit", "grad_tol", True),
+            # start_at_truth takes a JSON boolean, dof_policy a string
+            ("fit", "start_at_truth", "false"),
+            ("fit", "start_at_truth", 0),
+            (None, "dof_policy", ["rank"]),
+            # list keys take lists of the matching type
+            (None, "sample_sizes", [200.5, "300"]),
+            (None, "sample_sizes", [200, True]),
+            (None, "a_values", ["0.5"]),
+            (None, "lambda8_grid", 2.0),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_refused(self, tmp_path, section, key, value):
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match=f"plan.json: bad plan key '{key}'"):
+            fileio.read_plan(path)
+
+    def test_plan_value_of_the_wrong_type_exits_3(self, tmp_path, capsys):
+        from lcmdiv.cli import EXIT_INPUT, main
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        doc["fit"]["start_at_truth"] = "false"
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path), "--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "'start_at_truth' (expected true or false, got \"false\")" in capsys.readouterr().err
+
     def test_plan_that_is_not_an_object_is_an_input_error(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("[]")
