@@ -100,9 +100,9 @@ def layer_timings(seed: int) -> dict:
         "gof_per_replication": timed(clock, gof_batch, 10, BATCH),
         "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options[0]), 5),
         "fit_batch_share": timed(clock, lambda: fit_many(design, counts, spec, options), 1, BATCH),
-        "replication_alone": timed(clock, lambda: _replicate_chunk((plan, 0, 0, [0])), 5),
+        "replication_alone": timed(clock, lambda: _replicate_chunk((plan, 0, 1)), 5),
         "replication_batch_share": timed(
-            clock, lambda: _replicate_chunk((plan, 0, 0, list(range(BATCH)))), 1, BATCH),
+            clock, lambda: _replicate_chunk((plan, 0, BATCH)), 1, BATCH),
     }
 
 

@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--jobs", type=int, default=1, help="parallel processes (default: 1)")
-    p.add_argument("--progress", action="store_true")
+    p.add_argument("--progress", action="store_true",
+                   help="log each cell on stderr, with the wall time since the previous cell")
     p.add_argument("--out-dir", required=True)
     _add_output_opts(p)
 
@@ -260,6 +261,7 @@ def parse_args(argv) -> argparse.Namespace:
         _add_output_opts(p)
         ns = p.parse_known_args(argv)[0]
         ns.subcommand = "list-bundled"
+        _check_output_paths(ns)
         return ns
     ns = build_parser().parse_args(argv)
     # The report's options: every value as parsed, in the parser's order.
@@ -327,7 +329,22 @@ def parse_args(argv) -> argparse.Namespace:
             if getattr(ns, name) is not None
         }
         ns.plan = replace(ns.plan, **overrides)
+    _check_output_paths(ns)
     return ns
+
+
+def _check_output_paths(ns: argparse.Namespace) -> None:
+    """Refuse an output path the run could not write, before any computation;
+    ``--out-dir`` is created here."""
+    if ns.out and (not os.path.isdir(os.path.dirname(ns.out) or ".") or os.path.isdir(ns.out)):
+        raise DomainError(f"--out {ns.out}: not a file path in an existing directory")
+    if getattr(ns, "out_dir", None) is not None:
+        try:
+            os.makedirs(ns.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(
+                f"--out-dir {ns.out_dir}: cannot create the directory ({exc.strerror})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +523,6 @@ def _run_simulate(ns: argparse.Namespace) -> int:
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    os.makedirs(ns.out_dir, exist_ok=True)
     table_path = os.path.join(ns.out_dir, "size_power.csv")
     table.write_csv(table_path)
     curve_paths = emit_power_curves(table, ns.out_dir)

@@ -84,17 +84,13 @@ def design_to_dict(design: ModelDesign, comment: str = None) -> dict:
 
 
 def design_from_dict(doc: dict, where: str = "design") -> ModelDesign:
+    arrays = {name: _field(doc, name, _array, where, "design") for name in ("Q", "C", "V", "d")}
     try:
-        design = ModelDesign(
-            Q=np.array(doc["Q"], dtype=np.float64),
-            C=np.array(doc["C"], dtype=np.float64),
-            V=np.array(doc["V"], dtype=np.float64),
-            d=np.array(doc["d"], dtype=np.float64),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputFormatError(f"{where}: bad design structure ({exc})")
+        design = ModelDesign(**arrays)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: bad design ({exc})")
     for name in ("k", "m", "t", "u"):
-        if name in doc and int(doc[name]) != getattr(design, name):
+        if name in doc and _field(doc, name, _INT, where, "design") != getattr(design, name):
             raise InputFormatError(
                 f"{where}: declared {name} = {doc[name]} does not match arrays "
                 f"({name} = {getattr(design, name)})"
@@ -205,18 +201,19 @@ def chain_to_dict(chain: NestedChain, comment: str = None) -> dict:
 
 
 def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
-    try:
-        design = design_from_dict(doc["design"], where=f"{where}.design")
-        steps = tuple(
-            (
-                tuple(int(i) - 1 for i in step.get("zero_lambda", [])),
-                tuple(int(i) - 1 for i in step.get("zero_eta", [])),
-            )
-            for step in doc["steps"]
+    design_doc = _field(doc, "design", _OBJECT, where, "chain")
+    design = design_from_dict(design_doc, where=f"{where}.design")
+    steps = tuple(
+        tuple(
+            tuple(i - 1 for i in _field({key: [], **step}, key, _list_of(_INT), where, "chain"))
+            for key in ("zero_lambda", "zero_eta")
         )
+        for step in _field(doc, "steps", _list_of(_OBJECT), where, "chain")
+    )
+    try:
         return NestedChain(design=design, steps=steps)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: bad chain structure ({exc})")
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: bad chain ({exc})")
 
 
 def read_chain(path) -> NestedChain:
@@ -248,12 +245,30 @@ def _list_of(convert):
 
 _INT = _typed("an integer", int)
 _FLOAT = _typed("a number", float, int)
+_OBJECT = _typed("an object", dict)
+
+
+def _array(values) -> np.ndarray:
+    """Nested JSON lists of numbers as a float64 array; any other leaf is refused."""
+
+    def nested(values):
+        items = _typed("a list", list)(values)
+        return [nested(v) if isinstance(v, list) else _FLOAT(v) for v in items]
+
+    return np.array(nested(values), dtype=np.float64)
+
+
+def _field(doc: dict, key: str, convert, where: str, kind: str):
+    """``convert(doc[key])``; a missing key or a value of the wrong JSON type is an
+    input error that names the key."""
+    try:
+        return convert(doc[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: bad {kind} key {key!r} ({exc})")
 
 
 def _theta_from_dict(doc: dict) -> Theta:
-    return Theta(
-        lam=np.array(doc["lambda"], dtype=np.float64), eta=np.array(doc["eta"], dtype=np.float64)
-    )
+    return Theta(lam=_array(doc["lambda"]), eta=_array(doc["eta"]))
 
 
 # The plan format, one row per key in file order: (JSON key, section, SimulationPlan

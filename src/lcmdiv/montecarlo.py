@@ -10,13 +10,15 @@ one data set.
 
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
-bit-reproducible no matter how replications are scheduled.  A cell is cut
-into contiguous chunks, at least one per worker and each small enough that
-its kernel arrays fit a fixed memory budget, and each chunk's fits run as one
-:func:`lcmdiv.estimation.fit_many` batch, whose rows do not depend on each
-other; the process-pool parallel path and the serial path produce identical
-tables.  Replications whose fit does not converge are excluded from the
-denominator and counted.
+bit-reproducible no matter how replications are scheduled.  The grid is one
+stream of replications in table order (size, coefficient, replication), cut
+once per run into contiguous chunks, a multiple of the worker count and each
+small enough that its kernel arrays fit a fixed memory budget.  Every fit is
+the null design's, so a chunk's fits run as one
+:func:`lcmdiv.estimation.fit_many` batch even across cells; its rows do not
+depend on each other, so the process-pool parallel path and the serial path
+produce identical tables.  Replications whose fit does not converge are
+excluded from the denominator and counted.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, islice
 from time import perf_counter
 from typing import Optional
 
@@ -187,22 +190,25 @@ def _csv_field(value) -> str:
 
 
 def _replicate_chunk(args):
-    """Records of a run of replications, in order.
+    """Records of replications ``lo`` up to ``hi`` of the grid's stream, in order.
 
-    Samples every replication, fits the null design to all of them in one
-    :func:`fit_many` batch, and tests each fit at every entry of
-    ``plan.a_values``.  A record is one ``TestResult`` per index, or ``None``
-    when the replication's fit did not converge.  A fit does not depend on
-    the rest of its batch, so neither does a record.
+    Samples each replication from its cell's true model and size, fits the
+    null design to all of them in one :func:`fit_many` batch, and tests each
+    fit at every entry of ``plan.a_values``.  A record is one ``TestResult``
+    per index, or ``None`` when the replication's fit did not converge.  A fit
+    does not depend on the rest of its batch, so neither does a record.
     """
-    plan, size_idx, coef_idx, reps = args
-    N = plan.sample_sizes[size_idx]
-    design_true, theta_true = plan.true_model(plan.lambda8_grid[coef_idx])
+    plan, lo, hi = args
     counts_seq, options_seq = [], []
-    for rep in reps:
+    for i in range(lo, hi):
+        cell, rep = divmod(i, plan.replications)
+        size_idx, coef_idx = divmod(cell, len(plan.lambda8_grid))
+        design_true, theta_true = plan.true_model(plan.lambda8_grid[coef_idx])
         seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
         sample_seq, fit_seq = seq.spawn(2)
-        counts_seq.append(sample_counts(design_true, theta_true, N, sample_seq))
+        counts_seq.append(
+            sample_counts(design_true, theta_true, plan.sample_sizes[size_idx], sample_seq)
+        )
         options_seq.append(plan.fit_options(seed=int(fit_seq.generate_state(1)[0])))
     fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
     return [
@@ -219,25 +225,34 @@ def _replicate_chunk(args):
 def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     """Run the full grid of the plan and tally rejection rates.
 
-    ``n_jobs`` > 1 distributes replications over one pool of processes,
-    opened once for the whole grid; the output is identical to the serial
-    run.  ``n_jobs`` below 1 raises :class:`DomainError`.  Each finished
-    cell is logged at INFO level on the ``lcmdiv.montecarlo`` logger with
-    its sample size, coefficient, fit failures and wall time.
+    ``n_jobs`` > 1 maps the grid's chunks over one pool of processes, opened
+    once for the whole run; the output is identical to the serial run.
+    ``n_jobs`` below 1 raises :class:`DomainError`.  A cell is tallied when
+    its last record arrives and logged at INFO level on the
+    ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
+    failures and the wall time since the previous cell (or the run's start).
     """
     if n_jobs < 1:
         raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
     band = dale_band(plan.alpha)
+    design = plan.null_design
+    rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
+    cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
+    total = len(plan.sample_sizes) * len(plan.lambda8_grid) * plan.replications
+    # The fewest chunks within the budget, rounded up to a multiple of n_jobs.
+    chunk = -(-total // (n_jobs * -(-total // (cap * n_jobs))))
+    tasks = [(plan, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     cells = []
+    start = perf_counter()
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        for size_idx, N in enumerate(plan.sample_sizes):
-            for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
-                start = perf_counter()
-                records = _run_cell(plan, size_idx, coef_idx, n_jobs, mapper)
-                converged = [tests for tests in records if tests is not None]
+        # map yields the chunks in task order, so records arrive in table order.
+        records = chain.from_iterable((map if pool is None else pool.map)(_replicate_chunk, tasks))
+        for N in plan.sample_sizes:
+            for lambda8 in plan.lambda8_grid:
+                cell_records = islice(records, plan.replications)
+                converged = [tests for tests in cell_records if tests is not None]
                 effective = len(converged)
-                failures = len(records) - effective
+                failures = plan.replications - effective
                 for i, a in enumerate(plan.a_values):
                     column = [tests[i] for tests in converged]
                     dofs = [t.dof for t in column]
@@ -263,6 +278,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
                     "cell N=%d lambda8=%r: %d fit failures, %.3f s",
                     N, lambda8, failures, perf_counter() - start,
                 )
+                start = perf_counter()
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 
@@ -271,23 +287,6 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
 # converged fit), and the fit loop's class-pattern tables, 2**k * m float64
 # for each of the fit's starts.
 _CHUNK_BYTES = 16 * 2**20
-
-
-def _run_cell(plan, size_idx, coef_idx, n_jobs, mapper=map):
-    """Records of one cell in replication order, its chunks run through ``mapper``.
-
-    The replications are cut into contiguous chunks, at least one per worker
-    and each within the memory budget of ``_CHUNK_BYTES``.
-    """
-    design = plan.null_design
-    rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
-    cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
-    n_chunks = max(n_jobs, -(-plan.replications // cap))
-    chunk = -(-plan.replications // n_chunks)
-    reps = list(range(plan.replications))
-    tasks = [(plan, size_idx, coef_idx, reps[i : i + chunk]) for i in range(0, len(reps), chunk)]
-    # map yields the chunks in task order, so records stay in replication order.
-    return [tests for batch in mapper(_replicate_chunk, tasks) for tests in batch]
 
 
 def emit_power_curves(table: SizePowerTable, out_dir) -> list:

@@ -140,6 +140,42 @@ class TestParsing:
             _h_spec(text)
 
     @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (("simulate", "--plan", "bundled:sim", "--out-dir", "{tmp}/file.txt/d"), "--out-dir"),
+            (("simulate", "--plan", "bundled:sim", "--out-dir", "{tmp}/d",
+              "--out", "{tmp}/x/r.json"), "--out"),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--out", "{tmp}/missing/r.json"), "--out"),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--out", "{tmp}"), "--out"),
+            (("fit", "--list-bundled", "--out", "{tmp}/missing/names.json"), "--out"),
+        ],
+    )
+    def test_unwritable_output_path_exits_2_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, option
+    ):
+        from lcmdiv import cli
+
+        (tmp_path / "file.txt").write_text("")
+        monkeypatch.setattr(cli, "run", lambda ns: pytest.fail("the run started"))
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: {option} {tmp_path}")
+        assert not (tmp_path / "d").exists()  # no output directory left behind
+
+    def test_out_dir_is_made_once_the_options_pass(self, tmp_path):
+        from lcmdiv.errors import DomainError
+
+        out_dir = tmp_path / "a" / "b"
+        with pytest.raises(DomainError, match="replications"):
+            parse_args(["simulate", "--plan", "bundled:sim", "--replications", "0",
+                        "--out-dir", str(out_dir)])
+        assert not out_dir.exists()
+        parse_args(["simulate", "--plan", "bundled:sim", "--out-dir", str(out_dir)])
+        assert out_dir.is_dir()
+
+    @pytest.mark.parametrize(
         "argv,expected",
         [
             (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",

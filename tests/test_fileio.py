@@ -32,6 +32,24 @@ class TestDesignFiles:
         with pytest.raises(InputFormatError):
             fileio.read_design(path)
 
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            ("k", lambda doc: doc.update(k=float(doc["k"]))),
+            ("C", lambda doc: doc["C"][1].__setitem__(0, "0.5")),
+            ("d", lambda doc: doc["d"].__setitem__(0, True)),
+            ("Q", lambda doc: doc["Q"][0][0].__setitem__(1, None)),
+            ("V", lambda doc: doc.update(V=[[1.0], 2.0])),
+        ],
+    )
+    def test_number_of_the_wrong_json_type_is_refused(self, tmp_path, key, edit):
+        doc = fileio.design_to_dict(make_design(seed=406, k=4))
+        edit(doc)
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match=f"design.json: bad design key '{key}'"):
+            fileio.read_design(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -118,6 +136,26 @@ class TestChainFiles:
             fileio.read_chain(path)
 
 
+    @pytest.mark.parametrize("indices", [[7.9, "8"], [True], 3, ["2"]])
+    def test_index_of_the_wrong_json_type_is_refused(self, tmp_path, indices):
+        design = make_design(seed=404, k=3, m=2, t=8, u=1)
+        doc = {"design": fileio.design_to_dict(design), "steps": [{"zero_lambda": indices}]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="chain.json: bad chain key 'zero_lambda'"):
+            fileio.read_chain(path)
+
+    @pytest.mark.parametrize("key,value", [("design", 5), ("steps", [[1]])])
+    def test_chain_structure_of_the_wrong_json_type_is_refused(self, tmp_path, key, value):
+        design = make_design(seed=404, k=3, m=2, t=3, u=1)
+        doc = {"design": fileio.design_to_dict(design), "steps": [{"zero_lambda": [1]}]}
+        doc[key] = value
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match=f"chain.json: bad chain key '{key}'"):
+            fileio.read_chain(path)
+
+
 class TestPlanFiles:
     def test_round_trip(self, tmp_path):
         from lcmdiv.datasets import simulation_plan
@@ -192,6 +230,19 @@ class TestPlanFiles:
         with pytest.raises(InputFormatError, match=f"plan.json: bad plan key '{key}'"):
             fileio.read_plan(path)
 
+    @pytest.mark.parametrize(
+        "part,entry", [("lambda", "-3"), ("eta", True), ("lambda", None), ("eta", [0.5])]
+    )
+    def test_theta0_number_of_the_wrong_json_type_is_refused(self, tmp_path, part, entry):
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        doc["theta0"][part][0] = entry
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="plan.json: bad plan key 'theta0'"):
+            fileio.read_plan(path)
+
     def test_plan_value_of_the_wrong_type_exits_3(self, tmp_path, capsys):
         from lcmdiv.cli import EXIT_INPUT, main
         from lcmdiv.datasets import simulation_plan
@@ -214,3 +265,27 @@ class TestPlanFiles:
         path = tmp_path / "d.json"
         fileio.write_design(design, path)
         assert fileio.InputFile(path).sha256 == fileio.InputFile(path).sha256
+
+
+@pytest.mark.parametrize("kind", ["design", "chain", "plan"])
+def test_mistyped_numbers_in_every_input_exit_3(tmp_path, capsys, kind):
+    from lcmdiv import datasets
+    from lcmdiv.cli import EXIT_INPUT, main
+
+    if kind == "design":
+        doc = fileio.design_to_dict(datasets.coleman_design_m1())
+        doc["k"] = 4.0
+        argv = ["fit", "--design", "{path}", "--counts", "bundled:coleman"]
+    elif kind == "chain":
+        doc = fileio.chain_to_dict(datasets.coleman_chain())
+        doc["steps"][0]["zero_lambda"] = [7.9, "8"]
+        argv = ["select", "--chain", "{path}", "--counts", "bundled:coleman"]
+    else:
+        doc = fileio.plan_to_dict(datasets.simulation_plan(sample_sizes=(200,), replications=9))
+        doc["theta0"]["lambda"][0] = "-3"
+        argv = ["simulate", "--plan", "{path}", "--out-dir", str(tmp_path)]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert main([arg.format(path=path) for arg in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{kind}.json: bad {kind} key" in err and "expected" in err

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import pickle
@@ -11,14 +12,13 @@ from lcmdiv import montecarlo
 from lcmdiv.datasets import simulation_plan
 from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
-from lcmdiv.estimation import FitOptions, fit
+from lcmdiv.estimation import FitOptions, fit_many
 from lcmdiv.inference import gof_statistic
 from lcmdiv.model import ModelDesign, sample_counts
 from lcmdiv.montecarlo import (
     SimulationPlan,
     _clopper_pearson,
     _replicate_chunk,
-    _run_cell,
     dale_band,
     emit_power_curves,
     run_simulation,
@@ -78,6 +78,35 @@ def smoke_table():
         seed=77,
     )
     return run_simulation(plan)
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Sizes of the chunks ``run_simulation`` maps, its pool's map run in this process."""
+    sizes = []
+    real_chunk = montecarlo._replicate_chunk
+
+    def counting_chunk(task):
+        _, lo, hi = task
+        sizes.append(hi - lo)
+        return real_chunk(task)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "_replicate_chunk", counting_chunk)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestRunSimulation:
@@ -148,48 +177,69 @@ class TestRunSimulation:
             assert serial.rows() == parallel.rows()
 
     def test_chunking_matches_serial_records(self):
-        # Replications regrouped into chunks of any size, each sent through a
-        # pickle as the pool does, give the serial records exactly; running
-        # them leaves nothing behind in the pickled plan.
+        # The grid's stream of 2 x 2 x 5 replications regrouped into flat
+        # chunks of any size, each sent through a pickle as the pool does,
+        # gives the serial records exactly, also where chunks of 3 and 7 span
+        # cells and sizes; running them leaves nothing behind in the pickled
+        # plan.
         plan = simulation_plan(
-            sample_sizes=(200,), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
-            replications=7, seed=21,
+            sample_sizes=(200, 300), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            replications=5, seed=21,
         )
         fresh = pickle.dumps(plan)
-        for coef_idx in (0, 1):
-            serial = _run_cell(plan, 0, coef_idx, 1)
-            for size in (1, 3, 7):
-                records = []
-                for lo in range(0, plan.replications, size):
-                    task = (plan, 0, coef_idx, list(range(lo, min(lo + size, plan.replications))))
-                    records.extend(_replicate_chunk(pickle.loads(pickle.dumps(task))))
-                assert records == serial
+        total = 4 * plan.replications
+        serial = _replicate_chunk((plan, 0, total))
+        assert len(serial) == total
+        for size in (1, 3, 7):
+            records = []
+            for lo in range(0, total, size):
+                task = (plan, lo, min(lo + size, total))
+                records.extend(_replicate_chunk(pickle.loads(pickle.dumps(task))))
+            assert records == serial
         assert pickle.dumps(plan) == fresh
 
-    def test_memory_budget_splits_a_cell_into_equal_chunks(self, monkeypatch):
-        # A budget of seven rows cuts a 30-replication cell into five chunks
-        # of six; the table is the one the unsplit cell gives.
+    def test_memory_budget_splits_a_cell_into_equal_chunks(self, chunk_sizes, monkeypatch):
+        # Two 30-replication cells are one stream of 60.  A budget of twelve
+        # rows cuts it into five chunks of twelve, the third spanning both
+        # cells; at two workers the chunk count is rounded up to a multiple
+        # of two, six chunks of ten.  Every cut gives the uncut table.
         plan = simulation_plan(
             sample_sizes=(200,), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
             replications=30, seed=23,
         )
         design = plan.null_design
         row_bytes = 8 * design.n_patterns * design.m * design.k
-        chunks = []
-        real_chunk = montecarlo._replicate_chunk
+        uncut = run_simulation(plan)
+        assert chunk_sizes == [60]
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 12 * row_bytes + row_bytes // 2)
+        for n_jobs, expected in ((1, [12] * 5), (2, [10] * 6)):
+            chunk_sizes.clear()
+            assert run_simulation(plan, n_jobs=n_jobs).rows() == uncut.rows()
+            assert chunk_sizes == expected
 
-        def counting_chunk(task):
-            chunks.append(len(task[3]))
-            return real_chunk(task)
+    def test_one_cell_still_makes_a_chunk_per_worker(self, chunk_sizes):
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0,),
+            replications=30, seed=23,
+        )
+        serial = run_simulation(plan)
+        chunk_sizes.clear()
+        assert run_simulation(plan, n_jobs=2).rows() == serial.rows()
+        assert chunk_sizes == [15, 15]
 
-        monkeypatch.setattr(montecarlo, "_replicate_chunk", counting_chunk)
-        unsplit = run_simulation(plan)
-        assert chunks == [30, 30]
-        chunks.clear()
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 7 * row_bytes + row_bytes // 2)
-        split = run_simulation(plan)
-        assert chunks == [6] * 10
-        assert split.rows() == unsplit.rows()
+    def test_pooled_chunks_across_cells_match_serial(self, monkeypatch):
+        # Two sizes by two coefficients of seven replications: a budget of
+        # five rows cuts the 28-replication stream into six chunks, three of
+        # them spanning two cells, and a pool of two gives the serial table.
+        plan = simulation_plan(
+            sample_sizes=(200, 300), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            replications=7, seed=29,
+        )
+        serial = run_simulation(plan)
+        design = plan.null_design
+        row_bytes = 8 * design.n_patterns * design.m * design.k
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * row_bytes)
+        assert run_simulation(plan, n_jobs=2).rows() == serial.rows()
 
     def test_logs_one_record_per_cell(self, caplog):
         plan = simulation_plan(
@@ -208,26 +258,33 @@ class TestRunSimulation:
             assert record.getMessage().startswith(f"cell N=200 lambda8={lambda8!r}:")
 
     def test_cells_recount_gof_statistic_decisions(self):
-        # Every replication rebuilt by hand and tested with gof_statistic; the
-        # table must tally exactly these decisions.  Index -1 has an infinite
+        # Every replication of every (size, coefficient) cell rebuilt by hand
+        # and tested with gof_statistic; the table must tally exactly these
+        # decisions.  Two sizes by three coefficients, so a flat index decoded
+        # with the lengths swapped does not go unseen.  Index -1 has an infinite
         # statistic whenever the sample leaves a cell empty.
         plan = simulation_plan(
-            sample_sizes=(200,), a_values=(-1.0, -0.5, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+            sample_sizes=(200, 300), a_values=(-1.0, -0.5, 2.0 / 3.0), lambda8_grid=(0.0, 1.0, 2.0),
             replications=40, seed=3,
         )
         table = run_simulation(plan)
-        for coef_idx, lambda8 in enumerate(plan.lambda8_grid):
+        for (size_idx, N), (coef_idx, lambda8) in itertools.product(
+            enumerate(plan.sample_sizes), enumerate(plan.lambda8_grid)
+        ):
             design, theta = plan.true_model(lambda8)
-            tests, failures = [], 0
+            counts_seq, options_seq = [], []
             for rep in range(plan.replications):
-                seq = np.random.SeedSequence(plan.seed, spawn_key=(0, coef_idx, rep))
+                seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
                 sample_seq, fit_seq = seq.spawn(2)
-                counts = sample_counts(design, theta, 200, sample_seq)
-                options = FitOptions(
+                counts_seq.append(sample_counts(design, theta, N, sample_seq))
+                options_seq.append(FitOptions(
                     starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
                     seed=int(fit_seq.generate_state(1)[0]), init_theta=plan.theta0,
-                )
-                result = fit(plan.null_design, counts, power(plan.estimator_a), options)
+                ))
+            # One batch per cell, where the study fits all four cells in one.
+            fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
+            tests, failures = [], 0
+            for counts, result in zip(counts_seq, fits):
                 if not result.converged:
                     failures += 1
                     continue
@@ -239,7 +296,7 @@ class TestRunSimulation:
                 ])
             for i, a in enumerate(plan.a_values):
                 column = [row[i] for row in tests]
-                cell = table.cell(200, a, lambda8)
+                cell = table.cell(N, a, lambda8)
                 assert (
                     cell.rejections, cell.infinite_statistics, cell.dof,
                     cell.n_effective, cell.fit_failures,
