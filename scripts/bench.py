@@ -12,10 +12,12 @@ Run from the root of a source checkout.  The record has two parts:
   the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
   batch, of the fit's objective and gradient at a 25-row batch, of one fit
   alone against its share of a 25-data-set ``fit_many`` batch, of the four
-  ``gof_statistic`` calls of one replication, and of one replication alone
-  against its share of a 25-replication chunk.  Each timing is the best of
-  5 repeats of a loop, in raw seconds and scaled by ``perfbench/clock.py``'s
-  reference reading taken just before it.
+  one-row ``gof_statistic`` calls of one replication against its share of
+  the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
+  replication as its share of 25 draws from one table, and of one
+  replication alone against its share of a 25-replication chunk.  Each
+  timing is the best of 5 repeats of a loop, in raw seconds and scaled by
+  ``perfbench/clock.py``'s reference reading taken just before it.
 
 The script reuses perfbench's clock, checks and environment record; it
 changes no gate or bound of ``BENCHMARK.json``.
@@ -42,8 +44,8 @@ from workloads import NAMES  # noqa: E402
 from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
 from lcmdiv.estimation import _objective, fit, fit_many  # noqa: E402
-from lcmdiv.inference import gof_statistic  # noqa: E402
-from lcmdiv.model import _evaluate, sample_counts  # noqa: E402
+from lcmdiv.inference import gof_rows, gof_statistic, resolve_gof_dof  # noqa: E402
+from lcmdiv.model import _draw, _evaluate, _sampling_table, sample_counts  # noqa: E402
 from lcmdiv.montecarlo import _replicate_chunk  # noqa: E402
 
 BATCH = 25
@@ -87,6 +89,19 @@ def layer_timings(seed: int) -> dict:
         return [gof_statistic(design, c, power(a), r, plan.alpha, plan.dof_policy)
                 for c, r in zip(counts, fits) for a in plan.a_values]
 
+    P = np.array([r.manifest.p for r in fits])
+    N = [c.N for c in counts]
+    dof = [resolve_gof_dof(design, r, plan.dof_policy)[0] for r in fits]
+
+    def statistics_batch():
+        return [gof_rows(power(a), P_hat, P, N, dof, plan.alpha) for a in plan.a_values]
+
+    seeds = [np.random.SeedSequence(seed, spawn_key=(0, 0, rep)) for rep in range(BATCH)]
+
+    def sampling_batch():
+        table = _sampling_table(design, plan.theta0)
+        return [_draw(table, 200, s) for s in seeds]
+
     clock = Clock()
     return {
         "design": ("sim_null (m=10, k=5, t=7, u=6), N=200, estimator index 2/3, "
@@ -98,6 +113,8 @@ def layer_timings(seed: int) -> dict:
         "objective_b25_per_row": timed(
             clock, lambda: _objective(design, P_hat, plan.estimator_a, X), 100, BATCH),
         "gof_per_replication": timed(clock, gof_batch, 10, BATCH),
+        "statistics_per_replication": timed(clock, statistics_batch, 10, BATCH),
+        "sampling_per_replication": timed(clock, sampling_batch, 10, BATCH),
         "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options[0]), 5),
         "fit_batch_share": timed(clock, lambda: fit_many(design, counts, spec, options), 1, BATCH),
         "replication_alone": timed(clock, lambda: _replicate_chunk((plan, 0, 1)), 5),

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--jobs", type=int, default=1, help="parallel processes (default: 1)")
     p.add_argument("--progress", action="store_true",
-                   help="log each cell on stderr, with the wall time since the previous cell")
+                   help="log each cell on stderr, with its share of the wall time of its chunks")
     p.add_argument("--out-dir", required=True)
     _add_output_opts(p)
 

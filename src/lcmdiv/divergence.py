@@ -21,9 +21,10 @@ divergence, which is infinite whenever ``p`` has an empty cell.
 
 That sum is written once too, in ``_divergence``, which returns it with the
 cell weights: the estimator's objective calls it on stacked rows, unchecked,
-and ``_phi_divergence`` adds the zero-cell limits to it.  ``phi_divergence``
-checks its arguments and calls ``_phi_divergence``; the test statistics call
-``_phi_divergence`` directly on vectors their dataclasses already validated.
+and ``_phi_divergence`` adds the zero-cell limits to it, on one vector or on
+stacked rows.  ``phi_divergence`` checks its arguments and calls
+``_phi_divergence``; the test statistics call ``_phi_divergence`` directly on
+vectors their dataclasses already validated.
 So a fit's objective is the divergence its tests measure, bit for bit.
 
 Zero cells follow the limit conventions for convex-function divergences:
@@ -64,7 +65,8 @@ class PhiSpec:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise DomainError("phi is only defined for x >= 0")
-        phi = _terms(self.a, np.atleast_1d(x))[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = _terms(self.a, np.atleast_1d(x))[0]
         return float(phi[0]) if x.ndim == 0 else phi.reshape(x.shape)
 
     # -- boundary limits ----------------------------------------------------
@@ -84,17 +86,17 @@ def _terms(a: float, x: np.ndarray) -> tuple:
 
     Outside a in {0, -1} both come from one ``x**(a+1)``, and the weight's
     formula is already its limit at x = 0; ``phi_a(0)`` is set to its limit.
+    The caller ignores the divide and invalid floating-point warnings of
+    ``0**(a+1)`` and ``0 * log 0``.
     """
     zero = x == 0.0
     if a in (0.0, -1.0):
         log_x = np.full_like(x, -math.inf)
         log_x[~zero] = np.log(x[~zero])
-        with np.errstate(invalid="ignore"):  # 0 * log 0, overwritten below
-            phi = x * log_x - x + 1.0 if a == 0.0 else -log_x + x - 1.0
+        phi = x * log_x - x + 1.0 if a == 0.0 else -log_x + x - 1.0  # 0 * log 0 overwritten below
         weight = 1.0 - x if a == 0.0 else -log_x
     else:
-        with np.errstate(divide="ignore"):
-            xa1 = x ** (a + 1.0)
+        xa1 = x ** (a + 1.0)
         phi = (xa1 - x - a * (x - 1.0)) / (a * (a + 1.0))
         weight = (1.0 - xa1) / (a + 1.0)
     phi[zero] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
@@ -108,10 +110,10 @@ def _divergence(a: float, P: np.ndarray, Q: np.ndarray) -> tuple:
     exactly 0, so it contributes nothing: the caller adds what ``P > 0``
     there means.  An overflowing ratio gives ``nan`` or ``inf``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = np.divide(P, Q, out=np.ones_like(Q), where=Q > 0.0)
         phi, weight = _terms(a, ratio)
-        return np.sum(Q * phi, axis=-1), weight
+        return (Q * phi).sum(axis=-1), weight
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -146,21 +148,24 @@ def phi_divergence(p, q, spec: PhiSpec) -> float:
     return _phi_divergence(spec, p, q)
 
 
-def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray) -> float:
-    """:func:`phi_divergence` of two float vectors of equal length, unchecked.
+def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray):
+    """:func:`phi_divergence` along the last axis of two float arrays, unchecked.
 
-    For callers whose vectors are already validated, such as the test
-    statistics, which take them from ``ObservedCounts`` and a fit's
-    ``ManifestDistribution``.
+    Vectors give a float, stacked rows an array of one divergence per row,
+    each row's bits those of the row alone.  For callers whose vectors are
+    already validated, such as the test statistics, which take them from
+    ``ObservedCounts`` and a fit's ``ManifestDistribution``.
     """
-    total = float(_divergence(spec.a, p, q)[0])
-    p_only = (q == 0.0) & (p > 0.0)
-    if np.any(p_only):
-        total += float(p[p_only].sum() * spec.slope_limit())
+    total = np.atleast_1d(_divergence(spec.a, p, q)[0])
+    p_only = q == 0.0
+    if p_only.any():
+        p_only &= p > 0.0
+        P, mask = p.reshape(-1, p.shape[-1]), p_only.reshape(-1, p.shape[-1])
+        for row in np.flatnonzero(mask.any(axis=1)):
+            total[row] += P[row][mask[row]].sum() * spec.slope_limit()
     # Tiny negatives can appear from cancellation when p ~= q.
-    if -1e-15 < total < 0.0:
-        total = 0.0
-    return total
+    total[(-1e-15 < total) & (total < 0.0)] = 0.0
+    return float(total[0]) if p.ndim == 1 else total
 
 
 def kl_divergence(p, q) -> float:

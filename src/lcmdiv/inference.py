@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import chdtrc, chdtri
@@ -94,40 +94,88 @@ class TestResult:
     warnings: tuple = ()
 
 
-def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, divergences):
-    warnings = ()
-    critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
-    if math.isnan(statistic):
-        p_value, reject = math.nan, False
-        warnings = ("undefined_statistic",)
-    elif dof <= 0:
-        # Degenerate null: no free directions, point mass at zero.
-        p_value = 1.0 if statistic <= 1e-12 else 0.0
-        reject = statistic > 1e-12
-    elif math.isinf(statistic):
-        p_value, reject = 0.0, True
-        warnings = ("infinite_statistic",)
-    else:
-        p_value = chi2_sf(max(statistic, 0.0), dof)
-        reject = statistic > critical
-    if statistic < 0:
-        warnings += ("negative_statistic",)
-    if math.isfinite(statistic) and not all(map(math.isfinite, divergences)):
-        warnings += ("infinite_divergence",)
+# Warning flags of a test, in the order a TestResult lists them; bit i of a
+# stacked warning code is WARNINGS[i].
+WARNINGS = ("undefined_statistic", "infinite_statistic", "negative_statistic", "infinite_divergence")
+_WARNING_NAMES = tuple(
+    tuple(name for i, name in enumerate(WARNINGS) if code >> i & 1) for code in range(1 << len(WARNINGS))
+)
+
+
+class Decisions(NamedTuple):
+    """Stacked test decisions, one entry per row.
+
+    ``warnings`` holds integer codes, bit ``i`` set for ``WARNINGS[i]``;
+    ``divergence`` is the tested divergence where one statistic has one.
+    """
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
+    critical: np.ndarray
+    warnings: np.ndarray
+    divergence: Optional[np.ndarray] = None
+
+
+def _rule(statistic, dof, alpha: float, finite, divergence=None) -> Decisions:
+    """The decision rule of every test, applied row by row.
+
+    ``statistic``, ``dof`` and ``finite`` are sequences with one float, int
+    and bool per row; ``finite`` marks rows whose divergences are all
+    finite.  A NaN statistic is undefined and never rejects.  A row with
+    ``dof <= 0`` is a degenerate null, a point mass at zero.  Otherwise an
+    infinite statistic rejects and a finite one is compared with the
+    chi-square critical value, computed once per distinct dof.
+    """
+    level = {d: chi2_quantile(1.0 - alpha, d) for d in set(dof) if d > 0}
+    critical = [level.get(d, 0.0) for d in dof]
+    p_value, reject, codes = [], [], []
+    for s, d, c, f in zip(statistic, dof, critical, finite):
+        code = 0
+        if math.isnan(s):
+            p, r, code = math.nan, False, 1
+        elif d <= 0:
+            p, r = (1.0, False) if s <= 1e-12 else (0.0, True)
+        elif math.isinf(s):
+            p, r, code = 0.0, True, 2
+        else:
+            p, r = chi2_sf(max(s, 0.0), d), s > c
+        if s < 0:
+            code |= 4
+        if math.isfinite(s) and not f:
+            code |= 8
+        p_value.append(p)
+        reject.append(r)
+        codes.append(code)
+    return Decisions(
+        np.array(statistic, dtype=np.float64), np.array(p_value, dtype=np.float64),
+        np.array(reject, dtype=bool), np.array(critical, dtype=np.float64),
+        np.array(codes, dtype=np.int64), divergence,
+    )
+
+
+def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> TestResult:
+    """The first row of ``rows`` as a TestResult."""
     return TestResult(
-        statistic=float(statistic),
+        statistic=float(rows.statistic[0]),
         dof=int(dof),
-        p_value=float(p_value),
+        p_value=float(rows.p_value[0]),
         alpha=float(alpha),
-        reject=bool(reject),
-        critical=float(critical),
+        reject=bool(rows.reject[0]),
+        critical=float(rows.critical[0]),
         phi1=phi1,
         phi2=phi2,
         h=h,
         kind=kind,
         dof_policy=dof_policy,
-        warnings=warnings,
+        warnings=_WARNING_NAMES[rows.warnings[0]],
     )
+
+
+def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, divergences):
+    """:func:`_rule` on one statistic, as a TestResult."""
+    rows = _rule([float(statistic)], [dof], alpha, [all(map(math.isfinite, divergences))])
+    return _result(rows, dof, alpha, phi1, phi2, h, kind, dof_policy)
 
 
 def resolve_gof_dof(
@@ -165,15 +213,31 @@ def gof_statistic(
     and the test is at level ``alpha``.  An infinite ``D`` takes the limit
     of ``h`` at infinity, which may be finite.  Raises ``DomainError`` when
     ``D`` falls outside the domain of ``h`` (e.g. the bhattacharyya transform
-    needs D < 1).
+    needs D < 1).  This is :func:`gof_rows` on one row.
     """
     fit2.require_converged("goodness-of-fit statistic")
     _check_cells(counts, fit2)
-    D = _phi_divergence(phi1, counts.p_hat(), fit2.manifest.p)
-    statistic = _scale(counts, h) * h.value(D)
     dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
-    h_field, kind = _h_label(h, "gof")
-    return _decide(statistic, dof, alpha, phi1, fit2.spec, h_field, kind, policy, (D,))
+    rows = gof_rows(phi1, counts.p_hat()[None], fit2.manifest.p[None], [counts.N], [dof], alpha, h)
+    return _result(rows, dof, alpha, phi1, fit2.spec, *_h_label(h, "gof"), policy)
+
+
+def gof_rows(phi1: PhiSpec, P_hat, P, N, dof, alpha: float = 0.05, h: HSpec = identity_h()) -> Decisions:
+    """Goodness-of-fit tests of stacked fits, one per row, as :func:`gof_statistic` makes them.
+
+    ``P_hat`` and ``P`` hold empirical and fitted distributions as rows of
+    shape ``(n, 2**k)``, already validated (``ObservedCounts`` and a
+    converged fit's ``ManifestDistribution``); ``N`` and ``dof`` hold each
+    row's sample size and degrees of freedom.  Each row's statistic,
+    divergence and decision are bit for bit those of :func:`gof_statistic`
+    on that row alone.  Raises ``DomainError`` when a row's divergence falls
+    outside the domain of ``h``.
+    """
+    D = _phi_divergence(phi1, P_hat, P)
+    divergences = D.tolist()
+    statistic = [_scale(int(n), h) * h.value(d) for n, d in zip(N, divergences)]
+    finite = [math.isfinite(d) for d in divergences]
+    return _rule(statistic, [int(d) for d in dof], alpha, finite, D)
 
 
 def _check_cells(counts: ObservedCounts, *fits: FitResult) -> None:
@@ -207,9 +271,9 @@ def estimator_sweep(
     ]
 
 
-def _scale(counts: ObservedCounts, h: HSpec) -> float:
+def _scale(N: int, h: HSpec) -> float:
     # Every power member has phi''(1) = 1, so only h'(0) scales the statistic.
-    return 2.0 * counts.N / h.slope_at_zero()
+    return 2.0 * N / h.slope_at_zero()
 
 
 def _h_label(h: HSpec, kind: str) -> tuple:
@@ -324,7 +388,7 @@ def nested_S(
     D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
     D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
     if math.isfinite(D_A):
-        statistic = _scale(counts, h) * (h.value(D_B) - h.value(D_A))
+        statistic = _scale(counts.N, h) * (h.value(D_B) - h.value(D_A))
     else:
         # An infinite D_A leaves no usable difference; _decide flags the NaN as undefined.
         statistic = math.nan
@@ -348,7 +412,7 @@ def nested_T(
     """
     dof = _nested_dof(counts, fit_A, fit_B)
     D = _phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p)
-    statistic = _scale(counts, h) * h.value(D)
+    statistic = _scale(counts.N, h) * h.value(D)
     return _decide(
         statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference",
         (D,),

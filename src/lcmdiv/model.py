@@ -21,7 +21,7 @@ it: ``_jacobian``, behind :func:`manifest_jacobian`, :func:`jacobian_rank`
 and the asymptotic projections, and ``_pullback``, which gives the fit's
 gradient ``weight @ J`` without forming ``J``.  The views that need only
 ``p`` (:func:`manifest_distribution`, :func:`sample_counts`) stop at the
-table.
+table; a simulation cell samples all its replications from one table.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class ObservedCounts:
             raise DomainError("total count must be positive")
         object.__setattr__(self, "n", _frozen_array(arr, dtype=np.int64))
 
-    @property
+    @cached_property
     def N(self) -> int:
         return int(self.n.sum())
 
@@ -450,11 +450,24 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
     seed and seeds are cheap to derive for parallel replications.  ``seed``
     may be an integer or a ``numpy.random.SeedSequence``.
     """
+    return _draw(_sampling_table(design, theta), N, seed)
+
+
+def _sampling_table(design: ModelDesign, theta: Theta) -> np.ndarray:
+    """The checked manifest vector :func:`sample_counts` draws from.
+
+    Many draws from one model (the replications of a simulation cell) share
+    it through :func:`_draw`.
+    """
     if design.k > MAX_ITEMS_FOR_SAMPLING:
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
+    return _table(design, _vector(design, theta))[3]
+
+
+def _draw(p: np.ndarray, N: int, seed) -> ObservedCounts:
+    """:func:`sample_counts` from the manifest vector ``p`` of :func:`_sampling_table`."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    p = _table(design, _vector(design, theta))[3]
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(p)
     cum[-1] = max(cum[-1], 1.0)

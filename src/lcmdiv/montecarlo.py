@@ -2,23 +2,28 @@
 
 Each replication draws a sample from the true model (the null design, or its
 one-column extension at a nonzero coefficient), fits the null design by
-minimum divergence, and tests that single fit with
-:func:`lcmdiv.inference.gof_statistic` at every statistic index.  The share of
-those decisions that reject is the simulated exact size (at coefficient zero)
-or power (elsewhere), so the study measures exactly the test a user runs on
-one data set.
+minimum divergence, and tests that single fit at every statistic index.  The
+share of those decisions that reject is the simulated exact size (at
+coefficient zero) or power (elsewhere).  A chunk of replications is tested
+as arrays, with one :func:`lcmdiv.inference.gof_rows` call per index on the
+stacked converged fits; :func:`lcmdiv.inference.gof_statistic` is that
+routine on one row, so the study measures exactly the test a user runs on
+one data set, bit for bit.
 
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
 bit-reproducible no matter how replications are scheduled.  The grid is one
 stream of replications in table order (size, coefficient, replication), cut
 once per run into contiguous chunks, a multiple of the worker count and each
-small enough that its kernel arrays fit a fixed memory budget.  Every fit is
-the null design's, so a chunk's fits run as one
+small enough that its kernel arrays fit a fixed memory budget.  A chunk
+samples every replication of a cell from one table of that cell's true
+model.  Every fit is the null design's, so a chunk's fits run as one
 :func:`lcmdiv.estimation.fit_many` batch even across cells; its rows do not
 depend on each other, so the process-pool parallel path and the serial path
-produce identical tables.  Replications whose fit does not converge are
-excluded from the denominator and counted.
+produce identical tables.  A chunk returns per-index arrays of statistics,
+rejections and warning codes, and its own wall time, which the run logs
+split over the cells it served.  Replications whose fit does not converge
+are excluded from the denominator and counted.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import betaincinv
@@ -39,10 +43,12 @@ from scipy.special import betaincinv
 from .divergence import power
 from .errors import DomainError
 from .estimation import FitOptions, fit_many
-from .inference import gof_statistic
-from .model import ModelDesign, Theta, sample_counts
+from .inference import WARNINGS, _check_cells, gof_rows, resolve_gof_dof
+from .model import ModelDesign, Theta, _draw, _sampling_table
 
 _log = logging.getLogger(__name__)
+
+_INFINITE = 1 << WARNINGS.index("infinite_statistic")
 
 
 def dale_band(alpha: float, logit_distance: float = 0.35) -> tuple:
@@ -189,37 +195,71 @@ def _csv_field(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _replicate_chunk(args):
-    """Records of replications ``lo`` up to ``hi`` of the grid's stream, in order.
+class _Records(NamedTuple):
+    """Outcomes of a run of replications, the replication on the last axis.
 
-    Samples each replication from its cell's true model and size, fits the
-    null design to all of them in one :func:`fit_many` batch, and tests each
-    fit at every entry of ``plan.a_values``.  A record is one ``TestResult``
-    per index, or ``None`` when the replication's fit did not converge.  A fit
-    does not depend on the rest of its batch, so neither does a record.
+    ``converged`` and ``dof`` have one entry per replication; ``statistic``,
+    ``reject`` and ``warnings`` (codes of :data:`lcmdiv.inference.WARNINGS`)
+    one row per entry of ``plan.a_values``.  A replication whose fit did not
+    converge has a NaN statistic, no rejection, no warning and dof 0.
     """
+
+    converged: np.ndarray
+    dof: np.ndarray
+    statistic: np.ndarray
+    reject: np.ndarray
+    warnings: np.ndarray
+
+
+def _take(records: _Records, lo: int, hi=None) -> _Records:
+    """Replications ``lo`` up to ``hi`` of ``records``."""
+    return _Records(*(field[..., lo:hi] for field in records))
+
+
+def _replicate_chunk(args):
+    """Replications ``lo`` up to ``hi`` of the grid's stream, in order, and their wall time.
+
+    Samples each replication from its cell's true model and size, drawing
+    every replication of a cell from one table of that model, fits the null
+    design to all of them in one :func:`fit_many` batch, and tests the
+    converged fits at every entry of ``plan.a_values`` with one
+    :func:`gof_rows` call per index.  Returns ``(wall seconds, _Records)``.
+    A fit does not depend on the rest of its batch, so neither does its
+    record.
+    """
+    start = perf_counter()
     plan, lo, hi = args
+    tables = {}
     counts_seq, options_seq = [], []
     for i in range(lo, hi):
         cell, rep = divmod(i, plan.replications)
         size_idx, coef_idx = divmod(cell, len(plan.lambda8_grid))
-        design_true, theta_true = plan.true_model(plan.lambda8_grid[coef_idx])
+        if coef_idx not in tables:
+            tables[coef_idx] = _sampling_table(*plan.true_model(plan.lambda8_grid[coef_idx]))
         seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
         sample_seq, fit_seq = seq.spawn(2)
-        counts_seq.append(
-            sample_counts(design_true, theta_true, plan.sample_sizes[size_idx], sample_seq)
-        )
+        counts_seq.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq))
         options_seq.append(plan.fit_options(seed=int(fit_seq.generate_state(1)[0])))
-    fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
-    return [
-        tuple(
-            gof_statistic(plan.null_design, counts, power(a), result, plan.alpha, plan.dof_policy)
-            for a in plan.a_values
-        )
-        if result.converged
-        else None
-        for counts, result in zip(counts_seq, fits)
-    ]
+    design = plan.null_design
+    fits = fit_many(design, counts_seq, power(plan.estimator_a), options_seq)
+    converged = np.array([result.converged for result in fits], dtype=bool)
+    tested = [(counts, result) for counts, result in zip(counts_seq, fits) if result.converged]
+    for counts, result in tested:
+        _check_cells(counts, result)
+    P_hat = np.array([counts.p_hat() for counts, _ in tested]).reshape(-1, design.n_patterns)
+    P = np.array([result.manifest.p for _, result in tested]).reshape(-1, design.n_patterns)
+    N = [counts.N for counts, _ in tested]
+    dof = np.zeros(hi - lo, dtype=np.int64)
+    dof[converged] = [resolve_gof_dof(design, result, plan.dof_policy)[0] for _, result in tested]
+    shape = (len(plan.a_values), hi - lo)
+    statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)
+    warnings = np.zeros(shape, dtype=np.int64)
+    for row, a in enumerate(plan.a_values):
+        tests = gof_rows(power(a), P_hat, P, N, dof[converged], plan.alpha)
+        statistic[row, converged] = tests.statistic
+        reject[row, converged] = tests.reject
+        warnings[row, converged] = tests.warnings
+    return perf_counter() - start, _Records(converged, dof, statistic, reject, warnings)
 
 
 def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
@@ -230,7 +270,8 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     ``n_jobs`` below 1 raises :class:`DomainError`.  A cell is tallied when
     its last record arrives and logged at INFO level on the
     ``lcmdiv.montecarlo`` logger with its sample size, coefficient, fit
-    failures and the wall time since the previous cell (or the run's start).
+    failures and wall time: its replications' share of the wall time of
+    the chunks that ran them.
     """
     if n_jobs < 1:
         raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
@@ -238,48 +279,62 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     design = plan.null_design
     rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
     cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
-    total = len(plan.sample_sizes) * len(plan.lambda8_grid) * plan.replications
+    R = plan.replications
+    total = len(plan.sample_sizes) * len(plan.lambda8_grid) * R
     # The fewest chunks within the budget, rounded up to a multiple of n_jobs.
     chunk = -(-total // (n_jobs * -(-total // (cap * n_jobs))))
     tasks = [(plan, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    grid = [(N, lambda8) for N in plan.sample_sizes for lambda8 in plan.lambda8_grid]
     cells = []
-    start = perf_counter()
+    wall = [0.0] * len(grid)
+    pending, first = [], 0  # records not yet tallied, from replication `first` of the stream on
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
         # map yields the chunks in task order, so records arrive in table order.
-        records = chain.from_iterable((map if pool is None else pool.map)(_replicate_chunk, tasks))
-        for N in plan.sample_sizes:
-            for lambda8 in plan.lambda8_grid:
-                cell_records = islice(records, plan.replications)
-                converged = [tests for tests in cell_records if tests is not None]
-                effective = len(converged)
-                failures = plan.replications - effective
-                for i, a in enumerate(plan.a_values):
-                    column = [tests[i] for tests in converged]
-                    dofs = [t.dof for t in column]
-                    rejections = sum(t.reject for t in column)
-                    rate = rejections / effective if effective else math.nan
-                    cells.append(
-                        SizePowerCell(
-                            N=N,
-                            a=a,
-                            lambda8=lambda8,
-                            rate=rate,
-                            rejections=rejections,
-                            n_effective=effective,
-                            fit_failures=failures,
-                            infinite_statistics=sum("infinite_statistic" in t.warnings for t in column),
-                            # The mode, smallest first among ties; dof may be <= 0.
-                            dof=max(sorted(set(dofs)), key=dofs.count) if dofs else None,
-                            binomial_ci=_clopper_pearson(rejections, effective),
-                            dale_pass=bool(effective and band[0] <= rate <= band[1]),
-                        )
-                    )
+        results = (map if pool is None else pool.map)(_replicate_chunk, tasks)
+        for (_, lo, hi), (seconds, records) in zip(tasks, results):
+            for c in range(lo // R, (hi - 1) // R + 1):
+                wall[c] += seconds * (min(hi, (c + 1) * R) - max(lo, c * R)) / (hi - lo)
+            pending.append(records)
+            while first + R <= hi:
+                stream = _Records(*(np.concatenate(f, axis=-1) for f in zip(*pending)))
+                pending = [_take(stream, R)]
+                c = first // R
+                cells.extend(_tally(plan, *grid[c], _take(stream, 0, R), band))
                 _log.info(
                     "cell N=%d lambda8=%r: %d fit failures, %.3f s",
-                    N, lambda8, failures, perf_counter() - start,
+                    *grid[c], cells[-1].fit_failures, wall[c],
                 )
-                start = perf_counter()
+                first += R
     return SizePowerTable(plan=plan, cells=tuple(cells))
+
+
+def _tally(plan: SimulationPlan, N: int, lambda8: float, records: _Records, band: tuple) -> list:
+    """The cells of one (size, coefficient) pair, one per statistic index, from its records."""
+    converged = records.converged
+    effective = int(np.count_nonzero(converged))
+    failures = plan.replications - effective
+    dofs = records.dof[converged].tolist()
+    cells = []
+    for i, a in enumerate(plan.a_values):
+        rejections = int(np.count_nonzero(records.reject[i, converged]))
+        rate = rejections / effective if effective else math.nan
+        cells.append(
+            SizePowerCell(
+                N=N,
+                a=a,
+                lambda8=lambda8,
+                rate=rate,
+                rejections=rejections,
+                n_effective=effective,
+                fit_failures=failures,
+                infinite_statistics=int(np.count_nonzero(records.warnings[i, converged] & _INFINITE)),
+                # The mode, smallest first among ties; dof may be <= 0.
+                dof=max(sorted(set(dofs)), key=dofs.count) if dofs else None,
+                binomial_ci=_clopper_pearson(rejections, effective),
+                dale_pass=bool(effective and band[0] <= rate <= band[1]),
+            )
+        )
+    return cells
 
 
 # Bytes a chunk's largest kernel array may take.  Per replication that is the

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from lcmdiv.divergence import HSpec, identity_h, kl_divergence, phi_divergence, 
 from lcmdiv.errors import DomainError, NotConvergedError
 from lcmdiv.estimation import FitOptions, fit
 from lcmdiv.inference import (
+    WARNINGS,
     NestedChain,
     NestedPair,
     chi2_quantile,
     chi2_sf,
+    gof_rows,
     gof_statistic,
     nested_S,
     nested_T,
@@ -19,6 +22,7 @@ from lcmdiv.inference import (
     _decide,
 )
 from lcmdiv.model import (
+    ManifestDistribution,
     ModelDesign,
     ObservedCounts,
     Theta,
@@ -258,6 +262,118 @@ class TestGofStatisticH:
         assert D >= 1.0
         with pytest.raises(DomainError):
             gof_statistic(design, counts, power(1.0), result, h=HSpec(tag="bhattacharyya"))
+
+
+class TestGofRows:
+    """The stacked routine against :func:`gof_statistic`, row by row, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, uniform_perfect_fit):
+        # (counts, fit) pairs on the eight-cell design, each fit the converged
+        # one with its manifest (and rank) swapped for a synthetic row.
+        design, _, result = uniform_perfect_fit
+        n = np.array([25, 30, 20, 25, 26, 24, 25, 25])
+        p_hat = n / n.sum()
+
+        def row(counts, q, rank=result.rank):
+            manifest = ManifestDistribution(p=np.asarray(q, dtype=np.float64))
+            return ObservedCounts(n=counts), replace(result, manifest=manifest, rank=rank)
+
+        tiny = p_hat.copy()  # p_hat ~= q: the raw divergence at 2/3 is a tiny negative
+        tiny[6] += 2.0**-54
+        tiny[5] -= 2.0**-54
+        zero_q = np.append(p_hat[:-1] / p_hat[:-1].sum(), 0.0)  # q = 0 < p_hat in the last cell
+        subnormal = p_hat.copy()  # p_hat / q overflows: an undefined (NaN) divergence at 2/3
+        subnormal[0] += subnormal[7]
+        subnormal[7] = 5e-324
+        return design, {
+            "regular": row(n, np.full(8, 0.125)),
+            "tiny": row(n, tiny),
+            "zero_q": row(n, zero_q),
+            "empty": row(np.append(n[:-1], 0), np.full(8, 0.125)),
+            "subnormal": row(n, subnormal),
+            "degenerate": row(n, np.full(8, 0.125), rank=8 - 1),
+        }
+
+    def check(self, design, cases, phi1, h=identity_h()):
+        counts = [c for c, _ in cases]
+        fits = [f for _, f in cases]
+        dof = [8 - f.rank - 1 for f in fits]
+        stacked = gof_rows(
+            phi1, np.array([c.p_hat() for c in counts]), np.array([f.manifest.p for f in fits]),
+            [c.N for c in counts], dof, 0.05, h,
+        )
+        singles = [gof_statistic(design, c, phi1, f, 0.05, h=h) for c, f in cases]
+        for i, one in enumerate(singles):
+            for name in ("statistic", "p_value", "critical"):
+                assert float(getattr(stacked, name)[i]).hex() == getattr(one, name).hex(), name
+            assert bool(stacked.reject[i]) is one.reject
+            code = int(stacked.warnings[i])
+            assert tuple(w for bit, w in enumerate(WARNINGS) if code >> bit & 1) == one.warnings
+            D = phi_divergence(counts[i].p_hat(), fits[i].manifest.p, phi1)
+            assert float(stacked.divergence[i]).hex() == D.hex()
+        return singles
+
+    def test_slope_limit_rows(self, rows):
+        design, r = rows
+        finite, infinite = (
+            self.check(design, [r["regular"], r["zero_q"]], power(a))[1] for a in (-0.5, 2.0 / 3.0)
+        )
+        assert math.isfinite(finite.statistic) and finite.warnings == ()
+        assert math.isinf(infinite.statistic) and infinite.warnings == ("infinite_statistic",)
+
+    def test_clamped_tiny_negative(self, rows):
+        from lcmdiv.divergence import _divergence
+
+        design, r = rows
+        counts, result = r["tiny"]
+        assert -1e-15 < _divergence(2.0 / 3.0, counts.p_hat(), result.manifest.p)[0] < 0.0
+        test = self.check(design, [r["regular"], r["tiny"], r["regular"]], power(2.0 / 3.0))[1]
+        assert test.statistic == 0.0 and test.p_value == 1.0 and test.warnings == ()
+
+    def test_empty_cell_at_index_minus_one(self, rows):
+        design, r = rows
+        test = self.check(design, [r["empty"], r["regular"]], power(-1.0))[0]
+        assert test.reject and test.warnings == ("infinite_statistic",)
+
+    def test_bounded_h_on_an_infinite_divergence(self, rows):
+        design, r = rows
+        h = HSpec(tag="sharma_mittal", a=2.0, b=0.5)
+        test = self.check(design, [r["regular"], r["empty"]], power(-1.0), h)[1]
+        assert test.statistic == 2 * r["empty"][0].N / (2.0 * (1 - 0.5))
+        assert test.warnings == ("infinite_divergence",)
+
+    def test_bhattacharyya_outside_its_domain(self, rows):
+        design, r = rows
+        h = HSpec(tag="bhattacharyya")
+        (counts, result), regular = r["empty"], r["regular"]
+        with pytest.raises(DomainError) as one:
+            gof_statistic(design, counts, power(-1.0), result, h=h)
+        with pytest.raises(DomainError) as stacked:
+            gof_rows(
+                power(-1.0), np.array([regular[0].p_hat(), counts.p_hat()]),
+                np.array([regular[1].manifest.p, result.manifest.p]), [regular[0].N, counts.N], [6, 6],
+                0.05, h,
+            )
+        assert str(stacked.value) == str(one.value)
+
+    def test_undefined_row(self, rows):
+        design, r = rows
+        test = self.check(design, [r["subnormal"], r["regular"]], power(2.0 / 3.0))[0]
+        assert math.isnan(test.statistic) and math.isnan(test.p_value) and not test.reject
+        assert test.warnings == ("undefined_statistic",)
+
+    def test_degenerate_dof_row(self, rows):
+        design, r = rows
+        tests = self.check(design, [r["regular"], r["degenerate"]], power(2.0 / 3.0))
+        assert tests[1].dof == 0 and tests[1].critical == 0.0
+        assert tests[1].reject and tests[1].p_value == 0.0
+        assert tests[0].dof > 0 and tests[0].critical > 0.0
+
+    def test_empty_stack(self):
+        stacked = gof_rows(power(2.0 / 3.0), np.empty((0, 8)), np.empty((0, 8)), [], [], 0.05)
+        assert [len(field) for field in stacked] == [0] * 6
+        assert stacked.reject.dtype == bool and stacked.warnings.dtype == np.int64
 
 
 class TestNestedPair:

@@ -179,23 +179,36 @@ class TestRunSimulation:
     def test_chunking_matches_serial_records(self):
         # The grid's stream of 2 x 2 x 5 replications regrouped into flat
         # chunks of any size, each sent through a pickle as the pool does,
-        # gives the serial records exactly, also where chunks of 3 and 7 span
-        # cells and sizes; running them leaves nothing behind in the pickled
-        # plan.
-        plan = simulation_plan(
-            sample_sizes=(200, 300), a_values=(0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
-            replications=5, seed=21,
+        # gives the serial records byte for byte, also where chunks of 3 and
+        # 7 span cells and sizes.  Sixty iterations leave about half the fits
+        # unconverged, so NaN rows are regrouped too, and index -1 has
+        # infinite statistics.  Running them leaves nothing behind in the
+        # pickled plan.
+        from dataclasses import replace
+
+        plan = replace(
+            simulation_plan(
+                sample_sizes=(200, 300), a_values=(-1.0, 0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+                replications=5, seed=21,
+            ),
+            fit_max_iters=60,
         )
         fresh = pickle.dumps(plan)
         total = 4 * plan.replications
-        serial = _replicate_chunk((plan, 0, total))
-        assert len(serial) == total
+        _, serial = _replicate_chunk((plan, 0, total))
+        assert serial.converged.shape == (total,) and serial.statistic.shape == (3, total)
+        assert 0 < np.count_nonzero(serial.converged) < total
+        assert np.isnan(serial.statistic[:, ~serial.converged]).all()
+        assert np.count_nonzero(serial.warnings[0] & 2) > 0  # infinite_statistic
         for size in (1, 3, 7):
-            records = []
+            parts = []
             for lo in range(0, total, size):
                 task = (plan, lo, min(lo + size, total))
-                records.extend(_replicate_chunk(pickle.loads(pickle.dumps(task))))
-            assert records == serial
+                parts.append(_replicate_chunk(pickle.loads(pickle.dumps(task)))[1])
+            for name, field in zip(serial._fields, zip(*parts)):
+                regrouped = np.concatenate(field, axis=-1)
+                assert regrouped.dtype == getattr(serial, name).dtype
+                assert regrouped.tobytes() == getattr(serial, name).tobytes(), name
         assert pickle.dumps(plan) == fresh
 
     def test_memory_budget_splits_a_cell_into_equal_chunks(self, chunk_sizes, monkeypatch):
@@ -242,6 +255,8 @@ class TestRunSimulation:
         assert run_simulation(plan, n_jobs=2).rows() == serial.rows()
 
     def test_logs_one_record_per_cell(self, caplog):
+        # Both cells are in the run's one chunk, so each is logged with half
+        # of that chunk's wall time, not the first with all of it.
         plan = simulation_plan(
             sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0, 2.0),
             replications=2, seed=5,
@@ -256,6 +271,25 @@ class TestRunSimulation:
             assert (N, lambda8, failures) == (cell.N, cell.lambda8, cell.fit_failures)
             assert wall > 0.0
             assert record.getMessage().startswith(f"cell N=200 lambda8={lambda8!r}:")
+        assert records[0].args[3] == records[1].args[3]
+
+    def test_cell_time_is_its_share_of_its_chunks(self, caplog, monkeypatch):
+        # Two cells of five replications cut into chunks of 4, 4 and 2, each
+        # taking one second: the first cell ran in chunk one and a quarter of
+        # chunk two, the second in the rest.
+        real_chunk = montecarlo._replicate_chunk
+        monkeypatch.setattr(montecarlo, "_replicate_chunk", lambda task: (1.0, real_chunk(task)[1]))
+        plan = simulation_plan(
+            sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0, 2.0),
+            replications=5, seed=5,
+        )
+        design = plan.null_design
+        row_bytes = 8 * design.n_patterns * design.m * design.k
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 4 * row_bytes + row_bytes // 2)
+        with caplog.at_level(logging.INFO, logger="lcmdiv.montecarlo"):
+            run_simulation(plan)
+        walls = [r.args[3] for r in caplog.records if r.name == "lcmdiv.montecarlo"]
+        assert walls == [1.25, 1.75]
 
     def test_cells_recount_gof_statistic_decisions(self):
         # Every replication of every (size, coefficient) cell rebuilt by hand
