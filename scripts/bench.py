@@ -91,7 +91,7 @@ def layer_timings(seed: int) -> dict:
 
     P = np.array([r.manifest.p for r in fits])
     N = [c.N for c in counts]
-    dof = [resolve_gof_dof(design, r, plan.dof_policy)[0] for r in fits]
+    dof = resolve_gof_dof(design, plan.dof_policy)[0]
 
     def statistics_batch():
         return [gof_rows(power(a), P_hat, P, N, dof, plan.alpha) for a in plan.a_values]
@@ -117,9 +117,9 @@ def layer_timings(seed: int) -> dict:
         "sampling_per_replication": timed(clock, sampling_batch, 10, BATCH),
         "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options[0]), 5),
         "fit_batch_share": timed(clock, lambda: fit_many(design, counts, spec, options), 1, BATCH),
-        "replication_alone": timed(clock, lambda: _replicate_chunk((plan, 0, 1)), 5),
+        "replication_alone": timed(clock, lambda: _replicate_chunk((plan, dof, 0, 1)), 5),
         "replication_batch_share": timed(
-            clock, lambda: _replicate_chunk((plan, 0, BATCH)), 1, BATCH),
+            clock, lambda: _replicate_chunk((plan, dof, 0, BATCH)), 1, BATCH),
     }
 
 

@@ -113,10 +113,11 @@ class FitResult:
     """Outcome of a (multi-start) minimum divergence fit.
 
     ``theta_hat``, ``objective``, ``latent``, ``manifest`` and ``rank``
-    describe the best start.  A failed result (``converged=False``) reports
-    where its best start stopped, and its ``message`` counts the starts by
-    status; when every launch point has an infinite objective that is start
-    0's launch point, with objective ``inf``.
+    describe the best start; ``rank`` is a diagnostic, since the tests take
+    the design's ``generic_rank``.  A failed result (``converged=False``)
+    reports where its best start stopped, and its ``message`` counts the
+    starts by status; when every launch point has an infinite objective
+    that is start 0's launch point, with objective ``inf``.
     """
 
     theta_hat: Theta

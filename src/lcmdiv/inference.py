@@ -28,10 +28,12 @@ raw with a warning flag, never clamped.
 
 Degrees-of-freedom policy
 -------------------------
-The default "rank" policy uses the numerical rank of the manifest Jacobian
-at the estimate, which absorbs the one-dimensional softmax redundancy that
-identity-style weight loadings carry.  The "nominal" policy uses the literal
-parameter count ``t + u``; an explicit override is also accepted.
+The default "rank" policy takes ``r`` as the design's generic rank
+(:attr:`lcmdiv.model.ModelDesign.generic_rank`), which absorbs the
+one-dimensional softmax redundancy that identity-style weight loadings
+carry.  It is a property of the model, not of the estimate, so every test
+of one design has one dof.  The "nominal" policy uses the literal parameter
+count ``t + u``; an explicit override is also accepted.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from scipy.special import chdtrc, chdtri
 from .divergence import HSpec, PhiSpec, _phi_divergence, identity_h, power
 from .errors import DomainError
 from .estimation import FitOptions, FitResult, fit
-from .model import ModelDesign, ObservedCounts, Theta
+from .model import ModelDesign, ObservedCounts
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -117,29 +119,27 @@ class Decisions(NamedTuple):
     divergence: Optional[np.ndarray] = None
 
 
-def _rule(statistic, dof, alpha: float, finite, divergence=None) -> Decisions:
-    """The decision rule of every test, applied row by row.
+def _rule(statistic, dof: int, alpha: float, finite, divergence=None) -> Decisions:
+    """The decision rule of every test, applied row by row at one ``dof``.
 
-    ``statistic``, ``dof`` and ``finite`` are sequences with one float, int
-    and bool per row; ``finite`` marks rows whose divergences are all
-    finite.  A NaN statistic is undefined and never rejects.  A row with
-    ``dof <= 0`` is a degenerate null, a point mass at zero.  Otherwise an
-    infinite statistic rejects and a finite one is compared with the
-    chi-square critical value, computed once per distinct dof.
+    ``statistic`` and ``finite`` are sequences with one float and bool per
+    row; ``finite`` marks rows whose divergences are all finite.  A NaN
+    statistic is undefined and never rejects.  With ``dof <= 0`` the null is
+    degenerate, a point mass at zero.  Otherwise an infinite statistic
+    rejects and a finite one is compared with the chi-square critical value.
     """
-    level = {d: chi2_quantile(1.0 - alpha, d) for d in set(dof) if d > 0}
-    critical = [level.get(d, 0.0) for d in dof]
+    critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
     p_value, reject, codes = [], [], []
-    for s, d, c, f in zip(statistic, dof, critical, finite):
+    for s, f in zip(statistic, finite):
         code = 0
         if math.isnan(s):
             p, r, code = math.nan, False, 1
-        elif d <= 0:
+        elif dof <= 0:
             p, r = (1.0, False) if s <= 1e-12 else (0.0, True)
         elif math.isinf(s):
             p, r, code = 0.0, True, 2
         else:
-            p, r = chi2_sf(max(s, 0.0), d), s > c
+            p, r = chi2_sf(max(s, 0.0), dof), s > critical
         if s < 0:
             code |= 4
         if math.isfinite(s) and not f:
@@ -149,7 +149,7 @@ def _rule(statistic, dof, alpha: float, finite, divergence=None) -> Decisions:
         codes.append(code)
     return Decisions(
         np.array(statistic, dtype=np.float64), np.array(p_value, dtype=np.float64),
-        np.array(reject, dtype=bool), np.array(critical, dtype=np.float64),
+        np.array(reject, dtype=bool), np.full(len(codes), critical),
         np.array(codes, dtype=np.int64), divergence,
     )
 
@@ -174,24 +174,21 @@ def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> Tes
 
 def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, divergences):
     """:func:`_rule` on one statistic, as a TestResult."""
-    rows = _rule([float(statistic)], [dof], alpha, [all(map(math.isfinite, divergences))])
+    rows = _rule([float(statistic)], dof, alpha, [all(map(math.isfinite, divergences))])
     return _result(rows, dof, alpha, phi1, phi2, h, kind, dof_policy)
 
 
 def resolve_gof_dof(
-    design: ModelDesign,
-    fit_result: FitResult,
-    policy: str = "rank",
-    override: Optional[int] = None,
+    design: ModelDesign, policy: str = "rank", override: Optional[int] = None
 ) -> tuple[int, str]:
-    """Degrees of freedom for a goodness-of-fit statistic, with its policy label."""
+    """Degrees of freedom of the design's goodness-of-fit tests, with the policy label."""
     cells = design.n_patterns
     if override is not None:
         if override < 1:
             raise DomainError("dof override must be >= 1")
         return int(override), f"override:{int(override)}"
     if policy == "rank":
-        return cells - fit_result.rank - 1, "rank"
+        return cells - design.generic_rank - 1, "rank"
     if policy == "nominal":
         return cells - design.n_params - 1, "nominal"
     raise DomainError(f"unknown dof policy: {policy!r}")
@@ -217,18 +214,20 @@ def gof_statistic(
     """
     fit2.require_converged("goodness-of-fit statistic")
     _check_cells(counts, fit2)
-    dof, policy = resolve_gof_dof(design, fit2, dof_policy, dof_override)
-    rows = gof_rows(phi1, counts.p_hat()[None], fit2.manifest.p[None], [counts.N], [dof], alpha, h)
+    dof, policy = resolve_gof_dof(design, dof_policy, dof_override)
+    rows = gof_rows(phi1, counts.p_hat()[None], fit2.manifest.p[None], [counts.N], dof, alpha, h)
     return _result(rows, dof, alpha, phi1, fit2.spec, *_h_label(h, "gof"), policy)
 
 
-def gof_rows(phi1: PhiSpec, P_hat, P, N, dof, alpha: float = 0.05, h: HSpec = identity_h()) -> Decisions:
+def gof_rows(
+    phi1: PhiSpec, P_hat, P, N, dof: int, alpha: float = 0.05, h: HSpec = identity_h()
+) -> Decisions:
     """Goodness-of-fit tests of stacked fits, one per row, as :func:`gof_statistic` makes them.
 
     ``P_hat`` and ``P`` hold empirical and fitted distributions as rows of
     shape ``(n, 2**k)``, already validated (``ObservedCounts`` and a
-    converged fit's ``ManifestDistribution``); ``N`` and ``dof`` hold each
-    row's sample size and degrees of freedom.  Each row's statistic,
+    converged fit's ``ManifestDistribution``); ``N`` holds each row's sample
+    size, and every row is tested at the one ``dof``.  Each row's statistic,
     divergence and decision are bit for bit those of :func:`gof_statistic`
     on that row alone.  Raises ``DomainError`` when a row's divergence falls
     outside the domain of ``h``.
@@ -237,7 +236,7 @@ def gof_rows(phi1: PhiSpec, P_hat, P, N, dof, alpha: float = 0.05, h: HSpec = id
     divergences = D.tolist()
     statistic = [_scale(int(n), h) * h.value(d) for n, d in zip(N, divergences)]
     finite = [math.isfinite(d) for d in divergences]
-    return _rule(statistic, [int(d) for d in dof], alpha, finite, D)
+    return _rule(statistic, int(dof), alpha, finite, D)
 
 
 def _check_cells(counts: ObservedCounts, *fits: FitResult) -> None:
@@ -342,15 +341,6 @@ class NestedPair:
             V=np.asarray(A.V)[:, list(self.keep_eta)],
             d=A.d,
         )
-
-    def embed(self, theta_B) -> "np.ndarray":
-        """Parameter vector of B written in A's coordinates (zeros inserted)."""
-        vec = np.zeros(self.design_A.t + self.design_A.u)
-        lam_idx = list(self.keep_lam)
-        eta_idx = [self.design_A.t + i for i in self.keep_eta]
-        vec[lam_idx] = theta_B.lam
-        vec[eta_idx] = theta_B.eta
-        return Theta.from_vector(self.design_A, vec).vector()
 
     def kept_column_indices(self) -> list:
         """Column positions of B's free coordinates inside A's Jacobian."""

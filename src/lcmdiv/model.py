@@ -17,8 +17,8 @@ so ``(0,...,0)`` is pattern 1 and ``(1,...,1)`` is pattern ``2**k``.
 
 One checked routine, ``_table``, builds the class-by-pattern table and the
 manifest vector for a batch of parameter vectors.  Two consumers sit on
-it: ``_jacobian``, behind :func:`manifest_jacobian`, :func:`jacobian_rank`
-and the asymptotic projections, and ``_pullback``, which gives the fit's
+it: ``_jacobian``, behind :func:`manifest_jacobian`, the ranks and the
+asymptotic projections, and ``_pullback``, which gives the fit's
 gradient ``weight @ J`` without forming ``J``.  The views that need only
 ``p`` (:func:`manifest_distribution`, :func:`sample_counts`) stop at the
 table; a simulation cell samples all its replications from one table.
@@ -123,8 +123,14 @@ class ModelDesign:
         Y.setflags(write=False)
         return Y, self.Q.reshape(self.m * self.k, self.t)
 
+    @cached_property
+    def generic_rank(self) -> int:
+        """Identifiable parameter count: the largest Jacobian rank at four fixed-seed points."""
+        x = np.random.default_rng(0).standard_normal((4, self.n_params))
+        return int(numerical_rank(_evaluate(self, x)[1]).max())
+
     def __getstate__(self):
-        # Pickles carry the design only; derived constants are rebuilt on use.
+        # Pickles carry the design only; derived constants and the rank are rebuilt on use.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

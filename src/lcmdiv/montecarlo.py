@@ -2,13 +2,13 @@
 
 Each replication draws a sample from the true model (the null design, or its
 one-column extension at a nonzero coefficient), fits the null design by
-minimum divergence, and tests that single fit at every statistic index.  The
-share of those decisions that reject is the simulated exact size (at
-coefficient zero) or power (elsewhere).  A chunk of replications is tested
-as arrays, with one :func:`lcmdiv.inference.gof_rows` call per index on the
-stacked converged fits; :func:`lcmdiv.inference.gof_statistic` is that
-routine on one row, so the study measures exactly the test a user runs on
-one data set, bit for bit.
+minimum divergence, and tests that single fit at every statistic index at
+the null design's one dof.  The share of those decisions that reject is the
+simulated exact size (at coefficient zero) or power (elsewhere).  A chunk of
+replications is tested as arrays, with one
+:func:`lcmdiv.inference.gof_rows` call per index on the stacked converged
+fits; :func:`lcmdiv.inference.gof_statistic` is that routine on one row, so
+the study measures exactly the test a user runs on one data set, bit for bit.
 
 Replications are seeded independently from the master seed through
 ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betaincinv
@@ -114,8 +114,9 @@ class SimulationPlan:
             raise DomainError("the coefficient grid and the statistic indices must not be empty")
         if not math.isfinite(self.estimator_a):
             raise DomainError("the estimator index must be finite")
-        if self.alt_design.t != self.null_design.t + 1:
-            raise DomainError("alt design must extend the null design by one lambda column")
+        null, alt = self.null_design, self.alt_design
+        if (alt.t, alt.k, alt.u) != (null.t + 1, null.k, null.u):
+            raise DomainError("alt design must extend the null design by one lambda column only")
         if self.dof_policy not in ("rank", "nominal"):
             raise DomainError("dof policy must be 'rank' or 'nominal'")
         self.theta0.check_shape(self.null_design)
@@ -151,7 +152,7 @@ class SizePowerCell:
     n_effective: int
     fit_failures: int
     infinite_statistics: int
-    dof: Optional[int]  # None when no replication converged
+    dof: int  # the plan's, also in a cell where no replication converged
     binomial_ci: tuple
     dale_pass: bool
 
@@ -183,29 +184,26 @@ class SizePowerTable:
         return out
 
     def write_csv(self, path) -> None:
-        """Write :meth:`rows` as comma-separated lines, floats as ``repr``, None empty."""
+        """Write :meth:`rows` as comma-separated lines, floats as ``repr``."""
         with open(path, "w") as fh:
             for row in self.rows():
                 fh.write(",".join(_csv_field(v) for v in row) + "\n")
 
 
 def _csv_field(value) -> str:
-    if value is None:
-        return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
 class _Records(NamedTuple):
     """Outcomes of a run of replications, the replication on the last axis.
 
-    ``converged`` and ``dof`` have one entry per replication; ``statistic``,
-    ``reject`` and ``warnings`` (codes of :data:`lcmdiv.inference.WARNINGS`)
-    one row per entry of ``plan.a_values``.  A replication whose fit did not
-    converge has a NaN statistic, no rejection, no warning and dof 0.
+    ``converged`` has one entry per replication; ``statistic``, ``reject``
+    and ``warnings`` (codes of :data:`lcmdiv.inference.WARNINGS`) one row
+    per entry of ``plan.a_values``.  A replication whose fit did not
+    converge has a NaN statistic, no rejection and no warning.
     """
 
     converged: np.ndarray
-    dof: np.ndarray
     statistic: np.ndarray
     reject: np.ndarray
     warnings: np.ndarray
@@ -223,12 +221,12 @@ def _replicate_chunk(args):
     every replication of a cell from one table of that model, fits the null
     design to all of them in one :func:`fit_many` batch, and tests the
     converged fits at every entry of ``plan.a_values`` with one
-    :func:`gof_rows` call per index.  Returns ``(wall seconds, _Records)``.
-    A fit does not depend on the rest of its batch, so neither does its
-    record.
+    :func:`gof_rows` call per index, all at the run's ``dof``.  Returns
+    ``(wall seconds, _Records)``.  A fit does not depend on the rest of its
+    batch, so neither does its record.
     """
     start = perf_counter()
-    plan, lo, hi = args
+    plan, dof, lo, hi = args
     tables = {}
     counts_seq, options_seq = [], []
     for i in range(lo, hi):
@@ -249,17 +247,15 @@ def _replicate_chunk(args):
     P_hat = np.array([counts.p_hat() for counts, _ in tested]).reshape(-1, design.n_patterns)
     P = np.array([result.manifest.p for _, result in tested]).reshape(-1, design.n_patterns)
     N = [counts.N for counts, _ in tested]
-    dof = np.zeros(hi - lo, dtype=np.int64)
-    dof[converged] = [resolve_gof_dof(design, result, plan.dof_policy)[0] for _, result in tested]
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)
     warnings = np.zeros(shape, dtype=np.int64)
     for row, a in enumerate(plan.a_values):
-        tests = gof_rows(power(a), P_hat, P, N, dof[converged], plan.alpha)
+        tests = gof_rows(power(a), P_hat, P, N, dof, plan.alpha)
         statistic[row, converged] = tests.statistic
         reject[row, converged] = tests.reject
         warnings[row, converged] = tests.warnings
-    return perf_counter() - start, _Records(converged, dof, statistic, reject, warnings)
+    return perf_counter() - start, _Records(converged, statistic, reject, warnings)
 
 
 def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
@@ -277,13 +273,14 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
         raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
     band = dale_band(plan.alpha)
     design = plan.null_design
+    dof = resolve_gof_dof(design, plan.dof_policy)[0]
     rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
     cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
     R = plan.replications
     total = len(plan.sample_sizes) * len(plan.lambda8_grid) * R
     # The fewest chunks within the budget, rounded up to a multiple of n_jobs.
     chunk = -(-total // (n_jobs * -(-total // (cap * n_jobs))))
-    tasks = [(plan, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    tasks = [(plan, dof, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     grid = [(N, lambda8) for N in plan.sample_sizes for lambda8 in plan.lambda8_grid]
     cells = []
     wall = [0.0] * len(grid)
@@ -291,7 +288,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
         # map yields the chunks in task order, so records arrive in table order.
         results = (map if pool is None else pool.map)(_replicate_chunk, tasks)
-        for (_, lo, hi), (seconds, records) in zip(tasks, results):
+        for (_, _, lo, hi), (seconds, records) in zip(tasks, results):
             for c in range(lo // R, (hi - 1) // R + 1):
                 wall[c] += seconds * (min(hi, (c + 1) * R) - max(lo, c * R)) / (hi - lo)
             pending.append(records)
@@ -299,7 +296,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
                 stream = _Records(*(np.concatenate(f, axis=-1) for f in zip(*pending)))
                 pending = [_take(stream, R)]
                 c = first // R
-                cells.extend(_tally(plan, *grid[c], _take(stream, 0, R), band))
+                cells.extend(_tally(plan, dof, *grid[c], _take(stream, 0, R), band))
                 _log.info(
                     "cell N=%d lambda8=%r: %d fit failures, %.3f s",
                     *grid[c], cells[-1].fit_failures, wall[c],
@@ -308,12 +305,11 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 
-def _tally(plan: SimulationPlan, N: int, lambda8: float, records: _Records, band: tuple) -> list:
+def _tally(plan: SimulationPlan, dof: int, N: int, lambda8: float, records: _Records, band: tuple) -> list:
     """The cells of one (size, coefficient) pair, one per statistic index, from its records."""
     converged = records.converged
     effective = int(np.count_nonzero(converged))
     failures = plan.replications - effective
-    dofs = records.dof[converged].tolist()
     cells = []
     for i, a in enumerate(plan.a_values):
         rejections = int(np.count_nonzero(records.reject[i, converged]))
@@ -328,8 +324,7 @@ def _tally(plan: SimulationPlan, N: int, lambda8: float, records: _Records, band
                 n_effective=effective,
                 fit_failures=failures,
                 infinite_statistics=int(np.count_nonzero(records.warnings[i, converged] & _INFINITE)),
-                # The mode, smallest first among ties; dof may be <= 0.
-                dof=max(sorted(set(dofs)), key=dofs.count) if dofs else None,
+                dof=dof,
                 binomial_ci=_clopper_pearson(rejections, effective),
                 dale_pass=bool(effective and band[0] <= rate <= band[1]),
             )

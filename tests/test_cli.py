@@ -568,9 +568,10 @@ class TestSimulateCommand:
         )
         assert code == EXIT_OK
         cell = json.loads(out)["cells"][0]
-        assert (cell["n_effective"], cell["fit_failures"], cell["dof"]) == (0, 2, None)
+        # The plan's dof, 32 - 12 - 1, although no replication was tested.
+        assert (cell["n_effective"], cell["fit_failures"], cell["dof"]) == (0, 2, 19)
         header, row = (out_dir / "size_power.csv").read_text().splitlines()
-        assert dict(zip(header.split(","), row.split(",")))["dof"] == ""
+        assert dict(zip(header.split(","), row.split(",")))["dof"] == "19"
 
     def test_progress_goes_to_stderr_only(self, capsys, tmp_path):
         argv = (

@@ -243,6 +243,22 @@ class TestPlanFiles:
         with pytest.raises(InputFormatError, match="plan.json: bad plan key 'theta0'"):
             fileio.read_plan(path)
 
+    @pytest.mark.parametrize("drop", ["eta", "item"])
+    def test_alt_design_that_does_not_match_the_null_is_refused(self, drop):
+        # An alternative with one weight column or one item fewer than the
+        # null design is refused at load, not when a run reaches it.
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        alt = doc["alt_design"]
+        if drop == "eta":
+            alt["u"], alt["V"] = alt["u"] - 1, [row[:-1] for row in alt["V"]]
+        else:
+            alt["k"] -= 1
+            alt["Q"], alt["C"] = [q[:-1] for q in alt["Q"]], [c[:-1] for c in alt["C"]]
+        with pytest.raises(InputFormatError, match="plan: bad plan .*alt design must extend"):
+            fileio.plan_from_dict(doc)
+
     def test_plan_value_of_the_wrong_type_exits_3(self, tmp_path, capsys):
         from lcmdiv.cli import EXIT_INPUT, main
         from lcmdiv.datasets import simulation_plan

@@ -18,6 +18,7 @@ from lcmdiv.inference import (
     gof_statistic,
     nested_S,
     nested_T,
+    resolve_gof_dof,
     sequential_selection,
     _decide,
 )
@@ -198,6 +199,17 @@ class TestGofStatistic:
         )
         assert override.dof == 7 and override.dof_policy == "override:7"
 
+    def test_dof_is_the_designs_not_the_estimates(
+        self, coleman_design, coleman_counts, coleman_fit_23
+    ):
+        # The rank at an estimate is a diagnostic; the test's dof comes from
+        # the design's generic rank.
+        assert resolve_gof_dof(coleman_design) == (16 - 11 - 1, "rank")
+        for rank in (9, 12):
+            swapped = replace(coleman_fit_23, rank=rank)
+            test = gof_statistic(coleman_design, coleman_counts, power(0.0), swapped)
+            assert test.dof == 4 and test.dof_policy == "rank"
+
     def test_decision_route_consistency(self, coleman_design, coleman_counts, coleman_fit_23):
         for a in (-1.0, 0.0, 1.0, 3.0):
             for alpha in (0.01, 0.05, 0.5, 0.99):
@@ -270,14 +282,14 @@ class TestGofRows:
     @pytest.fixture(scope="class")
     def rows(self, uniform_perfect_fit):
         # (counts, fit) pairs on the eight-cell design, each fit the converged
-        # one with its manifest (and rank) swapped for a synthetic row.
+        # one with its manifest swapped for a synthetic row.
         design, _, result = uniform_perfect_fit
         n = np.array([25, 30, 20, 25, 26, 24, 25, 25])
         p_hat = n / n.sum()
 
-        def row(counts, q, rank=result.rank):
+        def row(counts, q):
             manifest = ManifestDistribution(p=np.asarray(q, dtype=np.float64))
-            return ObservedCounts(n=counts), replace(result, manifest=manifest, rank=rank)
+            return ObservedCounts(n=counts), replace(result, manifest=manifest)
 
         tiny = p_hat.copy()  # p_hat ~= q: the raw divergence at 2/3 is a tiny negative
         tiny[6] += 2.0**-54
@@ -292,13 +304,12 @@ class TestGofRows:
             "zero_q": row(n, zero_q),
             "empty": row(np.append(n[:-1], 0), np.full(8, 0.125)),
             "subnormal": row(n, subnormal),
-            "degenerate": row(n, np.full(8, 0.125), rank=8 - 1),
         }
 
     def check(self, design, cases, phi1, h=identity_h()):
         counts = [c for c, _ in cases]
         fits = [f for _, f in cases]
-        dof = [8 - f.rank - 1 for f in fits]
+        dof = resolve_gof_dof(design)[0]
         stacked = gof_rows(
             phi1, np.array([c.p_hat() for c in counts]), np.array([f.manifest.p for f in fits]),
             [c.N for c in counts], dof, 0.05, h,
@@ -352,7 +363,7 @@ class TestGofRows:
         with pytest.raises(DomainError) as stacked:
             gof_rows(
                 power(-1.0), np.array([regular[0].p_hat(), counts.p_hat()]),
-                np.array([regular[1].manifest.p, result.manifest.p]), [regular[0].N, counts.N], [6, 6],
+                np.array([regular[1].manifest.p, result.manifest.p]), [regular[0].N, counts.N], 6,
                 0.05, h,
             )
         assert str(stacked.value) == str(one.value)
@@ -364,14 +375,22 @@ class TestGofRows:
         assert test.warnings == ("undefined_statistic",)
 
     def test_degenerate_dof_row(self, rows):
+        # At dof <= 0 the null is a point mass at zero: a positive statistic
+        # rejects with p-value 0, a zero one is accepted with p-value 1.
         design, r = rows
-        tests = self.check(design, [r["regular"], r["degenerate"]], power(2.0 / 3.0))
-        assert tests[1].dof == 0 and tests[1].critical == 0.0
-        assert tests[1].reject and tests[1].p_value == 0.0
-        assert tests[0].dof > 0 and tests[0].critical > 0.0
+        counts, regular = r["regular"]
+        P_hat = np.array([counts.p_hat(), counts.p_hat()])
+        P = np.array([regular.manifest.p, counts.p_hat()])
+        for dof in (0, -1):
+            stacked = gof_rows(power(2.0 / 3.0), P_hat, P, [counts.N] * 2, dof, 0.05)
+            assert stacked.statistic[0] > 0.0 and stacked.statistic[1] == 0.0
+            assert stacked.reject.tolist() == [True, False]
+            assert stacked.p_value.tolist() == [0.0, 1.0]
+            assert stacked.critical.tolist() == [0.0, 0.0]
+        assert resolve_gof_dof(design)[0] > 0
 
     def test_empty_stack(self):
-        stacked = gof_rows(power(2.0 / 3.0), np.empty((0, 8)), np.empty((0, 8)), [], [], 0.05)
+        stacked = gof_rows(power(2.0 / 3.0), np.empty((0, 8)), np.empty((0, 8)), [], 6, 0.05)
         assert [len(field) for field in stacked] == [0] * 6
         assert stacked.reject.dtype == bool and stacked.warnings.dtype == np.int64
 
@@ -387,21 +406,14 @@ class TestNestedPair:
         sub = pair.design_B()
         assert sub.t == 2 and sub.u == 2
 
-    def test_embedding_inserts_zeros(self):
-        design = make_design(seed=82, k=3, m=2, t=3, u=2)
-        pair = NestedPair(design, zero_lam=(1,), zero_eta=(0,))
-        theta_b = Theta(lam=[1.0, 2.0], eta=[3.0])
-        vec = pair.embed(theta_b)
-        np.testing.assert_array_equal(vec, [1.0, 0.0, 2.0, 0.0, 3.0])
-
     def test_restriction_matches_zeroed_full_model(self):
         design = make_design(seed=83, k=3, m=2, t=3, u=2)
         pair = NestedPair(design, zero_lam=(2,), zero_eta=(1,))
         theta_b = random_theta(pair.design_B(), seed=84)
         p_sub = manifest_distribution(pair.design_B(), theta_b).p
-        p_full = manifest_distribution(
-            design, Theta.from_vector(design, pair.embed(theta_b))
-        ).p
+        # theta_B in A's coordinates: lam (l1, l2, 0), eta (e1, 0).
+        theta_a = Theta(lam=[*theta_b.lam, 0.0], eta=[*theta_b.eta, 0.0])
+        p_full = manifest_distribution(design, theta_a).p
         np.testing.assert_allclose(p_sub, p_full, rtol=1e-13)
 
     def test_validation(self):

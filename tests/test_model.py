@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ class TestManifestJacobian:
         assert coleman_fit_23.rank == 11
         theta = Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA)
         assert jacobian_rank(coleman_design, theta) == 11
+
+    @pytest.mark.parametrize(
+        "name,rank",
+        [
+            ("coleman_design_m1", 11), ("coleman_design_chain_basis", 11),
+            ("coleman_design_m2", 9), ("coleman_design_m3", 8), ("coleman_design_m4", 7),
+            ("simulation_null_design", 12), ("simulation_alt_design", 13),
+        ],
+    )
+    def test_generic_rank_of_bundled_designs(self, name, rank):
+        # Each bundled design is one short of its nominal parameter count.
+        design = getattr(datasets, name)()
+        assert design.generic_rank == rank == design.n_params - 1
+
+    def test_generic_rank_stays_out_of_pickles(self):
+        design = datasets.simulation_null_design()
+        fresh = pickle.dumps(design)
+        assert design.generic_rank == 12
+        assert pickle.dumps(design) == fresh
+        assert "generic_rank" not in vars(pickle.loads(fresh))
 
 
 class TestEvaluationKernel:

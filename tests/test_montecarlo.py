@@ -3,7 +3,6 @@ import logging
 import math
 import pickle
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,7 +86,7 @@ def chunk_sizes(monkeypatch):
     real_chunk = montecarlo._replicate_chunk
 
     def counting_chunk(task):
-        _, lo, hi = task
+        _, _, lo, hi = task
         sizes.append(hi - lo)
         return real_chunk(task)
 
@@ -195,7 +194,8 @@ class TestRunSimulation:
         )
         fresh = pickle.dumps(plan)
         total = 4 * plan.replications
-        _, serial = _replicate_chunk((plan, 0, total))
+        dof = 32 - 12 - 1
+        _, serial = _replicate_chunk((plan, dof, 0, total))
         assert serial.converged.shape == (total,) and serial.statistic.shape == (3, total)
         assert 0 < np.count_nonzero(serial.converged) < total
         assert np.isnan(serial.statistic[:, ~serial.converged]).all()
@@ -203,7 +203,7 @@ class TestRunSimulation:
         for size in (1, 3, 7):
             parts = []
             for lo in range(0, total, size):
-                task = (plan, lo, min(lo + size, total))
+                task = (plan, dof, lo, min(lo + size, total))
                 parts.append(_replicate_chunk(pickle.loads(pickle.dumps(task)))[1])
             for name, field in zip(serial._fields, zip(*parts)):
                 regrouped = np.concatenate(field, axis=-1)
@@ -332,15 +332,14 @@ class TestRunSimulation:
                 column = [row[i] for row in tests]
                 cell = table.cell(N, a, lambda8)
                 assert (
-                    cell.rejections, cell.infinite_statistics, cell.dof,
-                    cell.n_effective, cell.fit_failures,
+                    cell.rejections, cell.infinite_statistics, cell.n_effective, cell.fit_failures,
                 ) == (
                     sum(t.reject for t in column),
                     sum("infinite_statistic" in t.warnings for t in column),
-                    Counter(t.dof for t in column).most_common(1)[0][0],
                     len(tests),
                     failures,
                 )
+                assert {t.dof for t in column} == {cell.dof} == {32 - 12 - 1}
         assert sum(c.infinite_statistics for c in table.cells) > 0
 
     def test_degenerate_null_follows_decision_rule(self):
@@ -387,6 +386,15 @@ class TestRunSimulation:
             replace(plan, alpha=1.5)
         with pytest.raises(DomainError):
             replace(plan, dof_policy="taped")
+        # The alternative adds one lambda column and nothing else.
+        alt = plan.alt_design
+        for bad_alt in (
+            plan.null_design,
+            ModelDesign(Q=alt.Q, C=alt.C, V=alt.V[:, 1:], d=alt.d),
+            ModelDesign(Q=alt.Q[:, 1:], C=alt.C[:, 1:], V=alt.V, d=alt.d),
+        ):
+            with pytest.raises(DomainError, match="alt design must extend"):
+                replace(plan, alt_design=bad_alt)
         # Refused when the plan is built, not in the middle of a run.
         for bad in (
             {"sample_sizes": (200, 0)}, {"sample_sizes": ()}, {"lambda8_grid": ()},
