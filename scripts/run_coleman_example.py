@@ -14,6 +14,7 @@ from lcmdiv import datasets
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions, canonicalize, fit
 from lcmdiv.inference import estimator_sweep, gof_statistic, sequential_selection
+from lcmdiv.model import jacobian_rank
 
 A_GRID = (-1.0, -0.5, 0.0, 2.0 / 3.0, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -31,7 +32,8 @@ def main():
 
     result = fit(design, counts, power(2.0 / 3.0), options)
     print(f"converged: {result.converged}   objective: {result.objective:.8e}")
-    print(f"jacobian rank: {result.rank} (nominal parameters: {design.n_params})")
+    rank = jacobian_rank(design, result.theta_hat)
+    print(f"jacobian rank: {rank} (nominal parameters: {design.n_params})")
     latent = canonicalize(result.latent)
     np.set_printoptions(precision=6, suppress=True)
     print("class weights (canonical order):", latent.w)

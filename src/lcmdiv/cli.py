@@ -46,7 +46,7 @@ from .inference import (
     nested_T,
     sequential_selection,
 )
-from .model import Theta
+from .model import Theta, jacobian_rank
 from .montecarlo import emit_power_curves, run_simulation
 from .asymptotics import (
     build_bundle,
@@ -423,7 +423,7 @@ def _test_result_doc(result: TestResult) -> dict:
     }
 
 
-def _fit_doc(result) -> dict:
+def _fit_doc(design, result) -> dict:
     return {
         "converged": result.converged,
         "objective": result.objective,
@@ -431,7 +431,7 @@ def _fit_doc(result) -> dict:
         "eta": np.asarray(result.theta_hat.eta).tolist(),
         "class_weights": np.asarray(result.latent.w).tolist(),
         "item_probs": np.asarray(result.latent.P).tolist(),
-        "jacobian_rank": result.rank,
+        "jacobian_rank": jacobian_rank(design, result.theta_hat),
         "empty_cells": result.empty_cells,
         "starts": [
             {
@@ -456,7 +456,7 @@ def _fit_doc(result) -> dict:
 def _run_fit(ns: argparse.Namespace) -> int:
     result = fit(ns.design, ns.counts, ns.phi, ns.fit_options)
     doc = _base_doc(ns)
-    doc["fit"] = _fit_doc(result)
+    doc["fit"] = _fit_doc(ns.design, result)
     _emit(doc, ns)
     if not result.converged:
         print(f"fit did not converge: {result.message}", file=sys.stderr)
@@ -470,7 +470,7 @@ def _run_gof(ns: argparse.Namespace) -> int:
         ns.design, ns.counts, ns.phi1, fit2, ns.alpha, ns.dof_policy, ns.dof_override, ns.h
     )
     doc = _base_doc(ns)
-    doc["fit"] = _fit_doc(fit2)
+    doc["fit"] = _fit_doc(ns.design, fit2)
     doc["test"] = _test_result_doc(result)
     doc["decision"] = "reject" if result.reject else "no evidence against the model"
     _emit(doc, ns)

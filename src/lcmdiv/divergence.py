@@ -200,8 +200,11 @@ class HSpec:
         if self.tag not in _H_INDICES:
             raise DomainError(f"unknown h transform: {self.tag!r}")
         for key in ("a", "b"):
-            if getattr(self, key) is not None and key not in _H_INDICES[self.tag]:
+            index = getattr(self, key)
+            if index is not None and key not in _H_INDICES[self.tag]:
                 raise DomainError(f"the {self.tag} transform takes no index {key}")
+            if index is not None and not math.isfinite(index):
+                raise DomainError(f"the {self.tag} transform requires a finite index {key}")
         if self.tag == "renyi":
             if self.a is None or self.a in (0.0, 1.0):
                 raise DomainError("renyi requires an index a outside {0, 1}")

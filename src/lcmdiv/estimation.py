@@ -17,16 +17,16 @@ rather than trusted.  The value and the brackets come from
 ``divergence._divergence``, the routine behind ``phi_divergence``, so a
 fit's objective is the divergence its tests measure.  The sum over patterns
 is the vector-Jacobian product ``weight @ J``, which ``model._pullback``
-contracts through the class-pattern table without forming ``J``; the
-Jacobian itself is built once per fit, at the result, for its rank.
+contracts through the class-pattern table without forming ``J``, so the
+estimator never builds a Jacobian.
 
 The optimizer is one batched BFGS (:func:`_minimize`): every start of a
 multi-start fit, and every data set of :func:`fit_many`, is a row of one
 array, and rows that converge drop out.  Arguments are validated at the
 public entry points; the loop runs on raw ``(b, t + u)`` arrays and checks
 only that they are finite.  After the loop, every data set's best start,
-converged or not, is evaluated in one kernel call and ranked by one stacked
-SVD, and every result is built from that evaluation.
+converged or not, is evaluated in one kernel call, and every result is
+built from that evaluation.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ from .model import (
     ModelDesign,
     ObservedCounts,
     Theta,
-    _jacobian,
     _pullback,
     _table,
     _vector,
     log_likelihood,
-    numerical_rank,
 )
 
 # Outcome of one optimizer launch; ``StartTrace.status`` holds the name.
@@ -112,9 +110,9 @@ class StartTrace:
 class FitResult:
     """Outcome of a (multi-start) minimum divergence fit.
 
-    ``theta_hat``, ``objective``, ``latent``, ``manifest`` and ``rank``
-    describe the best start; ``rank`` is a diagnostic, since the tests take
-    the design's ``generic_rank``.  A failed result (``converged=False``)
+    ``theta_hat``, ``objective``, ``latent`` and ``manifest`` describe the
+    best start (its Jacobian rank is ``model.jacobian_rank``; the tests take
+    the design's ``generic_rank``).  A failed result (``converged=False``)
     reports where its best start stopped, and its ``message`` counts the
     starts by status; when every launch point has an infinite objective
     that is start 0's launch point, with objective ``inf``.
@@ -126,7 +124,6 @@ class FitResult:
     traces: tuple
     latent: LatentParams
     manifest: ManifestDistribution
-    rank: int
     spec: PhiSpec
     empty_cells: bool
     message: str = ""
@@ -314,7 +311,7 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
     alone, bit for bit.  A data set's result point is its best converged
     start or, when none converged, its best start of all (the first start
     wins ties).  The result points share one kernel call, which also gives
-    the class weights and item probabilities, and one stacked SVD.
+    the class weights and item probabilities.
     """
     counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
     if len(counts_seq) != len(options_seq):
@@ -350,9 +347,8 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
         )
         messages.append("" if converged else f"no start converged: {tally}")
 
-    # Every data set's result point in one kernel call, ranked by one stacked SVD.
-    w, S, B, P = _table(design, X[best])
-    ranks = numerical_rank(_jacobian(design, w, S, B))
+    # Every data set's result point in one kernel call.
+    w, S, _, P = _table(design, X[best])
     return tuple(
         FitResult(
             theta_hat=Theta.from_vector(design, X[row]),
@@ -361,7 +357,6 @@ def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tup
             traces=traces[i],
             latent=LatentParams(w=w[i], P=expit(S[i])),
             manifest=ManifestDistribution(p=P[i]),
-            rank=int(ranks[i]),
             spec=spec,
             empty_cells=bool(np.any(counts_seq[i].n == 0)),
             message=messages[i],

@@ -18,10 +18,10 @@ so ``(0,...,0)`` is pattern 1 and ``(1,...,1)`` is pattern ``2**k``.
 One checked routine, ``_table``, builds the class-by-pattern table and the
 manifest vector for a batch of parameter vectors.  Two consumers sit on
 it: ``_jacobian``, behind :func:`manifest_jacobian`, the ranks and the
-asymptotic projections, and ``_pullback``, which gives the fit's
-gradient ``weight @ J`` without forming ``J``.  The views that need only
-``p`` (:func:`manifest_distribution`, :func:`sample_counts`) stop at the
-table; a simulation cell samples all its replications from one table.
+asymptotic projections, and ``_pullback``, which gives the fit's gradient
+``weight @ J`` without forming ``J`` (the fit builds no Jacobian).  Views
+needing only ``p`` (:func:`manifest_distribution`, :func:`sample_counts`)
+stop at the table; a simulation cell samples its replications from one table.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ModelDesign:
     def generic_rank(self) -> int:
         """Identifiable parameter count: the largest Jacobian rank at four fixed-seed points."""
         x = np.random.default_rng(0).standard_normal((4, self.n_params))
-        return int(numerical_rank(_evaluate(self, x)[1]).max())
+        return max(map(numerical_rank, _evaluate(self, x)[1]))
 
     def __getstate__(self):
         # Pickles carry the design only; derived constants and the rank are rebuilt on use.
@@ -427,15 +427,12 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     return _evaluate(design, _vector(design, theta))[1]
 
 
-def numerical_rank(A: np.ndarray):
-    """Number of singular values of ``A`` above ``RANK_RTOL`` times the largest.
+def numerical_rank(A: np.ndarray) -> int:
+    """Number of singular values of the matrix ``A`` above ``RANK_RTOL`` times the largest.
 
-    ``A`` is one matrix, whose rank is returned as an int, or a stack of
-    matrices on leading axes, whose ranks come from one stacked SVD as an
-    integer array of the stack's shape.  A zero matrix has rank 0.
+    A zero matrix has rank 0.
     """
-    ranks = _rank_of(np.linalg.svd(A, compute_uv=False))
-    return int(ranks) if ranks.ndim == 0 else ranks
+    return int(_rank_of(np.linalg.svd(A, compute_uv=False)))
 
 
 def _rank_of(s: np.ndarray) -> np.ndarray:

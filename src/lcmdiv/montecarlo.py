@@ -112,6 +112,8 @@ class SimulationPlan:
             raise DomainError("at least one sample size is required, each >= 1")
         if not self.lambda8_grid or not self.a_values:
             raise DomainError("the coefficient grid and the statistic indices must not be empty")
+        if not all(map(math.isfinite, (*self.lambda8_grid, *self.a_values))):
+            raise DomainError("the coefficient grid and the statistic indices must be finite")
         if not math.isfinite(self.estimator_a):
             raise DomainError("the estimator index must be finite")
         null, alt = self.null_design, self.alt_design
@@ -274,7 +276,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     band = dale_band(plan.alpha)
     design = plan.null_design
     dof = resolve_gof_dof(design, plan.dof_policy)[0]
-    rep_bytes = 8 * design.n_patterns * design.m * max(design.k, plan.fit_starts)
+    rep_bytes = 8 * design.n_patterns * design.m * plan.fit_starts
     cap = max(1, _CHUNK_BYTES // rep_bytes)  # replications per chunk
     R = plan.replications
     total = len(plan.sample_sizes) * len(plan.lambda8_grid) * R
@@ -333,10 +335,8 @@ def _tally(plan: SimulationPlan, dof: int, N: int, lambda8: float, records: _Rec
 
 
 # Bytes a chunk's largest kernel array may take.  Per replication that is the
-# larger of the result Jacobian's residual, 2**k * m * k float64 (one row per
-# converged fit), and the fit loop's class-pattern tables, 2**k * m float64
-# for each of the fit's starts.
-_CHUNK_BYTES = 16 * 2**20
+# fit loop's class-pattern tables, 2**k * m float64 for each of the fit's starts.
+_CHUNK_BYTES = 4 * 2**20
 
 
 def emit_power_curves(table: SizePowerTable, out_dir) -> list:

@@ -17,6 +17,7 @@ from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, pars
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions
 from lcmdiv.inference import gof_statistic
+from lcmdiv.model import Theta, jacobian_rank
 
 from conftest import make_design
 
@@ -129,7 +130,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["bhattacharyya:a=3", "identity:b=1", "renyi:a=2,b=7", "renyi:c=2", "renyi", "sharma-mittal:a=2"],
+        ["bhattacharyya:a=3", "identity:b=1", "renyi:a=2,b=7", "renyi:c=2", "renyi", "sharma-mittal:a=2",
+         "renyi:a=nan", "sharma-mittal:a=inf,b=0.5"],
     )
     def test_h_spec_refuses_indices_its_transform_does_not_take(self, text):
         import argparse
@@ -215,6 +217,11 @@ class TestParsing:
             (("fit", "--design", "bundled:coleman_m1", "--counts", "{tmp}/latin1.csv"), EXIT_INPUT),
             (("select", "--chain", "{tmp}/latin1.json", "--counts", "bundled:coleman"), EXIT_INPUT),
             (("simulate", "--plan", "{tmp}", "--out-dir", "{tmp}/d"), EXIT_INPUT),
+            # Non-finite statistic indices and coefficients are refused before any work.
+            (("simulate", "--plan", "bundled:sim", "--a-values", "nan",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--lambda8", "0,inf",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -346,7 +353,10 @@ class TestFitCommand:
         doc = json.loads(out)["fit"]
         assert not doc["converged"]
         assert doc["objective"] == min(s["objective"] for s in doc["starts"])
-        assert math.isfinite(doc["objective"]) and doc["jacobian_rank"] > 0
+        assert math.isfinite(doc["objective"])
+        # The report's rank is the one jacobian_rank gives at the reported point.
+        theta = Theta(lam=doc["lambda"], eta=doc["eta"])
+        assert doc["jacobian_rank"] == jacobian_rank(datasets.coleman_design_m1(), theta)
 
 
 class TestGofCommand:

@@ -226,3 +226,9 @@ class TestHTransforms:
                              ("renyi", {"a": 2.0, "b": 7.0})):
             with pytest.raises(DomainError, match="takes no index"):
                 HSpec(tag=tag, **indices)
+        # A non-finite index is refused, not carried into a NaN or constant statistic.
+        for tag, indices in (("renyi", {"a": math.nan}), ("renyi", {"a": -math.inf}),
+                             ("sharma_mittal", {"a": math.inf, "b": 0.5}),
+                             ("sharma_mittal", {"a": 2.0, "b": math.nan})):
+            with pytest.raises(DomainError, match="finite index"):
+                HSpec(tag=tag, **indices)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,20 @@ class TestPlanFiles:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--plan", str(path), "--out-dir", str(tmp_path)]) == EXIT_INPUT
         assert "'start_at_truth' (expected true or false, got \"false\")" in capsys.readouterr().err
+
+    def test_plan_with_a_non_finite_entry_exits_3(self, tmp_path, capsys):
+        # json.loads reads NaN; the plan refuses it at load, before any
+        # replication is sampled.
+        from lcmdiv.cli import EXIT_INPUT, main
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        doc["a_values"] = [0.5, math.nan]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path), "--out-dir", str(tmp_path / "d")]) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_plan_that_is_not_an_object_is_an_input_error(self, tmp_path):
         path = tmp_path / "plan.json"

@@ -221,7 +221,7 @@ class TestRunSimulation:
             replications=30, seed=23,
         )
         design = plan.null_design
-        row_bytes = 8 * design.n_patterns * design.m * design.k
+        row_bytes = 8 * design.n_patterns * design.m
         uncut = run_simulation(plan)
         assert chunk_sizes == [60]
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 12 * row_bytes + row_bytes // 2)
@@ -250,7 +250,7 @@ class TestRunSimulation:
         )
         serial = run_simulation(plan)
         design = plan.null_design
-        row_bytes = 8 * design.n_patterns * design.m * design.k
+        row_bytes = 8 * design.n_patterns * design.m
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * row_bytes)
         assert run_simulation(plan, n_jobs=2).rows() == serial.rows()
 
@@ -284,7 +284,7 @@ class TestRunSimulation:
             replications=5, seed=5,
         )
         design = plan.null_design
-        row_bytes = 8 * design.n_patterns * design.m * design.k
+        row_bytes = 8 * design.n_patterns * design.m
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 4 * row_bytes + row_bytes // 2)
         with caplog.at_level(logging.INFO, logger="lcmdiv.montecarlo"):
             run_simulation(plan)
@@ -400,6 +400,8 @@ class TestRunSimulation:
             {"sample_sizes": (200, 0)}, {"sample_sizes": ()}, {"lambda8_grid": ()},
             {"a_values": ()}, {"estimator_a": math.inf}, {"estimator_a": math.nan},
             {"fit_starts": 0}, {"fit_grad_tol": 0.0}, {"fit_max_iters": 0},
+            {"a_values": (0.5, math.nan)}, {"a_values": (math.inf,)},
+            {"lambda8_grid": (0.0, math.inf)}, {"lambda8_grid": (math.nan,)},
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
