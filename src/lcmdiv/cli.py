@@ -298,13 +298,13 @@ def parse_args(argv) -> argparse.Namespace:
     if ns.subcommand == "select" and ns.counts.k != ns.chain.design.k:
         raise InputFormatError("chain design and counts disagree on the item count")
     # Option values the run would refuse only after fitting, or not at all.
-    if ns.subcommand in ("gof", "nested", "select") and not 0.0 < ns.alpha < 1.0:
-        raise DomainError("--alpha must be in (0, 1)")
+    if ns.subcommand in ("gof", "nested", "select") and not 0.0 < 1.0 - ns.alpha < 1.0:
+        raise DomainError("--alpha must be in (0, 1), with 1 - alpha below 1")
     if ns.subcommand == "gof" and ns.dof_override is not None and ns.dof_override < 1:
         raise DomainError("--dof-override must be >= 1")
     if ns.subcommand == "verify":
-        if not ns.theta_scale > 0.0:
-            raise DomainError("--theta-scale must be > 0")
+        if not 0.0 < ns.theta_scale < math.inf:
+            raise DomainError("--theta-scale must be > 0 and finite")
         if ns.drop_eta is not None:
             if not 1 <= ns.drop_eta <= ns.design.u:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")

@@ -81,8 +81,8 @@ class FitOptions:
     def __post_init__(self):
         if self.starts < 1:
             raise DomainError("starts must be >= 1")
-        if self.init_scale <= 0 or self.grad_tol <= 0 or self.max_iters < 1:
-            raise DomainError("tolerances and iteration limits must be positive")
+        if not (0.0 < self.init_scale < math.inf and 0.0 < self.grad_tol < math.inf) or self.max_iters < 1:
+            raise DomainError("init_scale and grad_tol must be positive and finite, max_iters >= 1")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,14 @@ case (both transforms at power index 0) is nonnegative.  With unequal
 estimation and testing transforms S can come out negative; it is returned
 raw with a warning flag, never clamped.
 
+Decision rule
+-------------
+Every test is decided by one rule on stacked rows at one dof: reject when
+the statistic exceeds the chi-square critical value, with p-value the
+chi-square upper tail; at dof <= 0 the null is a point mass at zero.
+:func:`gof_rows` applies it to many fits at once, and
+:func:`gof_statistic`, :func:`nested_S` and :func:`nested_T` to one row.
+
 Degrees-of-freedom policy
 -------------------------
 The default "rank" policy takes ``r`` as the design's generic rank
@@ -105,53 +113,42 @@ _WARNING_NAMES = tuple(
 
 
 class Decisions(NamedTuple):
-    """Stacked test decisions, one entry per row.
+    """Stacked test decisions, one entry per row, all at one critical value.
 
-    ``warnings`` holds integer codes, bit ``i`` set for ``WARNINGS[i]``;
-    ``divergence`` is the tested divergence where one statistic has one.
+    ``warnings`` holds integer codes, bit ``i`` set for ``WARNINGS[i]``.
     """
 
     statistic: np.ndarray
     p_value: np.ndarray
     reject: np.ndarray
-    critical: np.ndarray
+    critical: float
     warnings: np.ndarray
-    divergence: Optional[np.ndarray] = None
 
 
-def _rule(statistic, dof: int, alpha: float, finite, divergence=None) -> Decisions:
-    """The decision rule of every test, applied row by row at one ``dof``.
+def _rule(statistic, dof: int, alpha: float, finite) -> Decisions:
+    """The decision rule of every test, on stacked rows at one ``dof``.
 
-    ``statistic`` and ``finite`` are sequences with one float and bool per
-    row; ``finite`` marks rows whose divergences are all finite.  A NaN
-    statistic is undefined and never rejects.  With ``dof <= 0`` the null is
-    degenerate, a point mass at zero.  Otherwise an infinite statistic
-    rejects and a finite one is compared with the chi-square critical value.
+    ``statistic`` and ``finite`` hold one float and one bool per row;
+    ``finite`` marks rows whose divergences are all finite.  A NaN statistic
+    is undefined and never rejects.  With ``dof <= 0`` the null is
+    degenerate, a point mass at zero.  Otherwise a statistic is compared
+    with the chi-square critical value, so an infinite one rejects.
     """
-    critical = chi2_quantile(1.0 - alpha, dof) if dof > 0 else 0.0
-    p_value, reject, codes = [], [], []
-    for s, f in zip(statistic, finite):
-        code = 0
-        if math.isnan(s):
-            p, r, code = math.nan, False, 1
-        elif dof <= 0:
-            p, r = (1.0, False) if s <= 1e-12 else (0.0, True)
-        elif math.isinf(s):
-            p, r, code = 0.0, True, 2
-        else:
-            p, r = chi2_sf(max(s, 0.0), dof), s > critical
-        if s < 0:
-            code |= 4
-        if math.isfinite(s) and not f:
-            code |= 8
-        p_value.append(p)
-        reject.append(r)
-        codes.append(code)
-    return Decisions(
-        np.array(statistic, dtype=np.float64), np.array(p_value, dtype=np.float64),
-        np.array(reject, dtype=bool), np.full(len(codes), critical),
-        np.array(codes, dtype=np.int64), divergence,
-    )
+    s = np.asarray(statistic, dtype=np.float64)
+    undefined = np.isnan(s)
+    if dof > 0:
+        critical = chi2_quantile(1.0 - alpha, dof)
+        p_value = chdtrc(dof, np.maximum(s, 0.0))
+        reject = s > critical
+    else:
+        critical = 0.0
+        reject = s > 1e-12
+        p_value = np.where(undefined, np.nan, np.where(reject, 0.0, 1.0))
+    flags = (undefined, np.isinf(s) & (dof > 0), s < 0, np.isfinite(s) & ~np.asarray(finite, dtype=bool))
+    codes = np.zeros(s.shape, dtype=np.int64)
+    for bit, flag in enumerate(flags):  # in WARNINGS order
+        codes |= flag << bit
+    return Decisions(s, p_value, reject, critical, codes)
 
 
 def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> TestResult:
@@ -162,7 +159,7 @@ def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> Tes
         p_value=float(rows.p_value[0]),
         alpha=float(alpha),
         reject=bool(rows.reject[0]),
-        critical=float(rows.critical[0]),
+        critical=rows.critical,
         phi1=phi1,
         phi2=phi2,
         h=h,
@@ -170,12 +167,6 @@ def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> Tes
         dof_policy=dof_policy,
         warnings=_WARNING_NAMES[rows.warnings[0]],
     )
-
-
-def _decide(statistic, dof, alpha, phi1, phi2, h, kind, dof_policy, divergences):
-    """:func:`_rule` on one statistic, as a TestResult."""
-    rows = _rule([float(statistic)], dof, alpha, [all(map(math.isfinite, divergences))])
-    return _result(rows, dof, alpha, phi1, phi2, h, kind, dof_policy)
 
 
 def resolve_gof_dof(
@@ -227,16 +218,15 @@ def gof_rows(
     ``P_hat`` and ``P`` hold empirical and fitted distributions as rows of
     shape ``(n, 2**k)``, already validated (``ObservedCounts`` and a
     converged fit's ``ManifestDistribution``); ``N`` holds each row's sample
-    size, and every row is tested at the one ``dof``.  Each row's statistic,
-    divergence and decision are bit for bit those of :func:`gof_statistic`
-    on that row alone.  Raises ``DomainError`` when a row's divergence falls
+    size, and every row is tested at the one ``dof``.  Each row's statistic
+    and decision are bit for bit those of :func:`gof_statistic` on that row
+    alone.  Raises ``DomainError`` when a row's divergence falls
     outside the domain of ``h``.
     """
     D = _phi_divergence(phi1, P_hat, P)
-    divergences = D.tolist()
-    statistic = [_scale(int(n), h) * h.value(d) for n, d in zip(N, divergences)]
-    finite = [math.isfinite(d) for d in divergences]
-    return _rule(statistic, int(dof), alpha, finite, D)
+    # h by value: its domain error and its limit at infinity are per divergence.
+    statistic = _scale(N, h) * np.array([h.value(d) for d in D.tolist()], dtype=np.float64)
+    return _rule(statistic, int(dof), alpha, np.isfinite(D))
 
 
 def _check_cells(counts: ObservedCounts, *fits: FitResult) -> None:
@@ -270,9 +260,12 @@ def estimator_sweep(
     ]
 
 
-def _scale(N: int, h: HSpec) -> float:
-    # Every power member has phi''(1) = 1, so only h'(0) scales the statistic.
-    return 2.0 * N / h.slope_at_zero()
+def _scale(N, h: HSpec):
+    """``2N / h'(0)``, on a sample size or an array of them.
+
+    Every power member has phi''(1) = 1, so only h'(0) scales the statistic.
+    """
+    return 2.0 * np.asarray(N, dtype=np.float64) / h.slope_at_zero()
 
 
 def _h_label(h: HSpec, kind: str) -> tuple:
@@ -347,19 +340,6 @@ class NestedPair:
         return list(self.keep_lam) + [self.design_A.t + i for i in self.keep_eta]
 
 
-def _nested_dof(counts: ObservedCounts, fit_A: FitResult, fit_B: FitResult) -> int:
-    """``h1 - h2``, the free parameters of A less those of B, after the boundary checks."""
-    fit_A.require_converged("nested test")
-    fit_B.require_converged("nested test")
-    _check_cells(counts, fit_A, fit_B)
-    if fit_A.spec != fit_B.spec:
-        raise DomainError("the nested fits must use the same estimator")
-    dof = fit_A.theta_hat.vector().size - fit_B.theta_hat.vector().size
-    if dof < 0:
-        raise DomainError("the nested model B has more parameters than model A")
-    return dof
-
-
 def nested_S(
     counts: ObservedCounts,
     phi1: PhiSpec,
@@ -374,18 +354,7 @@ def nested_S(
     of freedom.  Equals the classical likelihood-ratio statistic ``G2`` when
     both transforms are the power member at 0 and ``h`` is the identity.
     """
-    dof = _nested_dof(counts, fit_A, fit_B)
-    D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
-    D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
-    if math.isfinite(D_A):
-        statistic = _scale(counts.N, h) * (h.value(D_B) - h.value(D_A))
-    else:
-        # An infinite D_A leaves no usable difference; _decide flags the NaN as undefined.
-        statistic = math.nan
-    return _decide(
-        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_S"), "nominal_difference",
-        (D_A, D_B),
-    )
+    return _nested("nested_S", counts, phi1, fit_A, fit_B, alpha, h)
 
 
 def nested_T(
@@ -400,13 +369,30 @@ def nested_T(
 
     Takes the same arguments and makes the same checks as :func:`nested_S`.
     """
-    dof = _nested_dof(counts, fit_A, fit_B)
-    D = _phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p)
-    statistic = _scale(counts.N, h) * h.value(D)
-    return _decide(
-        statistic, dof, alpha, phi1, fit_A.spec, *_h_label(h, "nested_T"), "nominal_difference",
-        (D,),
-    )
+    return _nested("nested_T", counts, phi1, fit_A, fit_B, alpha, h)
+
+
+def _nested(kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResult:
+    """The test ``kind``, ``nested_S`` or ``nested_T``, at ``h1 - h2`` degrees of freedom."""
+    fit_A.require_converged("nested test")
+    fit_B.require_converged("nested test")
+    _check_cells(counts, fit_A, fit_B)
+    if fit_A.spec != fit_B.spec:
+        raise DomainError("the nested fits must use the same estimator")
+    dof = fit_A.theta_hat.vector().size - fit_B.theta_hat.vector().size
+    if dof < 0:
+        raise DomainError("the nested model B has more parameters than model A")
+    if kind == "nested_S":
+        D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
+        D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
+        D = (D_A, D_B)
+        # An infinite D_A leaves no usable difference; _rule flags the NaN as undefined.
+        statistic = _scale(counts.N, h) * (h.value(D_B) - h.value(D_A)) if math.isfinite(D_A) else math.nan
+    else:
+        D = (_phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p),)
+        statistic = _scale(counts.N, h) * h.value(D[0])
+    rows = _rule([statistic], dof, alpha, [all(map(math.isfinite, D))])
+    return _result(rows, dof, alpha, phi1, fit_A.spec, *_h_label(h, kind), "nominal_difference")
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,12 @@ class SimulationPlan:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must be in (0, 1)")
+        if not 0.0 < 1.0 - self.alpha < 1.0:  # the level the test's critical value is taken at
+            raise DomainError("alpha must be in (0, 1), with 1 - alpha below 1")
         if not self.sample_sizes or min(self.sample_sizes) < 1:
             raise DomainError("at least one sample size is required, each >= 1")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise DomainError("sample sizes must not repeat: each names one power-curve file")
         if not self.lambda8_grid or not self.a_values:
             raise DomainError("the coefficient grid and the statistic indices must not be empty")
         if not all(map(math.isfinite, (*self.lambda8_grid, *self.a_values))):
@@ -347,16 +349,17 @@ def emit_power_curves(table: SizePowerTable, out_dir) -> list:
     """
     os.makedirs(out_dir, exist_ok=True)
     plan = table.plan
+    header = ["lambda8"] + [f"a={_fmt_a(a)}" for a in plan.a_values]
+    # The table's cells run in (N, lambda8, a) order, so each line is the next width of them.
+    width, first = len(plan.a_values), 0
     paths = []
     for N in plan.sample_sizes:
         path = os.path.join(out_dir, f"power_N{N}.csv")
-        header = ["lambda8"] + [f"a={_fmt_a(a)}" for a in plan.a_values]
         lines = [",".join(header)]
         for lambda8 in plan.lambda8_grid:
-            row = [repr(float(lambda8))]
-            for a in plan.a_values:
-                row.append(repr(table.cell(N, a, lambda8).rate))
-            lines.append(",".join(row))
+            cells = table.cells[first : first + width]
+            first += width
+            lines.append(",".join([repr(float(lambda8))] + [repr(c.rate) for c in cells]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)

@@ -222,6 +222,27 @@ class TestParsing:
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
             (("simulate", "--plan", "bundled:sim", "--lambda8", "0,inf",
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            # Non-finite fit tolerances and scales, refused before any fit.
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--grad-tol", "inf"), EXIT_USAGE),
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--grad-tol", "nan"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--init-scale", "inf"), EXIT_USAGE),
+            (("verify", "--design", "bundled:sim_null", "--drop-eta", "1",
+              "--theta-scale", "inf"), EXIT_USAGE),
+            # 1 - alpha rounds to 1: there is no critical value at that level.
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--alpha", "1e-17"), EXIT_USAGE),
+            (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+              "--zero-lambda", "7,8", "--alpha", "1e-17"), EXIT_USAGE),
+            (("select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman",
+              "--alpha", "1e-17"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--alpha", "1e-17",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            # Each sample size names one power_N{N}.csv.
+            (("simulate", "--plan", "bundled:sim", "--sizes", "50,50",
+              "--out-dir", "{tmp}/d"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):

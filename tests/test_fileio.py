@@ -285,6 +285,24 @@ class TestPlanFiles:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("fit", "grad_tol", math.inf), (None, "alpha", 1e-17), (None, "sample_sizes", [200, 200])],
+    )
+    def test_plan_value_the_plan_refuses_exits_3(self, tmp_path, capsys, section, key, value):
+        # An infinite grad_tol would accept every launch point as converged;
+        # 1 - 1e-17 rounds to 1, a level with no critical value.
+        from lcmdiv.cli import EXIT_INPUT, main
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path), "--out-dir", str(tmp_path / "d")]) == EXIT_INPUT
+        assert "plan.json: bad plan" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_plan_that_is_not_an_object_is_an_input_error(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("[]")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcmdiv.datasets import simulation_null_design, simulation_theta0
-from lcmdiv.divergence import HSpec, identity_h, kl_divergence, phi_divergence, power
+from lcmdiv.divergence import HSpec, _phi_divergence, identity_h, kl_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError, NotConvergedError
 from lcmdiv.estimation import FitOptions, fit
 from lcmdiv.inference import (
@@ -20,7 +20,8 @@ from lcmdiv.inference import (
     nested_T,
     resolve_gof_dof,
     sequential_selection,
-    _decide,
+    _result,
+    _rule,
 )
 from lcmdiv.model import (
     ManifestDistribution,
@@ -307,19 +308,19 @@ class TestGofRows:
         counts = [c for c, _ in cases]
         fits = [f for _, f in cases]
         dof = resolve_gof_dof(design)[0]
-        stacked = gof_rows(
-            phi1, np.array([c.p_hat() for c in counts]), np.array([f.manifest.p for f in fits]),
-            [c.N for c in counts], dof, 0.05, h,
-        )
+        P_hat = np.array([c.p_hat() for c in counts])
+        P = np.array([f.manifest.p for f in fits])
+        stacked = gof_rows(phi1, P_hat, P, [c.N for c in counts], dof, 0.05, h)
         singles = [gof_statistic(design, c, phi1, f, 0.05, h=h) for c, f in cases]
         for i, one in enumerate(singles):
-            for name in ("statistic", "p_value", "critical"):
+            for name in ("statistic", "p_value"):
                 assert float(getattr(stacked, name)[i]).hex() == getattr(one, name).hex(), name
+            assert stacked.critical.hex() == one.critical.hex()
             assert bool(stacked.reject[i]) is one.reject
             code = int(stacked.warnings[i])
             assert tuple(w for bit, w in enumerate(WARNINGS) if code >> bit & 1) == one.warnings
             D = phi_divergence(counts[i].p_hat(), fits[i].manifest.p, phi1)
-            assert float(stacked.divergence[i]).hex() == D.hex()
+            assert float(_phi_divergence(phi1, P_hat, P)[i]).hex() == D.hex()
         return singles
 
     def test_slope_limit_rows(self, rows):
@@ -383,12 +384,12 @@ class TestGofRows:
             assert stacked.statistic[0] > 0.0 and stacked.statistic[1] == 0.0
             assert stacked.reject.tolist() == [True, False]
             assert stacked.p_value.tolist() == [0.0, 1.0]
-            assert stacked.critical.tolist() == [0.0, 0.0]
+            assert stacked.critical == 0.0
         assert resolve_gof_dof(design)[0] > 0
 
     def test_empty_stack(self):
         stacked = gof_rows(power(2.0 / 3.0), np.empty((0, 8)), np.empty((0, 8)), [], 6, 0.05)
-        assert [len(field) for field in stacked] == [0] * 6
+        assert [len(field) for field in stacked if not isinstance(field, float)] == [0] * 4
         assert stacked.reject.dtype == bool and stacked.warnings.dtype == np.int64
 
 
@@ -495,37 +496,55 @@ class TestNestedStatistics:
             s = nested_S(counts, power(a), *fits)
             assert s.statistic >= -1e-12
 
+    @staticmethod
+    def decide(statistic, dof, phi1, kind, dof_policy, divergences):
+        """One statistic through the decision rule, as the nested tests decide it."""
+        rows = _rule([statistic], dof, 0.05, [all(map(math.isfinite, divergences))])
+        return _result(rows, dof, 0.05, phi1, power(0.0), None, kind, dof_policy)
+
     def test_negative_statistic_flagged_not_clamped(self):
-        result = _decide(
-            -0.37, 2, 0.05, power(3.0), power(0.0), None, "nested_S", "nominal_difference", ()
-        )
+        result = self.decide(-0.37, 2, power(3.0), "nested_S", "nominal_difference", ())
         assert result.statistic == -0.37
         assert "negative_statistic" in result.warnings
         assert not result.reject
 
     def test_infinite_statistic_flagged_as_rejection(self):
-        result = _decide(math.inf, 4, 0.05, power(-1.0), power(0.0), None, "gof", "rank", ())
+        result = self.decide(math.inf, 4, power(-1.0), "gof", "rank", ())
         assert result.reject and result.p_value == 0.0
         assert "infinite_statistic" in result.warnings
 
     @pytest.mark.parametrize("dof", [2, 0])
     def test_undefined_statistic_flagged_never_rejects(self, dof):
-        result = _decide(
-            math.nan, dof, 0.05, power(-1.0), power(0.0), None, "nested_S", "nominal_difference", ()
-        )
+        result = self.decide(math.nan, dof, power(-1.0), "nested_S", "nominal_difference", ())
         assert math.isnan(result.statistic) and math.isnan(result.p_value)
         assert not result.reject
         assert result.warnings == ("undefined_statistic",)
 
     def test_finite_statistic_on_an_infinite_divergence_is_flagged(self):
         # A bounded h maps an infinite divergence to a finite statistic.
-        result = _decide(350.0, 2, 0.05, power(-1.0), power(0.0), None, "nested_S_h",
-                         "nominal_difference", (0.2, math.inf))
+        result = self.decide(350.0, 2, power(-1.0), "nested_S_h", "nominal_difference", (0.2, math.inf))
         assert result.reject and result.warnings == ("infinite_divergence",)
         for statistic, flag in ((math.inf, "infinite_statistic"), (math.nan, "undefined_statistic")):
-            result = _decide(statistic, 2, 0.05, power(-1.0), power(0.0), None, "nested_S",
-                             "nominal_difference", (math.inf, math.inf))
+            result = self.decide(statistic, 2, power(-1.0), "nested_S", "nominal_difference",
+                                 (math.inf, math.inf))
             assert result.warnings == (flag,)
+
+    @pytest.mark.parametrize("dof", [3, 0, -1])
+    def test_stacked_rule_equals_the_one_row_rule(self, dof):
+        # Every kind of row at once: each is decided as it is alone.
+        statistic = [math.nan, 0.0, -0.0, math.inf, -0.37, 350.0, 7.9, 1e-13]
+        finite = [True, True, True, False, True, False, True, True]
+        stacked = _rule(statistic, dof, 0.05, finite)
+        assert repr(stacked.statistic.tolist()) == repr(statistic)  # -0.0 kept
+        for i, (s, f) in enumerate(zip(statistic, finite)):
+            one = _rule([s], dof, 0.05, [f])
+            assert one.critical.hex() == stacked.critical.hex()
+            for name in ("statistic", "p_value", "reject", "warnings"):
+                assert getattr(one, name).dtype == getattr(stacked, name).dtype
+                assert getattr(one, name).tobytes() == getattr(stacked, name)[i : i + 1].tobytes(), name
+        codes = stacked.warnings.tolist()
+        assert codes[0] == 1 and codes[4] == 4 and codes[5] == 8
+        assert codes[3] == (2 if dof > 0 else 0)
 
     def test_infinite_minus_infinite_is_flagged(self):
         # Three empty cells make both divergences infinite at index -1.

@@ -402,6 +402,11 @@ class TestRunSimulation:
             {"fit_starts": 0}, {"fit_grad_tol": 0.0}, {"fit_max_iters": 0},
             {"a_values": (0.5, math.nan)}, {"a_values": (math.inf,)},
             {"lambda8_grid": (0.0, math.inf)}, {"lambda8_grid": (math.nan,)},
+            {"fit_grad_tol": math.inf}, {"fit_grad_tol": math.nan},
+            # 1 - alpha rounds to 1: no chi-square critical value at that level.
+            {"alpha": 1e-17}, {"alpha": math.nan},
+            # Each sample size names one power-curve file.
+            {"sample_sizes": (200, 50, 200)},
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
@@ -420,6 +425,24 @@ class TestPowerCurveFiles:
         lines = open(paths[0]).read().strip().splitlines()
         assert len(lines) == 1 + len(smoke_table.plan.lambda8_grid)
         assert lines[0].startswith("lambda8,")
+
+    def test_repeated_coefficient_reads_each_cell(self, tmp_path):
+        # Two cells at one coefficient: each line holds its own cells' rates,
+        # in table order, not the first matching cell's twice.
+        from dataclasses import replace
+
+        plan = simulation_plan(sample_sizes=(50,), a_values=(2.0 / 3.0, -0.5),
+                               lambda8_grid=(2.0, 2.0), replications=30)
+        template = montecarlo.SizePowerCell(
+            N=50, a=0.0, lambda8=2.0, rate=0.0, rejections=0, n_effective=30, fit_failures=0,
+            infinite_statistics=0, dof=19, binomial_ci=(0.0, 1.0), dale_pass=False,
+        )
+        rates = [7 / 30, 26 / 30, 4 / 30, 25 / 30]
+        cells = tuple(replace(template, a=a, rate=rate) for a, rate in zip(plan.a_values * 2, rates))
+        (path,) = emit_power_curves(montecarlo.SizePowerTable(plan=plan, cells=cells), tmp_path)
+        assert open(path).read().splitlines()[1:] == [
+            f"2.0,{rates[0]!r},{rates[1]!r}", f"2.0,{rates[2]!r},{rates[3]!r}",
+        ]
 
     def test_table_rows_shape(self, smoke_table):
         rows = smoke_table.rows()
