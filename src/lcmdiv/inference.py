@@ -354,7 +354,7 @@ def nested_S(
     of freedom.  Equals the classical likelihood-ratio statistic ``G2`` when
     both transforms are the power member at 0 and ``h`` is the identity.
     """
-    return _nested("nested_S", counts, phi1, fit_A, fit_B, alpha, h)
+    return _nested(True, "nested_S", counts, phi1, fit_A, fit_B, alpha, h)
 
 
 def nested_T(
@@ -369,11 +369,11 @@ def nested_T(
 
     Takes the same arguments and makes the same checks as :func:`nested_S`.
     """
-    return _nested("nested_T", counts, phi1, fit_A, fit_B, alpha, h)
+    return _nested(False, "nested_T", counts, phi1, fit_A, fit_B, alpha, h)
 
 
-def _nested(kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResult:
-    """The test ``kind``, ``nested_S`` or ``nested_T``, at ``h1 - h2`` degrees of freedom."""
+def _nested(difference, kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResult:
+    """S (``difference``) or T of the fits, at ``h1 - h2`` degrees of freedom, reported as ``kind``."""
     fit_A.require_converged("nested test")
     fit_B.require_converged("nested test")
     _check_cells(counts, fit_A, fit_B)
@@ -382,7 +382,7 @@ def _nested(kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResult:
     dof = fit_A.theta_hat.vector().size - fit_B.theta_hat.vector().size
     if dof < 0:
         raise DomainError("the nested model B has more parameters than model A")
-    if kind == "nested_S":
+    if difference:
         D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
         D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
         D = (D_A, D_B)

@@ -345,12 +345,18 @@ def emit_power_curves(table: SizePowerTable, out_dir) -> list:
     """Write one delimited file per sample size: coefficient vs rejection rate.
 
     Columns are the coefficient followed by one rate column per statistic
-    index; data for rendering, no rendering here.
+    index; data for rendering, no rendering here.  The table's cells must be
+    the plan's full (N, lambda8, a) grid in that order, as
+    :func:`run_simulation` builds it; any other table raises ``DomainError``.
     """
-    os.makedirs(out_dir, exist_ok=True)
     plan = table.plan
+    # Each line is the next width of the table's cells, so they must run in the plan's order.
+    order = [(N, lambda8, a)
+             for N in plan.sample_sizes for lambda8 in plan.lambda8_grid for a in plan.a_values]
+    if [(c.N, c.lambda8, c.a) for c in table.cells] != order:
+        raise DomainError("the table's cells must be the plan's (N, lambda8, a) grid, in order")
+    os.makedirs(out_dir, exist_ok=True)
     header = ["lambda8"] + [f"a={_fmt_a(a)}" for a in plan.a_values]
-    # The table's cells run in (N, lambda8, a) order, so each line is the next width of them.
     width, first = len(plan.a_values), 0
     paths = []
     for N in plan.sample_sizes:

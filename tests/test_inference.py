@@ -561,6 +561,23 @@ class TestNestedStatistics:
         assert result.warnings == ("undefined_statistic",)
 
 
+    def test_bounded_h_on_an_infinite_divergence_of_B(self, synthetic_pair):
+        # B's manifest with a zero cell that A fills: D_B is infinite, D_A is not,
+        # and a bounded h keeps the difference finite.
+        pair, counts = synthetic_pair
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        q = fit_B.manifest.p.copy()
+        q[1] += q[0]
+        q[0] = 0.0
+        fit_B = replace(fit_B, manifest=ManifestDistribution(p=q))
+        assert counts.n[0] > 0
+        h = HSpec(tag="sharma_mittal", a=2.0, b=0.5)
+        result = nested_S(counts, power(0.0), fit_A, fit_B, h=h)
+        assert math.isfinite(result.statistic) and result.reject
+        assert result.warnings == ("infinite_divergence",)
+        assert nested_T(counts, power(0.0), fit_A, fit_B, h=h).warnings == ("infinite_divergence",)
+
+
 class TestNestedBoundary:
     def test_more_parameters_in_B_is_refused(self, synthetic_pair):
         pair, counts = synthetic_pair

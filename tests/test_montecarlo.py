@@ -444,6 +444,13 @@ class TestPowerCurveFiles:
             f"2.0,{rates[0]!r},{rates[1]!r}", f"2.0,{rates[2]!r},{rates[3]!r}",
         ]
 
+    def test_cells_out_of_plan_order_are_refused(self, smoke_table, tmp_path):
+        cells = smoke_table.cells
+        for bad in (cells[::-1], cells[:-1], cells + cells[-1:]):
+            with pytest.raises(DomainError, match="plan's"):
+                emit_power_curves(montecarlo.SizePowerTable(plan=smoke_table.plan, cells=bad), tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_table_rows_shape(self, smoke_table):
         rows = smoke_table.rows()
         assert rows[0][0] == "N"
