@@ -305,6 +305,8 @@ def parse_args(argv) -> argparse.Namespace:
     if ns.subcommand == "verify":
         if not 0.0 < ns.theta_scale < math.inf:
             raise DomainError("--theta-scale must be > 0 and finite")
+        if ns.theta_seed < 0:
+            raise DomainError(f"--theta-seed must be >= 0, got {ns.theta_seed}")
         if ns.drop_eta is not None:
             if not 1 <= ns.drop_eta <= ns.design.u:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")

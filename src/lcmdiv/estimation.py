@@ -83,6 +83,8 @@ class FitOptions:
             raise DomainError("starts must be >= 1")
         if not (0.0 < self.init_scale < math.inf and 0.0 < self.grad_tol < math.inf) or self.max_iters < 1:
             raise DomainError("init_scale and grad_tol must be positive and finite, max_iters >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ or comma-separated on one line, in pattern-index order.
 
 Chain (JSON): object with an inline ``design`` plus ``steps``, a list of
 objects with cumulative ``zero_lambda`` / ``zero_eta`` lists of 1-based
-coordinate indices.
+coordinate indices and no other key.
 
 Plan (JSON): inline ``null_design`` and ``alt_design``, ``theta0`` with
-``lambda`` and ``eta`` arrays, and the plain scalar fields of the plan.
+``lambda`` and ``eta`` arrays, and the plain scalar fields of the plan, the
+fit's in a ``fit`` object.  A key the format does not have, at the top level
+(other than ``comment``) or in ``fit``, is refused.
 """
 
 from __future__ import annotations
@@ -203,12 +205,13 @@ def chain_to_dict(chain: NestedChain, comment: str = None) -> dict:
 def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
     design_doc = _field(doc, "design", _OBJECT, where, "chain")
     design = design_from_dict(design_doc, where=f"{where}.design")
+    keys = ("zero_lambda", "zero_eta")
     steps = tuple(
         tuple(
             tuple(i - 1 for i in _field({key: [], **step}, key, _list_of(_INT), where, "chain"))
-            for key in ("zero_lambda", "zero_eta")
+            for key in keys
         )
-        for step in _field(doc, "steps", _list_of(_OBJECT), where, "chain")
+        for step in _field(doc, "steps", _list_of(_object_of(keys)), where, "chain")
     )
     try:
         return NestedChain(design=design, steps=steps)
@@ -246,6 +249,18 @@ def _list_of(convert):
 _INT = _typed("an integer", int)
 _FLOAT = _typed("a number", float, int)
 _OBJECT = _typed("an object", dict)
+
+
+def _object_of(keys):
+    """Converter of a JSON object whose keys are all among ``keys``."""
+
+    def convert(value):
+        unknown = [key for key in _OBJECT(value) if key not in keys]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        return value
+
+    return convert
 
 
 def _array(values) -> np.ndarray:
@@ -312,11 +327,19 @@ def plan_to_dict(plan: SimulationPlan, comment: str = None) -> dict:
 
 
 def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
-    """The plan a JSON document holds; a value of the wrong JSON type is refused."""
+    """The plan a JSON document holds; a value of the wrong JSON type, or a key the
+    format does not have, is refused."""
+    top_keys = [key for key, section, *_ in _PLAN_KEYS if not section] + ["fit", "comment"]
+    try:
+        _object_of(top_keys)(doc)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: bad plan ({exc})")
+    fit_keys = [key for key, section, *_ in _PLAN_KEYS if section]
+    fit = _field({"fit": {}, **doc}, "fit", _object_of(fit_keys), where, "plan")
     fields = {}
     for key, section, field, convert, required in _PLAN_KEYS:
         try:
-            source = doc.get(section, {}) if section else doc
+            source = fit if section else doc
             if required or key in source:
                 fields[field] = convert(source[key])
         except (KeyError, TypeError, ValueError) as exc:

@@ -33,7 +33,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from time import perf_counter
 from typing import NamedTuple
 
@@ -84,7 +84,10 @@ class SimulationPlan:
     ``lambda8_grid`` lists the extension-coefficient values; 0 is the null.
     The estimator index defaults to 2/3.  Fits start at the true null
     parameters by default (``fit_starts`` extra random starts can be added),
-    which tracks the consistent root and keeps replication cost flat.
+    which keeps replication cost flat.  Under an alternative the null model
+    is misspecified and the estimate does not tend to the true parameters,
+    so one start there can stop at a stationary point above the minimum
+    divergence estimate.
     """
 
     null_design: ModelDesign
@@ -118,8 +121,12 @@ class SimulationPlan:
             raise DomainError("the coefficient grid and the statistic indices must be finite")
         if not math.isfinite(self.estimator_a):
             raise DomainError("the estimator index must be finite")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         null, alt = self.null_design, self.alt_design
-        if (alt.t, alt.k, alt.u) != (null.t + 1, null.k, null.u):
+        # The alternative at coefficient 0 must be the null model itself.
+        same = zip((alt.Q[..., : null.t], alt.C, alt.V, alt.d), (null.Q, null.C, null.V, null.d))
+        if alt.t != null.t + 1 or not all(np.array_equal(x, y) for x, y in same):
             raise DomainError("alt design must extend the null design by one lambda column only")
         if self.dof_policy not in ("rank", "nominal"):
             raise DomainError("dof policy must be 'rank' or 'nominal'")
@@ -146,7 +153,9 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class SizePowerCell:
-    """Rejection tally for one (sample size, statistic index, coefficient) cell."""
+    """Rejection tally for one (sample size, statistic index, coefficient) cell.
+
+    Its fields are the table's CSV columns, in order."""
 
     N: int
     a: float
@@ -157,35 +166,30 @@ class SizePowerCell:
     fit_failures: int
     infinite_statistics: int
     dof: int  # the plan's, also in a cell where no replication converged
-    binomial_ci: tuple
+    ci95_lo: float  # Clopper-Pearson interval of the rate
+    ci95_hi: float
     dale_pass: bool
 
 
 @dataclass(frozen=True)
 class SizePowerTable:
+    """The study's cells: cell ``i`` is position ``i`` of the plan's (N, lambda8, a)
+    grid, the index varying fastest; any other cells raise ``DomainError``."""
+
     plan: SimulationPlan
     cells: tuple
 
-    def cell(self, N: int, a: float, lambda8: float) -> SizePowerCell:
-        for c in self.cells:
-            if c.N == N and math.isclose(c.a, a) and math.isclose(c.lambda8, lambda8):
-                return c
-        raise KeyError((N, a, lambda8))
+    def __post_init__(self):
+        plan = self.plan
+        order = [(N, lambda8, a)
+                 for N in plan.sample_sizes for lambda8 in plan.lambda8_grid for a in plan.a_values]
+        if [(c.N, c.lambda8, c.a) for c in self.cells] != order:
+            raise DomainError("the table's cells must be the plan's (N, lambda8, a) grid, in order")
 
     def rows(self) -> list:
-        header = [
-            "N", "a", "lambda8", "rate", "rejections", "n_effective",
-            "fit_failures", "infinite_statistics", "dof", "ci95_lo", "ci95_hi",
-            "dale_pass",
-        ]
-        out = [header]
-        for c in self.cells:
-            out.append([
-                c.N, c.a, c.lambda8, c.rate, c.rejections, c.n_effective,
-                c.fit_failures, c.infinite_statistics, c.dof,
-                c.binomial_ci[0], c.binomial_ci[1], int(c.dale_pass),
-            ])
-        return out
+        """The field names of :class:`SizePowerCell`, then each cell's values, ``dale_pass`` as 0/1."""
+        header = [f.name for f in fields(SizePowerCell)]
+        return [header] + [[*astuple(c)[:-1], int(c.dale_pass)] for c in self.cells]
 
     def write_csv(self, path) -> None:
         """Write :meth:`rows` as comma-separated lines, floats as ``repr``."""
@@ -318,6 +322,7 @@ def _tally(plan: SimulationPlan, dof: int, N: int, lambda8: float, records: _Rec
     for i, a in enumerate(plan.a_values):
         rejections = int(np.count_nonzero(records.reject[i, converged]))
         rate = rejections / effective if effective else math.nan
+        lo, hi = _clopper_pearson(rejections, effective)
         cells.append(
             SizePowerCell(
                 N=N,
@@ -329,7 +334,8 @@ def _tally(plan: SimulationPlan, dof: int, N: int, lambda8: float, records: _Rec
                 fit_failures=failures,
                 infinite_statistics=int(np.count_nonzero(records.warnings[i, converged] & _INFINITE)),
                 dof=dof,
-                binomial_ci=_clopper_pearson(rejections, effective),
+                ci95_lo=lo,
+                ci95_hi=hi,
                 dale_pass=bool(effective and band[0] <= rate <= band[1]),
             )
         )
@@ -345,27 +351,21 @@ def emit_power_curves(table: SizePowerTable, out_dir) -> list:
     """Write one delimited file per sample size: coefficient vs rejection rate.
 
     Columns are the coefficient followed by one rate column per statistic
-    index; data for rendering, no rendering here.  The table's cells must be
-    the plan's full (N, lambda8, a) grid in that order, as
-    :func:`run_simulation` builds it; any other table raises ``DomainError``.
+    index; data for rendering, no rendering here.  Line ``j`` of size ``i``'s
+    file holds the rates of the table's (N, lambda8) grid position ``(i, j)``.
     """
     plan = table.plan
-    # Each line is the next width of the table's cells, so they must run in the plan's order.
-    order = [(N, lambda8, a)
-             for N in plan.sample_sizes for lambda8 in plan.lambda8_grid for a in plan.a_values]
-    if [(c.N, c.lambda8, c.a) for c in table.cells] != order:
-        raise DomainError("the table's cells must be the plan's (N, lambda8, a) grid, in order")
     os.makedirs(out_dir, exist_ok=True)
     header = ["lambda8"] + [f"a={_fmt_a(a)}" for a in plan.a_values]
-    width, first = len(plan.a_values), 0
+    shape = (len(plan.sample_sizes), len(plan.lambda8_grid), len(plan.a_values))
+    # tolist() gives Python floats, whose repr the table's CSV also prints.
+    rates = np.array([c.rate for c in table.cells]).reshape(shape).tolist()
     paths = []
-    for N in plan.sample_sizes:
+    for N, curve in zip(plan.sample_sizes, rates):
         path = os.path.join(out_dir, f"power_N{N}.csv")
         lines = [",".join(header)]
-        for lambda8 in plan.lambda8_grid:
-            cells = table.cells[first : first + width]
-            first += width
-            lines.append(",".join([repr(float(lambda8))] + [repr(c.rate) for c in cells]))
+        for lambda8, row in zip(plan.lambda8_grid, curve):
+            lines.append(",".join(map(repr, [float(lambda8), *row])))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)

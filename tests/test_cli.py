@@ -243,6 +243,13 @@ class TestParsing:
             # Each sample size names one power_N{N}.csv.
             (("simulate", "--plan", "bundled:sim", "--sizes", "50,50",
               "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            # A negative seed is refused before any work, not by numpy inside a fit or a chunk.
+            (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--starts", "2", "--seed", "-1"), EXIT_USAGE),
+            (("verify", "--design", "bundled:sim_null", "--drop-eta", "1",
+              "--theta-seed", "-1"), EXIT_USAGE),
+            (("simulate", "--plan", "bundled:sim", "--sizes", "50", "--lambda8", "0",
+              "--replications", "2", "--seed", "-1", "--out-dir", "{tmp}/d"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):

@@ -146,6 +146,16 @@ class TestChainFiles:
         with pytest.raises(InputFormatError, match="chain.json: bad chain key 'zero_lambda'"):
             fileio.read_chain(path)
 
+    def test_unknown_step_key_is_refused(self, tmp_path):
+        # A misspelt zero_eta would otherwise load the step without its eta restriction.
+        design = make_design(seed=404, k=3, m=2, t=3, u=2)
+        doc = {"design": fileio.design_to_dict(design),
+               "steps": [{"zero_lambda": [1], "zero_ata": [1]}]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="chain.json: bad chain key 'steps' .*'zero_ata'"):
+            fileio.read_chain(path)
+
     @pytest.mark.parametrize("key,value", [("design", 5), ("steps", [[1]])])
     def test_chain_structure_of_the_wrong_json_type_is_refused(self, tmp_path, key, value):
         design = make_design(seed=404, k=3, m=2, t=3, u=1)
@@ -260,6 +270,18 @@ class TestPlanFiles:
         with pytest.raises(InputFormatError, match="plan: bad plan .*alt design must extend"):
             fileio.plan_from_dict(doc)
 
+    @pytest.mark.parametrize("section,key", [(None, "sed"), ("fit", "start")])
+    def test_unknown_key_is_refused(self, tmp_path, section, key):
+        # A misspelt key would otherwise leave its field at the plan default.
+        from lcmdiv.datasets import simulation_plan
+
+        doc = fileio.plan_to_dict(simulation_plan(sample_sizes=(200,), replications=9))
+        (doc[section] if section else doc)[key] = 5
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match=f"plan.json: bad plan .*unknown key '{key}'"):
+            fileio.read_plan(path)
+
     def test_plan_value_of_the_wrong_type_exits_3(self, tmp_path, capsys):
         from lcmdiv.cli import EXIT_INPUT, main
         from lcmdiv.datasets import simulation_plan
@@ -287,7 +309,10 @@ class TestPlanFiles:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("fit", "grad_tol", math.inf), (None, "alpha", 1e-17), (None, "sample_sizes", [200, 200])],
+        [
+            ("fit", "grad_tol", math.inf), (None, "alpha", 1e-17), (None, "sample_sizes", [200, 200]),
+            (None, "seed", -1), (None, "sed", 5), ("fit", "start", 7),
+        ],
     )
     def test_plan_value_the_plan_refuses_exits_3(self, tmp_path, capsys, section, key, value):
         # An infinite grad_tol would accept every launch point as converged;

@@ -128,12 +128,11 @@ class TestRunSimulation:
         for cell in smoke_table.cells:
             assert cell.n_effective + cell.fit_failures == plan.replications
             assert 0.0 <= cell.rate <= 1.0
-            lo, hi = cell.binomial_ci
-            assert 0.0 <= lo <= cell.rate <= hi <= 1.0
+            assert 0.0 <= cell.ci95_lo <= cell.rate <= cell.ci95_hi <= 1.0
 
     def test_alternative_rejects_more_than_null(self, smoke_table):
-        null_cell = smoke_table.cell(200, 2.0 / 3.0, 0.0)
-        alt_cell = smoke_table.cell(200, 2.0 / 3.0, 2.0)
+        # Index 2/3 is the second of two indices, at the first and second coefficient.
+        null_cell, alt_cell = smoke_table.cells[1], smoke_table.cells[3]
         assert alt_cell.rate >= null_cell.rate
 
     def test_rank_policy_dof(self, smoke_table):
@@ -330,7 +329,8 @@ class TestRunSimulation:
                 ])
             for i, a in enumerate(plan.a_values):
                 column = [row[i] for row in tests]
-                cell = table.cell(N, a, lambda8)
+                shape = (len(plan.sample_sizes), len(plan.lambda8_grid), len(plan.a_values))
+                cell = table.cells[np.ravel_multi_index((size_idx, coef_idx, i), shape)]
                 assert (
                     cell.rejections, cell.infinite_statistics, cell.n_effective, cell.fit_failures,
                 ) == (
@@ -392,6 +392,8 @@ class TestRunSimulation:
             plan.null_design,
             ModelDesign(Q=alt.Q, C=alt.C, V=alt.V[:, 1:], d=alt.d),
             ModelDesign(Q=alt.Q[:, 1:], C=alt.C[:, 1:], V=alt.V, d=alt.d),
+            # Right shape, but at coefficient 0 a different model from the null.
+            ModelDesign(Q=alt.Q * np.r_[-1.0, np.ones(alt.t - 1)], C=alt.C, V=alt.V, d=alt.d),
         ):
             with pytest.raises(DomainError, match="alt design must extend"):
                 replace(plan, alt_design=bad_alt)
@@ -407,6 +409,8 @@ class TestRunSimulation:
             {"alpha": 1e-17}, {"alpha": math.nan},
             # Each sample size names one power-curve file.
             {"sample_sizes": (200, 50, 200)},
+            # numpy refuses a negative seed only inside a chunk.
+            {"seed": -1},
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
@@ -435,7 +439,7 @@ class TestPowerCurveFiles:
                                lambda8_grid=(2.0, 2.0), replications=30)
         template = montecarlo.SizePowerCell(
             N=50, a=0.0, lambda8=2.0, rate=0.0, rejections=0, n_effective=30, fit_failures=0,
-            infinite_statistics=0, dof=19, binomial_ci=(0.0, 1.0), dale_pass=False,
+            infinite_statistics=0, dof=19, ci95_lo=0.0, ci95_hi=1.0, dale_pass=False,
         )
         rates = [7 / 30, 26 / 30, 4 / 30, 25 / 30]
         cells = tuple(replace(template, a=a, rate=rate) for a, rate in zip(plan.a_values * 2, rates))
@@ -445,10 +449,11 @@ class TestPowerCurveFiles:
         ]
 
     def test_cells_out_of_plan_order_are_refused(self, smoke_table, tmp_path):
+        # The table itself refuses them, so no reader gets one to write.
         cells = smoke_table.cells
         for bad in (cells[::-1], cells[:-1], cells + cells[-1:]):
             with pytest.raises(DomainError, match="plan's"):
-                emit_power_curves(montecarlo.SizePowerTable(plan=smoke_table.plan, cells=bad), tmp_path)
+                montecarlo.SizePowerTable(plan=smoke_table.plan, cells=bad)
         assert not list(tmp_path.iterdir())
 
     def test_table_rows_shape(self, smoke_table):
@@ -487,7 +492,7 @@ class TestExtendedCalibration:
             lambda8_grid=(1.0,), replications=400, seed=31,
         )
         table = run_simulation(plan)
-        rates = [table.cell(200, a, 1.0).rate for a in plan.a_values]
+        rates = [c.rate for c in table.cells]  # one size and coefficient: one cell per index
         n_eff = table.cells[0].n_effective
         for lo_rate, hi_rate in zip(rates[1:], rates[:-1]):
             se = math.sqrt(max(hi_rate * (1 - hi_rate), 1e-6) / n_eff)
@@ -499,7 +504,7 @@ class TestExtendedCalibration:
             lambda8_grid=(0.7, 0.9, 1.0, 1.3), replications=300, seed=13,
         )
         table = run_simulation(plan)
-        rates = [table.cell(1000, 2.0 / 3.0, l8).rate for l8 in plan.lambda8_grid]
+        rates = [c.rate for c in table.cells]  # one size and index: one cell per coefficient
         n_eff = table.cells[0].n_effective
         for lo_rate, hi_rate in zip(rates[:-1], rates[1:]):
             se = math.sqrt(max(lo_rate * (1 - lo_rate), 1e-6) / n_eff)
