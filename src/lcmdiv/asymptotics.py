@@ -24,10 +24,11 @@ by the projections.  The covariance is sandwiched ``(I - V) ... (I - V')``;
 writing the first factor transposed as well breaks symmetry and is a known
 slip in some derivations.
 
-For a nested pair, ``R_L`` uses all columns of ``L`` and ``R_M`` only the
-columns of the coordinates kept by the submodel; then ``R_L R_M = R_M R_L =
-R_M``, the traces are the free-parameter counts, and ``R_L - R_M`` is again
-an orthogonal projection with trace equal to the test's degrees of freedom.
+For a nested pair, the chain of one step, ``R_L`` uses all columns of ``L``
+and ``R_M`` only the columns of the coordinates the submodel keeps free; then
+``R_L R_M = R_M R_L = R_M``, the traces are the free-parameter counts, and
+``R_L - R_M`` is again an orthogonal projection with trace equal to the
+test's degrees of freedom.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .inference import NestedPair
+from .inference import NestedChain
 from .model import ModelDesign, Theta, _evaluate, _rank_of, _vector
 
 
@@ -111,17 +112,17 @@ def build_bundle(
 
 
 def build_nested_projections(
-    pair: NestedPair, theta0_A: Theta, pseudo_inverse: bool = False
+    chain: NestedChain, theta0_A: Theta, pseudo_inverse: bool = False
 ) -> NestedProjections:
-    """Projections onto the full and the submodel column spaces at ``theta0_A``.
+    """Projections onto the column spaces of the chain's models 1 and 2 at ``theta0_A``.
 
-    ``theta0_A`` should satisfy the submodel (zeroed coordinates actually
-    zero) for the identities to carry their intended meaning, but the
-    construction itself only needs full column rank and a strictly positive
-    manifest distribution.
+    ``theta0_A`` is a point of model 1, the chain's base design.  It should
+    satisfy model 2 (its zeroed coordinates actually zero) for the identities
+    to carry their intended meaning, but the construction itself only needs
+    full column rank and a strictly positive manifest distribution.
     """
-    p, L = _scaled_jacobian(pair.design_A, theta0_A)
-    M = L[:, pair.kept_column_indices()]
+    p, L = _scaled_jacobian(chain.design, theta0_A)
+    M = L[:, chain.free_columns(2)]
     R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
     R_M, h2, _ = _projection(M, pseudo_inverse, "submodel projection")
     return NestedProjections(R_L=R_L, R_M=R_M, h1=h1, h2=h2, p=p)

@@ -39,7 +39,7 @@ from .divergence import HSpec, PhiSpec, identity_h, power
 from .errors import DomainError, InputFormatError, LcmdivError, NotConvergedError, RankDeficiencyError
 from .estimation import FitOptions, fit
 from .inference import (
-    NestedPair,
+    NestedChain,
     TestResult,
     gof_statistic,
     nested_S,
@@ -312,16 +312,15 @@ def parse_args(argv) -> argparse.Namespace:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")
             if ns.drop_eta in ns.zero_eta:
                 raise DomainError(f"--zero-eta {ns.drop_eta} is the coordinate --drop-eta removes")
-            ns.design = NestedPair(ns.design, (), (ns.drop_eta - 1,)).design_B()
+            ns.design = NestedChain(ns.design, (((), (ns.drop_eta - 1,)),)).model_design(2)
     if ns.subcommand in ("nested", "verify"):
         # The one place the 1-based indices become 0-based.  verify's --zero-eta
         # counts the loaded design's coordinates, so those past a dropped one shift down.
         dropped = getattr(ns, "drop_eta", None) or math.inf
-        ns.pair = NestedPair(
-            ns.design,
-            tuple(i - 1 for i in ns.zero_lambda),
-            tuple(i - 1 - (i > dropped) for i in ns.zero_eta),
-        )
+        mask = (tuple(i - 1 for i in ns.zero_lambda), tuple(i - 1 - (i > dropped) for i in ns.zero_eta))
+        if ns.subcommand == "nested" and not any(mask):
+            raise DomainError("nested needs --zero-lambda or --zero-eta: model B must fix a coordinate")
+        ns.chain = NestedChain(ns.design, (mask,) if any(mask) else ())
     if ns.subcommand == "simulate":
         if ns.jobs < 1:  # refused here: run_simulation's DomainError would exit as a failed run
             raise DomainError("--jobs must be >= 1")
@@ -481,14 +480,14 @@ def _run_gof(ns: argparse.Namespace) -> int:
 
 def _run_nested(ns: argparse.Namespace) -> int:
     # Both statistics test the same two fits.
-    fit_A = fit(ns.pair.design_A, ns.counts, ns.phi2, ns.fit_options)
-    fit_B = fit(ns.pair.design_B(), ns.counts, ns.phi2, ns.fit_options)
+    fit_A = fit(ns.chain.model_design(1), ns.counts, ns.phi2, ns.fit_options)
+    fit_B = fit(ns.chain.model_design(2), ns.counts, ns.phi2, ns.fit_options)
     tests = {
         kind: test(ns.counts, ns.phi1, fit_A, fit_B, ns.alpha, ns.h)
         for kind, test in (("S", nested_S), ("T", nested_T))
         if ns.statistic in (kind, "both")
     }
-    doc = _base_doc(ns, h1=ns.pair.h1, h2=ns.pair.h2)
+    doc = _base_doc(ns, h1=ns.chain.free_params(1), h2=ns.chain.free_params(2))
     doc["tests"] = {name: _test_result_doc(res) for name, res in tests.items()}
     _emit(doc, ns)
     return EXIT_OK
@@ -561,12 +560,11 @@ def _run_verify(ns: argparse.Namespace) -> int:
         ("sqrt-p annihilation", measured["sqrtp_annihilation"], _BUNDLE_TOL["annihilation"]),
     ])
     projections_doc = None
-    if ns.pair.zero_lam or ns.pair.zero_eta:
-        lam0 = np.array(theta0.lam)
-        lam0[list(ns.pair.zero_lam)] = 0.0
-        eta0 = np.array(theta0.eta)
-        eta0[list(ns.pair.zero_eta)] = 0.0
-        proj = build_nested_projections(ns.pair, Theta(lam=lam0, eta=eta0), ns.pseudo_inverse)
+    if ns.chain.n_models == 2:
+        x0 = np.zeros(design.n_params)  # theta0 with model 2's zeroed coordinates at 0
+        free = ns.chain.free_columns(2)
+        x0[free] = theta0.vector()[free]
+        proj = build_nested_projections(ns.chain, Theta.from_vector(design, x0), ns.pseudo_inverse)
         pm = projection_identity_checks(proj)
         checks.extend([
             ("R_L trace = h1", pm["rl_trace_deviation"], _BUNDLE_TOL["trace"]),

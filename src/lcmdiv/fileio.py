@@ -13,7 +13,7 @@ or comma-separated on one line, in pattern-index order.
 
 Chain (JSON): object with an inline ``design`` plus ``steps``, a list of
 objects with cumulative ``zero_lambda`` / ``zero_eta`` lists of 1-based
-coordinate indices and no other key.
+coordinate indices, each named at most once, and no other key.
 
 Plan (JSON): inline ``null_design`` and ``alt_design``, ``theta0`` with
 ``lambda`` and ``eta`` arrays, and the plain scalar fields of the plan, the

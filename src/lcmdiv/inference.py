@@ -12,7 +12,8 @@ power index, not only maximum likelihood (index 0); under the model
 the statistic is asymptotically chi-square with ``2**k - r - 1`` degrees of
 freedom, ``r`` the number of identifiable parameters.
 
-A model B nested in A (some coordinates fixed to zero) is tested with either
+A model B nested in A (some coordinates fixed to zero, a :class:`NestedChain`
+of one step) is tested with either
 
     S = (2N / phi1''(1)) * [D_phi1(p_hat, p(B)) - D_phi1(p_hat, p(A))]
     T = (2N / phi1''(1)) * D_phi1(p(A), p(B))
@@ -280,66 +281,6 @@ def _h_label(h: HSpec, kind: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NestedPair:
-    """Model B obtained from model A by fixing listed coordinates to zero.
-
-    ``zero_lam`` and ``zero_eta`` are 0-based coordinate indices into A's
-    ``lam`` and ``eta``.  The pair with nothing zeroed is permitted (A = B,
-    zero degrees of freedom) so that degenerate chains remain expressible.
-    """
-
-    design_A: ModelDesign
-    zero_lam: tuple = ()
-    zero_eta: tuple = ()
-
-    def __post_init__(self):
-        zl = tuple(sorted(int(i) for i in self.zero_lam))
-        ze = tuple(sorted(int(i) for i in self.zero_eta))
-        object.__setattr__(self, "zero_lam", zl)
-        object.__setattr__(self, "zero_eta", ze)
-        if len(set(zl)) != len(zl) or len(set(ze)) != len(ze):
-            raise DomainError("zeroed coordinate indices must be unique")
-        if zl and not (0 <= zl[0] and zl[-1] < self.design_A.t):
-            raise DomainError("zeroed lambda index out of range")
-        if ze and not (0 <= ze[0] and ze[-1] < self.design_A.u):
-            raise DomainError("zeroed eta index out of range")
-        if len(zl) == self.design_A.t:
-            raise DomainError("cannot zero every lambda coordinate")
-        if len(ze) == self.design_A.u:
-            raise DomainError("cannot zero every eta coordinate")
-
-    @property
-    def keep_lam(self) -> tuple:
-        return tuple(i for i in range(self.design_A.t) if i not in self.zero_lam)
-
-    @property
-    def keep_eta(self) -> tuple:
-        return tuple(i for i in range(self.design_A.u) if i not in self.zero_eta)
-
-    @property
-    def h1(self) -> int:
-        return self.design_A.n_params
-
-    @property
-    def h2(self) -> int:
-        return self.h1 - len(self.zero_lam) - len(self.zero_eta)
-
-    def design_B(self) -> ModelDesign:
-        """The restricted design (columns of the zeroed coordinates dropped)."""
-        A = self.design_A
-        return ModelDesign(
-            Q=np.asarray(A.Q)[:, :, list(self.keep_lam)],
-            C=A.C,
-            V=np.asarray(A.V)[:, list(self.keep_eta)],
-            d=A.d,
-        )
-
-    def kept_column_indices(self) -> list:
-        """Column positions of B's free coordinates inside A's Jacobian."""
-        return list(self.keep_lam) + [self.design_A.t + i for i in self.keep_eta]
-
-
 def nested_S(
     counts: ObservedCounts,
     phi1: PhiSpec,
@@ -405,26 +346,33 @@ class NestedChain:
     """A decreasing sequence of models over one base design.
 
     ``steps`` holds cumulative 0-based ``(zero_lam, zero_eta)`` masks for the
-    second, third, ... model; the first model is the unrestricted design.
-    Each mask must strictly contain the previous one.
+    second, third, ... model: the base design with those coordinates of
+    ``lam`` and ``eta`` fixed to zero.  The first model is the unrestricted
+    design, and a nested pair (model B in model A) is the chain of one step.
+    Each mask names each coordinate at most once, leaves at least one
+    ``lam`` and one ``eta`` coordinate free, and strictly contains the
+    previous one.
     """
 
     design: ModelDesign
     steps: tuple
 
     def __post_init__(self):
-        norm = []
-        prev_l, prev_e = frozenset(), frozenset()
+        norm = [((), ())]
         for zl, ze in self.steps:
-            zl, ze = frozenset(int(i) for i in zl), frozenset(int(i) for i in ze)
-            if not (prev_l <= zl and prev_e <= ze and (zl, ze) != (prev_l, prev_e)):
+            zl, ze = tuple(sorted(int(i) for i in zl)), tuple(sorted(int(i) for i in ze))
+            for zeroed, size, name in ((zl, self.design.t, "lambda"), (ze, self.design.u, "eta")):
+                if len(set(zeroed)) != len(zeroed):
+                    raise DomainError("zeroed coordinate indices must be unique")
+                if zeroed and not 0 <= zeroed[0] <= zeroed[-1] < size:
+                    raise DomainError(f"zeroed {name} index out of range")
+                if len(zeroed) == size:
+                    raise DomainError(f"cannot zero every {name} coordinate")
+            prev_l, prev_e = norm[-1]
+            if not (set(prev_l) <= set(zl) and set(prev_e) <= set(ze) and (zl, ze) != norm[-1]):
                 raise DomainError("chain masks must strictly grow at every step")
-            norm.append((tuple(sorted(zl)), tuple(sorted(ze))))
-            prev_l, prev_e = zl, ze
-        object.__setattr__(self, "steps", tuple(norm))
-        # Validates index ranges and the not-everything-zeroed rule.
-        for zl, ze in self.steps:
-            NestedPair(self.design, zl, ze)
+            norm.append((zl, ze))
+        object.__setattr__(self, "steps", tuple(norm[1:]))
 
     @property
     def n_models(self) -> int:
@@ -436,13 +384,25 @@ class NestedChain:
             raise DomainError(f"model level must be in [1, {self.n_models}]")
         return ((), ()) if level == 1 else self.steps[level - 2]
 
-    def model_design(self, level: int) -> ModelDesign:
+    def free_columns(self, level: int) -> list:
+        """Positions of model ``level``'s free coordinates in the base design's ``(lam, eta)``."""
         zl, ze = self.mask(level)
-        return NestedPair(self.design, zl, ze).design_B() if (zl or ze) else self.design
+        t = self.design.t
+        return [i for i in range(t) if i not in zl] + [t + i for i in range(self.design.u) if i not in ze]
+
+    def model_design(self, level: int) -> ModelDesign:
+        """Model ``level`` as a design: the base design's columns of its free coordinates.
+
+        Model 1 is the base design itself, not a re-indexed copy, so its fits keep their bits.
+        """
+        columns = np.array(self.free_columns(level))
+        if level == 1:
+            return self.design
+        A, t = self.design, self.design.t
+        return ModelDesign(Q=A.Q[:, :, columns[columns < t]], C=A.C, V=A.V[:, columns[columns >= t] - t], d=A.d)
 
     def free_params(self, level: int) -> int:
-        zl, ze = self.mask(level)
-        return self.design.n_params - len(zl) - len(ze)
+        return len(self.free_columns(level))
 
 
 @dataclass(frozen=True)

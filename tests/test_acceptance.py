@@ -34,7 +34,7 @@ from lcmdiv.asymptotics import (
 )
 from lcmdiv.divergence import kl_divergence, phi_divergence, power
 from lcmdiv.estimation import FitOptions, canonicalize, fit, objective_and_gradient
-from lcmdiv.inference import NestedPair, chi2_quantile, gof_statistic
+from lcmdiv.inference import NestedChain, chi2_quantile, gof_statistic
 from lcmdiv.model import ModelDesign, Theta, latent_params, sample_counts
 from lcmdiv.montecarlo import dale_band
 
@@ -153,12 +153,12 @@ class TestCriterion3NestedUnconditional:
         rel_errs = []
         for seed in (501, 502):
             design = make_design(seed=seed, k=3, m=2, t=3, u=1)
-            pair = NestedPair(design, zero_lam=(2,), zero_eta=())
+            pair = NestedChain(design, (((2,), ()),))
             truth = Theta(lam=np.array([0.5, -0.7, 0.4]), eta=np.array([0.2]))
             counts = sample_counts(design, truth, 900, seed=seed)
             opts = FitOptions(starts=8, seed=seed)
-            fit_A = fit(pair.design_A, counts, power(0.0), opts)
-            fit_B = fit(pair.design_B(), counts, power(0.0), opts)
+            fit_A = fit(pair.model_design(1), counts, power(0.0), opts)
+            fit_B = fit(pair.model_design(2), counts, power(0.0), opts)
             s = nested_S(counts, power(0.0), fit_A, fit_B)
             # Direct likelihood-ratio form from the same fits.
             pos = counts.n > 0
@@ -232,7 +232,7 @@ class TestCriterion5AsymptoticIdentities:
             worst["trace"] = max(worst["trace"], checks["q_trace_deviation"])
             assert checks["q_trace_target"] == design.n_patterns - design.n_params - 1
 
-            pair = NestedPair(design, zero_lam=zero_lam, zero_eta=())
+            pair = NestedChain(design, ((zero_lam, ()),))
             lam0 = np.asarray(theta0.lam).copy()
             lam0[list(zero_lam)] = 0.0
             proj = build_nested_projections(pair, Theta(lam=lam0, eta=theta0.eta))

@@ -9,7 +9,7 @@ from lcmdiv.asymptotics import (
 )
 from lcmdiv.datasets import simulation_null_design
 from lcmdiv.errors import DomainError, RankDeficiencyError
-from lcmdiv.inference import NestedPair
+from lcmdiv.inference import NestedChain
 from lcmdiv.model import manifest_distribution
 from lcmdiv.model import ModelDesign, Theta
 
@@ -44,7 +44,7 @@ class TestNestedProjections:
     @pytest.mark.parametrize("idx, zero_lam", [(1, (1, 3)), (2, (2,)), (0, (1,))])
     def test_identities(self, idx, zero_lam):
         design = DESIGNS[idx]
-        pair = NestedPair(design, zero_lam=zero_lam, zero_eta=())
+        pair = NestedChain(design, ((zero_lam, ()),))
         lam0 = np.asarray(random_theta(design, seed=320 + idx).lam).copy()
         lam0[list(zero_lam)] = 0.0
         theta0 = Theta(lam=lam0, eta=random_theta(design, seed=330 + idx).eta)
@@ -132,4 +132,4 @@ class TestUnderflowedCells:
     def test_nested_projections_refuse(self, underflowed):
         design, theta = underflowed
         with pytest.raises(DomainError, match="strictly positive"):
-            build_nested_projections(NestedPair(design, (0,), ()), theta, pseudo_inverse=True)
+            build_nested_projections(NestedChain(design, (((0,), ()),)), theta, pseudo_inverse=True)

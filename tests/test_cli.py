@@ -250,6 +250,9 @@ class TestParsing:
               "--theta-seed", "-1"), EXIT_USAGE),
             (("simulate", "--plan", "bundled:sim", "--sizes", "50", "--lambda8", "0",
               "--replications", "2", "--seed", "-1", "--out-dir", "{tmp}/d"), EXIT_USAGE),
+            # A nested test needs a model B that fixes a coordinate.
+            (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+              "--starts", "1"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -741,7 +744,7 @@ class TestVerifyCommand:
         argv = ("verify", "--design", "bundled:sim_null", "--drop-eta", "1", "--zero-eta", zero)
         ns = parse_args(list(argv))
         loaded = datasets.simulation_null_design()
-        np.testing.assert_array_equal(ns.pair.design_B().V, np.delete(loaded.V, removed, axis=1))
+        np.testing.assert_array_equal(ns.chain.model_design(2).V, np.delete(loaded.V, removed, axis=1))
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_OK and json.loads(out)["all_pass"] is True
 

@@ -156,6 +156,18 @@ class TestChainFiles:
         with pytest.raises(InputFormatError, match="chain.json: bad chain key 'steps' .*'zero_ata'"):
             fileio.read_chain(path)
 
+    def test_repeated_index_exits_3(self, tmp_path, capsys):
+        # Refused as `nested --zero-lambda 7,7,8` is, not loaded as (7, 8).
+        from lcmdiv.cli import EXIT_INPUT, main
+        from lcmdiv.datasets import coleman_chain
+
+        doc = fileio.chain_to_dict(coleman_chain())
+        doc["steps"][0]["zero_lambda"] = [7, 7, 8]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["select", "--chain", str(path), "--counts", "bundled:coleman"]) == EXIT_INPUT
+        assert "chain.json: bad chain (zeroed coordinate indices must be unique)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("design", 5), ("steps", [[1]])])
     def test_chain_structure_of_the_wrong_json_type_is_refused(self, tmp_path, key, value):
         design = make_design(seed=404, k=3, m=2, t=3, u=1)

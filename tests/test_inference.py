@@ -11,7 +11,6 @@ from lcmdiv.estimation import FitOptions, fit
 from lcmdiv.inference import (
     WARNINGS,
     NestedChain,
-    NestedPair,
     chi2_quantile,
     chi2_sf,
     gof_rows,
@@ -394,52 +393,59 @@ class TestGofRows:
 
 
 class TestNestedPair:
+    """A nested pair is the chain of one step."""
+
     def test_free_param_counts(self, coleman_chain):
-        pair = NestedPair(coleman_chain.design, *coleman_chain.mask(2))
-        assert (pair.h1, pair.h2) == (12, 10)
+        pair = NestedChain(coleman_chain.design, (coleman_chain.mask(2),))
+        assert (pair.free_params(1), pair.free_params(2)) == (12, 10)
 
     def test_design_restriction_shapes(self):
         design = make_design(seed=81, k=3, m=2, t=4, u=2)
-        pair = NestedPair(design, zero_lam=(1, 3), zero_eta=())
-        sub = pair.design_B()
+        pair = NestedChain(design, (((1, 3), ()),))
+        sub = pair.model_design(2)
         assert sub.t == 2 and sub.u == 2
+        assert pair.model_design(1) is design
 
     def test_restriction_matches_zeroed_full_model(self):
         design = make_design(seed=83, k=3, m=2, t=3, u=2)
-        pair = NestedPair(design, zero_lam=(2,), zero_eta=(1,))
-        theta_b = random_theta(pair.design_B(), seed=84)
-        p_sub = manifest_distribution(pair.design_B(), theta_b).p
+        pair = NestedChain(design, (((2,), (1,)),))
+        theta_b = random_theta(pair.model_design(2), seed=84)
+        p_sub = manifest_distribution(pair.model_design(2), theta_b).p
         # theta_B in A's coordinates: lam (l1, l2, 0), eta (e1, 0).
         theta_a = Theta(lam=[*theta_b.lam, 0.0], eta=[*theta_b.eta, 0.0])
         p_full = manifest_distribution(design, theta_a).p
         np.testing.assert_allclose(p_sub, p_full, rtol=1e-13)
+        assert pair.free_columns(2) == [0, 1, 3]
 
     def test_validation(self):
         design = make_design(seed=85, k=3, m=2, t=2, u=1)
-        with pytest.raises(DomainError):
-            NestedPair(design, zero_lam=(5,))
-        with pytest.raises(DomainError):
-            NestedPair(design, zero_lam=(0, 1))  # would empty the lambda block
+        with pytest.raises(DomainError, match="out of range"):
+            NestedChain(design, (((5,), ()),))
+        with pytest.raises(DomainError, match="every lambda"):
+            NestedChain(design, (((0, 1), ()),))  # would empty the lambda block
+        with pytest.raises(DomainError, match="unique"):
+            NestedChain(design, (((1, 1), ()),))
 
 
 @pytest.fixture(scope="module")
 def synthetic_pair():
     design = make_design(seed=91, k=3, m=2, t=3, u=1)
-    pair = NestedPair(design, zero_lam=(2,), zero_eta=())
+    pair = NestedChain(design, (((2,), ()),))
     truth = Theta(lam=np.array([0.6, -0.4, 0.5]), eta=np.array([0.3]))
     counts = sample_counts(design, truth, 1200, seed=92)
     return pair, counts
 
 
 def fit_models(pair, counts, phi2, options):
-    """Fits of model A and of the nested model B with one estimator."""
-    return fit(pair.design_A, counts, phi2, options), fit(pair.design_B(), counts, phi2, options)
+    """Fits of model A and of the nested model B of a one-step chain with one estimator."""
+    return tuple(fit(pair.model_design(level), counts, phi2, options) for level in (1, 2))
 
 
 class TestNestedStatistics:
     def test_identical_models_give_zero(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(NestedPair(pair.design_A), counts, power(0.0), FitOptions(starts=5, seed=3))
+        # The one design fitted twice: a dof-0 test, which no chain step expresses.
+        fit_A, fit_B = (fit(pair.design, counts, power(0.0), FitOptions(starts=5, seed=3)) for _ in "AB")
         s = nested_S(counts, power(0.0), fit_A, fit_B)
         t = nested_T(counts, power(0.0), fit_A, fit_B)
         assert s.statistic == pytest.approx(0.0, abs=1e-9)
@@ -450,7 +456,7 @@ class TestNestedStatistics:
         pair, counts = synthetic_pair
         fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=8, seed=4))
         s = nested_S(counts, power(0.0), fit_A, fit_B)
-        assert s.dof == pair.h1 - pair.h2 == 1
+        assert s.dof == pair.free_params(1) - pair.free_params(2) == 1
         pos = counts.n > 0
         direct = 2.0 * float(
             np.sum(counts.n[pos] * np.log(fit_A.manifest.p[pos] / fit_B.manifest.p[pos]))
@@ -552,7 +558,7 @@ class TestNestedStatistics:
         counts = sample_counts(design, simulation_theta0(), 200, seed=3)
         assert np.count_nonzero(counts.n == 0) == 3
         fits = fit_models(
-            NestedPair(design, zero_lam=(6,)), counts, power(0.0),
+            NestedChain(design, (((6,), ()),)), counts, power(0.0),
             FitOptions(starts=2, seed=1, grad_tol=1e-6),
         )
         result = nested_S(counts, power(-1.0), *fits)
@@ -589,8 +595,8 @@ class TestNestedBoundary:
     def test_different_estimators_are_refused(self, synthetic_pair):
         pair, counts = synthetic_pair
         options = FitOptions(starts=3, seed=1)
-        fit_A = fit(pair.design_A, counts, power(0.0), options)
-        fit_B = fit(pair.design_B(), counts, power(2.0 / 3.0), options)
+        fit_A = fit(pair.model_design(1), counts, power(0.0), options)
+        fit_B = fit(pair.model_design(2), counts, power(2.0 / 3.0), options)
         for test in (nested_S, nested_T):
             with pytest.raises(DomainError, match="same estimator"):
                 test(counts, power(0.0), fit_A, fit_B)
@@ -636,10 +642,12 @@ class TestColemanChain:
 
     def test_chain_validation(self):
         design = make_design(seed=95, k=3, m=2, t=3, u=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly grow"):
             NestedChain(design=design, steps=(((0,), ()), ((0,), ())))  # no growth
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly grow"):
             NestedChain(design=design, steps=(((0, 1), ()), ((0,), ())))  # shrinks
+        with pytest.raises(DomainError, match="unique"):
+            NestedChain(design=design, steps=(((0,), ()), ((0, 0, 1), ())))  # repeats an index
 
 
 class TestSequentialSelection:
