@@ -41,7 +41,9 @@ RANK_RTOL = 1e-8  # relative singular-value cut of numerical_rank
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only C-ordered copy: the kernel's results then depend on the values alone,
+    not on the layout of the caller's array."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -316,6 +316,29 @@ class TestEvaluationKernel:
         np.testing.assert_array_equal(_table(design, theta.vector())[3], p)
 
 
+class TestDesignLayout:
+    def test_fit_bits_do_not_depend_on_array_layout(self):
+        # The design copies its arrays C-ordered, so equal values give equal bits
+        # however the caller laid them out: a Fortran-ordered V and a Q whose
+        # columns were picked by fancy indexing (as a reduced design's are).
+        from lcmdiv.divergence import power
+        from lcmdiv.estimation import FitOptions, fit
+
+        base = datasets.coleman_design_chain_basis()
+        layouts = (
+            base,
+            ModelDesign(Q=base.Q, C=base.C, V=np.asfortranarray(base.V), d=base.d),
+            ModelDesign(Q=base.Q[:, :, list(range(base.t))], C=base.C, V=base.V, d=base.d),
+        )
+        assert not np.asfortranarray(base.V).flags.c_contiguous
+        assert base.Q[:, :, list(range(base.t))].strides != base.Q.strides
+        counts = datasets.coleman_counts()
+        fits = [fit(d, counts, power(2.0 / 3.0), FitOptions(starts=20, seed=1)) for d in layouts]
+        for result in fits[1:]:
+            assert result.objective.hex() == fits[0].objective.hex()
+            assert result.theta_hat.vector().tobytes() == fits[0].theta_hat.vector().tobytes()
+
+
 class TestPullback:
     """``_pullback`` gives the fit's gradient ``weight @ J`` without forming ``J``."""
 
