@@ -4,21 +4,22 @@ Formats
 -------
 Design (JSON): object with ``k, m, t, u`` and nested arrays ``Q`` (m x k x t),
 ``C`` (m x k), ``V`` (m x u), ``d`` (m).  An optional ``comment`` field is
-preserved on write and ignored on read.
+preserved on write and ignored on read; any other key is refused.
 
 Counts (delimited text): either per-pattern rows with a header line
 ``y_1,...,y_k,count`` (patterns may appear in any order; missing patterns
 count zero), or a headerless dense vector of ``2**k`` integers, one per line
 or comma-separated on one line, in pattern-index order.
 
-Chain (JSON): object with an inline ``design`` plus ``steps``, a list of
-objects with cumulative ``zero_lambda`` / ``zero_eta`` lists of 1-based
-coordinate indices, each named at most once, and no other key.
+Chain (JSON): object with an inline ``design`` plus ``steps`` (and an
+optional ``comment``), ``steps`` a list of objects with cumulative
+``zero_lambda`` / ``zero_eta`` lists of 1-based coordinate indices, each
+named at most once, and no other key.
 
 Plan (JSON): inline ``null_design`` and ``alt_design``, ``theta0`` with
 ``lambda`` and ``eta`` arrays, and the plain scalar fields of the plan, the
 fit's in a ``fit`` object.  A key the format does not have, at the top level
-(other than ``comment``) or in ``fit``, is refused.
+(other than ``comment``), in ``fit`` or in ``theta0``, is refused.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def design_to_dict(design: ModelDesign, comment: str = None) -> dict:
 
 
 def design_from_dict(doc: dict, where: str = "design") -> ModelDesign:
+    _check_keys(doc, ("Q", "C", "V", "d", "k", "m", "t", "u", "comment"), where, "design")
     arrays = {name: _field(doc, name, _array, where, "design") for name in ("Q", "C", "V", "d")}
     try:
         design = ModelDesign(**arrays)
@@ -203,6 +205,7 @@ def chain_to_dict(chain: NestedChain, comment: str = None) -> dict:
 
 
 def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
+    _check_keys(doc, ("design", "steps", "comment"), where, "chain")
     design_doc = _field(doc, "design", _OBJECT, where, "chain")
     design = design_from_dict(design_doc, where=f"{where}.design")
     keys = ("zero_lambda", "zero_eta")
@@ -263,6 +266,14 @@ def _object_of(keys):
     return convert
 
 
+def _check_keys(doc, keys, where: str, kind: str) -> None:
+    """Refuse ``doc`` unless it is a JSON object whose keys are all among ``keys``."""
+    try:
+        _object_of(keys)(doc)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: bad {kind} ({exc})")
+
+
 def _array(values) -> np.ndarray:
     """Nested JSON lists of numbers as a float64 array; any other leaf is refused."""
 
@@ -283,6 +294,7 @@ def _field(doc: dict, key: str, convert, where: str, kind: str):
 
 
 def _theta_from_dict(doc: dict) -> Theta:
+    doc = _object_of(("lambda", "eta"))(doc)
     return Theta(lam=_array(doc["lambda"]), eta=_array(doc["eta"]))
 
 
@@ -330,10 +342,7 @@ def plan_from_dict(doc: dict, where: str = "plan") -> SimulationPlan:
     """The plan a JSON document holds; a value of the wrong JSON type, or a key the
     format does not have, is refused."""
     top_keys = [key for key, section, *_ in _PLAN_KEYS if not section] + ["fit", "comment"]
-    try:
-        _object_of(top_keys)(doc)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: bad plan ({exc})")
+    _check_keys(doc, top_keys, where, "plan")
     fit_keys = [key for key, section, *_ in _PLAN_KEYS if section]
     fit = _field({"fit": {}, **doc}, "fit", _object_of(fit_keys), where, "plan")
     fields = {}

@@ -375,3 +375,33 @@ def test_mistyped_numbers_in_every_input_exit_3(tmp_path, capsys, kind):
     assert main([arg.format(path=path) for arg in argv]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert f"{kind}.json: bad {kind} key" in err and "expected" in err
+
+
+@pytest.mark.parametrize("kind, where, key", [
+    ("design", None, "cmment"),
+    ("design", None, "V2"),
+    ("chain", None, "stepz"),
+    ("chain", "design", "cmment"),
+    ("plan", "theta0", "etta"),
+])
+def test_unknown_key_in_every_input_exits_3(tmp_path, capsys, kind, where, key):
+    # A misspelt optional key would otherwise be dropped without a word.
+    from lcmdiv import datasets
+    from lcmdiv.cli import EXIT_INPUT, main
+
+    argv = {
+        "design": ["fit", "--design", "{path}", "--counts", "bundled:coleman"],
+        "chain": ["select", "--chain", "{path}", "--counts", "bundled:coleman"],
+        "plan": ["simulate", "--plan", "{path}", "--out-dir", str(tmp_path)],
+    }[kind]
+    doc = {
+        "design": lambda: fileio.design_to_dict(datasets.coleman_design_m1()),
+        "chain": lambda: fileio.chain_to_dict(datasets.coleman_chain()),
+        "plan": lambda: fileio.plan_to_dict(datasets.simulation_plan(sample_sizes=(200,), replications=9)),
+    }[kind]()
+    (doc[where] if where else doc)[key] = [0.0]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert main([arg.format(path=path) for arg in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{kind}.json" in err and f"unknown key '{key}'" in err
