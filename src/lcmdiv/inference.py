@@ -395,7 +395,7 @@ class NestedChain:
 
         Model 1 is the base design itself, not a re-indexed copy, so its fits keep their bits.
         """
-        columns = np.array(self.free_columns(level))
+        columns = np.array(self.free_columns(level))  # refuses a level outside the chain
         if level == 1:
             return self.design
         A, t = self.design, self.design.t
