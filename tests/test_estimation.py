@@ -316,7 +316,29 @@ class TestBatchedFit:
             if r.converged:
                 assert r.objective == phi_divergence(c.p_hat(), r.manifest.p, power(a))
 
-    def test_batch_composition_does_not_matter(self):
+    def test_batch_composition_does_not_matter(self, coleman_design, coleman_counts):
+        # Rows that leave the batch at different passes, by every route: the
+        # first data set's starts restart and end line_search, the second's
+        # end max_iters, and the emptied counts converge at index 2/3 but have
+        # an infinite objective at -1.
+        n = np.array(coleman_counts.n)
+        n[3] = 0
+        emptied = ObservedCounts(n=n)
+        mixed = [coleman_counts, coleman_counts, emptied, emptied]
+        mixed_options = [
+            FitOptions(starts=4, seed=1, grad_tol=1e-14, max_iters=400),
+            FitOptions(starts=3, seed=2, max_iters=5),
+            FitOptions(starts=5, seed=3),
+            FitOptions(starts=2, seed=4, grad_tol=1e-3),
+        ]
+        for a, last in ((2.0 / 3.0, "converged"), (-1.0, "infinite_objective")):
+            batch = fit_many(coleman_design, mixed, power(a), mixed_options)
+            statuses = [{t.status for t in r.traces} for r in batch]
+            assert statuses == [{"line_search"}, {"max_iters"}, {last}, {last}]
+            assert all(t.restarts > 0 for t in batch[0].traces)
+            for c, o, r in zip(mixed, mixed_options, batch):
+                assert pickle.dumps(fit(coleman_design, c, power(a), o)) == pickle.dumps(r)
+
         plan, counts, _ = _cell_fits(200, 2.0, 9, seed=4)
         options = [
             FitOptions(starts=2, grad_tol=1e-6, max_iters=300, seed=i, init_theta=plan.theta0)
