@@ -99,7 +99,8 @@ def _terms(a: float, x: np.ndarray) -> tuple:
         xa1 = x ** (a + 1.0)
         phi = (xa1 - x - a * (x - 1.0)) / (a * (a + 1.0))
         weight = (1.0 - xa1) / (a + 1.0)
-    phi[zero] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
+    if zero.any():
+        phi[zero] = 1.0 / (a + 1.0) if a > -1.0 else math.inf
     return phi, weight
 
 

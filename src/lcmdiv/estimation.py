@@ -173,9 +173,11 @@ def _objective(design, P_hat, a, X):
         raise DomainError("parameter values must be finite")
     w, S, B, p = _table(design, X)
     value, weight = _divergence(a, P_hat, p)
-    infinite = ~np.isfinite(value) | np.any((p == 0.0) & (P_hat > 0.0), axis=1)
-    value[infinite] = np.inf
-    weight[infinite] = 0.0
+    finite = np.isfinite(value)
+    if not (finite.all() and p.all()):
+        infinite = ~finite | ((p == 0.0) & (P_hat > 0.0)).any(axis=1)
+        value[infinite] = np.inf
+        weight[infinite] = 0.0
     return value, _pullback(design, w, S, B, weight)
 
 
@@ -184,13 +186,21 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
 
     Every row keeps its own inverse Hessian, started at the identity and
     scaled by ``s'y / y'y`` after its first accepted step.  A step is
-    accepted by Armijo backtracking that evaluates only the rows still
-    searching; the update is skipped where ``s'y <= 0``.  A non-descent
-    direction or a failed line search resets the row's inverse Hessian to
-    the identity (a restart); a line search that fails along the gradient
-    itself ends the row.  Converged rows drop out of the batch.  Since every
-    kernel product is stacked on the batch axis, a row's path is the same bit
-    for bit whatever else is in the batch.
+    accepted by Armijo backtracking: the first trial is made on every row at
+    once, and only the rows that fail it halve their step and try again.  The
+    update is skipped where ``s'y <= 0``.  A non-descent direction or a failed
+    line search resets the row's inverse Hessian to the identity (a restart);
+    a line search that fails along the gradient itself ends the row.
+
+    The loop's state is a working set compacted to the pending rows.  When
+    rows leave (converged, ``max_iters`` or ``line_search``) their outputs
+    are written back once and every state array is cut to the rows that
+    stay, so a pass costs the array work of the rows it carries.  The reset,
+    backtracking, scaling and skip branches run only when some row needs
+    them; a pass in which every row takes a curved step gathers and scatters
+    nothing and updates the inverse Hessians in place.  Since every kernel
+    product is stacked on the batch axis and every sum runs along a row's own
+    axis, a row's path is the same bit for bit whatever else is in the batch.
 
     ``grad_tol`` and ``max_iters`` hold one value per row.  Returns
     ``(X, value, grad_norm, iterations, evaluations, restarts, status)``, one
@@ -199,79 +209,100 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
     X = np.array(X0, dtype=np.float64)
     b, dim = X.shape
     f, G = _objective(design, P_hat, a, X)
-    evaluations = np.ones(b, dtype=np.int64)
-    iterations = np.zeros(b, dtype=np.int64)
-    restarts = np.zeros(b, dtype=np.int64)
+    iterations, evaluations, restarts = np.zeros(b, np.int64), np.ones(b, np.int64), np.zeros(b, np.int64)
+    # A row's outputs are written here when it leaves; until the first row
+    # leaves, the working set is these arrays themselves.
+    results = (X, f, G, iterations, evaluations, restarts, np.full(b, _PENDING))
+    row = np.arange(b)
     H = np.tile(np.eye(dim), (b, 1, 1))
     fresh = np.ones(b, dtype=bool)  # H is the unscaled identity
-    gnorm = np.max(np.abs(G), axis=1)
-    status = np.full(b, _PENDING)
-    status[gnorm <= grad_tol] = _CONVERGED
-    status[np.isinf(f)] = _INFINITE
-
-    def reset(rows):
-        H[rows] = np.eye(dim)
-        fresh[rows] = True
-        restarts[rows] += 1
-
+    converged = np.max(np.abs(G), axis=1) <= grad_tol
+    ended = np.flatnonzero(np.isinf(f))  # relabelled infinite_objective below
+    leave = converged | (max_iters < 1)
+    leave[ended] = True
     while True:
-        status[(status == _PENDING) & (iterations >= max_iters)] = _MAX_ITERS
-        rows = np.flatnonzero(status == _PENDING)
-        if rows.size == 0:
-            break
-        g = G[rows]
-        D = -np.matmul(H[rows], g[:, :, None])[:, :, 0]
-        slope = np.sum(D * g, axis=1)
-        uphill = ~(slope < 0.0)
-        if uphill.any():
-            reset(rows[uphill])
-            D[uphill] = -g[uphill]
-            slope[uphill] = -np.sum(g[uphill] ** 2, axis=1)
-        # Along the gradient the first trial is a step of length at most one.
-        step = np.where(fresh[rows], np.minimum(1.0, 1.0 / np.sqrt(-slope)), 1.0)
+        if leave.any():
+            code = np.where(converged, _CONVERGED, _MAX_ITERS)
+            code[ended] = _LINE_SEARCH
+            code[np.isinf(f)] = _INFINITE  # only a launch point's value is infinite
+            gone, keep = row[leave], ~leave
+            for out, value in zip(results, (X, f, G, iterations, evaluations, restarts, code)):
+                out[gone] = value[leave]
+            row, X, f, G, P_hat, grad_tol, max_iters, H, fresh, iterations, evaluations, restarts = (
+                v[keep]
+                for v in (row, X, f, G, P_hat, grad_tol, max_iters, H, fresh, iterations, evaluations, restarts)
+            )
+            if row.size == 0:
+                break
+        D = -np.matmul(H, G[:, :, None])[:, :, 0]
+        slope = (D * G).sum(axis=1)
+        if not (slope < 0.0).all():
+            uphill = ~(slope < 0.0)
+            H[uphill], fresh[uphill] = np.eye(dim), True
+            restarts[uphill] += 1
+            D[uphill] = -G[uphill]
+            slope[uphill] = -(G[uphill] ** 2).sum(axis=1)
+        step = np.ones(row.size)
+        if fresh.any():
+            # Along the gradient the first trial is a step of length at most one.
+            step[fresh] = np.minimum(1.0, 1.0 / np.sqrt(-slope[fresh]))
 
-        found = np.zeros(rows.size, dtype=bool)
-        X_new, f_new, G_new = np.empty_like(g), np.empty(rows.size), np.empty_like(g)
-        search = np.arange(rows.size)
-        for _ in range(_MAX_BACKTRACKS):
-            r = rows[search]
-            X_try = X[r] + step[search, None] * D[search]
-            f_try, G_try = _objective(design, P_hat[r], a, X_try)
-            evaluations[r] += 1
-            ok = (f_try < f[r]) & (f_try <= f[r] + _ARMIJO * step[search] * slope[search])
+        X_new = X + step[:, None] * D
+        f_new, G_new = _objective(design, P_hat, a, X_new)
+        evaluations += 1
+        found = (f_new < f) & (f_new <= f + _ARMIJO * step * slope)
+        search = np.flatnonzero(~found)
+        for _ in range(_MAX_BACKTRACKS - 1):
+            if search.size == 0:
+                break
+            step[search] *= 0.5
+            X_try = X[search] + step[search, None] * D[search]
+            f_try, G_try = _objective(design, P_hat[search], a, X_try)
+            evaluations[search] += 1
+            ok = (f_try < f[search]) & (f_try <= f[search] + _ARMIJO * step[search] * slope[search])
             done = search[ok]
             found[done] = True
             X_new[done], f_new[done], G_new[done] = X_try[ok], f_try[ok], G_try[ok]
             search = search[~ok]
-            if search.size == 0:
-                break
-            step[search] *= 0.5
 
-        failed = rows[~found]
-        status[failed[fresh[failed]]] = _LINE_SEARCH
-        reset(failed[~fresh[failed]])
+        ended = search[fresh[search]]
+        if search.size:
+            retry = search[~fresh[search]]
+            H[retry], fresh[retry] = np.eye(dim), True
+            restarts[retry] += 1
+            s, y = X_new[found] - X[found], G_new[found] - G[found]
+            X[found], f[found], G[found] = X_new[found], f_new[found], G_new[found]
+        else:
+            s, y = X_new - X, G_new - G
+            X, f, G = X_new, f_new, G_new
+        iterations += found
+        converged = np.max(np.abs(G), axis=1) <= grad_tol
+        leave = converged | (iterations >= max_iters)
+        leave[ended] = True
 
-        acc = rows[found]
-        s = X_new[found] - X[acc]
-        y = G_new[found] - G[acc]
-        X[acc], f[acc], G[acc] = X_new[found], f_new[found], G_new[found]
-        iterations[acc] += 1
-        gnorm[acc] = np.max(np.abs(G[acc]), axis=1)
-        status[acc[gnorm[acc] <= grad_tol[acc]]] = _CONVERGED
-
-        sy = np.sum(s * y, axis=1)
+        sy = (s * y).sum(axis=1)
         curved = sy > 0.0
-        acc, s, y, sy = acc[curved], s[curved], y[curved], sy[curved]
-        first = fresh[acc]
-        H[acc[first]] *= (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
-        fresh[acc] = False
+        upd = slice(None)  # every row: H[upd] is a view, updated in place
+        if search.size or not curved.all():
+            upd = np.flatnonzero(found)[curved]
+            s, y, sy = s[curved], y[curved], sy[curved]
+        first = fresh[upd]
+        if first.any():
+            H[upd] *= np.divide(sy, (y**2).sum(axis=1), out=np.ones_like(sy), where=first)[:, None, None]
+            fresh[upd] = False
         rho = 1.0 / sy
-        Hy = np.matmul(H[acc], y[:, :, None])[:, :, 0]
-        coef = (rho + rho * rho * np.sum(y * Hy, axis=1))[:, None, None]
-        H[acc] += coef * (s[:, :, None] * s[:, None, :]) - rho[:, None, None] * (
-            s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :]
-        )
-    return X, f, gnorm, iterations, evaluations, restarts, status
+        Hy = np.matmul(H[upd], y[:, :, None])[:, :, 0]
+        coef = (rho + rho * rho * (y * Hy).sum(axis=1))[:, None, None]
+        # H += coef s s' - rho (s Hy' + Hy s'), in that order, through two temporaries.
+        update = s[:, :, None] * s[:, None, :]
+        update *= coef
+        cross = s[:, :, None] * Hy[:, None, :]
+        cross += Hy[:, :, None] * s[:, None, :]
+        cross *= rho[:, None, None]
+        update -= cross
+        H[upd] += update
+    X, f, G, iterations, evaluations, restarts, code = results
+    return X, f, np.max(np.abs(G), axis=1), iterations, evaluations, restarts, code
 
 
 def _initial_points(design: ModelDesign, options: FitOptions) -> np.ndarray:

@@ -207,9 +207,9 @@ class LatentParams:
 def _check_manifest(p: np.ndarray) -> None:
     """Check one manifest vector, or each row of a stack of them."""
     # Comparisons are written so that NaN fails them; the sum then rules out inf.
-    if not np.all(p >= 0.0):
+    if not (p >= 0.0).all():
         raise DomainError("manifest probabilities must be finite and nonnegative")
-    if not np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12):
+    if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():
         raise DomainError("manifest probabilities must sum to 1 within 1e-12")
 
 
