@@ -36,6 +36,8 @@ from .inference import NestedChain
 from .model import ModelDesign, ObservedCounts, Theta, pattern_index
 from .montecarlo import SimulationPlan
 
+_INT64 = np.iinfo(np.int64)
+
 
 class InputFile:
     """One read of an input file: its UTF-8 ``text`` and the ``sha256`` of the bytes read.
@@ -155,6 +157,8 @@ def _read_pattern_rows(lines, path):
             raise InputFormatError(f"{path}:{row_no}: responses must be 0 or 1")
         if count < 0:
             raise InputFormatError(f"{path}:{row_no}: negative count")
+        if count > _INT64.max:
+            raise InputFormatError(f"{path}:{row_no}: count {count} does not fit in a 64-bit integer")
         nu = pattern_index(y)
         if nu in seen:
             raise InputFormatError(f"{path}:{row_no}: duplicate pattern {y}")
@@ -171,6 +175,9 @@ def _read_dense(lines, path):
         values = [int(tok) for tok in toks]
     except ValueError:
         raise InputFormatError(f"{path}: dense counts must be integers")
+    wide = [v for v in values if not _INT64.min <= v <= _INT64.max]
+    if wide:
+        raise InputFormatError(f"{path}: count {wide[0]} does not fit in a 64-bit integer")
     size = len(values)
     if size < 2 or size & (size - 1):
         raise InputFormatError(f"{path}: dense counts length must be a power of two, got {size}")

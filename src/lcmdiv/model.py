@@ -40,6 +40,9 @@ MAX_ITEMS_FOR_SAMPLING = 20
 RANK_RTOL = 1e-8  # relative singular-value cut of numerical_rank
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     """A read-only C-ordered copy: the kernel's results then depend on the values alone,
     not on the layout of the caller's array."""
@@ -242,13 +245,17 @@ class ObservedCounts:
             raise DomainError("counts vector length must be a power of two >= 2")
         if not np.issubdtype(arr.dtype, np.integer):
             rounded = np.rint(np.asarray(arr, dtype=np.float64))
-            if np.any(np.abs(arr - rounded) > 0):
+            if not (np.abs(arr - rounded) == 0).all():  # NaN and inf fail too
                 raise DomainError("counts must be integers")
-            arr = rounded.astype(np.int64)
-        if np.any(arr < 0):
+            arr = rounded
+        if (arr < 0).any():
             raise DomainError("counts must be nonnegative")
-        if int(arr.sum()) <= 0:
+        top = arr.max()
+        if top <= 0:
             raise DomainError("total count must be positive")
+        # An int64 sum wraps, so a total that could pass the int64 range is summed exactly.
+        if top > _INT64_MAX // arr.size and (total := sum(map(int, arr.tolist()))) > _INT64_MAX:
+            raise DomainError(f"total count {total} does not fit in a 64-bit integer")
         object.__setattr__(self, "n", _frozen_array(arr, dtype=np.int64))
 
     @cached_property

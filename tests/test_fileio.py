@@ -108,6 +108,10 @@ class TestCountsFiles:
             "1,2,-3,4\n",                     # negative dense count
             "0,0,0,0\n",                      # zero total
             "y_1,y_2,count\n0,0,0\n",        # zero total, pattern rows
+            # Counts beyond int64: one entry, and a total whose int64 sum wraps.
+            "99999999999999999999\n" + "5\n" * 15,
+            "y_1,y_2,y_3,y_4,count\n0,0,0,0,99999999999999999999\n0,0,0,1,5\n",
+            "9223372036854775807\n" + "5\n" * 15,
         ],
     )
     def test_malformed_inputs_rejected(self, tmp_path, content):
@@ -115,6 +119,18 @@ class TestCountsFiles:
         path.write_text(content)
         with pytest.raises(InputFormatError):
             fileio.read_counts(path)
+
+    @pytest.mark.parametrize(
+        "content", ["99999999999999999999\n" + "5\n" * 15, "9223372036854775807\n" + "5\n" * 15]
+    )
+    def test_count_beyond_int64_exits_3(self, tmp_path, capsys, content):
+        from lcmdiv.cli import EXIT_INPUT, main
+
+        path = tmp_path / "c.csv"
+        path.write_text(content)
+        argv = ["fit", "--design", "bundled:coleman_m1", "--counts", str(path), "--starts", "1"]
+        assert main(argv) == EXIT_INPUT
+        assert "does not fit in a 64-bit integer" in capsys.readouterr().err
 
 
 class TestChainFiles:
