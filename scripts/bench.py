@@ -18,6 +18,12 @@ Run from the root of a source checkout.  The record has two parts:
   replication alone against its share of a 25-replication chunk.  Each
   timing is the best of 5 repeats of a loop, in raw seconds and scaled by
   ``perfbench/clock.py``'s reference reading taken just before it.
+* ``chunk``: one replication's share of a 1 000-replication
+  ``_replicate_chunk`` at N = 200, lambda8 in {0, 2} and seed 77, three runs
+  each, alternating the coefficient.  Each run is a fresh interpreter,
+  because the fit loop's page faults depend on the heap's history; it
+  reports the chunk's own wall time and the minor page faults it made, and
+  its process's ``ru_minflt`` and ``ru_maxrss`` (KiB) at the end.
 
 The script reuses perfbench's clock, checks and environment record; it
 changes no gate or bound of ``BENCHMARK.json``.
@@ -50,6 +56,26 @@ from lcmdiv.montecarlo import _replicate_chunk  # noqa: E402
 
 BATCH = 25
 REPEATS = 5
+CHUNK_REPLICATIONS = 1000
+CHUNK_SEED = 77
+CHUNK_RUNS = 3
+# One chunk in a fresh interpreter; argv: source directory, lambda8.
+CHUNK_CHILD = f"""
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from lcmdiv import datasets
+from lcmdiv.inference import resolve_gof_dof
+from lcmdiv.montecarlo import _replicate_chunk
+plan = datasets.simulation_plan(sample_sizes=(200,), lambda8_grid=(float(sys.argv[2]),),
+                                replications={CHUNK_REPLICATIONS}, seed={CHUNK_SEED})
+dof = resolve_gof_dof(plan.null_design, plan.dof_policy)[0]
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+wall, _ = _replicate_chunk((plan, dof, 0, plan.replications))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({{"wall_s": wall, "per_replication_s": wall / plan.replications,
+                  "chunk_minflt": usage.ru_minflt - faults, "ru_minflt": usage.ru_minflt,
+                  "ru_maxrss_kib": usage.ru_maxrss}}))
+"""
 
 
 def run_perfbench(seed: int, seconds: float) -> dict:
@@ -123,6 +149,18 @@ def layer_timings(seed: int) -> dict:
     }
 
 
+def chunk_runs() -> dict:
+    """``CHUNK_RUNS`` fresh-process runs of the chunk per coefficient, alternating."""
+    runs = {"0": [], "2": []}
+    for _ in range(CHUNK_RUNS):
+        for lambda8 in runs:
+            cmd = [sys.executable, "-c", CHUNK_CHILD, str(ROOT / "src"), lambda8]
+            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+            runs[lambda8].append(json.loads(out))
+    return {"replications": CHUNK_REPLICATIONS, "N": 200, "seed": CHUNK_SEED,
+            "runs_by_lambda8": runs}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -138,6 +176,7 @@ def main() -> int:
     record = {
         "environment": environment(argparse.Namespace(workload=None, seed=args.seed, trace=None)),
         "layers": layer_timings(args.seed),
+        "chunk": chunk_runs(),
         "perfbench": run_perfbench(args.seed, seconds),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
