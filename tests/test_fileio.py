@@ -120,18 +120,6 @@ class TestCountsFiles:
         with pytest.raises(InputFormatError):
             fileio.read_counts(path)
 
-    @pytest.mark.parametrize(
-        "content", ["99999999999999999999\n" + "5\n" * 15, "9223372036854775807\n" + "5\n" * 15]
-    )
-    def test_count_beyond_int64_exits_3(self, tmp_path, capsys, content):
-        from lcmdiv.cli import EXIT_INPUT, main
-
-        path = tmp_path / "c.csv"
-        path.write_text(content)
-        argv = ["fit", "--design", "bundled:coleman_m1", "--counts", str(path), "--starts", "1"]
-        assert main(argv) == EXIT_INPUT
-        assert "does not fit in a 64-bit integer" in capsys.readouterr().err
-
 
 class TestChainFiles:
     def test_round_trip_with_one_based_indices(self, tmp_path):

@@ -78,6 +78,25 @@ class TestPatternIndex:
             np.testing.assert_array_equal(pats[nu - 1], pattern_vector(nu, 5))
 
 
+class TestObservedCounts:
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ([2**63 - 1, 1], "does not fit in a 64-bit integer"),  # the int64 sum wraps
+            (np.array([2**63, 0], dtype=np.uint64), "does not fit in a 64-bit integer"),
+            ([1e20, 1.0], "does not fit in a 64-bit integer"),
+            ([math.nan, 1.0], "must be integers"),
+        ],
+    )
+    def test_out_of_range_counts_refused(self, n, message):
+        with pytest.raises(DomainError, match=message):
+            ObservedCounts(n=n)
+
+    def test_largest_total_is_kept(self):
+        counts = ObservedCounts(n=[2**62, 2**62 - 1])
+        assert counts.N == 2**63 - 1 and counts.n.dtype == np.int64
+
+
 class TestItemProbs:
     def test_zero_parameters_give_half(self):
         design = ModelDesign(
