@@ -33,10 +33,8 @@ import numpy as np
 
 from .errors import InputFormatError
 from .inference import NestedChain
-from .model import ModelDesign, ObservedCounts, Theta, pattern_index
+from .model import _INT64, ModelDesign, ObservedCounts, Theta, pattern_index
 from .montecarlo import SimulationPlan
-
-_INT64 = np.iinfo(np.int64)
 
 
 class InputFile:

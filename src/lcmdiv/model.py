@@ -40,7 +40,7 @@ MAX_ITEMS_FOR_SAMPLING = 20
 RANK_RTOL = 1e-8  # relative singular-value cut of numerical_rank
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64 = np.iinfo(np.int64)
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -254,7 +254,7 @@ class ObservedCounts:
         if top <= 0:
             raise DomainError("total count must be positive")
         # An int64 sum wraps, so a total that could pass the int64 range is summed exactly.
-        if top > _INT64_MAX // arr.size and (total := sum(map(int, arr.tolist()))) > _INT64_MAX:
+        if top > _INT64.max // arr.size and (total := sum(map(int, arr.tolist()))) > _INT64.max:
             raise DomainError(f"total count {total} does not fit in a 64-bit integer")
         object.__setattr__(self, "n", _frozen_array(arr, dtype=np.int64))
 
