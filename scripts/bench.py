@@ -16,8 +16,12 @@ Run from the root of a source checkout.  The record has two parts:
   the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
   replication as its share of 25 draws from one table, and of one
   replication alone against its share of a 25-replication chunk.  Each
-  timing is the best of 5 repeats of a loop, in raw seconds and scaled by
-  ``perfbench/clock.py``'s reference reading taken just before it.
+  timing runs 5 repeats of a loop and keeps every repeat's per-call time
+  (``runs_s``) and their median (``median_s``); ``raw_s`` is the best
+  repeat, and ``scaled_s`` scales it by ``perfbench/clock.py``'s reference
+  reading taken just before the repeats (``reference_s``).  A second reading
+  just after them (``reference_after_s``) shows whether the machine's speed
+  moved while they ran.
 * ``chunk``: one replication's share of a 1 000-replication
   ``_replicate_chunk`` at N = 200, lambda8 in {0, 2} and seed 77, three runs
   each, alternating the coefficient.  Each run is a fresh interpreter,
@@ -92,11 +96,15 @@ def run_perfbench(seed: int, seconds: float) -> dict:
 
 
 def timed(clock: Clock, fn, number: int, per: int = 1) -> dict:
-    """Best of ``REPEATS`` loops of ``number`` calls, per call divided by ``per``."""
+    """``REPEATS`` loops of ``number`` calls, per call divided by ``per``, between two
+    clock readings; ``raw_s`` is the best loop, scaled by the reading before it."""
     fn()
     reading = clock.reference()
-    raw = min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number / per
-    return {"raw_s": raw, "scaled_s": raw * REFERENCE_S / reading, "reference_s": reading}
+    runs = [t / number / per for t in timeit.repeat(fn, number=number, repeat=REPEATS)]
+    after = clock.reference()
+    raw = min(runs)
+    return {"raw_s": raw, "scaled_s": raw * REFERENCE_S / reading, "reference_s": reading,
+            "runs_s": runs, "median_s": float(np.median(runs)), "reference_after_s": after}
 
 
 def layer_timings(seed: int) -> dict:

@@ -1,9 +1,12 @@
-"""Numerical construction of the projection matrices behind the chi-square limits.
+"""Numerical checks of the projection identities behind the chi-square limits.
 
 Everything here is a test oracle: the limiting distributions of the test
 statistics rest on a handful of matrix identities, and this module builds
-the matrices at a given parameter point so the identities can be checked to
-floating-point accuracy on concrete designs.
+the matrices at a parameter point and returns how far each identity is from
+holding there, to floating-point accuracy on concrete designs.
+:func:`build_bundle` measures at the point it is given;
+:func:`build_nested_projections` measures at that point with the coordinates
+model 2 fixes set to zero, a point of both models.
 
 With ``p`` the manifest vector, ``D = diag(p)``, ``J`` the manifest Jacobian
 and ``L = D^{-1/2} J``:
@@ -33,8 +36,6 @@ test's degrees of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
@@ -42,32 +43,9 @@ from .inference import NestedChain
 from .model import ModelDesign, Theta, _evaluate, _rank_of, _vector
 
 
-@dataclass(frozen=True)
-class AsymptoticBundle:
-    L: np.ndarray
-    Vmat: np.ndarray
-    Sigma: np.ndarray
-    Qmat: np.ndarray
-    p: np.ndarray
-    rank: int
-    gram_condition: float
-
-
-@dataclass(frozen=True)
-class NestedProjections:
-    """``h1`` and ``h2`` are the ranks of ``L`` and ``M``: the free-parameter
-    counts on a full-rank design, the identifiable ones under a pseudo-inverse."""
-
-    R_L: np.ndarray
-    R_M: np.ndarray
-    h1: int
-    h2: int
-    p: np.ndarray
-
-
-def _scaled_jacobian(design: ModelDesign, theta: Theta) -> tuple:
-    """``p`` and ``L = diag(p)^{-1/2} J`` at ``theta``; refuses a cell with ``p <= 0``."""
-    p, J = _evaluate(design, _vector(design, theta))
+def _scaled_jacobian(design: ModelDesign, x: np.ndarray) -> tuple:
+    """``p`` and ``L = diag(p)^{-1/2} J`` at the vector ``x``; refuses a cell with ``p <= 0``."""
+    p, J = _evaluate(design, x)
     if np.any(p <= 0):
         raise DomainError("manifest distribution must be strictly positive")
     return p, J / np.sqrt(p)[:, None]
@@ -90,14 +68,14 @@ def _projection(L: np.ndarray, pseudo_inverse: bool, what: str) -> tuple:
 
 def build_bundle(
     design: ModelDesign, theta0: Theta, pseudo_inverse: bool = False
-) -> AsymptoticBundle:
-    """Construct L, V, Sigma and Q at ``theta0``.
+) -> dict:
+    """The rank and Gram condition of ``L`` and the deviations of the ``Q`` identities at ``theta0``.
 
     Refuses rank-deficient designs (naming the rank) unless
-    ``pseudo_inverse`` is set, in which case the trace of Q reflects the
-    identifiable parameter count rather than the nominal one.
+    ``pseudo_inverse`` is set, in which case the trace of Q is measured
+    against the identifiable parameter count rather than the nominal one.
     """
-    p, L = _scaled_jacobian(design, theta0)
+    p, L = _scaled_jacobian(design, _vector(design, theta0))
     s = np.sqrt(p)
     R, rank, cond = _projection(L, pseudo_inverse, "asymptotic bundle")
 
@@ -105,35 +83,11 @@ def build_bundle(
     Sigma = np.diag(p) - np.outer(p, p)
     I = np.eye(p.size)
     inv_s = 1.0 / s
-    Qmat = (inv_s[:, None] * (I - Vmat)) @ Sigma @ ((I - Vmat.T) * inv_s[None, :])
-    return AsymptoticBundle(
-        L=L, Vmat=Vmat, Sigma=Sigma, Qmat=Qmat, p=p, rank=rank, gram_condition=cond
-    )
-
-
-def build_nested_projections(
-    chain: NestedChain, theta0_A: Theta, pseudo_inverse: bool = False
-) -> NestedProjections:
-    """Projections onto the column spaces of the chain's models 1 and 2 at ``theta0_A``.
-
-    ``theta0_A`` is a point of model 1, the chain's base design.  It should
-    satisfy model 2 (its zeroed coordinates actually zero) for the identities
-    to carry their intended meaning, but the construction itself only needs
-    full column rank and a strictly positive manifest distribution.
-    """
-    p, L = _scaled_jacobian(chain.design, theta0_A)
-    M = L[:, chain.free_columns(2)]
-    R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
-    R_M, h2, _ = _projection(M, pseudo_inverse, "submodel projection")
-    return NestedProjections(R_L=R_L, R_M=R_M, h1=h1, h2=h2, p=p)
-
-
-def bundle_identity_checks(bundle: AsymptoticBundle, design: ModelDesign) -> dict:
-    """Measured deviations of the bundle identities, keyed by identity name."""
-    Q = bundle.Qmat
-    s = np.sqrt(bundle.p)
-    target_trace = design.n_patterns - bundle.rank - 1
+    Q = (inv_s[:, None] * (I - Vmat)) @ Sigma @ ((I - Vmat.T) * inv_s[None, :])
+    target_trace = p.size - rank - 1
     return {
+        "rank": rank,
+        "gram_condition": cond,
         "q_symmetry": float(np.max(np.abs(Q - Q.T))),
         "q_idempotency": float(np.max(np.abs(Q @ Q - Q))),
         "q_trace": float(np.trace(Q)),
@@ -145,23 +99,38 @@ def bundle_identity_checks(bundle: AsymptoticBundle, design: ModelDesign) -> dic
     }
 
 
-def projection_identity_checks(proj: NestedProjections) -> dict:
-    """Measured deviations of the nested-projection identities."""
-    R_L, R_M = proj.R_L, proj.R_M
+def build_nested_projections(
+    chain: NestedChain, theta0: Theta, pseudo_inverse: bool = False
+) -> dict:
+    """Deviations of the identities of the projections onto models 1 and 2 of the chain.
+
+    ``theta0`` is any point of model 1, the chain's base design; the
+    identities are measured at its restriction to model 2, with the
+    coordinates model 2 fixes set to zero.  The traces are measured against
+    the ranks of ``L`` and ``M``: the free-parameter counts on a full-rank
+    design, the identifiable ones under a pseudo-inverse.
+    """
+    x = _vector(chain.design, theta0)
+    free = chain.free_columns(2)
+    x0 = np.zeros_like(x)
+    x0[free] = x[free]
+    p, L = _scaled_jacobian(chain.design, x0)
+    R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
+    R_M, h2, _ = _projection(L[:, free], pseudo_inverse, "submodel projection")
     diff = R_L - R_M
-    s = np.sqrt(proj.p)
+    s = np.sqrt(p)
     return {
         "rl_idempotency": float(np.max(np.abs(R_L @ R_L - R_L))),
         "rm_idempotency": float(np.max(np.abs(R_M @ R_M - R_M))),
         "rl_trace": float(np.trace(R_L)),
         "rm_trace": float(np.trace(R_M)),
-        "rl_trace_deviation": float(abs(np.trace(R_L) - proj.h1)),
-        "rm_trace_deviation": float(abs(np.trace(R_M) - proj.h2)),
+        "rl_trace_deviation": float(abs(np.trace(R_L) - h1)),
+        "rm_trace_deviation": float(abs(np.trace(R_M) - h2)),
         "product_rl_rm": float(np.max(np.abs(R_L @ R_M - R_M))),
         "product_rm_rl": float(np.max(np.abs(R_M @ R_L - R_M))),
         "difference_idempotency": float(np.max(np.abs(diff @ diff - diff))),
         "difference_trace": float(np.trace(diff)),
-        "difference_trace_deviation": float(abs(np.trace(diff) - (proj.h1 - proj.h2))),
+        "difference_trace_deviation": float(abs(np.trace(diff) - (h1 - h2))),
         "sqrtp_annihilation": float(
             max(
                 np.max(np.abs(R_L @ s)),

@@ -26,12 +26,7 @@ import pytest
 from scipy.special import logit
 from scipy.stats import binom as binom_dist
 
-from lcmdiv.asymptotics import (
-    build_bundle,
-    build_nested_projections,
-    bundle_identity_checks,
-    projection_identity_checks,
-)
+from lcmdiv.asymptotics import build_bundle, build_nested_projections
 from lcmdiv.divergence import kl_divergence, phi_divergence, power
 from lcmdiv.estimation import FitOptions, canonicalize, fit, objective_and_gradient
 from lcmdiv.inference import NestedChain, chi2_quantile, gof_statistic
@@ -225,18 +220,13 @@ class TestCriterion5AsymptoticIdentities:
         for seed, zero_lam in ((601, (1,)), (602, (0, 2))):
             design = make_design(seed=seed, k=4, m=3, t=4, u=2)
             theta0 = random_theta(design, seed=seed + 10, scale=0.7)
-            bundle = build_bundle(design, theta0)
-            checks = bundle_identity_checks(bundle, design)
+            checks = build_bundle(design, theta0)
             worst["sym"] = max(worst["sym"], checks["q_symmetry"])
             worst["idem"] = max(worst["idem"], checks["q_idempotency"])
             worst["trace"] = max(worst["trace"], checks["q_trace_deviation"])
             assert checks["q_trace_target"] == design.n_patterns - design.n_params - 1
 
-            pair = NestedChain(design, ((zero_lam, ()),))
-            lam0 = np.asarray(theta0.lam).copy()
-            lam0[list(zero_lam)] = 0.0
-            proj = build_nested_projections(pair, Theta(lam=lam0, eta=theta0.eta))
-            pchecks = projection_identity_checks(proj)
+            pchecks = build_nested_projections(NestedChain(design, ((zero_lam, ()),)), theta0)
             worst["proj"] = max(
                 worst["proj"],
                 pchecks["rl_trace_deviation"],

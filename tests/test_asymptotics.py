@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from lcmdiv.asymptotics import (
-    build_bundle,
-    build_nested_projections,
-    bundle_identity_checks,
-    projection_identity_checks,
-)
+from lcmdiv.asymptotics import build_bundle, build_nested_projections
 from lcmdiv.datasets import simulation_null_design
 from lcmdiv.errors import DomainError, RankDeficiencyError
 from lcmdiv.inference import NestedChain
@@ -29,9 +24,8 @@ class TestBundleIdentities:
     def test_all(self, idx, theta_seed):
         design = DESIGNS[idx]
         theta0 = random_theta(design, seed=310 + theta_seed, scale=0.8)
-        bundle = build_bundle(design, theta0)
-        assert bundle.rank == design.n_params
-        checks = bundle_identity_checks(bundle, design)
+        checks = build_bundle(design, theta0)
+        assert checks["rank"] == design.n_params
         assert checks["q_symmetry"] < 1e-10
         assert checks["q_idempotency"] < 1e-8
         assert checks["q_trace_deviation"] < 1e-6
@@ -45,11 +39,9 @@ class TestNestedProjections:
     def test_identities(self, idx, zero_lam):
         design = DESIGNS[idx]
         pair = NestedChain(design, ((zero_lam, ()),))
-        lam0 = np.asarray(random_theta(design, seed=320 + idx).lam).copy()
-        lam0[list(zero_lam)] = 0.0
-        theta0 = Theta(lam=lam0, eta=random_theta(design, seed=330 + idx).eta)
-        proj = build_nested_projections(pair, theta0)
-        checks = projection_identity_checks(proj)
+        theta0 = Theta(lam=random_theta(design, seed=320 + idx).lam,
+                       eta=random_theta(design, seed=330 + idx).eta)
+        checks = build_nested_projections(pair, theta0)
         assert checks["rl_trace_deviation"] < 1e-6
         assert checks["rm_trace_deviation"] < 1e-6
         assert checks["product_rl_rm"] < 1e-8
@@ -58,6 +50,20 @@ class TestNestedProjections:
         assert checks["difference_trace_deviation"] < 1e-6
         assert checks["sqrtp_annihilation"] < 1e-8
         assert checks["rl_idempotency"] < 1e-8 and checks["rm_idempotency"] < 1e-8
+
+    def test_measured_at_the_restriction_to_model_2(self):
+        # The coordinates model 2 fixes are set to zero by the builder, whatever theta0 holds there.
+        design = DESIGNS[1]
+        pair = NestedChain(design, (((1, 3), (0,)),))
+        theta0 = random_theta(design, seed=350)
+        free = pair.free_columns(2)
+        x0 = np.zeros(design.n_params)
+        x0[free] = theta0.vector()[free]
+        assert np.all(theta0.vector()[x0 == 0.0] != 0.0)
+        at_theta0 = build_nested_projections(pair, theta0)
+        at_restriction = build_nested_projections(pair, Theta.from_vector(design, x0))
+        assert list(at_theta0) == list(at_restriction)
+        assert [v.hex() for v in at_theta0.values()] == [v.hex() for v in at_restriction.values()]
 
 
 class TestRankDeficiency:
@@ -78,9 +84,8 @@ class TestRankDeficiency:
     def test_pseudo_inverse_uses_identifiable_count(self):
         design = self.softmax_redundant_design()
         theta0 = random_theta(design, seed=342)
-        bundle = build_bundle(design, theta0, pseudo_inverse=True)
-        assert bundle.rank == design.n_params - 1
-        checks = bundle_identity_checks(bundle, design)
+        checks = build_bundle(design, theta0, pseudo_inverse=True)
+        assert checks["rank"] == design.n_params - 1
         assert checks["q_symmetry"] < 1e-8
         assert checks["q_idempotency"] < 1e-8
         # Trace target uses the identifiable rank, not the nominal count.
@@ -93,9 +98,9 @@ class TestRankDeficiency:
             Q=design.Q, C=design.C, V=np.asarray(design.V)[:, :2], d=design.d
         )
         theta0 = random_theta(reduced, seed=343)
-        bundle = build_bundle(reduced, theta0)
-        assert bundle.rank == reduced.n_params
-        assert bundle_identity_checks(bundle, reduced)["q_trace_deviation"] < 1e-6
+        checks = build_bundle(reduced, theta0)
+        assert checks["rank"] == reduced.n_params
+        assert checks["q_trace_deviation"] < 1e-6
 
     def test_coleman_reduced_design(self, coleman_design):
         reduced = ModelDesign(
@@ -105,9 +110,8 @@ class TestRankDeficiency:
             d=coleman_design.d,
         )
         theta0 = random_theta(reduced, seed=344, scale=0.6)
-        bundle = build_bundle(reduced, theta0)
-        checks = bundle_identity_checks(bundle, reduced)
-        assert bundle.rank == 11
+        checks = build_bundle(reduced, theta0)
+        assert checks["rank"] == 11
         assert checks["q_trace_deviation"] < 1e-6
         assert checks["q_idempotency"] < 1e-8
 

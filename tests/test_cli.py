@@ -16,7 +16,7 @@ from lcmdiv import datasets, fileio
 from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions
-from lcmdiv.inference import gof_statistic
+from lcmdiv.inference import NestedChain, gof_statistic
 from lcmdiv.model import Theta, jacobian_rank
 
 from conftest import make_design
@@ -253,11 +253,32 @@ class TestParsing:
             # A nested test needs a model B that fixes a coordinate.
             (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
               "--starts", "1"), EXIT_USAGE),
+            # A design the model refuses: C with 2 of 4 rows, a NaN in d.
+            (("fit", "--design", "{tmp}/short_c.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            (("fit", "--design", "{tmp}/nan_d.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            # A chain over the five-item simulation design against the four-item Coleman counts.
+            (("select", "--chain", "{tmp}/sim_chain.json", "--counts", "bundled:coleman"), EXIT_INPUT),
+            # Divergence and transform specs outside the grammar or the index domain.
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--phi1", "renyi:a=2"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--phi1", "power:b=1"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--phi1", "power:a=nan"), EXIT_USAGE),
+            (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
+              "--h", "sharma-mittal:a=1,b=2"), EXIT_USAGE),
+            (("nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
+              "--zero-lambda", "0"), EXIT_USAGE),
         ],
     )
     def test_bad_values_exit_without_traceback(self, capsys, tmp_path, argv, expected):
         from lcmdiv.datasets import coleman_chain
 
+        design = fileio.design_to_dict(datasets.coleman_design_m1())
+        (tmp_path / "short_c.json").write_text(json.dumps(dict(design, C=design["C"][:2])))
+        (tmp_path / "nan_d.json").write_text(json.dumps(dict(design, d=[math.nan, *design["d"][1:]])))
+        sim_chain = NestedChain(datasets.simulation_null_design(), (((0,), ()),))
+        (tmp_path / "sim_chain.json").write_text(json.dumps(fileio.chain_to_dict(sim_chain)))
         (tmp_path / "negative.csv").write_text("1,2,-3,4\n")
         (tmp_path / "empty.csv").write_text("0,0,0,0\n")
         (tmp_path / "latin1.csv").write_bytes("# café\n1,2,3,4\n".encode("latin-1"))

@@ -112,6 +112,9 @@ class TestCountsFiles:
             "99999999999999999999\n" + "5\n" * 15,
             "y_1,y_2,y_3,y_4,count\n0,0,0,0,99999999999999999999\n0,0,0,1,5\n",
             "9223372036854775807\n" + "5\n" * 15,
+            "# nothing\n\n",                 # no data line
+            "y_1,y_2,y_3,y_4,count\n0,0,0,0\n",  # short pattern row
+            "1,2,3.5,4\n",                   # non-integer dense count
         ],
     )
     def test_malformed_inputs_rejected(self, tmp_path, content):
