@@ -1,9 +1,10 @@
 """Write the bundled datasets to the repository's data/ directory.
 
 The package constructors in ``lcmdiv.datasets`` are the source of truth; this
-script serializes them so the files can be inspected and fed to the CLI by
-path.  A test compares the committed files against the constructors to catch
-drift.
+script serializes each entry of ``datasets.BUNDLED`` to one file, its
+description as the file's ``comment``, so the files can be inspected and fed
+to the CLI by path.  A test compares the committed files against a fresh
+export to catch drift.
 """
 
 import pathlib
@@ -11,51 +12,23 @@ import sys
 
 from lcmdiv import datasets, fileio
 
-RECONSTRUCTION_NOTE = (
-    "Reduced models reconstructed from the hypothesis descriptions; validated "
-    "only by parameter counts (6, 5, 4) and test degrees of freedom (2, 1, 1). "
-    "Not authoritative for the original loadings."
-)
+# Input kind -> (writer, file name pattern).  A counts CSV has no comment field.
+LAYOUT = {
+    "design": (fileio.write_design, "{}.json"),
+    "counts": (lambda counts, path, comment: fileio.write_counts(counts, path), "{}_counts.csv"),
+    "chain": (fileio.write_chain, "{}.json"),
+    "plan": (fileio.write_plan, "{}_plan.json"),
+}
 
 
 def export(out_dir: pathlib.Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def note(path):
-        written.append(path)
-        return path
-
-    fileio.write_counts(datasets.coleman_counts(), note(out_dir / "coleman_counts.csv"))
-    fileio.write_design(
-        datasets.coleman_design_m1(), note(out_dir / "coleman_m1.json"),
-        comment="Coleman two-wave panel, four-class model, original basis",
-    )
-    fileio.write_design(
-        datasets.coleman_design_chain_basis(), note(out_dir / "coleman_m1_chain_basis.json"),
-        comment="Same manifold as coleman_m1, reparametrized so reduced models nest by zeroing",
-    )
-    for level, name in ((2, "coleman_m2.json"), (3, "coleman_m3.json"), (4, "coleman_m4.json")):
-        fileio.write_design(
-            datasets.coleman_chain().model_design(level), note(out_dir / name),
-            comment=f"RECONSTRUCTION (model {level} of the chain). {RECONSTRUCTION_NOTE}",
-        )
-    fileio.write_chain(
-        datasets.coleman_chain(), note(out_dir / "coleman_chain.json"),
-        comment=f"RECONSTRUCTION of the reduced-model sequence. {RECONSTRUCTION_NOTE}",
-    )
-    fileio.write_design(
-        datasets.simulation_null_design(), note(out_dir / "sim_null.json"),
-        comment="Five-item, ten-class size/power study design (null)",
-    )
-    fileio.write_design(
-        datasets.simulation_alt_design(), note(out_dir / "sim_alt.json"),
-        comment="Null design extended with the alternative loading column",
-    )
-    fileio.write_plan(
-        datasets.simulation_plan(), note(out_dir / "sim_plan.json"),
-        comment="Full-scale size/power preset (10000 replications); trim via CLI overrides",
-    )
+    for kind, bundled in datasets.BUNDLED.items():
+        write, pattern = LAYOUT[kind]
+        for name, (build, comment) in bundled.items():
+            written.append(out_dir / pattern.format(name))
+            write(build(), written[-1], comment)
     return written
 
 

@@ -65,29 +65,13 @@ _CONVENTIONS = {
 # The FitOptions fields the fit commands set, in the order their options are declared.
 _FIT_OPTIONS = ("seed", "starts", "grad_tol", "init_scale", "max_iters")
 
-# Input kind -> (bundled constructors, file loader, to-dict for a bundled object's digest).
-# The order is the order of the report's ``inputs``.
+# Input kind -> (file loader, to-dict for a bundled object's digest).  The kinds
+# and their bundled names are ``datasets.BUNDLED``'s, whose order is the report's.
 _INPUTS = {
-    "design": (
-        {
-            "coleman_m1": datasets.coleman_design_m1,
-            "coleman_m1_chain_basis": datasets.coleman_design_chain_basis,
-            "coleman_m2": datasets.coleman_design_m2,
-            "coleman_m3": datasets.coleman_design_m3,
-            "coleman_m4": datasets.coleman_design_m4,
-            "sim_null": datasets.simulation_null_design,
-            "sim_alt": datasets.simulation_alt_design,
-        },
-        fileio.read_design,
-        fileio.design_to_dict,
-    ),
-    "counts": (
-        {"coleman": datasets.coleman_counts},
-        fileio.read_counts,
-        lambda counts: {"n": np.asarray(counts.n).tolist()},
-    ),
-    "chain": ({"coleman_chain": datasets.coleman_chain}, fileio.read_chain, fileio.chain_to_dict),
-    "plan": ({"sim": datasets.simulation_plan}, fileio.read_plan, fileio.plan_to_dict),
+    "design": (fileio.read_design, fileio.design_to_dict),
+    "counts": (fileio.read_counts, lambda counts: {"n": np.asarray(counts.n).tolist()}),
+    "chain": (fileio.read_chain, fileio.chain_to_dict),
+    "plan": (fileio.read_plan, fileio.plan_to_dict),
 }
 
 # Parsed values a report does not list under ``options``: the inputs, which it
@@ -269,17 +253,18 @@ def parse_args(argv) -> argparse.Namespace:
     if hasattr(ns, "starts"):
         ns.fit_options = FitOptions(**{name: getattr(ns, name) for name in _FIT_OPTIONS})
     ns.inputs = {}
-    for kind, (bundled, loader, to_dict) in _INPUTS.items():
+    for kind, bundled in datasets.BUNDLED.items():
         path = getattr(ns, kind, None)
         if not path:
             continue
+        loader, to_dict = _INPUTS[kind]
         if path.startswith("bundled:"):
             name = path[len("bundled:") :]
             if name not in bundled:
                 raise InputFormatError(
                     f"unknown bundled {kind} {name!r}; available: {', '.join(sorted(bundled))}"
                 )
-            obj = bundled[name]()
+            obj = bundled[name][0]()
             digest = hashlib.sha256(json.dumps(to_dict(obj), sort_keys=True).encode()).hexdigest()
         else:
             source = fileio.InputFile(path)  # parsed and hashed from one read
@@ -569,7 +554,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
 
 
 def _run_list_bundled(ns: argparse.Namespace) -> int:
-    doc = {kind.rstrip("s") + "s": sorted(bundled) for kind, (bundled, _, _) in _INPUTS.items()}
+    doc = {kind.rstrip("s") + "s": sorted(bundled) for kind, bundled in datasets.BUNDLED.items()}
     _emit(doc, ns)
     return EXIT_OK
 

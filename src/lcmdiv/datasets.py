@@ -30,6 +30,11 @@ of freedom (2, 1, 1) but is NOT authoritative for their exact loadings.
 ``simulation_*`` builds the five-item, ten-class study design used by the
 size/power harness, together with its true parameter values and the
 single-column extension whose coefficient indexes the alternatives.
+
+``BUNDLED`` names every bundled input once: kind (in the CLI report's order)
+-> name -> (constructor, one-line description).  The CLI's ``bundled:<name>``
+inputs read it, and ``scripts/export_bundled_data.py`` writes one ``data/``
+file per entry, with the description as its ``comment``.
 """
 
 from __future__ import annotations
@@ -122,18 +127,6 @@ def coleman_chain() -> NestedChain:
             ((4, 5, 6, 7), ()),  # M4: no changes
         ),
     )
-
-
-def coleman_design_m2() -> ModelDesign:
-    return coleman_chain().model_design(2)
-
-
-def coleman_design_m3() -> ModelDesign:
-    return coleman_chain().model_design(3)
-
-
-def coleman_design_m4() -> ModelDesign:
-    return coleman_chain().model_design(4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +279,42 @@ def simulation_plan(
         alpha=float(alpha),
         seed=int(seed),
     )
+
+
+_RECONSTRUCTION_NOTE = (
+    "Reduced models reconstructed from the hypothesis descriptions; validated "
+    "only by parameter counts (6, 5, 4) and test degrees of freedom (2, 1, 1). "
+    "Not authoritative for the original loadings."
+)
+
+
+def _reduced(level: int) -> tuple:
+    note = f"RECONSTRUCTION (model {level} of the chain). {_RECONSTRUCTION_NOTE}"
+    return lambda: coleman_chain().model_design(level), note
+
+
+BUNDLED = {
+    "design": {
+        "coleman_m1": (coleman_design_m1, "Coleman two-wave panel, four-class model, original basis"),
+        "coleman_m1_chain_basis": (
+            coleman_design_chain_basis,
+            "Same manifold as coleman_m1, reparametrized so reduced models nest by zeroing",
+        ),
+        "coleman_m2": _reduced(2),
+        "coleman_m3": _reduced(3),
+        "coleman_m4": _reduced(4),
+        "sim_null": (simulation_null_design, "Five-item, ten-class size/power study design (null)"),
+        "sim_alt": (simulation_alt_design, "Null design extended with the alternative loading column"),
+    },
+    "counts": {"coleman": (coleman_counts, None)},
+    "chain": {
+        "coleman_chain": (
+            coleman_chain, f"RECONSTRUCTION of the reduced-model sequence. {_RECONSTRUCTION_NOTE}"
+        ),
+    },
+    "plan": {
+        "sim": (
+            simulation_plan, "Full-scale size/power preset (10000 replications); trim via CLI overrides"
+        ),
+    },
+}

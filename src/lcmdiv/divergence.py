@@ -25,7 +25,10 @@ and ``_phi_divergence`` adds the zero-cell limits to it, on one vector or on
 stacked rows.  ``phi_divergence`` checks its arguments and calls
 ``_phi_divergence``; the test statistics call ``_phi_divergence`` directly on
 vectors their dataclasses already validated.
-So a fit's objective is the divergence its tests measure, bit for bit.
+So a fit's objective is the divergence its tests measure, bit for bit, except
+where a model cell that holds data has underflowed to 0: there the objective
+is ``inf`` at every index, while for ``a < 0`` ``_phi_divergence`` takes the
+cell's finite limit.
 
 Zero cells follow the limit conventions for convex-function divergences:
 terms with ``q_i = 0 = p_i`` contribute nothing, terms with ``q_i = 0 <

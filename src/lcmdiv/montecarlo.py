@@ -43,7 +43,7 @@ from scipy.special import betaincinv
 from .divergence import power
 from .errors import DomainError
 from .estimation import FitOptions, fit_many
-from .inference import WARNINGS, _check_cells, gof_rows, resolve_gof_dof
+from .inference import WARNINGS, gof_rows, resolve_gof_dof
 from .model import ModelDesign, Theta, _draw, _sampling_table
 
 _log = logging.getLogger(__name__)
@@ -217,11 +217,6 @@ class _Records(NamedTuple):
     warnings: np.ndarray
 
 
-def _take(records: _Records, lo: int, hi=None) -> _Records:
-    """Replications ``lo`` up to ``hi`` of ``records``."""
-    return _Records(*(field[..., lo:hi] for field in records))
-
-
 def _replicate_chunk(args):
     """Replications ``lo`` up to ``hi`` of the grid's stream, in order, and their wall time.
 
@@ -246,15 +241,12 @@ def _replicate_chunk(args):
         sample_seq, fit_seq = seq.spawn(2)
         counts_seq.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq))
         options_seq.append(plan.fit_options(seed=int(fit_seq.generate_state(1)[0])))
-    design = plan.null_design
-    fits = fit_many(design, counts_seq, power(plan.estimator_a), options_seq)
+    fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
     converged = np.array([result.converged for result in fits], dtype=bool)
-    tested = [(counts, result) for counts, result in zip(counts_seq, fits) if result.converged]
-    for counts, result in tested:
-        _check_cells(counts, result)
-    P_hat = np.array([counts.p_hat() for counts, _ in tested]).reshape(-1, design.n_patterns)
-    P = np.array([result.manifest.p for _, result in tested]).reshape(-1, design.n_patterns)
-    N = [counts.N for counts, _ in tested]
+    n = np.array([counts.n for counts in counts_seq])[converged]
+    N = n.sum(axis=1)
+    P_hat = n / N[:, None]
+    P = np.array([result.manifest.p for result in fits])[converged]
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)
     warnings = np.zeros(shape, dtype=np.int64)
@@ -290,26 +282,23 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     chunk = -(-total // (n_jobs * -(-total // (cap * n_jobs))))
     tasks = [(plan, dof, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     grid = [(N, lambda8) for N in plan.sample_sizes for lambda8 in plan.lambda8_grid]
-    cells = []
-    wall = [0.0] * len(grid)
-    pending, first = [], 0  # records not yet tallied, from replication `first` of the stream on
+    cells, wall, part = [], 0.0, []  # the open cell's wall time and slices of records
     with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
         # map yields the chunks in task order, so records arrive in table order.
         results = (map if pool is None else pool.map)(_replicate_chunk, tasks)
         for (_, _, lo, hi), (seconds, records) in zip(tasks, results):
             for c in range(lo // R, (hi - 1) // R + 1):
-                wall[c] += seconds * (min(hi, (c + 1) * R) - max(lo, c * R)) / (hi - lo)
-            pending.append(records)
-            while first + R <= hi:
-                stream = _Records(*(np.concatenate(f, axis=-1) for f in zip(*pending)))
-                pending = [_take(stream, R)]
-                c = first // R
-                cells.extend(_tally(plan, dof, *grid[c], _take(stream, 0, R), band))
-                _log.info(
-                    "cell N=%d lambda8=%r: %d fit failures, %.3f s",
-                    *grid[c], cells[-1].fit_failures, wall[c],
-                )
-                first += R
+                start, stop = max(lo, c * R), min(hi, (c + 1) * R)
+                wall += seconds * (stop - start) / (hi - lo)
+                part.append([field[..., start - lo : stop - lo] for field in records])
+                if stop == (c + 1) * R:  # the cell's last slice
+                    whole = _Records(*(np.concatenate(f, axis=-1) for f in zip(*part)))
+                    cells.extend(_tally(plan, dof, *grid[c], whole, band))
+                    _log.info(
+                        "cell N=%d lambda8=%r: %d fit failures, %.3f s",
+                        *grid[c], cells[-1].fit_failures, wall,
+                    )
+                    wall, part = 0.0, []
     return SizePowerTable(plan=plan, cells=tuple(cells))
 
 

@@ -56,9 +56,7 @@ class TestChainBasis:
         assert [coleman_chain.model_design(l).t for l in (1, 2, 3, 4)] == [8, 6, 5, 4]
 
     def test_reduced_design_accessors(self):
-        assert datasets.coleman_design_m2().t == 6
-        assert datasets.coleman_design_m3().t == 5
-        assert datasets.coleman_design_m4().t == 4
+        assert [datasets.coleman_chain().model_design(level).t for level in (2, 3, 4)] == [6, 5, 4]
 
 
 class TestSimulationPreset:
@@ -105,22 +103,25 @@ class TestSimulationPreset:
 
 
 class TestExportedFiles:
-    def test_repo_data_directory_matches_constructors(self):
+    def test_repo_data_directory_matches_constructors(self, tmp_path):
         # Guards against drift between the committed files and the code.
+        import importlib.util
         import pathlib
 
-        from lcmdiv import fileio
-
-        data_dir = pathlib.Path(__file__).resolve().parents[1] / "data"
-        assert data_dir.is_dir(), "run scripts/export_bundled_data.py to create data/"
-        counts = fileio.read_counts(data_dir / "coleman_counts.csv")
-        np.testing.assert_array_equal(counts.n, datasets.coleman_counts().n)
-        design = fileio.read_design(data_dir / "coleman_m1.json")
-        np.testing.assert_array_equal(np.asarray(design.Q), np.asarray(datasets.coleman_design_m1().Q))
-        chain = fileio.read_chain(data_dir / "coleman_chain.json")
-        assert chain.steps == datasets.coleman_chain().steps
-        plan = fileio.read_plan(data_dir / "sim_plan.json")
-        assert plan.replications == datasets.simulation_plan().replications
-        np.testing.assert_array_equal(
-            np.asarray(plan.null_design.Q), np.asarray(datasets.simulation_null_design().Q)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "export_bundled_data", root / "scripts" / "export_bundled_data.py"
         )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        written = script.export(tmp_path)
+        data_dir = root / "data"
+        assert data_dir.is_dir(), "run scripts/export_bundled_data.py to create data/"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in data_dir.iterdir())
+        for path in tmp_path.iterdir():
+            assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
+        assert written == [
+            tmp_path / script.LAYOUT[kind][1].format(name)
+            for kind, bundled in datasets.BUNDLED.items()
+            for name in bundled
+        ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +233,23 @@ class TestHTransforms:
                              ("sharma_mittal", {"a": 2.0, "b": math.nan})):
             with pytest.raises(DomainError, match="finite index"):
                 HSpec(tag=tag, **indices)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: phi_divergence([[0.5, 0.5]], [0.5, 0.5], power(0.0)), "p must be a vector", id="p-matrix"
+        ),
+        pytest.param(
+            lambda: phi_divergence([1.5, -0.5], [0.5, 0.5], power(0.0)),
+            "p must have finite nonnegative entries", id="p-negative",
+        ),
+        pytest.param(
+            lambda: HSpec(tag="renyi", a=2.0).value(-1.0), "h transforms are defined for x >= 0", id="h-negative"
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcmdiv import estimation, model
-from lcmdiv.datasets import simulation_plan
+from lcmdiv.datasets import coleman_counts, coleman_design_m1, simulation_plan
 from lcmdiv.divergence import phi_divergence, power
 from lcmdiv.errors import DomainError
 from lcmdiv.estimation import (
@@ -69,6 +69,20 @@ class TestObjectiveAndGradient:
         value, grad = objective_and_gradient(design, counts, power(-1.0), random_theta(design, 46))
         assert value == math.inf
         assert np.all(np.isnan(grad))
+
+    @pytest.mark.parametrize(
+        "a, divergence", [(-0.5, 2.5314760186051695), (-1.0, 2.0040731181176925), (2.0 / 3.0, math.inf)]
+    )
+    def test_objective_is_infinite_where_a_cell_with_data_underflowed(self, a, divergence):
+        # At lambda = 800 fifteen cells of the Coleman M1 model underflow to exactly 0, and all
+        # hold data.  The objective is inf there at every index; for a < 0 the divergence takes
+        # its finite limit p_hat_i * lim phi(x) / x at those cells instead.
+        design, counts = coleman_design_m1(), coleman_counts()
+        theta = Theta(lam=np.full(8, 800.0), eta=np.zeros(4))
+        p = manifest_distribution(design, theta).p
+        assert np.count_nonzero(p == 0.0) == 15 and np.all(counts.n[p == 0.0] > 0)
+        assert objective_and_gradient(design, counts, power(a), theta)[0] == math.inf
+        assert phi_divergence(counts.p_hat(), p, power(a)) == pytest.approx(divergence, rel=1e-12)
 
 
 class TestValidationBoundary:

@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lcmdiv import datasets
 from lcmdiv.datasets import simulation_null_design, simulation_theta0
 from lcmdiv.divergence import HSpec, _phi_divergence, identity_h, kl_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError, NotConvergedError
@@ -769,3 +771,39 @@ def test_benchmark_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"lcmdiv.{layer}.{name}"
     for name in lcmdiv.__all__:
         assert hasattr(lcmdiv, name), name
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda fit23: chi2_quantile(0.5, 0), "dof must be >= 1", id="quantile-dof"),
+        pytest.param(
+            lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 0),
+            "dof override must be >= 1", id="dof-override",
+        ),
+        pytest.param(
+            lambda fit23: resolve_gof_dof(simulation_null_design(), "taped"),
+            "unknown dof policy: 'taped'", id="dof-policy",
+        ),
+        pytest.param(
+            lambda fit23: gof_statistic(
+                datasets.coleman_design_m1(), ObservedCounts(n=np.ones(32, dtype=np.int64)),
+                power(2.0 / 3.0), fit23,
+            ),
+            "counts and fitted distribution have different lengths", id="gof-cells",
+        ),
+        pytest.param(
+            lambda fit23: datasets.coleman_chain().mask(5), "model level must be in [1, 4]", id="chain-level"
+        ),
+        pytest.param(
+            # Refused before any fit.
+            lambda fit23: sequential_selection(
+                datasets.coleman_chain(), datasets.coleman_counts(), power(0.0), power(0.0), statistic="U"
+            ),
+            "statistic must be 'S' or 'T'", id="selection-statistic",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(coleman_fit_23, call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(coleman_fit_23)

@@ -1,4 +1,5 @@
 import math
+import re
 import pickle
 
 import numpy as np
@@ -86,6 +87,7 @@ class TestObservedCounts:
             (np.array([2**63, 0], dtype=np.uint64), "does not fit in a 64-bit integer"),
             ([1e20, 1.0], "does not fit in a 64-bit integer"),
             ([math.nan, 1.0], "must be integers"),
+            ([1, 2, 3], "counts vector length must be a power of two >= 2"),
         ],
     )
     def test_out_of_range_counts_refused(self, n, message):
@@ -250,14 +252,14 @@ class TestManifestJacobian:
     @pytest.mark.parametrize(
         "name,rank",
         [
-            ("coleman_design_m1", 11), ("coleman_design_chain_basis", 11),
-            ("coleman_design_m2", 9), ("coleman_design_m3", 8), ("coleman_design_m4", 7),
-            ("simulation_null_design", 12), ("simulation_alt_design", 13),
+            ("coleman_m1", 11), ("coleman_m1_chain_basis", 11),
+            ("coleman_m2", 9), ("coleman_m3", 8), ("coleman_m4", 7),
+            ("sim_null", 12), ("sim_alt", 13),
         ],
     )
     def test_generic_rank_of_bundled_designs(self, name, rank):
         # Each bundled design is one short of its nominal parameter count.
-        design = getattr(datasets, name)()
+        design = datasets.BUNDLED["design"][name][0]()
         assert design.generic_rank == rank == design.n_params - 1
 
     def test_generic_rank_stays_out_of_pickles(self):
@@ -480,3 +482,47 @@ class TestLogLikelihood:
         counts = ObservedCounts(n=[3, 1])
         dist = ManifestDistribution(p=[1.0, 0.0])
         assert log_likelihood(counts, dist) == -math.inf
+
+
+def _design(Q=(2, 3, 1), V=(2, 1), d=(2,)):
+    """``ModelDesign`` with zero arrays of these shapes (C fits Q's first two)."""
+    return ModelDesign(Q=np.zeros(Q), C=np.zeros(Q[:2]), V=np.zeros(V), d=np.zeros(d))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: _design(Q=(2, 3)), "Q must have shape (m, k, t)", id="Q-2d"),
+        pytest.param(lambda: _design(Q=(2, 3, 0)), "all design dimensions must be positive", id="Q-empty"),
+        pytest.param(lambda: _design(V=(3, 3)), "V must have shape (m=2, u>=1), got (3, 3)", id="V-shape"),
+        pytest.param(lambda: _design(d=(3,)), "d must have shape (2,), got (3,)", id="d-shape"),
+        pytest.param(lambda: Theta(lam=[[1.0]], eta=[0.0]), "lam and eta must be vectors", id="theta-matrix"),
+        pytest.param(lambda: Theta(lam=[math.nan], eta=[0.0]), "parameter values must be finite", id="theta-nan"),
+        pytest.param(
+            lambda: Theta.from_vector(datasets.coleman_design_m1(), np.zeros(3)),
+            "expected parameter vector of length 12, got (3,)", id="theta-length",
+        ),
+        pytest.param(
+            lambda: LatentParams(w=np.array([0.5, 0.5]), P=np.array([[0.5]])),
+            "w must be length m and P shape (m, k)", id="latent-shapes",
+        ),
+        pytest.param(
+            lambda: LatentParams(w=np.array([1.5, -0.5]), P=np.array([[0.5], [0.5]])),
+            "class weights must be finite and nonnegative", id="latent-negative-weight",
+        ),
+        pytest.param(
+            lambda: ManifestDistribution(p=[0.2, 0.3, 0.5]),
+            "manifest vector length must be a power of two >= 2", id="manifest-length",
+        ),
+        pytest.param(lambda: pattern_index([]), "pattern must be a nonempty vector", id="pattern-empty"),
+        pytest.param(lambda: pattern_vector(0, 3), "pattern index must be in [1, 8]", id="pattern-index"),
+        pytest.param(lambda: all_patterns(0), "k must be positive", id="patterns-k"),
+        pytest.param(
+            lambda: sample_counts(datasets.coleman_design_m1(), Theta(lam=np.zeros(8), eta=np.zeros(4)), 0, 1),
+            "N must be >= 1", id="sample-N",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
