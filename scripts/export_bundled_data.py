@@ -1,10 +1,10 @@
 """Write the bundled datasets to the repository's data/ directory.
 
 The package constructors in ``lcmdiv.datasets`` are the source of truth; this
-script serializes each entry of ``datasets.BUNDLED`` to one file, its
-description as the file's ``comment``, so the files can be inspected and fed
-to the CLI by path.  A test compares the committed files against a fresh
-export to catch drift.
+script writes each entry of ``datasets.BUNDLED`` to one file through
+``fileio.write``, its description as the file's comment, so the files can be
+inspected and fed to the CLI by path.  A test compares the committed files
+against a fresh export to catch drift.
 """
 
 import pathlib
@@ -12,12 +12,12 @@ import sys
 
 from lcmdiv import datasets, fileio
 
-# Input kind -> (writer, file name pattern).  A counts CSV has no comment field.
+# Input kind -> file name pattern.
 LAYOUT = {
-    "design": (fileio.write_design, "{}.json"),
-    "counts": (lambda counts, path, comment: fileio.write_counts(counts, path), "{}_counts.csv"),
-    "chain": (fileio.write_chain, "{}.json"),
-    "plan": (fileio.write_plan, "{}_plan.json"),
+    "design": "{}.json",
+    "counts": "{}_counts.csv",
+    "chain": "{}.json",
+    "plan": "{}_plan.json",
 }
 
 
@@ -25,10 +25,9 @@ def export(out_dir: pathlib.Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for kind, bundled in datasets.BUNDLED.items():
-        write, pattern = LAYOUT[kind]
         for name, (build, comment) in bundled.items():
-            written.append(out_dir / pattern.format(name))
-            write(build(), written[-1], comment)
+            written.append(out_dir / LAYOUT[kind].format(name))
+            fileio.write(kind, build(), written[-1], comment)
     return written
 
 

@@ -23,7 +23,6 @@ conventions in force so a run can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -65,19 +64,11 @@ _CONVENTIONS = {
 # The FitOptions fields the fit commands set, in the order their options are declared.
 _FIT_OPTIONS = ("seed", "starts", "grad_tol", "init_scale", "max_iters")
 
-# Input kind -> (file loader, to-dict for a bundled object's digest).  The kinds
-# and their bundled names are ``datasets.BUNDLED``'s, whose order is the report's.
-_INPUTS = {
-    "design": (fileio.read_design, fileio.design_to_dict),
-    "counts": (fileio.read_counts, lambda counts: {"n": np.asarray(counts.n).tolist()}),
-    "chain": (fileio.read_chain, fileio.chain_to_dict),
-    "plan": (fileio.read_plan, fileio.plan_to_dict),
-}
-
-# Parsed values a report does not list under ``options``: the inputs, which it
-# records with their digests, and where and how the report itself and the
-# progress log are written (the report reads the same with or without them).
-_NOT_OPTIONS = ("subcommand", *_INPUTS, "out", "fmt", "list_bundled", "progress")
+# Parsed values a report does not list under ``options``: the inputs (one per
+# kind of ``datasets.BUNDLED``), which it records with their digests, and where
+# and how the report itself and the progress log are written (the report reads
+# the same with or without them).
+_NOT_OPTIONS = ("subcommand", *datasets.BUNDLED, "out", "fmt", "list_bundled", "progress")
 
 
 def _phi_spec(text: str) -> PhiSpec:
@@ -253,24 +244,12 @@ def parse_args(argv) -> argparse.Namespace:
     if hasattr(ns, "starts"):
         ns.fit_options = FitOptions(**{name: getattr(ns, name) for name in _FIT_OPTIONS})
     ns.inputs = {}
-    for kind, bundled in datasets.BUNDLED.items():
+    for kind in datasets.BUNDLED:  # the report's order
         path = getattr(ns, kind, None)
-        if not path:
-            continue
-        loader, to_dict = _INPUTS[kind]
-        if path.startswith("bundled:"):
-            name = path[len("bundled:") :]
-            if name not in bundled:
-                raise InputFormatError(
-                    f"unknown bundled {kind} {name!r}; available: {', '.join(sorted(bundled))}"
-                )
-            obj = bundled[name][0]()
-            digest = hashlib.sha256(json.dumps(to_dict(obj), sort_keys=True).encode()).hexdigest()
-        else:
-            source = fileio.InputFile(path)  # parsed and hashed from one read
-            obj, digest = loader(source), source.sha256
-        setattr(ns, kind, obj)
-        ns.inputs[kind] = {"path": path, "sha256": digest}
+        if path:
+            obj, digest = fileio.load(kind, path)
+            setattr(ns, kind, obj)
+            ns.inputs[kind] = {"path": path, "sha256": digest}
     if hasattr(ns, "design") and hasattr(ns, "counts") and ns.counts.k != ns.design.k:
         raise InputFormatError(
             f"counts have k = {ns.counts.k} items but the design has k = {ns.design.k}"

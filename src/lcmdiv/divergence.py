@@ -26,16 +26,17 @@ stacked rows.  ``phi_divergence`` checks its arguments and calls
 ``_phi_divergence``; the test statistics call ``_phi_divergence`` directly on
 vectors their dataclasses already validated.
 So a fit's objective is the divergence its tests measure, bit for bit, except
-where a model cell that holds data has underflowed to 0: there the objective
-is ``inf`` at every index, while for ``a < 0`` ``_phi_divergence`` takes the
-cell's finite limit.
+where a model cell that holds data has underflowed to 0, or is so small that
+``p / q`` overflows: there the objective is ``inf`` at every index, while
+for ``a < 0`` ``_phi_divergence`` takes the cell's finite limit.
 
 Zero cells follow the limit conventions for convex-function divergences:
 terms with ``q_i = 0 = p_i`` contribute nothing, terms with ``q_i = 0 <
 p_i`` contribute ``p_i * lim_{x->inf} phi(x)/x``, and terms with ``q_i > 0 =
-p_i`` contribute ``q_i * lim_{x->0+} phi(x)``.  Infinite results are
-returned as ``math.inf``, never raised: test statistics legitimately diverge
-for ``a <= -1`` in the presence of empty cells.
+p_i`` contribute ``q_i * lim_{x->0+} phi(x)``.  A term whose ``q_i > 0`` is
+so small that ``p_i / q_i`` overflows takes the ``q_i = 0`` limit.  Infinite
+results are returned as ``math.inf``, never raised: test statistics
+legitimately diverge for ``a <= -1`` in the presence of empty cells.
 """
 
 from __future__ import annotations
@@ -160,10 +161,12 @@ def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray):
     already validated, such as the test statistics, which take them from
     ``ObservedCounts`` and a fit's ``ManifestDistribution``.
     """
-    total = np.atleast_1d(_divergence(spec.a, p, q)[0])
-    p_only = q == 0.0
-    if p_only.any():
-        p_only &= p > 0.0
+    # Data in an empty model cell, or one so small that p / q overflows, take its limit.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p_only = p / q == math.inf
+    limits = p_only.any()
+    total = np.atleast_1d(_divergence(spec.a, p, np.where(p_only, 0.0, q) if limits else q)[0])
+    if limits:
         P, mask = p.reshape(-1, p.shape[-1]), p_only.reshape(-1, p.shape[-1])
         for row in np.flatnonzero(mask.any(axis=1)):
             total[row] += P[row][mask[row]].sum() * spec.slope_limit()

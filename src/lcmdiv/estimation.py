@@ -16,8 +16,9 @@ phi itself, and is checked against finite differences in the test suite
 rather than trusted.  The value and the brackets come from
 ``divergence._divergence``, the routine behind ``phi_divergence``, so a
 fit's objective is the divergence its tests measure, except where a model
-cell that holds data has underflowed to 0: the objective is ``inf`` there,
-and for ``a < 0`` the divergence is finite.  The sum over patterns
+cell that holds data has underflowed to 0, or is so small that
+``p_hat / p`` overflows: the objective is ``inf`` there, and for ``a < 0``
+the divergence takes the cell's finite limit.  The sum over patterns
 is the vector-Jacobian product ``weight @ J``, which ``model._pullback``
 contracts through the class-pattern table without forming ``J``, so the
 estimator never builds a Jacobian.

@@ -1,15 +1,20 @@
 """Readers and writers for design, counts, chain and plan files.
 
+The input kinds are ``datasets.BUNDLED``'s keys.  :func:`load` and :func:`write`
+serve every kind, and look up its ``read_<kind>`` and ``<kind>_to_dict`` by name.
+
 Formats
 -------
 Design (JSON): object with ``k, m, t, u`` and nested arrays ``Q`` (m x k x t),
 ``C`` (m x k), ``V`` (m x u), ``d`` (m).  An optional ``comment`` field is
-preserved on write and ignored on read; any other key is refused.
+written as the last key and ignored on read; any other key is refused.
 
 Counts (delimited text): either per-pattern rows with a header line
 ``y_1,...,y_k,count`` (patterns may appear in any order; missing patterns
 count zero), or a headerless dense vector of ``2**k`` integers, one per line
-or comma-separated on one line, in pattern-index order.
+or comma-separated on one line, in pattern-index order.  Lines that start
+with ``#`` are skipped; :func:`write` puts a comment there, one ``# `` line
+per comment line.
 
 Chain (JSON): object with an inline ``design`` plus ``steps`` (and an
 optional ``comment``), ``steps`` a list of objects with cumulative
@@ -31,9 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import datasets
 from .errors import InputFormatError
 from .inference import NestedChain
-from .model import _INT64, ModelDesign, ObservedCounts, Theta, pattern_index
+from .model import _INT64, ModelDesign, ObservedCounts, Theta, all_patterns, pattern_index
 from .montecarlo import SimulationPlan
 
 
@@ -70,8 +76,8 @@ def _load_json(path):
         raise InputFormatError(f"{path}: not valid JSON ({exc})")
 
 
-def design_to_dict(design: ModelDesign, comment: str = None) -> dict:
-    doc = {
+def design_to_dict(design: ModelDesign) -> dict:
+    return {
         "k": design.k,
         "m": design.m,
         "t": design.t,
@@ -81,9 +87,6 @@ def design_to_dict(design: ModelDesign, comment: str = None) -> dict:
         "V": np.asarray(design.V).tolist(),
         "d": np.asarray(design.d).tolist(),
     }
-    if comment:
-        doc["comment"] = comment
-    return doc
 
 
 def design_from_dict(doc: dict, where: str = "design") -> ModelDesign:
@@ -104,12 +107,6 @@ def design_from_dict(doc: dict, where: str = "design") -> ModelDesign:
 
 def read_design(path) -> ModelDesign:
     return design_from_dict(_load_json(path), where=str(path))
-
-
-def write_design(design: ModelDesign, path, comment: str = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(design_to_dict(design, comment), fh, indent=1)
-        fh.write("\n")
 
 
 def read_counts(path) -> ObservedCounts:
@@ -182,19 +179,12 @@ def _read_dense(lines, path):
     return np.array(values, dtype=np.int64)
 
 
-def write_counts(counts: ObservedCounts, path) -> None:
-    from .model import all_patterns
-
-    k = counts.k
-    pats = all_patterns(k)
-    lines = [",".join([f"y_{i + 1}" for i in range(k)] + ["count"])]
-    for nu in range(2 ** k):
-        lines.append(",".join(str(b) for b in pats[nu]) + f",{int(counts.n[nu])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def counts_to_dict(counts: ObservedCounts) -> dict:
+    return {"n": np.asarray(counts.n).tolist()}
 
 
-def chain_to_dict(chain: NestedChain, comment: str = None) -> dict:
-    doc = {
+def chain_to_dict(chain: NestedChain) -> dict:
+    return {
         "design": design_to_dict(chain.design),
         "steps": [
             {
@@ -204,9 +194,6 @@ def chain_to_dict(chain: NestedChain, comment: str = None) -> dict:
             for zl, ze in chain.steps
         ],
     }
-    if comment:
-        doc["comment"] = comment
-    return doc
 
 
 def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
@@ -229,12 +216,6 @@ def chain_from_dict(doc: dict, where: str = "chain") -> NestedChain:
 
 def read_chain(path) -> NestedChain:
     return chain_from_dict(_load_json(path), where=str(path))
-
-
-def write_chain(chain: NestedChain, path, comment: str = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_dict(chain, comment), fh, indent=1)
-        fh.write("\n")
 
 
 def _typed(what: str, kind: type, *also: type):
@@ -334,12 +315,10 @@ def _plan_value(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def plan_to_dict(plan: SimulationPlan, comment: str = None) -> dict:
+def plan_to_dict(plan: SimulationPlan) -> dict:
     doc = {}
     for key, section, field, _, _ in _PLAN_KEYS:
         (doc.setdefault(section, {}) if section else doc)[key] = _plan_value(getattr(plan, field))
-    if comment:
-        doc["comment"] = comment
     return doc
 
 
@@ -368,7 +347,35 @@ def read_plan(path) -> SimulationPlan:
     return plan_from_dict(_load_json(path), where=str(path))
 
 
-def write_plan(plan: SimulationPlan, path, comment: str = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(plan_to_dict(plan, comment), fh, indent=1)
-        fh.write("\n")
+def load(kind: str, path: str):
+    """``(object, sha256)`` of the ``kind`` input at ``path``: a file's bytes from one
+    read, or a ``bundled:<name>`` object's sorted ``<kind>_to_dict`` JSON."""
+    bundled = datasets.BUNDLED[kind]
+    if path.startswith("bundled:"):
+        name = path[len("bundled:") :]
+        if name not in bundled:
+            raise InputFormatError(
+                f"unknown bundled {kind} {name!r}; available: {', '.join(sorted(bundled))}"
+            )
+        obj = bundled[name][0]()
+        doc = globals()[f"{kind}_to_dict"](obj)
+        return obj, hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    source = InputFile(path)
+    return globals()[f"read_{kind}"](source), source.sha256
+
+
+def write(kind: str, obj, path, comment: str = None) -> None:
+    """Write ``obj``, an input of ``kind``, to ``path``; ``comment`` is a JSON file's
+    last key, or a counts file's leading ``# `` lines."""
+    if kind == "counts":
+        lines = [f"# {line}" for line in comment.splitlines()] if comment else []
+        lines.append(",".join([f"y_{i + 1}" for i in range(obj.k)] + ["count"]))
+        pats = all_patterns(obj.k)
+        lines += [",".join(map(str, y)) + f",{int(n)}" for y, n in zip(pats, obj.n)]
+        text = "\n".join(lines)
+    else:
+        doc = globals()[f"{kind}_to_dict"](obj)
+        if comment:
+            doc["comment"] = comment
+        text = json.dumps(doc, indent=1)
+    Path(path).write_text(text + "\n")

@@ -47,8 +47,8 @@ class TestParsing:
     def test_happy_path_gof(self, tmp_path, coleman_design, coleman_counts):
         design_path = tmp_path / "design.json"
         counts_path = tmp_path / "counts.csv"
-        fileio.write_design(coleman_design, design_path)
-        fileio.write_counts(coleman_counts, counts_path)
+        fileio.write("design", coleman_design, design_path)
+        fileio.write("counts", coleman_counts, counts_path)
         cfg = parse_args([
             "gof", "--design", str(design_path), "--counts", str(counts_path),
             "--phi1", "power:a=0", "--phi2", "power:a=0.66667",
@@ -62,8 +62,8 @@ class TestParsing:
     def test_each_input_file_is_read_once_and_its_bytes_hashed(self, monkeypatch, tmp_path):
         chain_path = tmp_path / "chain.json"
         counts_path = tmp_path / "counts.csv"
-        fileio.write_chain(datasets.coleman_chain(), chain_path)
-        fileio.write_counts(datasets.coleman_counts(), counts_path)
+        fileio.write("chain", datasets.coleman_chain(), chain_path)
+        fileio.write("counts", datasets.coleman_counts(), counts_path)
         opened = []
         real_open = io.open
 
@@ -102,6 +102,21 @@ class TestParsing:
         cfg = parse_args(["fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman"])
         assert cfg.design.k == 4 and cfg.counts.N == 3398
 
+    @pytest.mark.parametrize("argv, kind, digest", [
+        (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman"), "design",
+         "fc6357055f156da295fd11fb038c5571435ef7b7ac6ef5ba6ead3e4a18eebb58"),
+        (("fit", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman"), "counts",
+         "dddefebe10587a7fdfa6ebf2a929f9ae1a38ac702f0276a99232f370a5f56846"),
+        (("select", "--chain", "bundled:coleman_chain", "--counts", "bundled:coleman"), "chain",
+         "e0a01af3c53615053cd2317876153eae4a81947a391e35c7c34dfd9c4db8c735"),
+        (("simulate", "--plan", "bundled:sim", "--out-dir", "{tmp}"), "plan",
+         "ed47002537cc849006afc75f8e3af479d8e8fadac950d247a04d4caf7a832281"),
+    ])
+    def test_bundled_digests_are_pinned(self, tmp_path, argv, kind, digest):
+        # Reports of earlier versions name these digests; they must not move.
+        ns = parse_args([arg.format(tmp=tmp_path) for arg in argv])
+        assert ns.inputs[kind]["sha256"] == digest
+
     def test_unknown_bundled_name(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--design", "bundled:nonesuch", "--counts", "bundled:coleman")
         assert code == EXIT_INPUT and "nonesuch" in err
@@ -109,7 +124,7 @@ class TestParsing:
     def test_item_count_mismatch(self, capsys, tmp_path):
         design = make_design(seed=420, k=3, m=2, t=2, u=1)
         path = tmp_path / "d3.json"
-        fileio.write_design(design, path)
+        fileio.write("design", design, path)
         code, _, err = run_cli(capsys, "gof", "--design", str(path), "--counts", "bundled:coleman")
         assert code == EXIT_INPUT and "k = 4" in err
 
@@ -491,7 +506,7 @@ class TestNestedAndSelect:
         chain_design = tmp_path / "chain_basis.json"
         from lcmdiv.datasets import coleman_design_chain_basis
 
-        fileio.write_design(coleman_design_chain_basis(), chain_design)
+        fileio.write("design", coleman_design_chain_basis(), chain_design)
         code, out, _ = run_cli(
             capsys, "nested", "--design", str(chain_design), "--counts", "bundled:coleman",
             "--zero-lambda", "7,8",
@@ -508,7 +523,7 @@ class TestNestedAndSelect:
         from lcmdiv.datasets import coleman_design_chain_basis
 
         chain_design = tmp_path / "chain_basis.json"
-        fileio.write_design(coleman_design_chain_basis(), chain_design)
+        fileio.write("design", coleman_design_chain_basis(), chain_design)
         code, out, _ = run_cli(
             capsys, "nested", "--design", str(chain_design), "--counts", "bundled:coleman",
             "--zero-lambda", "7,8", "--h", "renyi:a=2",
@@ -598,7 +613,8 @@ class TestSimulateCommand:
         plan_path = tmp_path / "plan.json"
         from lcmdiv.datasets import simulation_plan
 
-        fileio.write_plan(
+        fileio.write(
+            "plan",
             simulation_plan(sample_sizes=(200,), a_values=(2.0 / 3.0,),
                             lambda8_grid=(0.0,), replications=3, seed=3),
             plan_path,
@@ -622,7 +638,7 @@ class TestSimulateCommand:
         plan_path = tmp_path / "plan.json"
         plan = simulation_plan(sample_sizes=(200,), a_values=(2.0 / 3.0,),
                                lambda8_grid=(0.0,), replications=2, seed=3)
-        fileio.write_plan(replace(plan, fit_max_iters=1), plan_path)
+        fileio.write("plan", replace(plan, fit_max_iters=1), plan_path)
         out_dir = tmp_path / "results"
         code, out, _ = run_cli(
             capsys, "simulate", "--plan", str(plan_path), "--out-dir", str(out_dir),
@@ -709,7 +725,7 @@ class TestVerifyCommand:
     def test_full_rank_design_passes(self, capsys, tmp_path):
         design = make_design(seed=430, k=3, m=2, t=2, u=1)
         path = tmp_path / "small.json"
-        fileio.write_design(design, path)
+        fileio.write("design", design, path)
         code, out, _ = run_cli(
             capsys, "verify", "--design", str(path), "--zero-lambda", "2", "--format", "json"
         )

@@ -121,7 +121,7 @@ class TestExportedFiles:
         for path in tmp_path.iterdir():
             assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
         assert written == [
-            tmp_path / script.LAYOUT[kind][1].format(name)
+            tmp_path / script.LAYOUT[kind].format(name)
             for kind, bundled in datasets.BUNDLED.items()
             for name in bundled
         ]

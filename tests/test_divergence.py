@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmdiv.divergence import HSpec, _terms, identity_h, kl_divergence, phi_divergence, power
+from lcmdiv.divergence import (
+    HSpec, _phi_divergence, _terms, identity_h, kl_divergence, phi_divergence, power,
+)
 from lcmdiv.errors import DomainError
 
 SHIPPED_A = (-1.0, -0.5, 0.0, 2.0 / 3.0, 1.0, 2.0)
@@ -160,6 +162,24 @@ class TestZeroCellConventions:
         for a in (-0.5, 0.0, 2.0 / 3.0, 1.0):
             value = phi_divergence([0.0, 1.0], [0.5, 0.5], power(a))
             assert math.isfinite(value)
+
+    @pytest.mark.parametrize("a", [-2.0, -1.0, -0.5, 0.0, 2.0 / 3.0, 1.0])
+    def test_model_cell_too_small_for_the_ratio_takes_the_empty_cell_limit(self, a):
+        # 0.25 / 1e-320 overflows to inf; the cell takes the limit it has at exactly 0.
+        p = [0.5, 0.25, 0.25, 0.0]
+        value = phi_divergence(p, [0.5, 0.5, 1e-320, 0.0], power(a))
+        assert value == phi_divergence(p, [0.5, 0.5, 0.0, 0.0], power(a))
+        if a == -2.0:
+            assert value == 0.25
+        if a >= 0.0:
+            assert value == math.inf
+
+    def test_overflowing_ratio_changes_only_its_own_row(self):
+        P = np.array([[0.5, 0.25, 0.25, 0.0], [0.4, 0.3, 0.2, 0.1]])
+        Q = np.array([[0.5, 0.5, 1e-320, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        values = _phi_divergence(power(-0.5), P, Q)
+        assert values[0] == _phi_divergence(power(-0.5), P[0], np.array([0.5, 0.5, 0.0, 0.0]))
+        assert values[1] == _phi_divergence(power(-0.5), P[1], Q[1])
 
     def test_kl_with_empty_cells_matches_classical_form(self):
         # Termwise q*phi0(p/q) = p*log(p/q) - p + q, so summing over normalized

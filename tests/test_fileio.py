@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -17,7 +18,7 @@ class TestDesignFiles:
     def test_round_trip(self, tmp_path):
         design = make_design(seed=401, k=3, m=2, t=3, u=2)
         path = tmp_path / "design.json"
-        fileio.write_design(design, path, comment="round trip")
+        fileio.write("design", design, path, comment="round trip")
         loaded = fileio.read_design(path)
         np.testing.assert_array_equal(loaded.Q, design.Q)
         np.testing.assert_array_equal(loaded.C, design.C)
@@ -74,7 +75,7 @@ class TestDesignFiles:
 class TestCountsFiles:
     def test_pattern_rows_round_trip(self, tmp_path, coleman_counts):
         path = tmp_path / "counts.csv"
-        fileio.write_counts(coleman_counts, path)
+        fileio.write("counts", coleman_counts, path)
         loaded = fileio.read_counts(path)
         np.testing.assert_array_equal(loaded.n, coleman_counts.n)
 
@@ -129,7 +130,7 @@ class TestChainFiles:
         design = make_design(seed=403, k=3, m=2, t=4, u=2)
         chain = NestedChain(design=design, steps=(((3,), ()), ((2, 3), (1,))))
         path = tmp_path / "chain.json"
-        fileio.write_chain(chain, path, comment="reconstruction")
+        fileio.write("chain", chain, path, comment="reconstruction")
         doc = json.loads(path.read_text())
         assert doc["steps"][0]["zero_lambda"] == [4]  # 1-based on disk
         loaded = fileio.read_chain(path)
@@ -195,7 +196,7 @@ class TestPlanFiles:
             lambda8_grid=(0.0, 1.0), replications=25, seed=7,
         )
         path = tmp_path / "plan.json"
-        fileio.write_plan(plan, path)
+        fileio.write("plan", plan, path)
         loaded = fileio.read_plan(path)
         assert loaded.sample_sizes == plan.sample_sizes
         assert loaded.a_values == plan.a_values
@@ -215,7 +216,7 @@ class TestPlanFiles:
             start_at_truth=False, fit_grad_tol=1e-7, fit_max_iters=123,
         )
         path = tmp_path / "plan.json"
-        fileio.write_plan(plan, path)
+        fileio.write("plan", plan, path)
         assert fileio.plan_to_dict(fileio.read_plan(path)) == fileio.plan_to_dict(plan)
 
     def test_absent_optional_keys_take_plan_defaults(self):
@@ -356,8 +357,43 @@ class TestPlanFiles:
     def test_digest_stability(self, tmp_path):
         design = make_design(seed=405)
         path = tmp_path / "d.json"
-        fileio.write_design(design, path)
+        fileio.write("design", design, path)
         assert fileio.InputFile(path).sha256 == fileio.InputFile(path).sha256
+
+
+class TestLoadAndWrite:
+    @pytest.mark.parametrize("kind", ["design", "counts", "chain", "plan"])
+    def test_every_kind_round_trips_with_a_two_line_comment(self, tmp_path, kind):
+        from lcmdiv import datasets
+
+        name, (build, _) = next(iter(datasets.BUNDLED[kind].items()))
+        obj = build()
+        path = tmp_path / f"{name}.{kind}"
+        fileio.write(kind, obj, path, comment="first line\nsecond line")
+        loaded, digest = fileio.load(kind, str(path))
+        to_dict = getattr(fileio, f"{kind}_to_dict")
+        assert to_dict(loaded) == to_dict(obj)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        text = path.read_text()
+        if kind == "counts":
+            assert text.splitlines()[:3] == ["# first line", "# second line", "y_1,y_2,y_3,y_4,count"]
+        else:
+            doc = json.loads(text)
+            assert list(doc)[-1] == "comment" and doc["comment"] == "first line\nsecond line"
+
+    def test_unknown_bundled_name_lists_the_kind(self):
+        with pytest.raises(InputFormatError, match="unknown bundled counts 'nope'; available: coleman"):
+            fileio.load("counts", "bundled:nope")
+
+    def test_readers_are_looked_up_when_load_is_called(self, monkeypatch, tmp_path):
+        # A wrapper installed on the module sees every load of a file.
+        path = tmp_path / "design.json"
+        fileio.write("design", make_design(seed=407), path)
+        calls = []
+        real = fileio.read_design
+        monkeypatch.setattr(fileio, "read_design", lambda source: calls.append(source) or real(source))
+        fileio.load("design", str(path))
+        assert [str(source) for source in calls] == [str(path)]
 
 
 @pytest.mark.parametrize("kind", ["design", "chain", "plan"])

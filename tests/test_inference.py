@@ -294,7 +294,7 @@ class TestGofRows:
         tiny[6] += 2.0**-54
         tiny[5] -= 2.0**-54
         zero_q = np.append(p_hat[:-1] / p_hat[:-1].sum(), 0.0)  # q = 0 < p_hat in the last cell
-        subnormal = p_hat.copy()  # p_hat / q overflows: an undefined (NaN) divergence at 2/3
+        subnormal = p_hat.copy()  # p_hat / q overflows: the cell takes the q = 0 limit
         subnormal[0] += subnormal[7]
         subnormal[7] = 5e-324
         return design, {
@@ -367,11 +367,14 @@ class TestGofRows:
             )
         assert str(stacked.value) == str(one.value)
 
-    def test_undefined_row(self, rows):
+    def test_subnormal_row_takes_the_empty_cell_limit(self, rows):
         design, r = rows
-        test = self.check(design, [r["subnormal"], r["regular"]], power(2.0 / 3.0))[0]
-        assert math.isnan(test.statistic) and math.isnan(test.p_value) and not test.reject
-        assert test.warnings == ("undefined_statistic",)
+        finite, infinite = (
+            self.check(design, [r["subnormal"], r["regular"]], power(a))[0] for a in (-0.5, 2.0 / 3.0)
+        )
+        assert math.isfinite(finite.statistic) and finite.warnings == ()
+        assert math.isinf(infinite.statistic) and infinite.reject
+        assert infinite.warnings == ("infinite_statistic",)
 
     def test_degenerate_dof_row(self, rows):
         # At dof <= 0 the null is a point mass at zero: a positive statistic
@@ -584,6 +587,20 @@ class TestNestedStatistics:
         assert math.isfinite(result.statistic) and result.reject
         assert result.warnings == ("infinite_divergence",)
         assert nested_T(counts, power(0.0), fit_A, fit_B, h=h).warnings == ("infinite_divergence",)
+
+    def test_subnormal_cell_of_B_takes_the_empty_cell_limit(self, synthetic_pair):
+        # A's cell over B's subnormal one overflows; T takes the limit it has at q = 0.
+        pair, counts = synthetic_pair
+        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        results = []
+        for cell in (5e-324, 0.0):
+            q = fit_B.manifest.p.copy()
+            q[1] += q[0] - cell
+            q[0] = cell
+            fit_q = replace(fit_B, manifest=ManifestDistribution(p=q))
+            results.append(nested_T(counts, power(-0.5), fit_A, fit_q))
+        assert math.isfinite(results[0].statistic) and results[0].warnings == ()
+        assert results[0].statistic == results[1].statistic
 
 
 class TestNestedBoundary:
