@@ -20,15 +20,16 @@ i.e. the second argument weights the sum.  With this convention the member
 divergence, which is infinite whenever ``p`` has an empty cell.
 
 That sum is written once too, in ``_divergence``, which returns it with the
-cell weights: the estimator's objective calls it on stacked rows, unchecked,
-and ``_phi_divergence`` adds the zero-cell limits to it, on one vector or on
+cell weights and the lost cells, those where data meet a model cell that is 0
+or so small that ``p / q`` overflows; it finds them in its one division.  The
+estimator's objective calls it on stacked rows, unchecked, and
+``_phi_divergence`` adds the lost cells' limits to it, on one vector or on
 stacked rows.  ``phi_divergence`` checks its arguments and calls
 ``_phi_divergence``; the test statistics call ``_phi_divergence`` directly on
 vectors their dataclasses already validated.
 So a fit's objective is the divergence its tests measure, bit for bit, except
-where a model cell that holds data has underflowed to 0, or is so small that
-``p / q`` overflows: there the objective is ``inf`` at every index, while
-for ``a < 0`` ``_phi_divergence`` takes the cell's finite limit.
+on a row with a lost cell: there the objective is ``inf`` at every index,
+while for ``a < 0`` ``_phi_divergence`` takes the cell's finite limit.
 
 Zero cells follow the limit conventions for convex-function divergences:
 terms with ``q_i = 0 = p_i`` contribute nothing, terms with ``q_i = 0 <
@@ -65,10 +66,10 @@ class PhiSpec:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x):
-        """phi(x) for scalar or array ``x >= 0`` (limit value at x = 0)."""
+        """phi(x) for scalar or array finite ``x >= 0`` (limit value at x = 0)."""
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise DomainError("phi is only defined for x >= 0")
+        if not np.all((0.0 <= x) & (x < math.inf)):
+            raise DomainError("phi is only defined for finite x >= 0")
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = _terms(self.a, np.atleast_1d(x))[0]
         return float(phi[0]) if x.ndim == 0 else phi.reshape(x.shape)
@@ -109,16 +110,19 @@ def _terms(a: float, x: np.ndarray) -> tuple:
 
 
 def _divergence(a: float, P: np.ndarray, Q: np.ndarray) -> tuple:
-    """``sum Q phi_a(P / Q)`` along the last axis, and the cell weights; unchecked.
+    """``(sum Q phi_a(P / Q), weight, lost)`` along the last axis; unchecked.
 
-    A cell with ``Q = 0`` takes the ratio 1, where phi and its weight are
-    exactly 0, so it contributes nothing: the caller adds what ``P > 0``
-    there means.  An overflowing ratio gives ``nan`` or ``inf``.
+    ``lost`` marks the cells where ``P / Q`` is ``inf``: data in a model cell
+    that is 0 or too small for the ratio.  Those cells and the ``0 / 0`` ones
+    take the ratio 1, where phi and its weight are exactly 0, so they
+    contribute nothing: the caller decides what a lost cell means.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = np.divide(P, Q, out=np.ones_like(Q), where=Q > 0.0)
+        ratio = P / Q
+        lost = ratio == math.inf
+        ratio[~(ratio < math.inf)] = 1.0  # lost and 0 / 0 cells
         phi, weight = _terms(a, ratio)
-        return (Q * phi).sum(axis=-1), weight
+        return (Q * phi).sum(axis=-1), weight, lost
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -157,17 +161,15 @@ def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray):
     """:func:`phi_divergence` along the last axis of two float arrays, unchecked.
 
     Vectors give a float, stacked rows an array of one divergence per row,
-    each row's bits those of the row alone.  For callers whose vectors are
-    already validated, such as the test statistics, which take them from
+    each row's bits those of the row alone.  Each lost cell of
+    :func:`_divergence` adds ``p * lim phi(x)/x``.  For callers whose vectors
+    are already validated, such as the test statistics, which take them from
     ``ObservedCounts`` and a fit's ``ManifestDistribution``.
     """
-    # Data in an empty model cell, or one so small that p / q overflows, take its limit.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p_only = p / q == math.inf
-    limits = p_only.any()
-    total = np.atleast_1d(_divergence(spec.a, p, np.where(p_only, 0.0, q) if limits else q)[0])
-    if limits:
-        P, mask = p.reshape(-1, p.shape[-1]), p_only.reshape(-1, p.shape[-1])
+    value, _, lost = _divergence(spec.a, p, q)
+    total = np.atleast_1d(value)
+    if lost.any():
+        P, mask = p.reshape(-1, p.shape[-1]), lost.reshape(-1, p.shape[-1])
         for row in np.flatnonzero(mask.any(axis=1)):
             total[row] += P[row][mask[row]].sum() * spec.slope_limit()
     # Tiny negatives can appear from cancellation when p ~= q.

@@ -13,12 +13,12 @@ with ``r_nu = p_hat_nu / p_nu(theta)``: differentiating ``p_nu * phi(r_nu)``
 by ``p_nu`` gives ``phi(r_nu) + p_nu phi'(r_nu) * (-r_nu / p_nu)``.  The
 closed form of the bracket is written once, in ``divergence._terms`` beside
 phi itself, and is checked against finite differences in the test suite
-rather than trusted.  The value and the brackets come from
-``divergence._divergence``, the routine behind ``phi_divergence``, so a
-fit's objective is the divergence its tests measure, except where a model
-cell that holds data has underflowed to 0, or is so small that
-``p_hat / p`` overflows: the objective is ``inf`` there, and for ``a < 0``
-the divergence takes the cell's finite limit.  The sum over patterns
+rather than trusted.  The value, the brackets and the lost cells come
+from ``divergence._divergence``, the routine behind ``phi_divergence``, so
+a fit's objective is the divergence its tests measure, except on a lost
+cell, where data meet a model cell that has underflowed to 0 or is so small
+that ``p_hat / p`` overflows: the objective is ``inf`` there, and for
+``a < 0`` the divergence takes the cell's finite limit.  The sum over patterns
 is the vector-Jacobian product ``weight @ J``, which ``model._pullback``
 contracts through the class-pattern table without forming ``J``, so the
 estimator never builds a Jacobian.
@@ -167,20 +167,17 @@ def _objective(design, P_hat, a, X):
     ``(b, 2**k)`` and ``(b, t + u)``; returns values ``(b,)`` and gradients
     ``(b, t + u)``.  The gradient is the pull-back ``weight @ J`` of
     ``model._pullback``, so no Jacobian is formed.  Unchecked but for
-    finiteness of ``X``.  A row whose value is infinite gets ``inf`` and a
-    zero gradient: a cell where ``p`` underflowed holds data, or
-    ``p_hat / p`` overflowed into inf - inf.
-    Cells where ``p`` underflowed and the data are empty contribute nothing.
+    finiteness of ``X``.  A row with a lost cell of ``divergence._divergence``
+    (data where ``p`` is 0 or too small for ``p_hat / p``), or whose value is
+    infinite, gets ``inf`` and a zero gradient.
     """
     if not np.isfinite(X).all():
         raise DomainError("parameter values must be finite")
     w, S, B, p = _table(design, X)
-    value, weight = _divergence(a, P_hat, p)
-    finite = np.isfinite(value)
-    if not (finite.all() and p.all()):
-        infinite = ~finite | ((p == 0.0) & (P_hat > 0.0)).any(axis=1)
-        value[infinite] = np.inf
-        weight[infinite] = 0.0
+    value, weight, lost = _divergence(a, P_hat, p)
+    infinite = lost.any(axis=1) | ~np.isfinite(value)
+    value[infinite] = np.inf
+    weight[infinite] = 0.0
     return value, _pullback(design, w, S, B, weight)
 
 

@@ -64,7 +64,7 @@ def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail probability of the chi-square distribution."""
     if dof < 1:
         raise DomainError("dof must be >= 1")
-    if x < 0:
+    if not x >= 0:
         raise DomainError("chi-square statistic must be >= 0")
     return float(chdtrc(dof, x))
 
@@ -324,15 +324,14 @@ def _nested(difference, kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResul
     if dof < 0:
         raise DomainError("the nested model B has more parameters than model A")
     if difference:
-        D_B = _phi_divergence(phi1, counts.p_hat(), fit_B.manifest.p)
-        D_A = _phi_divergence(phi1, counts.p_hat(), fit_A.manifest.p)
-        D = (D_A, D_B)
+        p_hat = counts.p_hat()
+        D_A = _phi_divergence(phi1, p_hat, fit_A.manifest.p)
+        D_B = _phi_divergence(phi1, p_hat, fit_B.manifest.p)
         # An infinite D_A leaves no usable difference; _rule flags the NaN as undefined.
         statistic = _scale(counts.N, h) * (h.value(D_B) - h.value(D_A)) if math.isfinite(D_A) else math.nan
+        rows = _rule([statistic], dof, alpha, [math.isfinite(D_A) and math.isfinite(D_B)])
     else:
-        D = (_phi_divergence(phi1, fit_A.manifest.p, fit_B.manifest.p),)
-        statistic = _scale(counts.N, h) * h.value(D[0])
-    rows = _rule([statistic], dof, alpha, [all(map(math.isfinite, D))])
+        rows = gof_rows(phi1, fit_A.manifest.p[None], fit_B.manifest.p[None], [counts.N], dof, alpha, h)
     return _result(rows, dof, alpha, phi1, fit_A.spec, *_h_label(h, kind), "nominal_difference")
 
 

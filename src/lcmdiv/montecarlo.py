@@ -51,24 +51,25 @@ _log = logging.getLogger(__name__)
 _INFINITE = 1 << WARNINGS.index("infinite_statistic")
 
 
-def dale_band(alpha: float, logit_distance: float = 0.35) -> tuple:
+def dale_band(alpha: float) -> tuple:
     """Interval of acceptable simulated sizes around the nominal level.
 
-    Inverts ``|logit(1 - rate) - logit(1 - alpha)| <= logit_distance``.
+    Inverts ``|logit(1 - rate) - logit(1 - alpha)| <= 0.35``.
     At alpha = 0.05 the band is (0.0358, 0.0695) to four decimals.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
     odds = (1.0 - alpha) / alpha
-    lo = 1.0 / (1.0 + odds * math.exp(logit_distance))
-    hi = 1.0 / (1.0 + odds * math.exp(-logit_distance))
+    lo = 1.0 / (1.0 + odds * math.exp(0.35))
+    hi = 1.0 / (1.0 + odds * math.exp(-0.35))
     return lo, hi
 
 
-def _clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple:
+def _clopper_pearson(successes: int, trials: int) -> tuple:
+    """The 95 % Clopper-Pearson interval of a binomial rate."""
     if trials == 0:
         return 0.0, 1.0
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0  # not the literal 0.025, a different float
     # betaincinv(a, b, q) is the beta quantile beta.ppf(q, a, b), without the stats module.
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
     hi = 1.0 if successes == trials else float(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmdiv.divergence import (
-    HSpec, _phi_divergence, _terms, identity_h, kl_divergence, phi_divergence, power,
+    HSpec, _divergence, _phi_divergence, _terms, identity_h, kl_divergence, phi_divergence, power,
 )
 from lcmdiv.errors import DomainError
 
@@ -181,6 +181,23 @@ class TestZeroCellConventions:
         assert values[0] == _phi_divergence(power(-0.5), P[0], np.array([0.5, 0.5, 0.0, 0.0]))
         assert values[1] == _phi_divergence(power(-0.5), P[1], Q[1])
 
+    @pytest.mark.parametrize("a", [-1.0, -0.5, 0.0, 2.0 / 3.0])
+    def test_divergence_finds_lost_cells_row_by_row(self, a):
+        # An ordinary row, then a row with a 0 = 0 cell, data in an empty model
+        # cell, and data in a subnormal model cell whose ratio overflows.
+        P = np.array([[0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.25, 0.25]])
+        Q = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.0, 1e-320]])
+        value, weight, lost = _divergence(a, P, Q)
+        np.testing.assert_array_equal(lost, [[False] * 4, [False, False, True, True]])
+        # The 0 = 0 and lost cells take the ratio 1: they add nothing and weigh 0.
+        assert np.all(weight[1, 1:] == 0.0)
+        assert value[1] == _divergence(a, P[1, :1], Q[1, :1])[0]
+        for row in range(2):
+            alone = _divergence(a, P[row], Q[row])
+            assert alone[0] == value[row]
+            np.testing.assert_array_equal(alone[1], weight[row])
+            np.testing.assert_array_equal(alone[2], lost[row])
+
     def test_kl_with_empty_cells_matches_classical_form(self):
         # Termwise q*phi0(p/q) = p*log(p/q) - p + q, so summing over normalized
         # vectors reproduces the classical form with the 0*log(0) = 0 rule.
@@ -267,6 +284,17 @@ class TestHTransforms:
         ),
         pytest.param(
             lambda: HSpec(tag="renyi", a=2.0).value(-1.0), "h transforms are defined for x >= 0", id="h-negative"
+        ),
+        *(
+            pytest.param(
+                lambda a=a, x=x: power(a).value(x), "phi is only defined for finite x >= 0", id=f"phi-{a:.3g}-at-{x}"
+            )
+            for a in (-2.0, -1.0, -0.5, 0.0, 2.0 / 3.0, 1.0)
+            for x in (math.inf, math.nan)
+        ),
+        pytest.param(
+            lambda: power(0.0).value(np.array([0.5, math.nan])), "phi is only defined for finite x >= 0",
+            id="phi-nan-entry",
         ),
     ],
 )

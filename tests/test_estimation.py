@@ -7,7 +7,7 @@ import pytest
 
 from lcmdiv import estimation, model
 from lcmdiv.datasets import coleman_counts, coleman_design_m1, simulation_plan
-from lcmdiv.divergence import phi_divergence, power
+from lcmdiv.divergence import _phi_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError
 from lcmdiv.estimation import (
     FitOptions,
@@ -83,6 +83,26 @@ class TestObjectiveAndGradient:
         assert np.count_nonzero(p == 0.0) == 15 and np.all(counts.n[p == 0.0] > 0)
         assert objective_and_gradient(design, counts, power(a), theta)[0] == math.inf
         assert phi_divergence(counts.p_hat(), p, power(a)) == pytest.approx(divergence, rel=1e-12)
+
+    @pytest.mark.parametrize("a", (-1.0, -0.5, 0.0, 2.0 / 3.0))
+    @pytest.mark.parametrize("emptied", (False, True))
+    def test_objective_is_infinite_exactly_on_rows_with_a_lost_cell(self, a, emptied):
+        # Ordinary points stacked with points at lambda = 800, where fifteen cells
+        # underflow; with the Coleman counts they hold data, emptied they do not.
+        design, n = coleman_design_m1(), np.array(coleman_counts().n)
+        thetas = [random_theta(design, seed=1), Theta(lam=np.full(8, 800.0), eta=np.zeros(4)),
+                  random_theta(design, seed=2), Theta(lam=np.full(8, 800.0), eta=np.full(4, 0.5))]
+        X = np.stack([model._vector(design, theta) for theta in thetas])
+        p = model._table(design, X)[3]
+        if emptied:
+            n[(p == 0.0).any(axis=0)] = 0
+        P_hat = np.tile(ObservedCounts(n=n).p_hat(), (len(thetas), 1))
+        lost = ((p == 0.0) & (P_hat > 0.0)).any(axis=1)
+        assert np.count_nonzero(p[1] == 0.0) == 15
+        np.testing.assert_array_equal(lost, [False, not emptied, False, not emptied])
+        value = estimation._objective(design, P_hat, a, X)[0]
+        assert np.all(value[lost] == math.inf)
+        np.testing.assert_array_equal(value[~lost], _phi_divergence(power(a), P_hat, p)[~lost])
 
 
 class TestValidationBoundary:

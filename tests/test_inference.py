@@ -794,6 +794,7 @@ def test_benchmark_traced_names_resolve():
     "call, message",
     [
         pytest.param(lambda fit23: chi2_quantile(0.5, 0), "dof must be >= 1", id="quantile-dof"),
+        pytest.param(lambda fit23: chi2_sf(math.nan, 3), "chi-square statistic must be >= 0", id="sf-nan"),
         pytest.param(
             lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 0),
             "dof override must be >= 1", id="dof-override",
