@@ -1,6 +1,6 @@
 """Minimum divergence estimation and testing for latent class models of binary data."""
 
-from .divergence import HSpec, PhiSpec, identity_h, kl_divergence, phi_divergence, power
+from .divergence import HSpec, PhiSpec, identity_h, phi_divergence, power
 from .errors import (
     DomainError,
     InputFormatError,
@@ -8,7 +8,7 @@ from .errors import (
     NotConvergedError,
     RankDeficiencyError,
 )
-from .estimation import FitOptions, FitResult, fit, fit_many, fit_mle, objective_and_gradient
+from .estimation import FitOptions, FitResult, fit, fit_many, objective_and_gradient
 from .inference import (
     NestedChain,
     TestResult,
@@ -27,9 +27,6 @@ from .model import (
     ModelDesign,
     ObservedCounts,
     Theta,
-    class_weights,
-    item_probs,
-    log_likelihood,
     manifest_distribution,
     manifest_jacobian,
     pattern_index,
@@ -60,17 +57,12 @@ __all__ = [
     "Theta",
     "chi2_quantile",
     "chi2_sf",
-    "class_weights",
     "dale_band",
     "estimator_sweep",
     "fit",
     "fit_many",
-    "fit_mle",
     "gof_statistic",
     "identity_h",
-    "item_probs",
-    "kl_divergence",
-    "log_likelihood",
     "manifest_distribution",
     "manifest_jacobian",
     "nested_S",

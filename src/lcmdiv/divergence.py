@@ -177,11 +177,6 @@ def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray):
     return float(total[0]) if p.ndim == 1 else total
 
 
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence ``sum p_i log(p_i / q_i)`` (power index 0)."""
-    return phi_divergence(p, q, power(0.0))
-
-
 # ---------------------------------------------------------------------------
 # Increasing transforms h with h(0) = 0, used by the transformed statistics.
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ class HSpec:
         """h(x) for x >= 0 inside the transform's domain; ``x = inf`` gives the
         limit of ``h``, finite (``1 / (1 - b)``) for sharma_mittal with ``a > 1 > b``."""
         x = float(x)
-        if x < 0:
+        if not x >= 0.0:  # NaN fails it too
             raise DomainError("h transforms are defined for x >= 0")
         if self.tag == "identity":
             return x

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .divergence import PhiSpec, _divergence, kl_divergence, power
+from .divergence import PhiSpec, _divergence
 from .errors import DomainError, NotConvergedError
 from .model import (
     LatentParams,
@@ -52,7 +52,6 @@ from .model import (
     _pullback,
     _table,
     _vector,
-    log_likelihood,
 )
 
 # Outcome of one optimizer launch; ``StartTrace.status`` holds the name.
@@ -306,14 +305,16 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
 
 
 def _initial_points(design: ModelDesign, options: FitOptions) -> np.ndarray:
-    """The ``(starts, t + u)`` launch points: ``init_theta`` first, then draws."""
-    rng = np.random.Generator(np.random.Philox(options.seed))
-    dim = design.t + design.u
-    inits = []
-    if options.init_theta is not None:
-        inits.append(_vector(design, options.init_theta))
-    while len(inits) < options.starts:
-        inits.append(rng.normal(0.0, options.init_scale, size=dim))
+    """The ``(starts, t + u)`` launch points: ``init_theta`` first, then draws.
+
+    The draws come from a fresh ``Generator(Philox(seed))``, built only when
+    some start is drawn.
+    """
+    inits = [] if options.init_theta is None else [_vector(design, options.init_theta)]
+    if len(inits) < options.starts:
+        rng = np.random.Generator(np.random.Philox(options.seed))
+        while len(inits) < options.starts:
+            inits.append(rng.normal(0.0, options.init_scale, size=design.t + design.u))
     return np.array(inits)
 
 
@@ -413,26 +414,6 @@ def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
         )
         for s in range(len(value))
     )
-
-
-def fit_mle(
-    design: ModelDesign, counts: ObservedCounts, options: FitOptions = FitOptions()
-) -> FitResult:
-    """Maximum likelihood fit: the minimum divergence fit at power index 0.
-
-    Cross-checks that ``logL(theta_hat) + N * D_KL(p_hat, p(theta_hat))``
-    equals the theta-free log-likelihood of the saturated model ``p_hat``.
-    """
-    result = fit(design, counts, power(0.0), options)
-    if result.converged:
-        const = log_likelihood(counts, ManifestDistribution(p=counts.p_hat()))
-        logl = log_likelihood(counts, result.manifest)
-        resid = logl + counts.N * kl_divergence(counts.p_hat(), result.manifest.p) - const
-        if abs(resid) > 1e-6:
-            raise NotConvergedError(
-                f"likelihood/divergence identity violated by {resid:.3e}"
-            )
-    return result
 
 
 def canonical_class_order(latent: LatentParams) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit
+from scipy.special import expit, log_expit
 
 from .errors import DomainError
 
@@ -300,33 +300,6 @@ def all_patterns(k: int) -> np.ndarray:
     return ((idx >> shifts) & 1).astype(np.int64)
 
 
-def _softmax(design: ModelDesign, eta: np.ndarray) -> np.ndarray:
-    """Class weights of ``eta``, shape (..., u), by a max-shifted softmax per row."""
-    z = np.matmul(design.V, eta[..., None])[..., 0] + design.d
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def item_probs(design: ModelDesign, theta: Theta) -> np.ndarray:
-    """Per-class item success probabilities, shape (m, k).
-
-    Computed with an overflow-safe logistic, so the output is interior to
-    (0, 1) up to floating-point saturation at extreme logits.
-    """
-    theta.check_shape(design)
-    return expit(design.Q @ theta.lam + design.C)
-
-
-def class_weights(design: ModelDesign, theta: Theta) -> np.ndarray:
-    """Class membership probabilities via a max-shifted softmax, shape (m,)."""
-    theta.check_shape(design)
-    return _softmax(design, theta.eta)
-
-
-def latent_params(design: ModelDesign, theta: Theta) -> LatentParams:
-    return LatentParams(w=class_weights(design, theta), P=item_probs(design, theta))
-
-
 def _vector(design: ModelDesign, theta: Theta) -> np.ndarray:
     """``theta`` checked against ``design`` and flattened for :func:`_table`."""
     theta.check_shape(design)
@@ -363,7 +336,10 @@ def _table(design: ModelDesign, x: np.ndarray) -> tuple:
         return tuple(part[0] for part in _table(design, X[None]))
     b, t = X.shape[0], design.t
     Y, Q_flat = design._kernel_constants
-    w = _softmax(design, X[:, t:])
+    # Class weights by a max-shifted softmax per row.
+    z = np.matmul(design.V, X[:, t:, None])[..., 0] + design.d
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
     S = np.matmul(Q_flat, X[:, :t, None]).reshape(b, design.m, design.k) + design.C
     # Patterns count up in binary, so the rows of 1 - Y are those of Y reversed.
     B = np.exp(log_expit(S) @ Y.T + (log_expit(-S) @ Y.T)[..., ::-1])
@@ -487,19 +463,3 @@ def _draw(p: np.ndarray, N: int, seed) -> ObservedCounts:
     cells = np.minimum(cells, p.size - 1)
     return ObservedCounts(n=np.bincount(cells, minlength=p.size))
 
-
-def log_likelihood(counts: ObservedCounts, dist: ManifestDistribution) -> float:
-    """Multinomial log-likelihood of ``counts`` under ``dist``.
-
-    Log-factorials go through log-gamma so large totals do not overflow.
-    Returns ``-inf`` when some pattern with a positive count has zero
-    probability.
-    """
-    if counts.n.shape != dist.p.shape:
-        raise DomainError("counts and distribution have different lengths")
-    n = counts.n
-    pos = n > 0
-    if np.any(dist.p[pos] <= 0.0):
-        return float("-inf")
-    const = gammaln(counts.N + 1) - gammaln(n + 1).sum()
-    return float(const + (n[pos] * np.log(dist.p[pos])).sum())

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from lcmdiv import datasets, estimation
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions, _objective, fit
 from lcmdiv.inference import estimator_sweep
-from lcmdiv.model import ModelDesign, Theta, all_patterns, class_weights, item_probs
+from lcmdiv.model import LatentParams, ModelDesign, Theta, _table, all_patterns
 
 
 def make_design(seed=0, k=3, m=2, t=2, u=1, logit_scale=0.8) -> ModelDesign:
@@ -43,16 +44,31 @@ def reference_class_pattern_probs(P: np.ndarray, patterns: np.ndarray) -> np.nda
     return out
 
 
+def reference_latent(design: ModelDesign, theta: Theta) -> tuple:
+    """Class weights ``softmax(V @ eta + d)`` and item probabilities
+    ``logistic(Q @ lam + C)``, written out apart from the package's kernel."""
+    z = design.V @ theta.eta + design.d
+    w = np.exp(z - z.max())
+    with np.errstate(over="ignore"):  # a logit below about -709 gives P = 1 / inf = 0
+        P = 1.0 / (1.0 + np.exp(-(design.Q @ theta.lam + design.C)))
+    return w / w.sum(), P
+
+
+def table_latent(design: ModelDesign, theta: Theta) -> LatentParams:
+    """The class weights and item probabilities of the kernel table at ``theta``."""
+    w, S, _, _ = _table(design, theta.vector())
+    return LatentParams(w=w, P=expit(S))
+
+
 def reference_manifest(design: ModelDesign, theta: Theta) -> np.ndarray:
     """Manifest vector ``w @ B`` from the item-by-item class-pattern table."""
-    B = reference_class_pattern_probs(item_probs(design, theta), all_patterns(design.k))
-    return class_weights(design, theta) @ B
+    w, P = reference_latent(design, theta)
+    return w @ reference_class_pattern_probs(P, all_patterns(design.k))
 
 
 def reference_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     """Manifest Jacobian, shape (2**k, t + u), by einsum over the product table."""
-    w = class_weights(design, theta)
-    P = item_probs(design, theta)
+    w, P = reference_latent(design, theta)
     patterns = all_patterns(design.k)
     B = reference_class_pattern_probs(P, patterns)
     # d log B[j, nu] / d s_ji = y_nu_i - p_ji, and d s_ji / d lambda_r = Q[j, i, r].

@@ -27,10 +27,10 @@ from scipy.special import logit
 from scipy.stats import binom as binom_dist
 
 from lcmdiv.asymptotics import build_bundle, build_nested_projections
-from lcmdiv.divergence import kl_divergence, phi_divergence, power
+from lcmdiv.divergence import phi_divergence, power
 from lcmdiv.estimation import FitOptions, canonicalize, fit, objective_and_gradient
 from lcmdiv.inference import NestedChain, chi2_quantile, gof_statistic
-from lcmdiv.model import ModelDesign, Theta, latent_params, sample_counts
+from lcmdiv.model import ModelDesign, Theta, sample_counts
 from lcmdiv.montecarlo import dale_band
 
 from conftest import (
@@ -43,6 +43,7 @@ from conftest import (
     coleman_estimator_sweep,
     make_design,
     random_theta,
+    table_latent,
 )
 
 
@@ -125,7 +126,7 @@ class TestCriterion2ReferenceEstimates:
     def test_reference_point_is_stationary(self, coleman_design, coleman_counts):
         theta_ref = theta_from_latent(coleman_design, COLEMAN_OPT_W, COLEMAN_OPT_P)
         # The inversion is exact up to the 8-digit rounding of the constants.
-        latent = latent_params(coleman_design, theta_ref)
+        latent = table_latent(coleman_design, theta_ref)
         assert np.allclose(latent.w, COLEMAN_OPT_W, rtol=0, atol=1e-7)
         assert np.allclose(latent.P, COLEMAN_OPT_P, rtol=0, atol=1e-12)
         _, grad = objective_and_gradient(
@@ -358,7 +359,7 @@ class TestCriterion8UnitOracles:
         for a in (-1.0, -0.5, 0.0, 2.0 / 3.0, 1.0, 2.0):
             p = rng.dirichlet(np.ones(6))
             self_ok &= phi_divergence(p, p, power(a)) <= 1e-12
-        kl_ok = abs(kl_divergence([0.5, 0.5], [0.25, 0.75]) - 0.1438410362) <= 1e-9
+        kl_ok = abs(phi_divergence([0.5, 0.5], [0.25, 0.75], power(0.0)) - 0.1438410362) <= 1e-9
         lo, hi = dale_band(0.05)
         band_ok = abs(lo - 0.035746) <= 1e-4 and abs(hi - 0.069479) <= 1e-4
         ok = quantiles_ok and self_ok and kl_ok and band_ok

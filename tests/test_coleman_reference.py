@@ -18,13 +18,14 @@ from scipy.special import logit
 
 from lcmdiv.divergence import power
 from lcmdiv.inference import chi2_quantile, gof_statistic
-from lcmdiv.model import Theta, latent_params, manifest_distribution
+from lcmdiv.model import Theta, manifest_distribution
 
 from conftest import (
     COLEMAN_OPT_P,
     COLEMAN_OPT_W,
     COLEMAN_REF_ETA,
     COLEMAN_REF_LAMBDA,
+    table_latent,
 )
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "derive_coleman_optimum.py"
@@ -51,7 +52,7 @@ def test_published_table_is_rejected(coleman_design, coleman_counts, coleman_fit
     at_table = dataclasses.replace(
         coleman_fit_23,
         theta_hat=theta,
-        latent=latent_params(coleman_design, theta),
+        latent=table_latent(coleman_design, theta),
         manifest=manifest_distribution(coleman_design, theta),
     )
     for a, published_point in ((2.0 / 3.0, 63.34), (0.0, 63.06)):

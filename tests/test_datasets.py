@@ -22,12 +22,11 @@ class TestColemanData:
         assert np.all(Q.sum(axis=2) == 1.0)
 
     def test_reference_parameters_reproduce_reference_probabilities(self, coleman_design):
-        from lcmdiv.model import class_weights, item_probs
-        from conftest import COLEMAN_REF_P, COLEMAN_REF_W
+        from conftest import COLEMAN_REF_P, COLEMAN_REF_W, table_latent
 
-        theta = Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA)
-        np.testing.assert_allclose(item_probs(coleman_design, theta), COLEMAN_REF_P, atol=5e-9)
-        np.testing.assert_allclose(class_weights(coleman_design, theta), COLEMAN_REF_W, atol=5e-9)
+        latent = table_latent(coleman_design, Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA))
+        np.testing.assert_allclose(latent.P, COLEMAN_REF_P, atol=5e-9)
+        np.testing.assert_allclose(latent.w, COLEMAN_REF_W, atol=5e-9)
 
 
 class TestChainBasis:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmdiv.divergence import (
-    HSpec, _divergence, _phi_divergence, _terms, identity_h, kl_divergence, phi_divergence, power,
+    HSpec, _divergence, _phi_divergence, _terms, identity_h, phi_divergence, power,
 )
 from lcmdiv.errors import DomainError
 
@@ -111,7 +111,7 @@ class TestPhiDivergence:
             assert phi_divergence(p, p, power(2.0 / 3.0)) < 1e-10
 
     def test_kullback_two_cell_value(self):
-        value = kl_divergence([0.5, 0.5], [0.25, 0.75])
+        value = phi_divergence([0.5, 0.5], [0.25, 0.75], power(0.0))
         assert value == pytest.approx(0.1438410362, abs=1e-9)
 
     def test_pearson_form(self):
@@ -120,13 +120,6 @@ class TestPhiDivergence:
         q = rng.dirichlet(np.ones(6))
         direct = 0.5 * np.sum((p - q) ** 2 / q)
         assert phi_divergence(p, q, power(1.0)) == pytest.approx(direct, rel=1e-12)
-
-    def test_kl_equals_power_zero(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            assert kl_divergence(p, q) == phi_divergence(p, q, power(0.0))
 
     def test_length_and_normalization_errors(self):
         with pytest.raises(DomainError):
@@ -204,7 +197,7 @@ class TestZeroCellConventions:
         p = np.array([0.0, 0.25, 0.75])
         q = np.array([0.1, 0.4, 0.5])
         expected = 0.25 * math.log(0.25 / 0.4) + 0.75 * math.log(0.75 / 0.5)
-        assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-12)
+        assert phi_divergence(p, q, power(0.0)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestHTransforms:
@@ -247,6 +240,15 @@ class TestHTransforms:
         xs = np.linspace(0.0, 0.9, 15)
         values = [h.value(x) for x in xs]
         assert np.all(np.diff(values) > 0)
+
+    @pytest.mark.parametrize(
+        "h",
+        (identity_h(), HSpec("renyi", a=2.0), HSpec("sharma_mittal", a=2.0, b=0.5), HSpec("bhattacharyya")),
+        ids=lambda h: h.tag,
+    )
+    def test_nan_refused(self, h):
+        with pytest.raises(DomainError, match=re.escape("h transforms are defined for x >= 0")):
+            h.value(math.nan)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import multinomial
 
 from lcmdiv import estimation, model
 from lcmdiv.datasets import coleman_counts, coleman_design_m1, simulation_plan
@@ -15,7 +16,6 @@ from lcmdiv.estimation import (
     canonicalize,
     fit,
     fit_many,
-    fit_mle,
     objective_and_gradient,
 )
 from lcmdiv.model import (
@@ -25,12 +25,11 @@ from lcmdiv.model import (
     Theta,
     all_patterns,
     jacobian_rank,
-    log_likelihood,
     manifest_distribution,
     sample_counts,
 )
 
-from conftest import make_design, random_theta, reference_class_pattern_probs, scipy_bfgs_fit
+from conftest import make_design, random_theta, reference_class_pattern_probs, scipy_bfgs_fit, table_latent
 
 
 def tv_distance(p, q):
@@ -391,9 +390,9 @@ class TestBatchedFit:
         alone = fit(plan.null_design, counts[5], spec, options[5])
         assert pickle.dumps(alone) == pickle.dumps(whole[5])
 
-    def test_converged_latent_is_the_latent_params(self, coleman_design, coleman_fit_23):
+    def test_converged_latent_is_the_kernel_table(self, coleman_design, coleman_fit_23):
         # The class weights and item probabilities come from the batch's
-        # kernel table; they equal latent_params at theta_hat bit for bit.
+        # kernel table; they equal the table of theta_hat alone bit for bit.
         plan, counts, options = _cell_fits(200, 2.0, 25)
         fits = fit_many(plan.null_design, counts, power(plan.estimator_a), [options] * len(counts))
         assert sum(r.converged for r in fits) >= 20
@@ -467,7 +466,7 @@ def manifest_distribution_from(result):
 
 
 def _assert_latent_is_reference(design, result):
-    reference = model.latent_params(design, result.theta_hat)
+    reference = table_latent(design, result.theta_hat)
     np.testing.assert_array_equal(result.latent.w, reference.w)
     np.testing.assert_array_equal(result.latent.P, reference.P)
 
@@ -477,28 +476,31 @@ def _grad_at(design, counts, result):
     return grad
 
 
-class TestFitMle:
-    def test_alias_of_power_zero(self):
-        design = make_design(seed=63, k=3, m=2, t=2, u=1)
-        counts = sample_counts(design, random_theta(design, seed=64), 300, seed=65)
-        opts = FitOptions(starts=4, seed=9)
-        r1 = fit_mle(design, counts, opts)
-        r2 = fit(design, counts, power(0.0), opts)
-        np.testing.assert_array_equal(r1.theta_hat.vector(), r2.theta_hat.vector())
-        assert r1.objective == r2.objective
+class TestMaximumLikelihood:
+    """Maximum likelihood is the fit at power index 0."""
 
     def test_likelihood_identity_holds(self):
+        # logL(theta_hat) + N * D_KL(p_hat, p(theta_hat)) = logL(p_hat), with the
+        # multinomial log-likelihood from scipy and D_KL the index-0 divergence.
         design = make_design(seed=66, k=3, m=2, t=2, u=1)
         counts = sample_counts(design, random_theta(design, seed=67), 500, seed=68)
-        result = fit_mle(design, counts, FitOptions(starts=4, seed=10))
-        assert result.converged  # identity check inside fit_mle did not raise
+        result = fit(design, counts, power(0.0), FitOptions(starts=4, seed=10))
+        assert result.converged
+        p_hat, p = counts.p_hat(), result.manifest.p
+        kl = phi_divergence(p_hat, p, power(0.0))
+        assert kl == result.objective
+        resid = (
+            multinomial.logpmf(counts.n, counts.N, p)
+            + counts.N * kl
+            - multinomial.logpmf(counts.n, counts.N, p_hat)
+        )
+        assert abs(resid) <= 1e-6
 
     def test_mle_dominates_other_members_in_likelihood(
-        self, coleman_design, coleman_counts, coleman_fit_23, coleman_fit_mle
+        self, coleman_counts, coleman_fit_23, coleman_fit_mle
     ):
-        ll_mle = log_likelihood(coleman_counts, coleman_fit_mle.manifest)
-        ll_23 = log_likelihood(coleman_counts, coleman_fit_23.manifest)
-        assert ll_mle >= ll_23
+        n = coleman_counts.n
+        assert n @ np.log(coleman_fit_mle.manifest.p) >= n @ np.log(coleman_fit_23.manifest.p)
 
 
 class TestCanonicalization:
@@ -518,6 +520,30 @@ class TestCanonicalization:
         )
         canon = canonicalize(latent)
         assert canon.P[0, 0] == 0.7
+
+
+class TestInitialPoints:
+    def test_a_given_start_alone_builds_no_generator(self, monkeypatch):
+        design = make_design(seed=61, k=3, m=2, t=2, u=1)
+        theta = random_theta(design, seed=62)
+        counts = sample_counts(design, theta, 400, seed=63)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Philox generator was built")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        result = fit(design, counts, power(2.0 / 3.0), FitOptions(starts=1, init_theta=theta))
+        assert result.converged and len(result.traces) == 1
+
+    def test_draws_follow_the_given_start(self):
+        design = make_design(seed=61, k=3, m=2, t=2, u=1)
+        theta = random_theta(design, seed=62)
+        X0 = estimation._initial_points(
+            design, FitOptions(starts=3, seed=7, init_scale=2.0, init_theta=theta)
+        )
+        rng = np.random.Generator(np.random.Philox(7))
+        draws = [rng.normal(0.0, 2.0, size=design.t + design.u) for _ in range(2)]
+        np.testing.assert_array_equal(X0, [theta.vector(), *draws])
 
 
 class TestFitOptionsValidation:

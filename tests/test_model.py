@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, multinomial
+from scipy.stats import chisquare
 
 from lcmdiv.errors import DomainError
 from lcmdiv.model import (
@@ -20,10 +20,7 @@ from lcmdiv.model import (
     _pullback,
     _table,
     all_patterns,
-    class_weights,
-    item_probs,
     jacobian_rank,
-    log_likelihood,
     manifest_distribution,
     manifest_jacobian,
     pattern_index,
@@ -31,7 +28,6 @@ from lcmdiv.model import (
     sample_counts,
 )
 from lcmdiv import datasets
-from lcmdiv.divergence import kl_divergence
 
 from conftest import (
     COLEMAN_REF_ETA,
@@ -39,7 +35,9 @@ from conftest import (
     make_design,
     random_theta,
     reference_jacobian,
+    reference_latent,
     reference_manifest,
+    table_latent,
 )
 
 # Kernel against loop reference, absolute.  Entries of p are at most 1 and
@@ -104,26 +102,26 @@ class TestItemProbs:
         design = ModelDesign(
             Q=np.ones((2, 3, 2)), C=np.zeros((2, 3)), V=np.ones((2, 1)), d=np.zeros(2)
         )
-        P = item_probs(design, Theta.zeros(design))
+        P = table_latent(design, Theta.zeros(design)).P
         np.testing.assert_allclose(P, 0.5, atol=0)
 
     def test_logistic_of_one(self):
         design = ModelDesign(
             Q=np.ones((1, 1, 1)), C=np.zeros((1, 1)), V=np.ones((1, 1)), d=np.zeros(1)
         )
-        P = item_probs(design, Theta(lam=[1.0], eta=[0.0]))
+        P = table_latent(design, Theta(lam=[1.0], eta=[0.0])).P
         assert abs(P[0, 0] - 0.7310585786300049) < 1e-12
 
     def test_coleman_reference_value(self, coleman_design):
         theta = Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA)
-        P = item_probs(coleman_design, theta)
+        P = table_latent(coleman_design, theta).P
         assert abs(P[0, 0] - 0.08762969) < 5e-9
 
     def test_overflow_safe(self):
         design = ModelDesign(
             Q=np.ones((1, 2, 1)), C=np.array([[800.0, -800.0]]), V=np.ones((1, 1)), d=np.zeros(1)
         )
-        P = item_probs(design, Theta.zeros(design))
+        P = table_latent(design, Theta.zeros(design)).P
         assert np.all(np.isfinite(P)) and P[0, 0] == 1.0 and P[0, 1] == 0.0
 
 
@@ -131,12 +129,12 @@ class TestClassWeights:
     def test_uniform_at_zero(self):
         design = make_design(seed=1, m=3, u=2)
         design = ModelDesign(Q=design.Q, C=design.C, V=design.V, d=np.zeros(3))
-        w = class_weights(design, Theta.zeros(design))
+        w = table_latent(design, Theta.zeros(design)).w
         np.testing.assert_allclose(w, 1.0 / 3.0, atol=1e-15)
 
     def test_coleman_reference_value(self, coleman_design):
         theta = Theta(lam=COLEMAN_REF_LAMBDA, eta=COLEMAN_REF_ETA)
-        w = class_weights(coleman_design, theta)
+        w = table_latent(coleman_design, theta).w
         assert abs(w[0] - 0.38936544) < 5e-9
 
     @given(st.floats(-30, 30), st.integers(0, 2 ** 31))
@@ -147,13 +145,13 @@ class TestClassWeights:
         )
         rng = np.random.default_rng(seed)
         eta = rng.normal(size=3)
-        w1 = class_weights(design, Theta(lam=[0.0], eta=eta))
-        w2 = class_weights(design, Theta(lam=[0.0], eta=eta + shift))
+        w1 = table_latent(design, Theta(lam=[0.0], eta=eta)).w
+        w2 = table_latent(design, Theta(lam=[0.0], eta=eta + shift)).w
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_sums_to_one(self):
         design = make_design(seed=4, m=5, u=3)
-        w = class_weights(design, random_theta(design, seed=5, scale=3.0))
+        w = table_latent(design, random_theta(design, seed=5, scale=3.0)).w
         assert abs(w.sum() - 1.0) <= 1e-12
 
 
@@ -176,8 +174,7 @@ class TestManifestDistribution:
         # Independent enumeration: all four patterns, direct multiplication.
         design = make_design(seed=7, k=2, m=2, t=2, u=1)
         theta = random_theta(design, seed=8)
-        w = class_weights(design, theta)
-        P = item_probs(design, theta)
+        w, P = reference_latent(design, theta)
         expected = np.zeros(4)
         for nu, (y1, y2) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             for j in range(2):
@@ -441,47 +438,6 @@ class TestSampling:
             sample_counts(big, Theta.zeros(big), 10, seed=0)
         with pytest.raises(DomainError):
             sample_counts(design, random_theta(design), 0, seed=0)
-
-
-class TestLogLikelihood:
-    def test_single_observation_uniform(self):
-        counts = ObservedCounts(n=[1, 0])
-        dist = manifest_distribution(
-            ModelDesign(Q=np.ones((1, 1, 1)), C=np.zeros((1, 1)), V=np.ones((1, 1)), d=np.zeros(1)),
-            Theta(lam=[0.0], eta=[0.0]),
-        )
-        assert abs(log_likelihood(counts, dist) - math.log(0.5)) < 1e-14
-
-    def test_divergence_identity_constant_in_theta(self):
-        # logL(theta) + N * KL(p_hat, p(theta)) is the multinomial constant.
-        design = make_design(seed=31, k=3, m=2, t=2, u=1)
-        counts = sample_counts(design, random_theta(design, seed=32), 400, seed=3)
-        values = []
-        for s in range(10):
-            theta = random_theta(design, seed=100 + s, scale=1.0)
-            dist = manifest_distribution(design, theta)
-            values.append(
-                log_likelihood(counts, dist) + counts.N * kl_divergence(counts.p_hat(), dist.p)
-            )
-        assert max(values) - min(values) < 1e-8
-
-    def test_multinomial_pmf_oracle(self):
-        # 3-cell check against scipy's multinomial pmf (4-cell table, one empty).
-        n = np.array([5, 2, 3, 0])
-        p = np.array([0.4, 0.3, 0.2, 0.1])
-        counts = ObservedCounts(n=n)
-        from lcmdiv.model import ManifestDistribution
-
-        dist = ManifestDistribution(p=p)
-        expected = multinomial.logpmf(n, n.sum(), p)
-        assert abs(log_likelihood(counts, dist) - expected) < 1e-10
-
-    def test_zero_probability_sentinel(self):
-        from lcmdiv.model import ManifestDistribution
-
-        counts = ObservedCounts(n=[3, 1])
-        dist = ManifestDistribution(p=[1.0, 0.0])
-        assert log_likelihood(counts, dist) == -math.inf
 
 
 def _design(Q=(2, 3, 1), V=(2, 1), d=(2,)):
