@@ -11,10 +11,11 @@ Run from the root of a source checkout.  The record has two parts:
 * ``layers``: direct timings on the simulation's null design (N = 200) of
   the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
   batch, of the fit's objective and gradient at a 25-row batch, of one fit
-  alone against its share of a 25-data-set ``fit_many`` batch, of the four
+  alone against its share of a 25-data-set ``_fit_batch``, of the four
   one-row ``gof_statistic`` calls of one replication against its share of
   the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
-  replication as its share of 25 draws from one table, and of one
+  replication as its share of 25 draws from one table (each seeded as the
+  study's replication is, by ``montecarlo.replication_seeds``), and of one
   replication alone against its share of a 25-replication chunk.  Each
   timing runs 5 repeats of a loop and keeps every repeat's per-call time
   (``runs_s``) and their median (``median_s``); ``raw_s`` is the best
@@ -53,10 +54,10 @@ from workloads import NAMES  # noqa: E402
 
 from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
-from lcmdiv.estimation import _objective, fit, fit_many  # noqa: E402
+from lcmdiv.estimation import _fit_batch, _objective, fit  # noqa: E402
 from lcmdiv.inference import gof_rows, gof_statistic, resolve_gof_dof  # noqa: E402
 from lcmdiv.model import _draw, _evaluate, _sampling_table, sample_counts  # noqa: E402
-from lcmdiv.montecarlo import _replicate_chunk  # noqa: E402
+from lcmdiv.montecarlo import _replicate_chunk, replication_seeds  # noqa: E402
 
 BATCH = 25
 REPEATS = 5
@@ -114,10 +115,11 @@ def layer_timings(seed: int) -> dict:
     rng = np.random.Generator(np.random.Philox(seed))
     X = plan.theta0.vector() + rng.normal(0.0, 0.1, size=(BATCH, design.t + design.u))
     counts = [sample_counts(design, plan.theta0, 200, seed=(seed, rep)) for rep in range(BATCH)]
-    options = [plan.fit_options(seed=0)] * BATCH
-    fits = fit_many(design, counts, spec, options)
+    options = plan.fit_options()
+    fits = [fit(design, c, spec, options) for c in counts]
     evaluations = sum(r.traces[0].evaluations for r in fits)
     P_hat = np.array([c.p_hat() for c in counts])
+    sample_seeds, fit_seeds = zip(*(replication_seeds(seed, 0, 0, rep) for rep in range(BATCH)))
 
     def gof_batch():
         return [gof_statistic(design, c, power(a), r, plan.alpha, plan.dof_policy)
@@ -130,11 +132,9 @@ def layer_timings(seed: int) -> dict:
     def statistics_batch():
         return [gof_rows(power(a), P_hat, P, N, dof, plan.alpha) for a in plan.a_values]
 
-    seeds = [np.random.SeedSequence(seed, spawn_key=(0, 0, rep)) for rep in range(BATCH)]
-
     def sampling_batch():
         table = _sampling_table(design, plan.theta0)
-        return [_draw(table, 200, s) for s in seeds]
+        return [_draw(table, 200, s) for s in sample_seeds]
 
     clock = Clock()
     return {
@@ -149,8 +149,9 @@ def layer_timings(seed: int) -> dict:
         "gof_per_replication": timed(clock, gof_batch, 10, BATCH),
         "statistics_per_replication": timed(clock, statistics_batch, 10, BATCH),
         "sampling_per_replication": timed(clock, sampling_batch, 10, BATCH),
-        "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options[0]), 5),
-        "fit_batch_share": timed(clock, lambda: fit_many(design, counts, spec, options), 1, BATCH),
+        "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options), 5),
+        "fit_batch_share": timed(
+            clock, lambda: _fit_batch(design, P_hat, spec.a, options, fit_seeds), 1, BATCH),
         "replication_alone": timed(clock, lambda: _replicate_chunk((plan, dof, 0, 1)), 5),
         "replication_batch_share": timed(
             clock, lambda: _replicate_chunk((plan, dof, 0, BATCH)), 1, BATCH),

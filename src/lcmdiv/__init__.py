@@ -8,7 +8,7 @@ from .errors import (
     NotConvergedError,
     RankDeficiencyError,
 )
-from .estimation import FitOptions, FitResult, fit, fit_many, objective_and_gradient
+from .estimation import FitOptions, FitResult, fit, objective_and_gradient
 from .inference import (
     NestedChain,
     TestResult,
@@ -60,7 +60,6 @@ __all__ = [
     "dale_band",
     "estimator_sweep",
     "fit",
-    "fit_many",
     "gof_statistic",
     "identity_h",
     "manifest_distribution",

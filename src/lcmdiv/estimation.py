@@ -23,13 +23,14 @@ is the vector-Jacobian product ``weight @ J``, which ``model._pullback``
 contracts through the class-pattern table without forming ``J``, so the
 estimator never builds a Jacobian.
 
-The optimizer is one batched BFGS (:func:`_minimize`): every start of a
-multi-start fit, and every data set of :func:`fit_many`, is a row of one
-array, and rows that converge drop out.  Arguments are validated at the
-public entry points; the loop runs on raw ``(b, t + u)`` arrays and checks
-only that they are finite.  After the loop, every data set's best start,
-converged or not, is evaluated in one kernel call, and every result is
-built from that evaluation.
+The optimizer is one batched BFGS (:func:`_minimize`): every start of every
+data set of :func:`_fit_batch` is a row of one array, and rows that converge
+drop out.  Arguments are validated at the public entry points; the loop runs
+on raw ``(b, t + u)`` arrays and checks only that they are finite.  After the
+loop, every data set's best start, converged or not, is evaluated in one
+kernel call.  :func:`fit` is the batch of one data set, and the one place
+that builds a :class:`FitResult`; the simulation study reads the batch's
+arrays directly.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
     product is stacked on the batch axis and every sum runs along a row's own
     axis, a row's path is the same bit for bit whatever else is in the batch.
 
-    ``grad_tol`` and ``max_iters`` hold one value per row.  Returns
+    ``grad_tol`` and ``max_iters`` are one value for the whole batch.  Returns
     ``(X, value, grad_norm, iterations, evaluations, restarts, status)``, one
     entry per row; ``status`` indexes ``_STATUSES``.
     """
@@ -217,7 +218,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
     fresh = np.ones(b, dtype=bool)  # H is the unscaled identity
     converged = np.max(np.abs(G), axis=1) <= grad_tol
     ended = np.flatnonzero(np.isinf(f))  # relabelled infinite_objective below
-    leave = converged | (max_iters < 1)
+    leave = converged.copy()
     leave[ended] = True
     while True:
         if leave.any():
@@ -227,9 +228,8 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
             gone, keep = row[leave], ~leave
             for out, value in zip(results, (X, f, G, iterations, evaluations, restarts, code)):
                 out[gone] = value[leave]
-            row, X, f, G, P_hat, grad_tol, max_iters, H, fresh, iterations, evaluations, restarts = (
-                v[keep]
-                for v in (row, X, f, G, P_hat, grad_tol, max_iters, H, fresh, iterations, evaluations, restarts)
+            row, X, f, G, P_hat, H, fresh, iterations, evaluations, restarts = (
+                v[keep] for v in (row, X, f, G, P_hat, H, fresh, iterations, evaluations, restarts)
             )
             if row.size == 0:
                 break
@@ -304,7 +304,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
     return X, f, np.max(np.abs(G), axis=1), iterations, evaluations, restarts, code
 
 
-def _initial_points(design: ModelDesign, options: FitOptions) -> np.ndarray:
+def _initial_points(design: ModelDesign, options: FitOptions, seed: int) -> np.ndarray:
     """The ``(starts, t + u)`` launch points: ``init_theta`` first, then draws.
 
     The draws come from a fresh ``Generator(Philox(seed))``, built only when
@@ -312,7 +312,7 @@ def _initial_points(design: ModelDesign, options: FitOptions) -> np.ndarray:
     """
     inits = [] if options.init_theta is None else [_vector(design, options.init_theta)]
     if len(inits) < options.starts:
-        rng = np.random.Generator(np.random.Philox(options.seed))
+        rng = np.random.Generator(np.random.Philox(seed))
         while len(inits) < options.starts:
             inits.append(rng.normal(0.0, options.init_scale, size=design.t + design.u))
     return np.array(inits)
@@ -333,75 +333,12 @@ def fit(
     start with the smallest objective where it stopped, with every per-start
     trace; its message counts the starts by status.
     """
-    return fit_many(design, (counts,), spec, (options,))[0]
-
-
-def fit_many(design: ModelDesign, counts_seq, spec: PhiSpec, options_seq) -> tuple:
-    """:func:`fit` of each data set in ``counts_seq`` with its ``options_seq`` entry.
-
-    Every start of every data set is one row of a single batched
-    optimization, and a row's path does not depend on the rest of the batch,
-    so each result equals the one :func:`fit` returns for that data set
-    alone, bit for bit.  A data set's result point is its best converged
-    start or, when none converged, its best start of all (the first start
-    wins ties).  The result points share one kernel call, which also gives
-    the class weights and item probabilities.
-    """
-    counts_seq, options_seq = tuple(counts_seq), tuple(options_seq)
-    if len(counts_seq) != len(options_seq):
-        raise DomainError("fit_many needs one FitOptions per data set")
-    if not counts_seq:
-        return ()
-    for counts in counts_seq:
-        _check_items(design, counts)
-    launches = [_initial_points(design, options) for options in options_seq]
-
-    owner = np.repeat(np.arange(len(launches)), [len(X0) for X0 in launches])
-    outcome = _minimize(
-        design,
-        np.array([counts.p_hat() for counts in counts_seq])[owner],
-        spec.a,
-        np.concatenate(launches),
-        np.array([options.grad_tol for options in options_seq])[owner],
-        np.array([options.max_iters for options in options_seq])[owner],
+    _check_items(design, counts)
+    X, objective, converged, w, S, p, starts = _fit_batch(
+        design, counts.p_hat()[None], spec.a, options, (options.seed,)
     )
-    X, value = outcome[:2]
-    best, messages, traces = [], [], []
-    lo = 0
-    for X0 in launches:
-        rows = slice(lo, lo + len(X0))
-        lo = rows.stop
-        starts = _traces(*(column[rows] for column in outcome[1:]))
-        converged = [tr for tr in starts if tr.converged]
-        # min keeps the first start among ties.
-        best.append(rows.start + min(converged or starts, key=lambda tr: tr.objective).start)
-        traces.append(starts)
-        tally = ", ".join(
-            f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in starts))
-        )
-        messages.append("" if converged else f"no start converged: {tally}")
-
-    # Every data set's result point in one kernel call.
-    w, S, _, P = _table(design, X[best])
-    return tuple(
-        FitResult(
-            theta_hat=Theta.from_vector(design, X[row]),
-            objective=float(value[row]),
-            converged=any(tr.converged for tr in traces[i]),
-            traces=traces[i],
-            latent=LatentParams(w=w[i], P=expit(S[i])),
-            manifest=ManifestDistribution(p=P[i]),
-            spec=spec,
-            empty_cells=bool(np.any(counts_seq[i].n == 0)),
-            message=messages[i],
-        )
-        for i, row in enumerate(best)
-    )
-
-
-def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
-    """The :class:`StartTrace` of each start of one data set, from its rows of :func:`_minimize`."""
-    return tuple(
+    value, gnorm, iterations, evaluations, restarts, status = (column[0] for column in starts)
+    traces = tuple(
         StartTrace(
             start=s,
             objective=float(value[s]),
@@ -412,8 +349,53 @@ def _traces(value, gnorm, iterations, evaluations, restarts, status) -> tuple:
             status=_STATUSES[status[s]],
             restarts=int(restarts[s]),
         )
-        for s in range(len(value))
+        for s in range(options.starts)
     )
+    tally = ", ".join(
+        f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
+    )
+    return FitResult(
+        theta_hat=Theta.from_vector(design, X[0]),
+        objective=float(objective[0]),
+        converged=bool(converged[0]),
+        traces=traces,
+        latent=LatentParams(w=w[0], P=expit(S[0])),
+        manifest=ManifestDistribution(p=p[0]),
+        spec=spec,
+        empty_cells=bool(np.any(counts.n == 0)),
+        message="" if converged[0] else f"no start converged: {tally}",
+    )
+
+
+def _fit_batch(design, P_hat, a, options: FitOptions, seeds) -> tuple:
+    """The fit of every row of ``P_hat`` at index ``a``, as one batched optimization.
+
+    Row ``i`` of ``P_hat`` (shape ``(b, 2**k)``) launches the starts of
+    ``options``, its random ones drawn with ``seeds[i]``.  A row's path does
+    not depend on the rest of the batch, so each row's outputs equal those of
+    a batch of that row alone, bit for bit.  A row's result point is its best
+    converged start or, when none converged, its best start of all (the first
+    start wins ties).  Returns ``(X, value, converged, w, S, p, starts)``: per
+    row, the result point, its objective and whether any start converged;
+    the kernel's class weights, item logits and manifest distribution at the
+    result points, from one kernel call; and ``starts``, the per-start
+    outcome ``(value, grad_norm, iterations, evaluations, restarts, status)``
+    of :func:`_minimize`, each shaped ``(rows, starts)``.
+    """
+    b, n_starts = len(seeds), options.starts
+    X0 = np.concatenate([_initial_points(design, options, seed) for seed in seeds])
+    X, *outcome = _minimize(
+        design, np.repeat(P_hat, n_starts, axis=0), a, X0, options.grad_tol, options.max_iters
+    )
+    starts = tuple(column.reshape(b, n_starts) for column in outcome)
+    value, status = starts[0], starts[-1]
+    converged_starts = status == _CONVERGED
+    converged = converged_starts.any(axis=1)
+    # Converged starts first; argmin keeps the first start among ties.
+    best = np.argmin(np.where(converged_starts | ~converged[:, None], value, np.inf), axis=1)
+    X = X[np.arange(b) * n_starts + best]
+    w, S, _, p = _table(design, X)
+    return X, value[np.arange(b), best], converged, w, S, p, starts
 
 
 def canonical_class_order(latent: LatentParams) -> np.ndarray:

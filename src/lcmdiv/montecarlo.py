@@ -10,19 +10,19 @@ replications is tested as arrays, with one
 fits; :func:`lcmdiv.inference.gof_statistic` is that routine on one row, so
 the study measures exactly the test a user runs on one data set, bit for bit.
 
-Replications are seeded independently from the master seed through
-``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``, so the table is
-bit-reproducible no matter how replications are scheduled.  The grid is one
-stream of replications in table order (size, coefficient, replication), cut
-once per run into contiguous chunks, a multiple of the worker count and each
-small enough that its kernel arrays fit a fixed memory budget.  A chunk
-samples every replication of a cell from one table of that cell's true
-model.  Every fit is the null design's, so a chunk's fits run as one
-:func:`lcmdiv.estimation.fit_many` batch even across cells; its rows do not
-depend on each other, so the process-pool parallel path and the serial path
-produce identical tables.  A chunk returns per-index arrays of statistics,
-rejections and warning codes, and its own wall time, which the run logs
-split over the cells it served.  Replications whose fit does not converge
+Replications are seeded independently from the master seed by
+:func:`replication_seeds`, so the table is bit-reproducible no matter how
+replications are scheduled.  The grid is one stream of replications in table
+order (size, coefficient, replication), cut once per run into contiguous
+chunks, a multiple of the worker count and each small enough that its kernel
+arrays fit a fixed memory budget.  A chunk samples every replication of a
+cell from one table of that cell's true model.  Every fit is the null
+design's, so a chunk's fits run as one :func:`lcmdiv.estimation._fit_batch`
+even across cells, read as arrays; its rows do not depend on each other, so
+the process-pool parallel path and the serial path produce identical tables.
+A chunk returns per-index arrays of statistics, rejections and warning
+codes, and its own wall time, which the run logs split over the cells it
+served.  Replications whose fit does not converge
 are excluded from the denominator and counted.
 """
 
@@ -42,9 +42,9 @@ from scipy.special import betaincinv
 
 from .divergence import power
 from .errors import DomainError
-from .estimation import FitOptions, fit_many
+from .estimation import FitOptions, _fit_batch
 from .inference import WARNINGS, gof_rows, resolve_gof_dof
-from .model import ModelDesign, Theta, _draw, _sampling_table
+from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, _sampling_table
 
 _log = logging.getLogger(__name__)
 
@@ -125,6 +125,11 @@ class SimulationPlan:
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         null, alt = self.null_design, self.alt_design
+        # Refused here, before the run's dof resolution builds a Jacobian over 2**k patterns.
+        if null.k > MAX_ITEMS_FOR_SAMPLING:
+            raise DomainError(
+                f"the study samples at most k = {MAX_ITEMS_FOR_SAMPLING} items, got {null.k}"
+            )
         # The alternative at coefficient 0 must be the null model itself.
         same = zip((alt.Q[..., : null.t], alt.C, alt.V, alt.d), (null.Q, null.C, null.V, null.d))
         if alt.t != null.t + 1 or not all(np.array_equal(x, y) for x, y in same):
@@ -132,15 +137,14 @@ class SimulationPlan:
         if self.dof_policy not in ("rank", "nominal"):
             raise DomainError("dof policy must be 'rank' or 'nominal'")
         self.theta0.check_shape(self.null_design)
-        self.fit_options(seed=0)  # FitOptions checks the fit fields
+        self.fit_options()  # FitOptions checks the fit fields
 
-    def fit_options(self, seed: int) -> FitOptions:
-        """Options of one replication's fit, its random starts seeded by ``seed``."""
+    def fit_options(self) -> FitOptions:
+        """Options of every replication's fit; each replication seeds its own random starts."""
         return FitOptions(
             starts=self.fit_starts,
             grad_tol=self.fit_grad_tol,
             max_iters=self.fit_max_iters,
-            seed=seed,
             init_theta=self.theta0 if self.start_at_truth else None,
         )
 
@@ -218,39 +222,49 @@ class _Records(NamedTuple):
     warnings: np.ndarray
 
 
+def replication_seeds(seed: int, size_idx: int, coef_idx: int, rep: int) -> tuple:
+    """The sample ``SeedSequence`` and the integer fit seed of one replication.
+
+    Replication ``rep`` of the grid's (sample size, coefficient) position
+    ``(size_idx, coef_idx)`` under master seed ``seed`` spawns both from
+    ``SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep))``.
+    """
+    sample_seq, fit_seq = np.random.SeedSequence(seed, spawn_key=(size_idx, coef_idx, rep)).spawn(2)
+    return sample_seq, int(fit_seq.generate_state(1)[0])
+
+
 def _replicate_chunk(args):
     """Replications ``lo`` up to ``hi`` of the grid's stream, in order, and their wall time.
 
     Samples each replication from its cell's true model and size, drawing
     every replication of a cell from one table of that model, fits the null
-    design to all of them in one :func:`fit_many` batch, and tests the
-    converged fits at every entry of ``plan.a_values`` with one
+    design to all of them in one :func:`lcmdiv.estimation._fit_batch`, and
+    tests the converged fits at every entry of ``plan.a_values`` with one
     :func:`gof_rows` call per index, all at the run's ``dof``.  Returns
     ``(wall seconds, _Records)``.  A fit does not depend on the rest of its
     batch, so neither does its record.
     """
     start = perf_counter()
     plan, dof, lo, hi = args
-    tables = {}
-    counts_seq, options_seq = [], []
+    tables, n, seeds = {}, [], []
     for i in range(lo, hi):
         cell, rep = divmod(i, plan.replications)
         size_idx, coef_idx = divmod(cell, len(plan.lambda8_grid))
         if coef_idx not in tables:
             tables[coef_idx] = _sampling_table(*plan.true_model(plan.lambda8_grid[coef_idx]))
-        seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
-        sample_seq, fit_seq = seq.spawn(2)
-        counts_seq.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq))
-        options_seq.append(plan.fit_options(seed=int(fit_seq.generate_state(1)[0])))
-    fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
-    converged = np.array([result.converged for result in fits], dtype=bool)
-    n = np.array([counts.n for counts in counts_seq])[converged]
+        sample_seq, fit_seed = replication_seeds(plan.seed, size_idx, coef_idx, rep)
+        n.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq).n)
+        seeds.append(fit_seed)
+    n = np.array(n)
     N = n.sum(axis=1)
     P_hat = n / N[:, None]
-    P = np.array([result.manifest.p for result in fits])[converged]
+    _, _, converged, _, _, P, _ = _fit_batch(
+        plan.null_design, P_hat, float(plan.estimator_a), plan.fit_options(), seeds
+    )
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)
     warnings = np.zeros(shape, dtype=np.int64)
+    P_hat, P, N = P_hat[converged], P[converged], N[converged]
     for row, a in enumerate(plan.a_values):
         tests = gof_rows(power(a), P_hat, P, N, dof, plan.alpha)
         statistic[row, converged] = tests.statistic

@@ -1,9 +1,10 @@
 import math
-import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import multinomial
 
 from lcmdiv import estimation, model
@@ -15,7 +16,6 @@ from lcmdiv.estimation import (
     canonical_class_order,
     canonicalize,
     fit,
-    fit_many,
     objective_and_gradient,
 )
 from lcmdiv.model import (
@@ -165,9 +165,11 @@ class TestValidationBoundary:
         assert not hasattr(estimation, "_jacobian") and not hasattr(estimation, "numerical_rank")
         result = fit(plan.null_design, counts, power(2.0 / 3.0), FitOptions(starts=3, seed=1))
         assert result.converged and sum(t.evaluations for t in result.traces) > 30
-        options = [FitOptions(starts=2, seed=1), FitOptions(starts=2, max_iters=1, seed=1)]
-        fits = fit_many(plan.null_design, [counts] * 2, power(0.0), options)
-        assert [r.converged for r in fits] == [True, False]
+        for options, converged in (
+            (FitOptions(starts=2), True), (FitOptions(starts=2, max_iters=1), False),
+        ):
+            out = _fit_rows(plan.null_design, [counts] * 2, 0.0, options, seeds=[1, 2])
+            assert out[2].tolist() == [converged] * 2
         assert calls == []
         jacobian_rank(plan.null_design, plan.theta0)  # and the counter does count
         assert len(calls) == 1
@@ -302,6 +304,42 @@ class TestFit:
         assert coleman_fit_23.objective <= at_ref
 
 
+def _fit_rows(design, counts, a, options, seeds=None):
+    """``_fit_batch`` of the data sets ``counts``, row ``i`` seeded by ``seeds[i]``
+    (by default every row by ``options.seed``)."""
+    P_hat = np.array([c.p_hat() for c in counts])
+    return estimation._fit_batch(design, P_hat, a, options, seeds or [options.seed] * len(counts))
+
+
+def _columns(out):
+    """Every array of a ``_fit_batch`` outcome, the per-start ones unpacked."""
+    return (*out[:-1], *out[-1])
+
+
+def _row_fields(out, i):
+    """Row ``i`` of a ``_fit_batch`` outcome, as the fields a ``FitResult`` reports."""
+    X, value, converged, w, S, p, starts = out
+    return (X[i], value[i], converged[i], w[i], expit(S[i]), p[i], *(column[i] for column in starts))
+
+
+def _result_fields(result):
+    """The fields of ``_row_fields`` read from a ``FitResult``."""
+    traces = result.traces
+    return (
+        result.theta_hat.vector(), result.objective, result.converged, result.latent.w,
+        result.latent.P, result.manifest.p,
+        *([getattr(t, name) for t in traces]
+          for name in ("objective", "grad_norm", "iterations", "evaluations", "restarts")),
+        [estimation._STATUSES.index(t.status) for t in traces],
+    )
+
+
+def _assert_same_bits(left, right):
+    assert len(left) == len(right)
+    for x, y in zip(left, right):
+        assert np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+
+
 def _cell_fits(N, lambda8, replications, seed=1):
     """A cell's plan, its sampled data sets and the study's single-start options."""
     plan = simulation_plan(sample_sizes=(N,), lambda8_grid=(lambda8,), seed=seed)
@@ -323,7 +361,7 @@ class TestBatchedFit:
         # fit may find a lower stationary point, never a higher one, and
         # fails no more often.
         plan, counts, options = _cell_fits(200, lambda8, 25)
-        fits = fit_many(plan.null_design, counts, power(plan.estimator_a), [options] * len(counts))
+        _, value, converged, *_ = _fit_rows(plan.null_design, counts, plan.estimator_a, options)
         oracle = [
             scipy_bfgs_fit(
                 plan.null_design, c, plan.estimator_a, plan.theta0.vector(),
@@ -331,10 +369,10 @@ class TestBatchedFit:
             )
             for c in counts
         ]
-        assert sum(not r.converged for r in fits) <= sum(not ok for _, ok in oracle)
-        for result, (value, ok) in zip(fits, oracle):
-            if result.converged and ok:
-                assert result.objective <= value + 1e-7
+        assert np.count_nonzero(~converged) <= sum(not ok for _, ok in oracle)
+        for objective, done, (reference, ok) in zip(value, converged, oracle):
+            if done and ok:
+                assert objective <= reference + 1e-7
 
     @pytest.mark.parametrize("a", (-0.5, 0.0, 2.0 / 3.0, 1.0, 2.0))
     def test_objective_is_the_tested_divergence(self, a):
@@ -343,62 +381,67 @@ class TestBatchedFit:
         # with empty cells too.
         plan, counts, options = _cell_fits(200, 0.0, 40)
         assert sum(bool(np.any(c.n == 0)) for c in counts) >= 10
-        fits = fit_many(plan.null_design, counts, power(a), [options] * len(counts))
-        assert sum(r.converged for r in fits) >= 35
-        for c, r in zip(counts, fits):
-            if r.converged:
-                assert r.objective == phi_divergence(c.p_hat(), r.manifest.p, power(a))
+        _, value, converged, _, _, p, _ = _fit_rows(plan.null_design, counts, a, options)
+        assert np.count_nonzero(converged) >= 35
+        for c, objective, done, row in zip(counts, value, converged, p):
+            if done:
+                assert objective == phi_divergence(c.p_hat(), row, power(a))
 
     def test_batch_composition_does_not_matter(self, coleman_design, coleman_counts):
-        # Rows that leave the batch at different passes, by every route: the
-        # first data set's starts restart and end line_search, the second's
-        # end max_iters, and the emptied counts converge at index 2/3 but have
-        # an infinite objective at -1.
+        # Rows that leave the batch at different passes, by every route: at
+        # index -1 with 60 iterations the Coleman rows' starts converge or end
+        # max_iters and the emptied counts have an infinite objective; at 2/3
+        # with a tolerance no start reaches, every start restarts and ends
+        # line_search.  Each row equals the fit of its data set alone.
         n = np.array(coleman_counts.n)
         n[3] = 0
         emptied = ObservedCounts(n=n)
-        mixed = [coleman_counts, coleman_counts, emptied, emptied]
-        mixed_options = [
-            FitOptions(starts=4, seed=1, grad_tol=1e-14, max_iters=400),
-            FitOptions(starts=3, seed=2, max_iters=5),
-            FitOptions(starts=5, seed=3),
-            FitOptions(starts=2, seed=4, grad_tol=1e-3),
+        mixed, seeds = [coleman_counts, coleman_counts, emptied, emptied], [1, 2, 3, 4]
+        batches = (
+            (FitOptions(starts=5, max_iters=60), -1.0),
+            (FitOptions(starts=4, grad_tol=1e-14, max_iters=400), 2.0 / 3.0),
+        )
+        routes = []
+        for options, a in batches:
+            out = _fit_rows(coleman_design, mixed, a, options, seeds)
+            status, restarts = out[-1][-1], out[-1][-2]
+            routes.append([sorted({estimation._STATUSES[s] for s in row}) for row in status])
+            assert (restarts[status == estimation._LINE_SEARCH] > 0).all()
+            for i, (c, seed) in enumerate(zip(mixed, seeds)):
+                alone = fit(coleman_design, c, power(a), replace(options, seed=seed))
+                _assert_same_bits(_row_fields(out, i), _result_fields(alone))
+        assert routes == [
+            [["converged", "max_iters"]] * 2 + [["infinite_objective"]] * 2,
+            [["line_search"]] * 4,
         ]
-        for a, last in ((2.0 / 3.0, "converged"), (-1.0, "infinite_objective")):
-            batch = fit_many(coleman_design, mixed, power(a), mixed_options)
-            statuses = [{t.status for t in r.traces} for r in batch]
-            assert statuses == [{"line_search"}, {"max_iters"}, {last}, {last}]
-            assert all(t.restarts > 0 for t in batch[0].traces)
-            for c, o, r in zip(mixed, mixed_options, batch):
-                assert pickle.dumps(fit(coleman_design, c, power(a), o)) == pickle.dumps(r)
 
         plan, counts, _ = _cell_fits(200, 2.0, 9, seed=4)
-        options = [
-            FitOptions(starts=2, grad_tol=1e-6, max_iters=300, seed=i, init_theta=plan.theta0)
-            for i in range(len(counts))
-        ]
-        spec = power(plan.estimator_a)
-        whole = fit_many(plan.null_design, counts, spec, options)
-        assert all(r.converged for r in whole)
+        options = FitOptions(starts=2, grad_tol=1e-6, max_iters=300, init_theta=plan.theta0)
+        seeds = list(range(len(counts)))
+        whole = _fit_rows(plan.null_design, counts, plan.estimator_a, options, seeds)
+        assert whole[2].all()
         for size in (1, 3, 7):
-            parts = []
-            for lo in range(0, len(counts), size):
-                parts += fit_many(
-                    plan.null_design, counts[lo : lo + size], spec, options[lo : lo + size]
-                )
-            assert [pickle.dumps(r) for r in parts] == [pickle.dumps(r) for r in whole]
-        alone = fit(plan.null_design, counts[5], spec, options[5])
-        assert pickle.dumps(alone) == pickle.dumps(whole[5])
+            parts = [
+                _columns(_fit_rows(plan.null_design, counts[lo : lo + size], plan.estimator_a,
+                                   options, seeds[lo : lo + size]))
+                for lo in range(0, len(counts), size)
+            ]
+            for part, field in zip(zip(*parts), _columns(whole)):
+                assert np.concatenate(part).tobytes() == field.tobytes()
+        alone = fit(plan.null_design, counts[5], power(plan.estimator_a), replace(options, seed=5))
+        _assert_same_bits(_row_fields(whole, 5), _result_fields(alone))
 
     def test_converged_latent_is_the_kernel_table(self, coleman_design, coleman_fit_23):
         # The class weights and item probabilities come from the batch's
-        # kernel table; they equal the table of theta_hat alone bit for bit.
+        # kernel table; they equal the table of the result point alone bit
+        # for bit.
         plan, counts, options = _cell_fits(200, 2.0, 25)
-        fits = fit_many(plan.null_design, counts, power(plan.estimator_a), [options] * len(counts))
-        assert sum(r.converged for r in fits) >= 20
-        for r in fits:
-            if r.converged:
-                _assert_latent_is_reference(plan.null_design, r)
+        X, _, converged, w, S, _, _ = _fit_rows(plan.null_design, counts, plan.estimator_a, options)
+        assert np.count_nonzero(converged) >= 20
+        for i in np.flatnonzero(converged):
+            reference = table_latent(plan.null_design, Theta.from_vector(plan.null_design, X[i]))
+            np.testing.assert_array_equal(w[i], reference.w)
+            np.testing.assert_array_equal(expit(S[i]), reference.P)
         _assert_latent_is_reference(coleman_design, coleman_fit_23)
 
     def test_failed_fit_reports_its_best_start(self):
@@ -416,11 +459,6 @@ class TestBatchedFit:
             result.manifest.p, manifest_distribution(design, result.theta_hat).p
         )
         _assert_latent_is_reference(design, result)
-
-    def test_one_options_per_data_set(self):
-        plan, counts, options = _cell_fits(200, 0.0, 2)
-        with pytest.raises(DomainError, match="one FitOptions"):
-            fit_many(plan.null_design, counts, power(0.0), [options])
 
     def test_failed_fit_counts_starts_by_status(self):
         plan, counts, _ = _cell_fits(200, 0.0, 1)
@@ -539,7 +577,7 @@ class TestInitialPoints:
         design = make_design(seed=61, k=3, m=2, t=2, u=1)
         theta = random_theta(design, seed=62)
         X0 = estimation._initial_points(
-            design, FitOptions(starts=3, seed=7, init_scale=2.0, init_theta=theta)
+            design, FitOptions(starts=3, init_scale=2.0, init_theta=theta), 7
         )
         rng = np.random.Generator(np.random.Philox(7))
         draws = [rng.normal(0.0, 2.0, size=design.t + design.u) for _ in range(2)]

@@ -3,6 +3,7 @@ import logging
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lcmdiv import montecarlo
 from lcmdiv.datasets import simulation_plan
 from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
-from lcmdiv.estimation import FitOptions, fit_many
+from lcmdiv.estimation import FitOptions, fit
 from lcmdiv.inference import gof_statistic
 from lcmdiv.model import ModelDesign, sample_counts
 from lcmdiv.montecarlo import (
@@ -140,8 +141,6 @@ class TestRunSimulation:
             assert cell.dof == 32 - 12 - 1
 
     def test_nominal_policy_dof(self):
-        from dataclasses import replace
-
         plan = replace(
             simulation_plan(
                 sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(0.0,),
@@ -161,11 +160,16 @@ class TestRunSimulation:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-        for grid in ((0.0,), (0.0, 2.0)):
-            plan = simulation_plan(
+        plans = [
+            simulation_plan(
                 sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=grid,
                 replications=6, seed=9,
             )
+            for grid in ((0.0,), (0.0, 2.0))
+        ]
+        # Random starts draw from each replication's fit seed.
+        plans += [replace(plans[1], fit_starts=3, start_at_truth=truth) for truth in (True, False)]
+        for plan in plans:
             serial = run_simulation(plan, n_jobs=1)
             pools.clear()
             parallel = run_simulation(plan, n_jobs=2)
@@ -178,37 +182,39 @@ class TestRunSimulation:
         # The grid's stream of 2 x 2 x 5 replications regrouped into flat
         # chunks of any size, each sent through a pickle as the pool does,
         # gives the serial records byte for byte, also where chunks of 3 and
-        # 7 span cells and sizes.  Sixty iterations leave about half the fits
-        # unconverged, so NaN rows are regrouped too, and index -1 has
-        # infinite statistics.  Running them leaves nothing behind in the
-        # pickled plan.
-        from dataclasses import replace
-
-        plan = replace(
+        # 7 span cells and sizes.  Sixty iterations leave about half the
+        # one-start fits unconverged, so NaN rows are regrouped too, and index
+        # -1 has infinite statistics.  The three-start plans draw random
+        # starts from each replication's fit seed.  Running them leaves
+        # nothing behind in the pickled plan.
+        one_start = replace(
             simulation_plan(
                 sample_sizes=(200, 300), a_values=(-1.0, 0.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
                 replications=5, seed=21,
             ),
             fit_max_iters=60,
         )
-        fresh = pickle.dumps(plan)
-        total = 4 * plan.replications
+        total = 4 * one_start.replications
         dof = 32 - 12 - 1
-        _, serial = _replicate_chunk((plan, dof, 0, total))
-        assert serial.converged.shape == (total,) and serial.statistic.shape == (3, total)
-        assert 0 < np.count_nonzero(serial.converged) < total
-        assert np.isnan(serial.statistic[:, ~serial.converged]).all()
-        assert np.count_nonzero(serial.warnings[0] & 2) > 0  # infinite_statistic
-        for size in (1, 3, 7):
-            parts = []
-            for lo in range(0, total, size):
-                task = (plan, dof, lo, min(lo + size, total))
-                parts.append(_replicate_chunk(pickle.loads(pickle.dumps(task)))[1])
-            for name, field in zip(serial._fields, zip(*parts)):
-                regrouped = np.concatenate(field, axis=-1)
-                assert regrouped.dtype == getattr(serial, name).dtype
-                assert regrouped.tobytes() == getattr(serial, name).tobytes(), name
-        assert pickle.dumps(plan) == fresh
+        three_starts = [replace(one_start, fit_starts=3, start_at_truth=t) for t in (True, False)]
+        for plan in [one_start, *three_starts]:
+            fresh = pickle.dumps(plan)
+            _, serial = _replicate_chunk((plan, dof, 0, total))
+            if plan is one_start:
+                assert serial.converged.shape == (total,) and serial.statistic.shape == (3, total)
+                assert 0 < np.count_nonzero(serial.converged) < total
+                assert np.isnan(serial.statistic[:, ~serial.converged]).all()
+                assert np.count_nonzero(serial.warnings[0] & 2) > 0  # infinite_statistic
+            for size in (1, 3, 7):
+                parts = []
+                for lo in range(0, total, size):
+                    task = (plan, dof, lo, min(lo + size, total))
+                    parts.append(_replicate_chunk(pickle.loads(pickle.dumps(task)))[1])
+                for name, field in zip(serial._fields, zip(*parts)):
+                    regrouped = np.concatenate(field, axis=-1)
+                    assert regrouped.dtype == getattr(serial, name).dtype
+                    assert regrouped.tobytes() == getattr(serial, name).tobytes(), name
+            assert pickle.dumps(plan) == fresh
 
     def test_memory_budget_splits_a_cell_into_equal_chunks(self, chunk_sizes, monkeypatch):
         # Two 30-replication cells are one stream of 60.  A budget of twelve
@@ -305,19 +311,16 @@ class TestRunSimulation:
             enumerate(plan.sample_sizes), enumerate(plan.lambda8_grid)
         ):
             design, theta = plan.true_model(lambda8)
-            counts_seq, options_seq = [], []
+            tests, failures = [], 0
             for rep in range(plan.replications):
                 seq = np.random.SeedSequence(plan.seed, spawn_key=(size_idx, coef_idx, rep))
                 sample_seq, fit_seq = seq.spawn(2)
-                counts_seq.append(sample_counts(design, theta, N, sample_seq))
-                options_seq.append(FitOptions(
+                counts = sample_counts(design, theta, N, sample_seq)
+                # One fit per replication, where the study fits a chunk's replications in one batch.
+                result = fit(plan.null_design, counts, power(plan.estimator_a), FitOptions(
                     starts=1, grad_tol=plan.fit_grad_tol, max_iters=plan.fit_max_iters,
                     seed=int(fit_seq.generate_state(1)[0]), init_theta=plan.theta0,
                 ))
-            # One batch per cell, where the study fits all four cells in one.
-            fits = fit_many(plan.null_design, counts_seq, power(plan.estimator_a), options_seq)
-            tests, failures = [], 0
-            for counts, result in zip(counts_seq, fits):
                 if not result.converged:
                     failures += 1
                     continue
@@ -361,8 +364,6 @@ class TestRunSimulation:
     def test_wide_starts_on_the_power_cell_warn_nothing(self, infinite_rows):
         # Random starts underflow cells and overflow p_hat / p; the objective
         # flags those points as infinite without a RuntimeWarning.
-        from dataclasses import replace
-
         plan = replace(
             simulation_plan(
                 sample_sizes=(200,), a_values=(2.0 / 3.0,), lambda8_grid=(2.0,),
@@ -378,8 +379,6 @@ class TestRunSimulation:
 
     def test_plan_validation(self):
         plan = simulation_plan()
-        from dataclasses import replace
-
         with pytest.raises(DomainError):
             replace(plan, replications=0)
         with pytest.raises(DomainError):
@@ -414,6 +413,15 @@ class TestRunSimulation:
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
+        # A study samples its data, at most MAX_ITEMS_FOR_SAMPLING items; the
+        # plan is refused before the run's dof takes a Jacobian over 2**21
+        # patterns.  Only the plan is built.
+        wide = make_design(seed=13, k=21, m=2, t=2, u=1)
+        wide_alt = ModelDesign(
+            Q=np.concatenate([wide.Q, np.full((2, 21, 1), 0.5)], axis=2), C=wide.C, V=wide.V, d=wide.d
+        )
+        with pytest.raises(DomainError, match="at most k = 20 items"):
+            replace(plan, null_design=wide, alt_design=wide_alt, theta0=random_theta(wide, seed=14))
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_jobs_below_one_are_refused(self, n_jobs):
@@ -433,8 +441,6 @@ class TestPowerCurveFiles:
     def test_repeated_coefficient_reads_each_cell(self, tmp_path):
         # Two cells at one coefficient: each line holds its own cells' rates,
         # in table order, not the first matching cell's twice.
-        from dataclasses import replace
-
         plan = simulation_plan(sample_sizes=(50,), a_values=(2.0 / 3.0, -0.5),
                                lambda8_grid=(2.0, 2.0), replications=30)
         template = montecarlo.SizePowerCell(
