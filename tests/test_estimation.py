@@ -460,6 +460,21 @@ class TestBatchedFit:
         )
         _assert_latent_is_reference(design, result)
 
+    def test_each_row_draws_its_starts_from_its_seed(self):
+        # One data set in three rows: the rows seeded alike are equal bit for
+        # bit, the row seeded apart launches from other random starts, and
+        # each row is the fit of that data set alone with its row's seed.
+        plan, counts, _ = _cell_fits(200, 0.0, 1)
+        options = FitOptions(starts=3)
+        seeds = [1, 2, 1]
+        out = _fit_rows(plan.null_design, counts * 3, 0.0, options, seeds)
+        _assert_same_bits(_row_fields(out, 0), _row_fields(out, 2))
+        evaluations = out[-1][3]
+        assert evaluations[0].tolist() != evaluations[1].tolist()
+        for i, seed in enumerate(seeds):
+            alone = fit(plan.null_design, counts[0], power(0.0), replace(options, seed=seed))
+            _assert_same_bits(_row_fields(out, i), _result_fields(alone))
+
     def test_failed_fit_counts_starts_by_status(self):
         plan, counts, _ = _cell_fits(200, 0.0, 1)
         options = FitOptions(starts=3, max_iters=1, seed=2, init_theta=plan.theta0)

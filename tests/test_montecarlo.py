@@ -216,6 +216,24 @@ class TestRunSimulation:
                     assert regrouped.tobytes() == getattr(serial, name).tobytes(), name
             assert pickle.dumps(plan) == fresh
 
+    def test_replication_seeds_spawn_from_the_grid_position(self):
+        # Both seeds of a replication spawn from SeedSequence(seed,
+        # spawn_key=(size_idx, coef_idx, rep)); every position of a small
+        # grid gets its own sample stream and fit seed.
+        positions = list(itertools.product(range(2), range(2), range(3)))
+        fit_seeds, sample_states = set(), set()
+        for position in positions:
+            sample_seq, fit_seed = montecarlo.replication_seeds(21, *position)
+            expected = np.random.SeedSequence(21, spawn_key=position).spawn(2)
+            assert sample_seq.entropy == 21 and sample_seq.spawn_key == (*position, 0)
+            assert sample_seq.generate_state(4).tolist() == expected[0].generate_state(4).tolist()
+            assert fit_seed == int(expected[1].generate_state(1)[0])
+            assert isinstance(fit_seed, int)
+            fit_seeds.add(fit_seed)
+            sample_states.add(tuple(sample_seq.generate_state(4).tolist()))
+        assert len(fit_seeds) == len(sample_states) == len(positions)
+        assert montecarlo.replication_seeds(22, 0, 0, 0)[1] != montecarlo.replication_seeds(21, 0, 0, 0)[1]
+
     def test_memory_budget_splits_a_cell_into_equal_chunks(self, chunk_sizes, monkeypatch):
         # Two 30-replication cells are one stream of 60.  A budget of twelve
         # rows cuts it into five chunks of twelve, the third spanning both
