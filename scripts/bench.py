@@ -142,7 +142,7 @@ def layer_timings(seed: int) -> dict:
                    "statistic indices -1/2, 0, 2/3, 1"),
         "batch": BATCH,
         "evaluations_per_fit": evaluations / BATCH,
-        "evaluate_b1_per_call": timed(clock, lambda: _evaluate(design, X[0]), 300),
+        "evaluate_b1_per_call": timed(clock, lambda: _evaluate(design, X[:1]), 300),
         "evaluate_b25_per_row": timed(clock, lambda: _evaluate(design, X), 100, BATCH),
         "objective_b25_per_row": timed(
             clock, lambda: _objective(design, P_hat, plan.estimator_a, X), 100, BATCH),

@@ -44,8 +44,8 @@ from .model import ModelDesign, Theta, _evaluate, _rank_of, _vector
 
 
 def _scaled_jacobian(design: ModelDesign, x: np.ndarray) -> tuple:
-    """``p`` and ``L = diag(p)^{-1/2} J`` at the vector ``x``; refuses a cell with ``p <= 0``."""
-    p, J = _evaluate(design, x)
+    """``p`` and ``L = diag(p)^{-1/2} J`` at the one-row batch ``x``; refuses a cell with ``p <= 0``."""
+    p, J = (part[0] for part in _evaluate(design, x))
     if np.any(p <= 0):
         raise DomainError("manifest distribution must be strictly positive")
     return p, J / np.sqrt(p)[:, None]
@@ -113,7 +113,7 @@ def build_nested_projections(
     x = _vector(chain.design, theta0)
     free = chain.free_columns(2)
     x0 = np.zeros_like(x)
-    x0[free] = x[free]
+    x0[:, free] = x[:, free]
     p, L = _scaled_jacobian(chain.design, x0)
     R_L, h1, _ = _projection(L, pseudo_inverse, "full-model projection")
     R_M, h2, _ = _projection(L[:, free], pseudo_inverse, "submodel projection")

@@ -23,10 +23,10 @@ That sum is written once too, in ``_divergence``, which returns it with the
 cell weights and the lost cells, those where data meet a model cell that is 0
 or so small that ``p / q`` overflows; it finds them in its one division.  The
 estimator's objective calls it on stacked rows, unchecked, and
-``_phi_divergence`` adds the lost cells' limits to it, on one vector or on
-stacked rows.  ``phi_divergence`` checks its arguments and calls
-``_phi_divergence``; the test statistics call ``_phi_divergence`` directly on
-vectors their dataclasses already validated.
+``_phi_divergence`` adds the lost cells' limits to it, on stacked rows only.
+``phi_divergence`` checks its two vectors and reads row 0 of
+``_phi_divergence`` on their one-row batch; the test statistics call
+``_phi_divergence`` directly on rows their dataclasses already validated.
 So a fit's objective is the divergence its tests measure, bit for bit, except
 on a row with a lost cell: there the objective is ``inf`` at every index,
 while for ``a < 0`` ``_phi_divergence`` takes the cell's finite limit.
@@ -154,27 +154,24 @@ def phi_divergence(p, q, spec: PhiSpec) -> float:
     q = _check_distribution(q, "q")
     if p.shape != q.shape:
         raise DomainError("p and q must have equal length")
-    return _phi_divergence(spec, p, q)
+    return float(_phi_divergence(spec, p[None], q[None])[0])
 
 
-def _phi_divergence(spec: PhiSpec, p: np.ndarray, q: np.ndarray):
-    """:func:`phi_divergence` along the last axis of two float arrays, unchecked.
+def _phi_divergence(spec: PhiSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """:func:`phi_divergence` of each row of ``P`` from the same row of ``Q``, unchecked.
 
-    Vectors give a float, stacked rows an array of one divergence per row,
-    each row's bits those of the row alone.  Each lost cell of
-    :func:`_divergence` adds ``p * lim phi(x)/x``.  For callers whose vectors
-    are already validated, such as the test statistics, which take them from
-    ``ObservedCounts`` and a fit's ``ManifestDistribution``.
+    Takes rows only, two float arrays of shape ``(b, 2**k)``, and returns
+    the ``b`` divergences, each row's bits those of the row alone.  Each lost
+    cell of :func:`_divergence` adds ``p * lim phi(x)/x``.  For callers whose
+    rows are already validated, such as the test statistics, which take them
+    from ``ObservedCounts`` and a fit's ``ManifestDistribution``.
     """
-    value, _, lost = _divergence(spec.a, p, q)
-    total = np.atleast_1d(value)
-    if lost.any():
-        P, mask = p.reshape(-1, p.shape[-1]), lost.reshape(-1, p.shape[-1])
-        for row in np.flatnonzero(mask.any(axis=1)):
-            total[row] += P[row][mask[row]].sum() * spec.slope_limit()
+    total, _, lost = _divergence(spec.a, P, Q)
+    for row in np.flatnonzero(lost.any(axis=1)):
+        total[row] += P[row][lost[row]].sum() * spec.slope_limit()
     # Tiny negatives can appear from cancellation when p ~= q.
     total[(-1e-15 < total) & (total < 0.0)] = 0.0
-    return float(total[0]) if p.ndim == 1 else total
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def objective_and_gradient(
     the value is ``inf`` and the gradient entries are NaN.
     """
     _check_items(design, counts)
-    value, grad = _objective(design, counts.p_hat()[None], spec.a, _vector(design, theta)[None])
+    value, grad = _objective(design, counts.p_hat()[None], spec.a, _vector(design, theta))
     if not math.isfinite(value[0]):
         return math.inf, np.full(design.t + design.u, np.nan)
     return float(value[0]), grad[0]
@@ -310,7 +310,7 @@ def _initial_points(design: ModelDesign, options: FitOptions, seed: int) -> np.n
     The draws come from a fresh ``Generator(Philox(seed))``, built only when
     some start is drawn.
     """
-    inits = [] if options.init_theta is None else [_vector(design, options.init_theta)]
+    inits = [] if options.init_theta is None else [_vector(design, options.init_theta)[0]]
     if len(inits) < options.starts:
         rng = np.random.Generator(np.random.Philox(seed))
         while len(inits) < options.starts:

@@ -324,9 +324,9 @@ def _nested(difference, kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResul
     if dof < 0:
         raise DomainError("the nested model B has more parameters than model A")
     if difference:
-        p_hat = counts.p_hat()
-        D_A = _phi_divergence(phi1, p_hat, fit_A.manifest.p)
-        D_B = _phi_divergence(phi1, p_hat, fit_B.manifest.p)
+        D_A, D_B = _phi_divergence(
+            phi1, np.tile(counts.p_hat(), (2, 1)), np.stack([fit_A.manifest.p, fit_B.manifest.p])
+        ).tolist()
         # An infinite D_A leaves no usable difference; _rule flags the NaN as undefined.
         statistic = _scale(counts.N, h) * (h.value(D_B) - h.value(D_A)) if math.isfinite(D_A) else math.nan
         rows = _rule([statistic], dof, alpha, [math.isfinite(D_A) and math.isfinite(D_B)])

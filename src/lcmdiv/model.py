@@ -16,12 +16,14 @@ the item responses with item 1 as the most significant bit::
 so ``(0,...,0)`` is pattern 1 and ``(1,...,1)`` is pattern ``2**k``.
 
 One checked routine, ``_table``, builds the class-by-pattern table and the
-manifest vector for a batch of parameter vectors.  Two consumers sit on
-it: ``_jacobian``, behind :func:`manifest_jacobian`, the ranks and the
-asymptotic projections, and ``_pullback``, which gives the fit's gradient
-``weight @ J`` without forming ``J`` (the fit builds no Jacobian).  Views
-needing only ``p`` (:func:`manifest_distribution`, :func:`sample_counts`)
-stop at the table; a simulation cell samples its replications from one table.
+manifest vector for stacked parameter rows, and takes rows only.  Two
+consumers sit on it: ``_jacobian``, behind :func:`manifest_jacobian`, the
+ranks and the asymptotic projections, and ``_pullback``, which gives the
+fit's gradient ``weight @ J`` without forming ``J`` (the fit builds no
+Jacobian).  Views needing only ``p`` (:func:`manifest_distribution`,
+:func:`sample_counts`) stop at the table; a simulation cell samples its
+replications from one table.  The views of one point pass the one-row batch
+of ``_vector`` and read row 0 at the boundary.
 """
 
 from __future__ import annotations
@@ -228,10 +230,6 @@ class ManifestDistribution:
             raise DomainError("manifest vector length must be a power of two >= 2")
         _check_manifest(self.p)
 
-    @property
-    def k(self) -> int:
-        return int(self.p.shape[0]).bit_length() - 1
-
 
 @dataclass(frozen=True)
 class ObservedCounts:
@@ -301,20 +299,20 @@ def all_patterns(k: int) -> np.ndarray:
 
 
 def _vector(design: ModelDesign, theta: Theta) -> np.ndarray:
-    """``theta`` checked against ``design`` and flattened for :func:`_table`."""
+    """``theta`` checked against ``design``, as the one-row batch ``(1, t + u)`` of :func:`_table`."""
     theta.check_shape(design)
-    return theta.vector()
+    return theta.vector()[None]
 
 
 def _table(design: ModelDesign, x: np.ndarray) -> tuple:
     """Class weights ``w``, item logits ``S``, class-pattern table ``B`` and manifest ``p``.
 
-    ``x`` holds raw parameter vectors ``(lam, eta)`` on a leading batch axis,
-    shape ``(b, t + u)``, or one vector of shape ``(t + u,)``; the outputs
-    carry the same leading axis: ``w`` of shape ``(b, m)``, ``S`` of shape
-    ``(b, m, k)``, ``B`` of shape ``(b, m, 2**k)`` and ``p`` of shape
-    ``(b, 2**k)``.  Shapes and finiteness are the caller's to check (the
-    public views take a validated :class:`Theta`).
+    ``x`` holds raw parameter vectors ``(lam, eta)`` as rows only, shape
+    ``(b, t + u)``; the outputs carry the same leading axis: ``w`` of shape
+    ``(b, m)``, ``S`` of shape ``(b, m, k)``, ``B`` of shape ``(b, m, 2**k)``
+    and ``p`` of shape ``(b, 2**k)``.  Shapes and finiteness are the caller's
+    to check (the public views take a validated :class:`Theta` and read row 0
+    at the boundary).
 
     Every product of a row goes through a matmul stacked on the batch axis,
     and every sum runs along a row's own last axis, so a row's bits do not
@@ -332,8 +330,6 @@ def _table(design: ModelDesign, x: np.ndarray) -> tuple:
     rules out NaN and inf.
     """
     X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:
-        return tuple(part[0] for part in _table(design, X[None]))
     b, t = X.shape[0], design.t
     Y, Q_flat = design._kernel_constants
     # Class weights by a max-shifted softmax per row.
@@ -389,18 +385,14 @@ def _pullback(design: ModelDesign, w, S, B, weight) -> np.ndarray:
 
 
 def _evaluate(design: ModelDesign, x: np.ndarray) -> tuple:
-    """Manifest vectors ``p`` and Jacobians ``J`` of ``x``, batched as in :func:`_table`."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:
-        p, J = _evaluate(design, X[None])
-        return p[0], J[0]
-    w, S, B, p = _table(design, X)
+    """Manifest vectors ``p`` and Jacobians ``J`` of the rows ``x``, shaped as in :func:`_table`."""
+    w, S, B, p = _table(design, x)
     return p, _jacobian(design, w, S, B)
 
 
 def manifest_distribution(design: ModelDesign, theta: Theta) -> ManifestDistribution:
     """Mixture distribution over answer patterns implied by ``theta``."""
-    return ManifestDistribution(p=_table(design, _vector(design, theta))[3])
+    return ManifestDistribution(p=_table(design, _vector(design, theta))[3][0])
 
 
 def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
@@ -409,7 +401,7 @@ def manifest_jacobian(design: ModelDesign, theta: Theta) -> np.ndarray:
     Columns are ordered ``(lambda_1..lambda_t, eta_1..eta_u)``.  Each column
     sums to zero because the pattern probabilities sum to one identically.
     """
-    return _evaluate(design, _vector(design, theta))[1]
+    return _evaluate(design, _vector(design, theta))[1][0]
 
 
 def numerical_rank(A: np.ndarray) -> int:
@@ -427,7 +419,7 @@ def _rank_of(s: np.ndarray) -> np.ndarray:
 
 def jacobian_rank(design: ModelDesign, theta: Theta) -> int:
     """Numerical rank of the manifest Jacobian."""
-    return numerical_rank(_evaluate(design, _vector(design, theta))[1])
+    return numerical_rank(_evaluate(design, _vector(design, theta))[1][0])
 
 
 def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCounts:
@@ -449,7 +441,7 @@ def _sampling_table(design: ModelDesign, theta: Theta) -> np.ndarray:
     """
     if design.k > MAX_ITEMS_FOR_SAMPLING:
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
-    return _table(design, _vector(design, theta))[3]
+    return _table(design, _vector(design, theta))[3][0]
 
 
 def _draw(p: np.ndarray, N: int, seed) -> ObservedCounts:

@@ -56,8 +56,8 @@ def reference_latent(design: ModelDesign, theta: Theta) -> tuple:
 
 def table_latent(design: ModelDesign, theta: Theta) -> LatentParams:
     """The class weights and item probabilities of the kernel table at ``theta``."""
-    w, S, _, _ = _table(design, theta.vector())
-    return LatentParams(w=w, P=expit(S))
+    w, S, _, _ = _table(design, theta.vector()[None])
+    return LatentParams(w=w[0], P=expit(S[0]))
 
 
 def reference_manifest(design: ModelDesign, theta: Theta) -> np.ndarray:

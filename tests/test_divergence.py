@@ -171,8 +171,9 @@ class TestZeroCellConventions:
         P = np.array([[0.5, 0.25, 0.25, 0.0], [0.4, 0.3, 0.2, 0.1]])
         Q = np.array([[0.5, 0.5, 1e-320, 0.0], [0.25, 0.25, 0.25, 0.25]])
         values = _phi_divergence(power(-0.5), P, Q)
-        assert values[0] == _phi_divergence(power(-0.5), P[0], np.array([0.5, 0.5, 0.0, 0.0]))
-        assert values[1] == _phi_divergence(power(-0.5), P[1], Q[1])
+        assert values[0] == _phi_divergence(power(-0.5), P[:1], np.array([[0.5, 0.5, 0.0, 0.0]]))[0]
+        assert values[0] == phi_divergence(P[0], Q[0], power(-0.5))
+        assert values[1] == _phi_divergence(power(-0.5), P[1:], Q[1:])[0]
 
     @pytest.mark.parametrize("a", [-1.0, -0.5, 0.0, 2.0 / 3.0])
     def test_divergence_finds_lost_cells_row_by_row(self, a):

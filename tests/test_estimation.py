@@ -91,7 +91,7 @@ class TestObjectiveAndGradient:
         design, n = coleman_design_m1(), np.array(coleman_counts().n)
         thetas = [random_theta(design, seed=1), Theta(lam=np.full(8, 800.0), eta=np.zeros(4)),
                   random_theta(design, seed=2), Theta(lam=np.full(8, 800.0), eta=np.full(4, 0.5))]
-        X = np.stack([model._vector(design, theta) for theta in thetas])
+        X = np.concatenate([model._vector(design, theta) for theta in thetas])
         p = model._table(design, X)[3]
         if emptied:
             n[(p == 0.0).any(axis=0)] = 0

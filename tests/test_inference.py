@@ -790,6 +790,27 @@ def test_benchmark_traced_names_resolve():
         assert hasattr(lcmdiv, name), name
 
 
+def test_bench_script_imports_resolve():
+    # scripts/bench.py imports private names of the package (_fit_batch,
+    # _evaluate, _replicate_chunk, ...); a rename would otherwise only surface
+    # when the next performance record is written.
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    saved_path, saved_modules = list(sys.path), dict(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("lcmdiv_bench_script", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path[:] = saved_path
+        sys.modules.clear()
+        sys.modules.update(saved_modules)
+    assert callable(bench.layer_timings)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -202,7 +202,7 @@ class TestManifestDistribution:
     def test_kernel_rejects_non_finite_parameters(self):
         design = make_design(seed=9, k=3, m=2, t=2, u=1)
         with pytest.raises(DomainError):
-            _evaluate(design, np.full(design.t + design.u, np.nan))
+            _evaluate(design, np.full((1, design.t + design.u), np.nan))
 
 
 class TestLatentParams:
@@ -280,7 +280,7 @@ class TestEvaluationKernel:
     def test_matches_loop_reference(self, seed, k, m, t, u, logit_scale):
         design = make_design(seed=seed, k=k, m=m, t=t, u=u, logit_scale=logit_scale)
         theta = random_theta(design, seed=seed)
-        p, J = _evaluate(design, theta.vector())
+        (p,), (J,) = _evaluate(design, theta.vector()[None])
         assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
         np.testing.assert_allclose(p, reference_manifest(design, theta), rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(J, reference_jacobian(design, theta), rtol=0, atol=KERNEL_ATOL)
@@ -297,7 +297,7 @@ class TestEvaluationKernel:
         theta = Theta(lam=[0.1], eta=[0.0])
         ref = reference_manifest(design, theta)
         assert np.count_nonzero(ref == 0.0) > 0
-        p, J = _evaluate(design, theta.vector())
+        (p,), (J,) = _evaluate(design, theta.vector()[None])
         assert np.all(np.isfinite(p)) and np.all(p >= 0.0) and np.all(np.isfinite(J))
         assert abs(p.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(p, ref, rtol=0, atol=KERNEL_ATOL)
@@ -319,7 +319,7 @@ class TestEvaluationKernel:
         P, J = _evaluate(design, X)
         assert P.shape == (b, 2 ** k) and J.shape == (b, 2 ** k, t + u)
         for i in range(b):
-            p, Ji = _evaluate(design, X[i])
+            (p,), (Ji,) = _evaluate(design, X[i : i + 1])
             np.testing.assert_array_equal(P[i], p)
             np.testing.assert_array_equal(J[i], Ji)
             p_only = _table(design, X[i : i + 1])[3]
@@ -328,10 +328,10 @@ class TestEvaluationKernel:
     def test_public_views_share_the_kernel(self):
         design = make_design(seed=41, k=4, m=3, t=3, u=2)
         theta = random_theta(design, seed=42)
-        p, J = _evaluate(design, theta.vector())
+        (p,), (J,) = _evaluate(design, theta.vector()[None])
         np.testing.assert_array_equal(manifest_distribution(design, theta).p, p)
         np.testing.assert_array_equal(manifest_jacobian(design, theta), J)
-        np.testing.assert_array_equal(_table(design, theta.vector())[3], p)
+        np.testing.assert_array_equal(_table(design, theta.vector()[None])[3][0], p)
 
 
 class TestDesignLayout:
