@@ -374,6 +374,20 @@ class TestBatchedFit:
             if done and ok:
                 assert objective <= reference + 1e-7
 
+    def test_non_descent_direction_resets_the_row(self, coleman_design, coleman_counts):
+        # At index 2, start 21 of a 30-start fit with seed 1 and init_scale 5
+        # meets an inverse Hessian whose direction is not downhill once: the
+        # row resets to the identity and still converges.  The counts are
+        # those of the start within that fit.
+        options = FitOptions(starts=30, seed=1, init_scale=5.0)
+        X0 = estimation._initial_points(coleman_design, options, options.seed)[21:22]
+        _, value, _, iterations, evaluations, restarts, status = estimation._minimize(
+            coleman_design, coleman_counts.p_hat()[None], 2.0, X0, options.grad_tol, options.max_iters
+        )
+        assert (iterations[0], evaluations[0], restarts[0]) == (400, 461, 1)
+        assert status[0] == estimation._CONVERGED
+        assert value[0] == pytest.approx(1.8983e-4, rel=1e-4)
+
     @pytest.mark.parametrize("a", (-0.5, 0.0, 2.0 / 3.0, 1.0, 2.0))
     def test_objective_is_the_tested_divergence(self, a):
         # The fit and the statistics share one divergence routine, so a fit's

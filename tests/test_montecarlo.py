@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from lcmdiv import montecarlo
-from lcmdiv.datasets import simulation_plan
+from lcmdiv.datasets import simulation_null_design, simulation_plan, simulation_theta0
 from lcmdiv.divergence import power
 from lcmdiv.errors import DomainError
 from lcmdiv.estimation import FitOptions, fit
@@ -495,6 +496,48 @@ class TestPowerCurveFiles:
             "200", repr(first.a), repr(first.lambda8), repr(first.rate), str(first.rejections)
         ]
         assert len(lines) == 1 + len(smoke_table.cells)
+
+
+
+class TestPinnedIntegers:
+    """The study's integers against stored values, not against another run of the code.
+
+    Every other determinism test compares two runs; a change that moves
+    every draw the same way passes them all and fails here.  Only integers
+    are pinned, so a last-bit change of a float cannot move them.
+    """
+
+    def test_sample_tallies(self):
+        tallies = np.stack(
+            [sample_counts(simulation_null_design(), simulation_theta0(), 200, seed).n for seed in range(10)]
+        ).astype(np.int64)
+        assert hashlib.sha256(tallies.tobytes()).hexdigest() == (
+            "0d3057d8c461a639e3ac2e209e67c92c4246497b9da67275e50f3ea3f46f412c"
+        )
+
+    @pytest.mark.parametrize(
+        "starts, truth, expected",
+        [
+            pytest.param(1, True, [20, 0, 20, 2, 18, 0, 20, 19], id="one-start"),
+            pytest.param(3, True, [20, 0, 20, 2, 18, 0, 20, 19], id="three-starts"),
+            pytest.param(3, False, [20, 0, 20, 5, 18, 3, 20, 19], id="three-random-starts"),
+        ],
+    )
+    def test_study_columns(self, starts, truth, expected):
+        # Index -1 rejects at every cell of N = 50, where empty cells make its
+        # statistic infinite, and at N = 200 under the alternative.
+        plan = replace(
+            simulation_plan(
+                sample_sizes=(50, 200), a_values=(-1.0, 2.0 / 3.0), lambda8_grid=(0.0, 2.0),
+                replications=20, seed=77,
+            ),
+            fit_starts=starts,
+            start_at_truth=truth,
+        )
+        cells = run_simulation(plan).cells
+        assert [c.rejections for c in cells] == expected
+        assert [(c.n_effective, c.fit_failures) for c in cells] == [(20, 0)] * 8
+        assert [c.infinite_statistics for c in cells] == [20, 0, 20, 0, 18, 0, 18, 0]
 
 
 @pytest.mark.extended
