@@ -56,7 +56,7 @@ from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
 from lcmdiv.estimation import _fit_batch, _objective, fit  # noqa: E402
 from lcmdiv.inference import gof_rows, gof_statistic, resolve_gof_dof  # noqa: E402
-from lcmdiv.model import _draw, _evaluate, _sampling_table, sample_counts  # noqa: E402
+from lcmdiv.model import _draw, _evaluate, manifest_distribution, sample_counts  # noqa: E402
 from lcmdiv.montecarlo import _replicate_chunk, replication_seeds  # noqa: E402
 
 BATCH = 25
@@ -133,7 +133,7 @@ def layer_timings(seed: int) -> dict:
         return [gof_rows(power(a), P_hat, P, N, dof, plan.alpha) for a in plan.a_values]
 
     def sampling_batch():
-        table = _sampling_table(design, plan.theta0)
+        table = manifest_distribution(design, plan.theta0).p
         return [_draw(table, 200, s) for s in sample_seeds]
 
     clock = Clock()

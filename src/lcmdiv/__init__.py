@@ -13,7 +13,6 @@ from .inference import (
     NestedChain,
     TestResult,
     chi2_quantile,
-    chi2_sf,
     estimator_sweep,
     gof_statistic,
     nested_S,
@@ -30,7 +29,6 @@ from .model import (
     manifest_distribution,
     manifest_jacobian,
     pattern_index,
-    pattern_vector,
     sample_counts,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "TestResult",
     "Theta",
     "chi2_quantile",
-    "chi2_sf",
     "dale_band",
     "estimator_sweep",
     "fit",
@@ -68,7 +65,6 @@ __all__ = [
     "nested_T",
     "objective_and_gradient",
     "pattern_index",
-    "pattern_vector",
     "phi_divergence",
     "power",
     "run_simulation",

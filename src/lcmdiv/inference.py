@@ -60,17 +60,8 @@ from .estimation import FitOptions, FitResult, fit
 from .model import ModelDesign, ObservedCounts
 
 
-def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
-    if dof < 1:
-        raise DomainError("dof must be >= 1")
-    if not x >= 0:
-        raise DomainError("chi-square statistic must be >= 0")
-    return float(chdtrc(dof, x))
-
-
 def chi2_quantile(q: float, dof: int) -> float:
-    """Value ``x`` with ``P(X <= x) = q``, the inverse of :func:`chi2_sf` at ``1 - q``."""
+    """Value ``x`` with ``P(X <= x) = q`` under the chi-square distribution with ``dof`` dof."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     if dof < 1:

@@ -20,10 +20,10 @@ manifest vector for stacked parameter rows, and takes rows only.  Two
 consumers sit on it: ``_jacobian``, behind :func:`manifest_jacobian`, the
 ranks and the asymptotic projections, and ``_pullback``, which gives the
 fit's gradient ``weight @ J`` without forming ``J`` (the fit builds no
-Jacobian).  Views needing only ``p`` (:func:`manifest_distribution`,
-:func:`sample_counts`) stop at the table; a simulation cell samples its
-replications from one table.  The views of one point pass the one-row batch
-of ``_vector`` and read row 0 at the boundary.
+Jacobian).  :func:`manifest_distribution` needs only ``p`` and stops at the
+table; :func:`sample_counts` draws from it, and a simulation cell draws
+every replication of one model from one such vector.  The views of one
+point pass the one-row batch of ``_vector`` and read row 0 at the boundary.
 """
 
 from __future__ import annotations
@@ -281,14 +281,6 @@ def pattern_index(y) -> int:
     return int(1 + (y.astype(np.int64) * weights).sum())
 
 
-def pattern_vector(nu: int, k: int) -> np.ndarray:
-    """Inverse of :func:`pattern_index`: the pattern with 1-based index ``nu``."""
-    if not 1 <= nu <= 2 ** k:
-        raise DomainError(f"pattern index must be in [1, {2 ** k}]")
-    bits = (int(nu) - 1) >> np.arange(k - 1, -1, -1)
-    return (bits & 1).astype(np.int64)
-
-
 def all_patterns(k: int) -> np.ndarray:
     """All ``2**k`` patterns as a (2**k, k) 0/1 matrix, row ``nu - 1`` = pattern ``nu``."""
     if k < 1:
@@ -430,28 +422,22 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
     seed and seeds are cheap to derive for parallel replications.  ``seed``
     may be an integer or a ``numpy.random.SeedSequence``.
     """
-    return _draw(_sampling_table(design, theta), N, seed)
-
-
-def _sampling_table(design: ModelDesign, theta: Theta) -> np.ndarray:
-    """The checked manifest vector :func:`sample_counts` draws from.
-
-    Many draws from one model (the replications of a simulation cell) share
-    it through :func:`_draw`.
-    """
     if design.k > MAX_ITEMS_FOR_SAMPLING:
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
-    return _table(design, _vector(design, theta))[3][0]
+    return ObservedCounts(n=_draw(manifest_distribution(design, theta).p, N, seed))
 
 
-def _draw(p: np.ndarray, N: int, seed) -> ObservedCounts:
-    """:func:`sample_counts` from the manifest vector ``p`` of :func:`_sampling_table`."""
+def _draw(p: np.ndarray, N: int, seed) -> np.ndarray:
+    """The tally of :func:`sample_counts` from the manifest vector ``p``.
+
+    Many draws from one model (the replications of a simulation cell) share
+    one ``p``.
+    """
     if N < 1:
         raise DomainError("N must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(p)
+    # Every draw in [0, 1) then lies below cum[-1], so its cell is in range.
     cum[-1] = max(cum[-1], 1.0)
-    cells = np.searchsorted(cum, rng.random(N), side="right")
-    cells = np.minimum(cells, p.size - 1)
-    return ObservedCounts(n=np.bincount(cells, minlength=p.size))
+    return np.bincount(np.searchsorted(cum, rng.random(N), side="right"), minlength=p.size)
 

@@ -15,8 +15,9 @@ Replications are seeded independently from the master seed by
 replications are scheduled.  The grid is one stream of replications in table
 order (size, coefficient, replication), cut once per run into contiguous
 chunks, a multiple of the worker count and each small enough that its kernel
-arrays fit a fixed memory budget.  A chunk samples every replication of a
-cell from one table of that cell's true model.  Every fit is the null
+arrays fit a fixed memory budget.  A chunk draws every replication of a
+cell from one :func:`lcmdiv.model.manifest_distribution` of that cell's true
+model, as :func:`lcmdiv.model.sample_counts` draws.  Every fit is the null
 design's, so a chunk's fits run as one :func:`lcmdiv.estimation._fit_batch`
 even across cells, read as arrays; its rows do not depend on each other, so
 the process-pool parallel path and the serial path produce identical tables.
@@ -44,7 +45,7 @@ from .divergence import power
 from .errors import DomainError
 from .estimation import FitOptions, _fit_batch
 from .inference import WARNINGS, gof_rows, resolve_gof_dof
-from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, _sampling_table
+from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, manifest_distribution
 
 _log = logging.getLogger(__name__)
 
@@ -237,7 +238,7 @@ def _replicate_chunk(args):
     """Replications ``lo`` up to ``hi`` of the grid's stream, in order, and their wall time.
 
     Samples each replication from its cell's true model and size, drawing
-    every replication of a cell from one table of that model, fits the null
+    every replication of a cell from one manifest of that model, fits the null
     design to all of them in one :func:`lcmdiv.estimation._fit_batch`, and
     tests the converged fits at every entry of ``plan.a_values`` with one
     :func:`gof_rows` call per index, all at the run's ``dof``.  Returns
@@ -251,9 +252,9 @@ def _replicate_chunk(args):
         cell, rep = divmod(i, plan.replications)
         size_idx, coef_idx = divmod(cell, len(plan.lambda8_grid))
         if coef_idx not in tables:
-            tables[coef_idx] = _sampling_table(*plan.true_model(plan.lambda8_grid[coef_idx]))
+            tables[coef_idx] = manifest_distribution(*plan.true_model(plan.lambda8_grid[coef_idx])).p
         sample_seq, fit_seed = replication_seeds(plan.seed, size_idx, coef_idx, rep)
-        n.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq).n)
+        n.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq))
         seeds.append(fit_seed)
     n = np.array(n)
     N = n.sum(axis=1)

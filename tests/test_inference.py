@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from lcmdiv import datasets
 from lcmdiv.datasets import simulation_null_design, simulation_theta0
@@ -14,7 +15,6 @@ from lcmdiv.inference import (
     WARNINGS,
     NestedChain,
     chi2_quantile,
-    chi2_sf,
     gof_rows,
     gof_statistic,
     nested_S,
@@ -88,26 +88,25 @@ class TestChiSquare:
         assert chi2_quantile(0.95, 2) == pytest.approx(5.99, abs=0.005)
         assert chi2_quantile(0.95, 1) == pytest.approx(3.84, abs=0.005)
 
-    def test_sf_at_zero_is_one(self):
+    def test_rule_p_value_at_zero_is_one(self):
+        # A negative statistic takes the p-value of zero; an undefined one has none.
         for dof in (1, 2, 7, 19):
-            assert chi2_sf(0.0, dof) == 1.0
+            p_value = _rule([0.0, -1.0, math.nan], dof, 0.05, [True] * 3).p_value
+            np.testing.assert_array_equal(p_value, [1.0, 1.0, math.nan])
 
-    def test_sf_against_hand_coded_oracle(self):
+    def test_rule_p_value_against_hand_coded_oracle(self):
+        x = [0.1, 1.0, 3.84, 9.49, 25.0, 80.0]
         for dof in (1, 2, 4, 9, 19, 40):
-            for x in (0.1, 1.0, 3.84, 9.49, 25.0, 80.0):
-                oracle = _gamma_upper_reg(dof / 2.0, x / 2.0)
-                assert abs(chi2_sf(x, dof) - oracle) < 1e-10
+            p_value = _rule(x, dof, 0.05, [True] * len(x)).p_value
+            for xi, p in zip(x, p_value):
+                assert abs(p - _gamma_upper_reg(dof / 2.0, xi / 2.0)) < 1e-10
 
     def test_quantile_sf_roundtrip(self):
         for dof in (1, 4, 19, 120, 400):
             for q in (0.5, 0.9, 0.95, 0.99, 0.999999):
-                assert chi2_sf(chi2_quantile(q, dof), dof) == pytest.approx(1 - q, abs=1e-10)
+                assert chdtrc(dof, chi2_quantile(q, dof)) == pytest.approx(1 - q, abs=1e-10)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            chi2_sf(-1.0, 3)
-        with pytest.raises(DomainError):
-            chi2_sf(1.0, 0)
         with pytest.raises(DomainError):
             chi2_quantile(1.5, 3)
 
@@ -815,7 +814,6 @@ def test_bench_script_imports_resolve():
     "call, message",
     [
         pytest.param(lambda fit23: chi2_quantile(0.5, 0), "dof must be >= 1", id="quantile-dof"),
-        pytest.param(lambda fit23: chi2_sf(math.nan, 3), "chi-square statistic must be >= 0", id="sf-nan"),
         pytest.param(
             lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 0),
             "dof override must be >= 1", id="dof-override",

@@ -24,7 +24,6 @@ from lcmdiv.model import (
     manifest_distribution,
     manifest_jacobian,
     pattern_index,
-    pattern_vector,
     sample_counts,
 )
 from lcmdiv import datasets
@@ -69,12 +68,11 @@ class TestPatternIndex:
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
         nu = pattern_index(y)
         assert 1 <= nu <= 2 ** k
-        np.testing.assert_array_equal(pattern_vector(nu, k), y)
+        np.testing.assert_array_equal(all_patterns(k)[nu - 1], y)
 
     def test_all_patterns_consistent(self):
         pats = all_patterns(5)
-        for nu in (1, 17, 32):
-            np.testing.assert_array_equal(pats[nu - 1], pattern_vector(nu, 5))
+        assert [pattern_index(row) for row in pats] == list(range(1, 33))
 
 
 class TestObservedCounts:
@@ -471,7 +469,6 @@ def _design(Q=(2, 3, 1), V=(2, 1), d=(2,)):
             "manifest vector length must be a power of two >= 2", id="manifest-length",
         ),
         pytest.param(lambda: pattern_index([]), "pattern must be a nonempty vector", id="pattern-empty"),
-        pytest.param(lambda: pattern_vector(0, 3), "pattern index must be in [1, 8]", id="pattern-index"),
         pytest.param(lambda: all_patterns(0), "k must be positive", id="patterns-k"),
         pytest.param(
             lambda: sample_counts(datasets.coleman_design_m1(), Theta(lam=np.zeros(8), eta=np.zeros(4)), 0, 1),
