@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the integer check of their options."""
+
+from numbers import Integral
 
 
 class LcmdivError(Exception):
@@ -23,3 +25,10 @@ class RankDeficiencyError(LcmdivError, RuntimeError):
 
 class InputFormatError(LcmdivError, ValueError):
     """A design, counts, plan or chain file failed to parse."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a Python or
+    numpy integer; a ``bool`` is refused too."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import expit
 
 from .divergence import PhiSpec, _divergence
-from .errors import DomainError, NotConvergedError
+from .errors import DomainError, NotConvergedError, require_integer
 from .model import (
     LatentParams,
     ManifestDistribution,
@@ -82,6 +82,8 @@ class FitOptions:
     init_theta: Optional[Theta] = None
 
     def __post_init__(self):
+        for name in ("starts", "max_iters", "seed"):
+            require_integer(name, getattr(self, name))
         if self.starts < 1:
             raise DomainError("starts must be >= 1")
         if not (0.0 < self.init_scale < math.inf and 0.0 < self.grad_tol < math.inf) or self.max_iters < 1:

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.special import chdtrc, chdtri
 
 from .divergence import HSpec, PhiSpec, _phi_divergence, identity_h, power
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .estimation import FitOptions, FitResult, fit
 from .model import ModelDesign, ObservedCounts
 
@@ -167,6 +167,7 @@ def resolve_gof_dof(
     """Degrees of freedom of the design's goodness-of-fit tests, with the policy label."""
     cells = design.n_patterns
     if override is not None:
+        require_integer("dof override", override)
         if override < 1:
             raise DomainError("dof override must be >= 1")
         return int(override), f"override:{int(override)}"

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .divergence import power
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .estimation import FitOptions, _fit_batch
 from .inference import WARNINGS, gof_rows, resolve_gof_dof
 from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, manifest_distribution
@@ -109,6 +109,10 @@ class SimulationPlan:
     fit_max_iters: int = 300
 
     def __post_init__(self):
+        for name in ("replications", "seed", "fit_starts", "fit_max_iters"):
+            require_integer(name, getattr(self, name))
+        for N in self.sample_sizes:
+            require_integer("each of sample_sizes", N)
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not 0.0 < 1.0 - self.alpha < 1.0:  # the level the test's critical value is taken at
@@ -285,6 +289,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     failures and wall time: its replications' share of the wall time of
     the chunks that ran them.
     """
+    require_integer("n_jobs", n_jobs)
     if n_jobs < 1:
         raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
     band = dale_band(plan.alpha)

@@ -619,3 +619,8 @@ class TestFitOptionsValidation:
             FitOptions(starts=0)
         with pytest.raises(DomainError):
             FitOptions(grad_tol=0.0)
+        # Integer options refuse floats and booleans when the options are built.
+        for name, value in (("starts", 2.5), ("max_iters", 2.5), ("seed", 1.5), ("starts", True)):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                FitOptions(**{"starts": 2, name: value})
+        assert FitOptions(starts=np.int64(2), max_iters=np.int32(5), seed=np.uint64(3)).starts == 2

@@ -819,6 +819,10 @@ def test_bench_script_imports_resolve():
             "dof override must be >= 1", id="dof-override",
         ),
         pytest.param(
+            lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 2.7),
+            "dof override must be an integer, got 2.7", id="dof-override-float",
+        ),
+        pytest.param(
             lambda fit23: resolve_gof_dof(simulation_null_design(), "taped"),
             "unknown dof policy: 'taped'", id="dof-policy",
         ),

@@ -429,6 +429,9 @@ class TestRunSimulation:
             {"sample_sizes": (200, 50, 200)},
             # numpy refuses a negative seed only inside a chunk.
             {"seed": -1},
+            # Integer fields refuse floats and booleans.
+            {"replications": 2.5}, {"replications": True}, {"sample_sizes": (200.5,)},
+            {"seed": 1.5}, {"fit_starts": 1.5}, {"fit_max_iters": 2.5},
         ):
             with pytest.raises(DomainError):
                 replace(plan, **bad)
@@ -446,6 +449,12 @@ class TestRunSimulation:
     def test_jobs_below_one_are_refused(self, n_jobs):
         plan = simulation_plan(sample_sizes=(200,), lambda8_grid=(0.0,), replications=1)
         with pytest.raises(DomainError, match="n_jobs"):
+            run_simulation(plan, n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [2.0, True])
+    def test_jobs_that_are_not_integers_are_refused(self, n_jobs):
+        plan = simulation_plan(sample_sizes=(200,), lambda8_grid=(0.0,), replications=1)
+        with pytest.raises(DomainError, match="n_jobs must be an integer"):
             run_simulation(plan, n_jobs=n_jobs)
 
 
