@@ -25,12 +25,12 @@ estimator never builds a Jacobian.
 
 The optimizer is one batched BFGS (:func:`_minimize`): every start of every
 data set of :func:`_fit_batch` is a row of one array, and rows that converge
-drop out.  Arguments are validated at the public entry points; the loop runs
-on raw ``(b, t + u)`` arrays and checks only that they are finite.  After the
+drop out.  The batch takes its launch points as data, from the one producer
+:func:`_initial_points`.  The loop runs on raw ``(b, t + u)`` arrays, checked
+at the public entry points, and checks only that they are finite.  After the
 loop, every data set's best start, converged or not, is evaluated in one
-kernel call.  :func:`fit` is the batch of one data set, and the one place
-that builds a :class:`FitResult`; the simulation study reads the batch's
-arrays directly.
+kernel call.  :func:`fit`, the batch of one data set, is the one place that
+builds a :class:`FitResult`; the simulation study reads the batch's arrays.
 """
 
 from __future__ import annotations
@@ -336,8 +336,9 @@ def fit(
     trace; its message counts the starts by status.
     """
     _check_items(design, counts)
+    X0 = _initial_points(design, options, options.seed)[None]
     X, objective, converged, w, S, p, starts = _fit_batch(
-        design, counts.p_hat()[None], spec.a, options, (options.seed,)
+        design, counts.p_hat()[None], spec.a, X0, options.grad_tol, options.max_iters
     )
     value, gnorm, iterations, evaluations, restarts, status = (column[0] for column in starts)
     traces = tuple(
@@ -369,25 +370,24 @@ def fit(
     )
 
 
-def _fit_batch(design, P_hat, a, options: FitOptions, seeds) -> tuple:
+def _fit_batch(design, P_hat, a, X0, grad_tol, max_iters) -> tuple:
     """The fit of every row of ``P_hat`` at index ``a``, as one batched optimization.
 
-    Row ``i`` of ``P_hat`` (shape ``(b, 2**k)``) launches the starts of
-    ``options``, its random ones drawn with ``seeds[i]``.  A row's path does
-    not depend on the rest of the batch, so each row's outputs equal those of
-    a batch of that row alone, bit for bit.  A row's result point is its best
-    converged start or, when none converged, its best start of all (the first
-    start wins ties).  Returns ``(X, value, converged, w, S, p, starts)``: per
-    row, the result point, its objective and whether any start converged;
-    the kernel's class weights, item logits and manifest distribution at the
-    result points, from one kernel call; and ``starts``, the per-start
-    outcome ``(value, grad_norm, iterations, evaluations, restarts, status)``
-    of :func:`_minimize`, each shaped ``(rows, starts)``.
+    Row ``i`` of ``P_hat`` (shape ``(rows, 2**k)``) launches from the points
+    ``X0[i]`` (``X0`` shaped ``(rows, starts, t + u)``).  A row's path does not
+    depend on the rest of the batch, so each row's outputs equal those of a
+    batch of that row alone, bit for bit.  A row's result point is its best
+    converged start or, when none converged, its best start of all (the
+    first start wins ties).  Returns ``(X, value, converged, w, S, p,
+    starts)``: per row, the result point, its objective and whether any start
+    converged; the kernel's class weights, item logits and manifest
+    distribution at the result points, from one kernel call; and ``starts``,
+    the per-start outcome ``(value, grad_norm, iterations, evaluations,
+    restarts, status)`` of :func:`_minimize`, each ``(rows, starts)``.
     """
-    b, n_starts = len(seeds), options.starts
-    X0 = np.concatenate([_initial_points(design, options, seed) for seed in seeds])
+    b, n_starts = X0.shape[:2]
     X, *outcome = _minimize(
-        design, np.repeat(P_hat, n_starts, axis=0), a, X0, options.grad_tol, options.max_iters
+        design, np.repeat(P_hat, n_starts, axis=0), a, X0.reshape(b * n_starts, -1), grad_tol, max_iters
     )
     starts = tuple(column.reshape(b, n_starts) for column in outcome)
     value, status = starts[0], starts[-1]

@@ -19,12 +19,12 @@ arrays fit a fixed memory budget.  A chunk draws every replication of a
 cell from one :func:`lcmdiv.model.manifest_distribution` of that cell's true
 model, as :func:`lcmdiv.model.sample_counts` draws.  Every fit is the null
 design's, so a chunk's fits run as one :func:`lcmdiv.estimation._fit_batch`
-even across cells, read as arrays; its rows do not depend on each other, so
-the process-pool parallel path and the serial path produce identical tables.
-A chunk returns per-index arrays of statistics, rejections and warning
-codes, and its own wall time, which the run logs split over the cells it
-served.  Replications whose fit does not converge
-are excluded from the denominator and counted.
+even across cells, each from the launch points of its replication's fit seed;
+its rows do not depend on each other, so the process pool and the serial path
+produce identical tables.  A chunk returns per-index arrays of statistics,
+rejections and warning codes, and its own wall time, which the run logs split
+over the cells it served.  Replications whose fit does not converge are
+excluded from the denominator and counted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from scipy.special import betaincinv
 
 from .divergence import power
 from .errors import DomainError, require_integer
-from .estimation import FitOptions, _fit_batch
+from .estimation import FitOptions, _fit_batch, _initial_points
 from .inference import WARNINGS, gof_rows, resolve_gof_dof
 from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, manifest_distribution
 
@@ -241,9 +241,9 @@ def replication_seeds(seed: int, size_idx: int, coef_idx: int, rep: int) -> tupl
 def _replicate_chunk(args):
     """Replications ``lo`` up to ``hi`` of the grid's stream, in order, and their wall time.
 
-    Samples each replication from its cell's true model and size, drawing
-    every replication of a cell from one manifest of that model, fits the null
-    design to all of them in one :func:`lcmdiv.estimation._fit_batch`, and
+    Samples each replication of a cell from one manifest of its true model,
+    fits the null design to all of them in one :func:`lcmdiv.estimation._fit_batch`
+    from the launch points of ``plan.fit_options()`` and each fit seed, and
     tests the converged fits at every entry of ``plan.a_values`` with one
     :func:`gof_rows` call per index, all at the run's ``dof``.  Returns
     ``(wall seconds, _Records)``.  A fit does not depend on the rest of its
@@ -251,7 +251,7 @@ def _replicate_chunk(args):
     """
     start = perf_counter()
     plan, dof, lo, hi = args
-    tables, n, seeds = {}, [], []
+    tables, n, X0, options = {}, [], [], plan.fit_options()
     for i in range(lo, hi):
         cell, rep = divmod(i, plan.replications)
         size_idx, coef_idx = divmod(cell, len(plan.lambda8_grid))
@@ -259,12 +259,12 @@ def _replicate_chunk(args):
             tables[coef_idx] = manifest_distribution(*plan.true_model(plan.lambda8_grid[coef_idx])).p
         sample_seq, fit_seed = replication_seeds(plan.seed, size_idx, coef_idx, rep)
         n.append(_draw(tables[coef_idx], plan.sample_sizes[size_idx], sample_seq))
-        seeds.append(fit_seed)
+        X0.append(_initial_points(plan.null_design, options, fit_seed))
     n = np.array(n)
     N = n.sum(axis=1)
     P_hat = n / N[:, None]
     _, _, converged, _, _, P, _ = _fit_batch(
-        plan.null_design, P_hat, float(plan.estimator_a), plan.fit_options(), seeds
+        plan.null_design, P_hat, float(plan.estimator_a), np.array(X0), plan.fit_grad_tol, plan.fit_max_iters
     )
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)

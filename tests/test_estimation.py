@@ -305,10 +305,12 @@ class TestFit:
 
 
 def _fit_rows(design, counts, a, options, seeds=None):
-    """``_fit_batch`` of the data sets ``counts``, row ``i`` seeded by ``seeds[i]``
-    (by default every row by ``options.seed``)."""
+    """``_fit_batch`` of the data sets ``counts`` from the launch points of ``options``,
+    row ``i`` drawn with ``seeds[i]`` (by default every row with ``options.seed``)."""
     P_hat = np.array([c.p_hat() for c in counts])
-    return estimation._fit_batch(design, P_hat, a, options, seeds or [options.seed] * len(counts))
+    X0 = np.array([estimation._initial_points(design, options, seed)
+                   for seed in seeds or [options.seed] * len(counts)])
+    return estimation._fit_batch(design, P_hat, a, X0, options.grad_tol, options.max_iters)
 
 
 def _columns(out):
