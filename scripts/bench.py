@@ -11,18 +11,19 @@ Run from the root of a source checkout.  The record has two parts:
 * ``layers``: direct timings on the simulation's null design (N = 200) of
   the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
   batch, of the fit's objective and gradient at a 25-row batch, of one fit
-  alone against its share of a 25-data-set ``_fit_batch``, of the four
-  one-row ``gof_statistic`` calls of one replication against its share of
-  the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
-  replication as its share of 25 draws from one table (each seeded as the
-  study's replication is, by ``montecarlo.replication_seeds``), and of one
-  replication alone against its share of a 25-replication chunk.  Each
-  timing runs 5 repeats of a loop and keeps every repeat's per-call time
-  (``runs_s``) and their median (``median_s``); ``raw_s`` is the best
-  repeat, and ``scaled_s`` scales it by ``perfbench/clock.py``'s reference
-  reading taken just before the repeats (``reference_s``).  A second reading
-  just after them (``reference_after_s``) shows whether the machine's speed
-  moved while they ran.
+  alone against its share of a 25-data-set ``_fit_batch`` (its launch points
+  made in the timed call), of the four one-row ``gof_statistic`` calls of one
+  replication against its share of the four stacked ``gof_rows`` calls on the
+  25 fits, of sampling one replication as its share of 25 draws from one
+  table (each seeded as the study's replication is, by
+  ``montecarlo.replication_seeds``), and of one replication alone against
+  its share of a 25-replication chunk.  Each timing runs 5 repeats of a loop
+  and keeps every repeat's per-call time (``runs_s``) and their median
+  (``median_s``); ``raw_s`` is the best repeat, and ``scaled_s`` scales it
+  by ``perfbench/clock.py``'s reference reading taken just before the
+  repeats (``reference_s``).  A second reading just after them
+  (``reference_after_s``) shows whether the machine's speed moved while they
+  ran.
 * ``chunk``: one replication's share of a 1 000-replication
   ``_replicate_chunk`` at N = 200, lambda8 in {0, 2} and seed 77, three runs
   each, alternating the coefficient.  Each run is a fresh interpreter,
@@ -54,7 +55,7 @@ from workloads import NAMES  # noqa: E402
 
 from lcmdiv import datasets  # noqa: E402
 from lcmdiv.divergence import power  # noqa: E402
-from lcmdiv.estimation import _fit_batch, _objective, fit  # noqa: E402
+from lcmdiv.estimation import _fit_batch, _initial_points, _objective, fit  # noqa: E402
 from lcmdiv.inference import gof_rows, gof_statistic, resolve_gof_dof  # noqa: E402
 from lcmdiv.model import _draw, _evaluate, manifest_distribution, sample_counts  # noqa: E402
 from lcmdiv.montecarlo import _replicate_chunk, replication_seeds  # noqa: E402
@@ -114,12 +115,17 @@ def layer_timings(seed: int) -> dict:
     design, spec = plan.null_design, power(plan.estimator_a)
     rng = np.random.Generator(np.random.Philox(seed))
     X = plan.theta0.vector() + rng.normal(0.0, 0.1, size=(BATCH, design.t + design.u))
-    counts = [sample_counts(design, plan.theta0, 200, seed=(seed, rep)) for rep in range(BATCH)]
+    counts = [sample_counts(design, plan.theta0, 200, seed=np.random.SeedSequence((seed, rep)))
+              for rep in range(BATCH)]
     options = plan.fit_options()
     fits = [fit(design, c, spec, options) for c in counts]
     evaluations = sum(r.traces[0].evaluations for r in fits)
     P_hat = np.array([c.p_hat() for c in counts])
     sample_seeds, fit_seeds = zip(*(replication_seeds(seed, 0, 0, rep) for rep in range(BATCH)))
+
+    def fit_batch():
+        X0 = np.array([_initial_points(design, options, s) for s in fit_seeds])
+        return _fit_batch(design, P_hat, spec.a, X0, options.grad_tol, options.max_iters)
 
     def gof_batch():
         return [gof_statistic(design, c, power(a), r, plan.alpha, plan.dof_policy)
@@ -150,8 +156,7 @@ def layer_timings(seed: int) -> dict:
         "statistics_per_replication": timed(clock, statistics_batch, 10, BATCH),
         "sampling_per_replication": timed(clock, sampling_batch, 10, BATCH),
         "fit_alone": timed(clock, lambda: fit(design, counts[0], spec, options), 5),
-        "fit_batch_share": timed(
-            clock, lambda: _fit_batch(design, P_hat, spec.a, options, fit_seeds), 1, BATCH),
+        "fit_batch_share": timed(clock, fit_batch, 1, BATCH),
         "replication_alone": timed(clock, lambda: _replicate_chunk((plan, dof, 0, 1)), 5),
         "replication_batch_share": timed(
             clock, lambda: _replicate_chunk((plan, dof, 0, BATCH)), 1, BATCH),

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 # Inverse-CDF sampling materializes the full 2**k cell table.
 MAX_ITEMS_FOR_SAMPLING = 20
@@ -420,8 +420,14 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
     Sampling is inverse-CDF over the materialized cell table using a
     counter-based (Philox) generator, so results are reproducible for a fixed
     seed and seeds are cheap to derive for parallel replications.  ``seed``
-    may be an integer or a ``numpy.random.SeedSequence``.
+    may be an integer >= 0 or a ``numpy.random.SeedSequence``; anything else,
+    and an ``N`` that is not an integer, raises :class:`DomainError`.
     """
+    require_integer("N", N)
+    if not isinstance(seed, np.random.SeedSequence):
+        require_integer("seed", seed)
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
     if design.k > MAX_ITEMS_FOR_SAMPLING:
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
     return ObservedCounts(n=_draw(manifest_distribution(design, theta).p, N, seed))

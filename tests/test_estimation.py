@@ -491,6 +491,43 @@ class TestBatchedFit:
             alone = fit(plan.null_design, counts[0], power(0.0), replace(options, seed=seed))
             _assert_same_bits(_row_fields(out, i), _result_fields(alone))
 
+    def test_launch_points_are_data(self, coleman_design, coleman_counts, coleman_fit_23):
+        # Launch points no FitOptions can express: at index 1, the index-2/3
+        # estimate and the origin, whose start stops at a stationary point of
+        # higher objective.  Each start is the one-start batch of its point
+        # bit for bit, the estimate's start is fit's, and the row keeps the
+        # better start in either order.
+        options = FitOptions(starts=1, init_theta=coleman_fit_23.theta_hat)
+        P_hat, given = coleman_counts.p_hat()[None], coleman_fit_23.theta_hat.vector()
+        points = np.array([given, np.zeros_like(given)])
+
+        def batch(X0):
+            return estimation._fit_batch(coleman_design, P_hat, 1.0, X0, options.grad_tol, options.max_iters)
+
+        out = batch(points[None])
+        alone = [batch(x[None, None]) for x in points]
+        for s, one in enumerate(alone):
+            _assert_same_bits([column[0, s] for column in out[-1]], [column[0, 0] for column in one[-1]])
+        _assert_same_bits(
+            _row_fields(alone[0], 0), _result_fields(fit(coleman_design, coleman_counts, power(1.0), options))
+        )
+        value = out[-1][0][0]
+        assert out[2][0] and (out[-1][-1] == estimation._CONVERGED).all() and value[0] < value[1]
+        for X0 in (points[None], points[None, ::-1]):
+            X, objective, *_ = batch(X0)
+            np.testing.assert_array_equal(X[0], alone[0][0][0])
+            assert objective[0] == value[0]
+        # Two points far out, each with an infinite objective, tie: the row
+        # reports the first where it stands, in either order.
+        far = np.random.default_rng(4).normal(0.0, 1000.0, size=(2, given.size))
+        for X0 in (far[None], far[None, ::-1]):
+            X, objective, converged, *_, starts = batch(X0)
+            assert not converged[0] and objective[0] == math.inf
+            assert (starts[-1] == estimation._INFINITE).all()
+            np.testing.assert_array_equal(X[0], X0[0, 0])
+        with pytest.raises(DomainError, match="finite"):
+            batch(np.array([[given, np.full_like(given, np.nan)]]))
+
     def test_failed_fit_counts_starts_by_status(self):
         plan, counts, _ = _cell_fits(200, 0.0, 1)
         options = FitOptions(starts=3, max_iters=1, seed=2, init_theta=plan.theta0)

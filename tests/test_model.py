@@ -443,6 +443,11 @@ def _design(Q=(2, 3, 1), V=(2, 1), d=(2,)):
     return ModelDesign(Q=np.zeros(Q), C=np.zeros(Q[:2]), V=np.zeros(V), d=np.zeros(d))
 
 
+def _sample_coleman(N, seed):
+    """``sample_counts`` of Coleman's M1 at the zero parameter vector."""
+    return sample_counts(datasets.coleman_design_m1(), Theta(lam=np.zeros(8), eta=np.zeros(4)), N, seed)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -473,6 +478,14 @@ def _design(Q=(2, 3, 1), V=(2, 1), d=(2,)):
         pytest.param(
             lambda: sample_counts(datasets.coleman_design_m1(), Theta(lam=np.zeros(8), eta=np.zeros(4)), 0, 1),
             "N must be >= 1", id="sample-N",
+        ),
+        pytest.param(lambda: _sample_coleman(200.5, 1), "N must be an integer, got 200.5", id="sample-N-float"),
+        pytest.param(lambda: _sample_coleman(True, 1), "N must be an integer, got True", id="sample-N-bool"),
+        pytest.param(lambda: _sample_coleman(200, 1.5), "seed must be an integer, got 1.5", id="sample-seed-float"),
+        pytest.param(lambda: _sample_coleman(200, -1), "seed must be >= 0, got -1", id="sample-seed-negative"),
+        pytest.param(lambda: _sample_coleman(200, True), "seed must be an integer, got True", id="sample-seed-bool"),
+        pytest.param(
+            lambda: _sample_coleman(200, (1, 2)), "seed must be an integer, got (1, 2)", id="sample-seed-tuple"
         ),
     ],
 )
