@@ -11,19 +11,19 @@ Run from the root of a source checkout.  The record has two parts:
 * ``layers``: direct timings on the simulation's null design (N = 200) of
   the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
   batch, of the fit's objective and gradient at a 25-row batch, of one fit
-  alone against its share of a 25-data-set ``_fit_batch`` (its launch points
-  made in the timed call), of the four one-row ``gof_statistic`` calls of one
-  replication against its share of the four stacked ``gof_rows`` calls on the
-  25 fits, of sampling one replication as its share of 25 draws from one
-  table (each seeded as the study's replication is, by
-  ``montecarlo.replication_seeds``), and of one replication alone against
-  its share of a 25-replication chunk.  Each timing runs 5 repeats of a loop
-  and keeps every repeat's per-call time (``runs_s``) and their median
-  (``median_s``); ``raw_s`` is the best repeat, and ``scaled_s`` scales it
-  by ``perfbench/clock.py``'s reference reading taken just before the
-  repeats (``reference_s``).  A second reading just after them
-  (``reference_after_s``) shows whether the machine's speed moved while they
-  ran.
+  alone against its share of a 25-data-set ``_fit_batch`` whose launch
+  points are made in the timed call, of the four
+  one-row ``gof_statistic`` calls of one replication against its share of
+  the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
+  replication as its share of 25 draws from one table (each seeded as the
+  study's replication is, by ``montecarlo.replication_seeds``), and of one
+  replication alone against its share of a 25-replication chunk.  Each
+  timing runs 5 repeats of a loop and keeps every repeat's per-call time
+  (``runs_s``) and their median (``median_s``); ``raw_s`` is the best
+  repeat, and ``scaled_s`` scales it by ``perfbench/clock.py``'s reference
+  reading taken just before the repeats (``reference_s``).  A second reading
+  just after them (``reference_after_s``) shows whether the machine's speed
+  moved while they ran.
 * ``chunk``: one replication's share of a 1 000-replication
   ``_replicate_chunk`` at N = 200, lambda8 in {0, 2} and seed 77, three runs
   each, alternating the coefficient.  Each run is a fresh interpreter,
