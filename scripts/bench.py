@@ -12,7 +12,7 @@ Run from the root of a source checkout.  The record has two parts:
   the evaluation kernel (manifest and Jacobian) at one row and at a 25-row
   batch, of the fit's objective and gradient at a 25-row batch, of one fit
   alone against its share of a 25-data-set ``_fit_batch`` whose launch
-  points are made in the timed call, of the four
+  points are made in the timed call, with every coordinate free, of the four
   one-row ``gof_statistic`` calls of one replication against its share of
   the four stacked ``gof_rows`` calls on the 25 fits, of sampling one
   replication as its share of 25 draws from one table (each seeded as the
@@ -125,7 +125,8 @@ def layer_timings(seed: int) -> dict:
 
     def fit_batch():
         X0 = np.array([_initial_points(design, options, s) for s in fit_seeds])
-        return _fit_batch(design, P_hat, spec.a, X0, options.grad_tol, options.max_iters)
+        free = np.ones_like(X0[:, 0])
+        return _fit_batch(design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters)
 
     def gof_batch():
         return [gof_statistic(design, c, power(a), r, plan.alpha, plan.dof_policy)

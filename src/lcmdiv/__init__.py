@@ -14,6 +14,7 @@ from .inference import (
     TestResult,
     chi2_quantile,
     estimator_sweep,
+    fit_chain,
     gof_statistic,
     nested_S,
     nested_T,
@@ -57,6 +58,7 @@ __all__ = [
     "dale_band",
     "estimator_sweep",
     "fit",
+    "fit_chain",
     "gof_statistic",
     "identity_h",
     "manifest_distribution",

@@ -40,6 +40,7 @@ from .estimation import FitOptions, fit
 from .inference import (
     NestedChain,
     TestResult,
+    fit_chain,
     gof_statistic,
     nested_S,
     nested_T,
@@ -429,8 +430,7 @@ def _run_gof(ns: argparse.Namespace) -> int:
 
 def _run_nested(ns: argparse.Namespace) -> int:
     # Both statistics test the same two fits.
-    fit_A = fit(ns.chain.model_design(1), ns.counts, ns.phi2, ns.fit_options)
-    fit_B = fit(ns.chain.model_design(2), ns.counts, ns.phi2, ns.fit_options)
+    fit_A, fit_B = fit_chain(ns.chain, ns.counts, ns.phi2, ns.fit_options)
     tests = {
         kind: test(ns.counts, ns.phi1, fit_A, fit_B, ns.alpha, ns.h)
         for kind, test in (("S", nested_S), ("T", nested_T))

@@ -24,13 +24,17 @@ contracts through the class-pattern table without forming ``J``, so the
 estimator never builds a Jacobian.
 
 The optimizer is one batched BFGS (:func:`_minimize`): every start of every
-data set of :func:`_fit_batch` is a row of one array, and rows that converge
-drop out.  The batch takes its launch points as data, from the one producer
-:func:`_initial_points`.  The loop runs on raw ``(b, t + u)`` arrays, checked
-at the public entry points, and checks only that they are finite.  After the
-loop, every data set's best start, converged or not, is evaluated in one
-kernel call.  :func:`fit`, the batch of one data set, is the one place that
-builds a :class:`FitResult`; the simulation study reads the batch's arrays.
+row of :func:`_fit_batch` is a row of one array, and rows that converge drop
+out.  The batch takes its launch points as data, from the one producer
+:func:`_initial_points`, and a free-coordinate mask per row, so one batch
+over a base design also fits its zero-restricted submodels: the models of a
+nested chain are rows of one batch (``inference.fit_chain``).  The loop runs
+on raw ``(b, t + u)`` arrays, checked at the public entry points, and checks
+only that they are finite.  After the loop, every row's best start,
+converged or not, is evaluated in one kernel call.  :func:`_fit_result` is
+the one builder of a :class:`FitResult`, for :func:`fit`, the batch of one
+data set, and for ``fit_chain``; the simulation study reads the batch's
+arrays.
 """
 
 from __future__ import annotations
@@ -135,9 +139,12 @@ class FitResult:
     empty_cells: bool
     message: str = ""
 
-    def require_converged(self, what: str = "operation") -> "FitResult":
+    def require_converged(self, what: str = "operation", model: str = "") -> "FitResult":
+        """This result if it converged, else ``NotConvergedError`` saying that ``what``
+        requires a converged fit (of ``model``, when given)."""
         if not self.converged:
-            raise NotConvergedError(f"{what} requires a converged fit: {self.message}")
+            of = f" of {model}" if model else ""
+            raise NotConvergedError(f"{what} requires a converged fit{of}: {self.message}")
         return self
 
 
@@ -183,8 +190,15 @@ def _objective(design, P_hat, a, X):
     return value, _pullback(design, w, S, B, weight)
 
 
-def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
+def _minimize(design, P_hat, a, X0, free, grad_tol, max_iters):
     """Batched BFGS on the objective of each row of ``X0``, rows independent.
+
+    ``free`` holds a 0/1 float per coordinate of each row, and every gradient
+    the loop computes is multiplied by it, so a row minimizes over its free
+    coordinates only.  A fixed coordinate that launches at 0 stays exactly
+    0: the direction, the step and the gradient change all vanish there, so
+    the inverse Hessian never couples it to a free one.  An all-ones row
+    keeps its bits, since ``x * 1.0 == x``.
 
     Every row keeps its own inverse Hessian, started at the identity and
     scaled by ``s'y / y'y`` after its first accepted step.  A step is
@@ -211,6 +225,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
     X = np.array(X0, dtype=np.float64)
     b, dim = X.shape
     f, G = _objective(design, P_hat, a, X)
+    G *= free
     iterations, evaluations, restarts = np.zeros(b, np.int64), np.ones(b, np.int64), np.zeros(b, np.int64)
     # A row's outputs are written here when it leaves; until the first row
     # leaves, the working set is these arrays themselves.
@@ -230,8 +245,8 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
             gone, keep = row[leave], ~leave
             for out, value in zip(results, (X, f, G, iterations, evaluations, restarts, code)):
                 out[gone] = value[leave]
-            row, X, f, G, P_hat, H, fresh, iterations, evaluations, restarts = (
-                v[keep] for v in (row, X, f, G, P_hat, H, fresh, iterations, evaluations, restarts)
+            row, X, f, G, P_hat, free, H, fresh, iterations, evaluations, restarts = (
+                v[keep] for v in (row, X, f, G, P_hat, free, H, fresh, iterations, evaluations, restarts)
             )
             if row.size == 0:
                 break
@@ -250,6 +265,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
 
         X_new = X + step[:, None] * D
         f_new, G_new = _objective(design, P_hat, a, X_new)
+        G_new *= free
         evaluations += 1
         found = (f_new < f) & (f_new <= f + _ARMIJO * step * slope)
         search = np.flatnonzero(~found)
@@ -259,6 +275,7 @@ def _minimize(design, P_hat, a, X0, grad_tol, max_iters):
             step[search] *= 0.5
             X_try = X[search] + step[search, None] * D[search]
             f_try, G_try = _objective(design, P_hat[search], a, X_try)
+            G_try *= free[search]
             evaluations[search] += 1
             ok = (f_try < f[search]) & (f_try <= f[search] + _ARMIJO * step[search] * slope[search])
             done = search[ok]
@@ -337,10 +354,19 @@ def fit(
     """
     _check_items(design, counts)
     X0 = _initial_points(design, options, options.seed)[None]
-    X, objective, converged, w, S, p, starts = _fit_batch(
-        design, counts.p_hat()[None], spec.a, X0, options.grad_tol, options.max_iters
-    )
-    value, gnorm, iterations, evaluations, restarts, status = (column[0] for column in starts)
+    P_hat, free = counts.p_hat()[None], np.ones_like(X0[:, 0])
+    out = _fit_batch(design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters)
+    return _fit_result(out, 0, design, slice(None), counts, spec)
+
+
+def _fit_result(out, row, design, columns, counts, spec) -> FitResult:
+    """Row ``row`` of the ``_fit_batch`` outcome ``out`` as a fit of ``design`` to ``counts``.
+
+    ``theta_hat`` is the row's result point at ``columns``, the positions of
+    ``design``'s coordinates in the batch's design.
+    """
+    X, objective, converged, w, S, p, starts = out
+    value, gnorm, iterations, evaluations, restarts, status = (column[row] for column in starts)
     traces = tuple(
         StartTrace(
             start=s,
@@ -352,29 +378,32 @@ def fit(
             status=_STATUSES[status[s]],
             restarts=int(restarts[s]),
         )
-        for s in range(options.starts)
+        for s in range(len(status))
     )
     tally = ", ".join(
         f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
     )
     return FitResult(
-        theta_hat=Theta.from_vector(design, X[0]),
-        objective=float(objective[0]),
-        converged=bool(converged[0]),
+        theta_hat=Theta.from_vector(design, X[row, columns]),
+        objective=float(objective[row]),
+        converged=bool(converged[row]),
         traces=traces,
-        latent=LatentParams(w=w[0], P=expit(S[0])),
-        manifest=ManifestDistribution(p=p[0]),
+        latent=LatentParams(w=w[row], P=expit(S[row])),
+        manifest=ManifestDistribution(p=p[row]),
         spec=spec,
         empty_cells=bool(np.any(counts.n == 0)),
-        message="" if converged[0] else f"no start converged: {tally}",
+        message="" if converged[row] else f"no start converged: {tally}",
     )
 
 
-def _fit_batch(design, P_hat, a, X0, grad_tol, max_iters) -> tuple:
+def _fit_batch(design, P_hat, a, X0, free, grad_tol, max_iters) -> tuple:
     """The fit of every row of ``P_hat`` at index ``a``, as one batched optimization.
 
     Row ``i`` of ``P_hat`` (shape ``(rows, 2**k)``) launches from the points
-    ``X0[i]`` (``X0`` shaped ``(rows, starts, t + u)``).  A row's path does not
+    ``X0[i]`` (``X0`` shaped ``(rows, starts, t + u)``) and moves only the
+    coordinates where ``free[i]`` (0/1 floats, shaped ``(rows, t + u)``) is 1;
+    a row whose launch points are 0 at its other coordinates is the fit of
+    the submodel that fixes them at 0.  A row's path does not
     depend on the rest of the batch, so each row's outputs equal those of a
     batch of that row alone, bit for bit.  A row's result point is its best
     converged start or, when none converged, its best start of all (the
@@ -387,7 +416,8 @@ def _fit_batch(design, P_hat, a, X0, grad_tol, max_iters) -> tuple:
     """
     b, n_starts = X0.shape[:2]
     X, *outcome = _minimize(
-        design, np.repeat(P_hat, n_starts, axis=0), a, X0.reshape(b * n_starts, -1), grad_tol, max_iters
+        design, np.repeat(P_hat, n_starts, axis=0), a, X0.reshape(b * n_starts, -1),
+        np.repeat(free, n_starts, axis=0), grad_tol, max_iters,
     )
     starts = tuple(column.reshape(b, n_starts) for column in outcome)
     value, status = starts[0], starts[-1]

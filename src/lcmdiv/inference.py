@@ -20,8 +20,9 @@ of one step) is tested with either
 
 both asymptotically chi-square with ``h1 - h2`` degrees of freedom (the
 difference in free-parameter counts).  Like :func:`gof_statistic`, the
-nested tests take fits made beforehand: fit A and B with one estimator,
-then test the two fits with :func:`nested_S` or :func:`nested_T`.  The S
+nested tests take fits made beforehand: fit A and B with one estimator, as
+:func:`fit_chain` fits every model of a chain in one batch, then test the
+two fits with :func:`nested_S` or :func:`nested_T`.  The S
 difference is oriented B-minus-A so that the classical likelihood-ratio
 case (both transforms at power index 0) is nonnegative.  With unequal
 estimation and testing transforms S can come out negative; it is returned
@@ -56,7 +57,7 @@ from scipy.special import chdtrc, chdtri
 
 from .divergence import HSpec, PhiSpec, _phi_divergence, identity_h, power
 from .errors import DomainError, require_integer
-from .estimation import FitOptions, FitResult, fit
+from .estimation import FitOptions, FitResult, _check_items, _fit_batch, _fit_result, _initial_points, fit
 from .model import ModelDesign, ObservedCounts
 
 
@@ -307,8 +308,8 @@ def nested_T(
 
 def _nested(difference, kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResult:
     """S (``difference``) or T of the fits, at ``h1 - h2`` degrees of freedom, reported as ``kind``."""
-    fit_A.require_converged("nested test")
-    fit_B.require_converged("nested test")
+    fit_A.require_converged("nested test", "model A")
+    fit_B.require_converged("nested test", "model B")
     _check_cells(counts, fit_A, fit_B)
     if fit_A.spec != fit_B.spec:
         raise DomainError("the nested fits must use the same estimator")
@@ -396,6 +397,33 @@ class NestedChain:
         return len(self.free_columns(level))
 
 
+def fit_chain(
+    chain: NestedChain, counts: ObservedCounts, spec: PhiSpec, options: FitOptions = FitOptions()
+) -> list:
+    """Minimum divergence fits of every model of ``chain``, one per level.
+
+    The models are rows of one batched fit over ``chain.design``, each
+    moving only its free coordinates, so they share the optimizer's passes.
+    Model ``level`` launches from the points its own fit draws,
+    ``_initial_points(chain.model_design(level), options, options.seed)``,
+    placed at ``chain.free_columns(level)`` with its fixed coordinates at 0;
+    its ``theta_hat`` is read back at those columns, a ``Theta`` of
+    ``chain.model_design(level)``.  Model 1 is ``fit(chain.design, ...)`` bit
+    for bit.  A reduced model equals its own fit up to rounding: the base
+    design's kernel also sums its zero coordinates.
+    """
+    _check_items(chain.design, counts)
+    models = [(chain.model_design(lvl), chain.free_columns(lvl)) for lvl in range(1, chain.n_models + 1)]
+    dim = chain.design.t + chain.design.u
+    X0, free = np.zeros((len(models), options.starts, dim)), np.zeros((len(models), dim))
+    for i, (design, columns) in enumerate(models):
+        X0[i][:, columns] = _initial_points(design, options, options.seed)
+        free[i, columns] = 1.0
+    P_hat = np.tile(counts.p_hat(), (len(models), 1))
+    out = _fit_batch(chain.design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters)
+    return [_fit_result(out, i, design, columns, counts, spec) for i, (design, columns) in enumerate(models)]
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     selected: int
@@ -415,23 +443,25 @@ def sequential_selection(
 ) -> SelectionResult:
     """Walk the chain testing each reduction; stop at the first rejection.
 
-    Tests model ``l+1`` (null) against model ``l`` for l = 1, 2, ...; as
-    long as the null is accepted the reduction is adopted.  Returns the last
-    surviving model index and the full test trail.  When nothing is rejected
-    the smallest model wins.
+    Fits every model of the chain at once (:func:`fit_chain`), then tests
+    model ``l+1`` (null) against model ``l`` for l = 1, 2, ...; as long as
+    the null is accepted the reduction is adopted.  The models after the
+    first rejection are fitted but not tested, and only a tested model must
+    have converged.  Returns the last surviving model index and the full
+    test trail.  When nothing is rejected the smallest model wins.
     """
     test = {"S": nested_S, "T": nested_T}.get(statistic)
     if test is None:
         raise DomainError("statistic must be 'S' or 'T'")
-    fit_A = fit(chain.model_design(1), counts, phi2, options)
+    fits = fit_chain(chain, counts, phi2, options)
     tests = []
     selected = chain.n_models
     for level in range(1, chain.n_models):
-        fit_B = fit(chain.model_design(level + 1), counts, phi2, options)
-        result = test(counts, phi1, fit_A, fit_B, alpha, h)
+        for model in (level, level + 1):
+            fits[model - 1].require_converged(f"nested test of M{level + 1} within M{level}", f"M{model}")
+        result = test(counts, phi1, fits[level - 1], fits[level], alpha, h)
         tests.append(result)
         if result.reject:
             selected = level
             break
-        fit_A = fit_B
     return SelectionResult(selected=selected, tests=tuple(tests), statistic=statistic)

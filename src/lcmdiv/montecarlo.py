@@ -243,11 +243,11 @@ def _replicate_chunk(args):
 
     Samples each replication of a cell from one manifest of its true model,
     fits the null design to all of them in one :func:`lcmdiv.estimation._fit_batch`
-    from the launch points of ``plan.fit_options()`` and each fit seed, and
-    tests the converged fits at every entry of ``plan.a_values`` with one
-    :func:`gof_rows` call per index, all at the run's ``dof``.  Returns
-    ``(wall seconds, _Records)``.  A fit does not depend on the rest of its
-    batch, so neither does its record.
+    from the launch points of ``plan.fit_options()`` and each fit seed, every
+    coordinate free, and tests the converged fits at every entry of
+    ``plan.a_values`` with one :func:`gof_rows` call per index, all at the
+    run's ``dof``.  Returns ``(wall seconds, _Records)``.  A fit does not
+    depend on the rest of its batch, so neither does its record.
     """
     start = perf_counter()
     plan, dof, lo, hi = args
@@ -263,8 +263,10 @@ def _replicate_chunk(args):
     n = np.array(n)
     N = n.sum(axis=1)
     P_hat = n / N[:, None]
+    X0 = np.array(X0)
     _, _, converged, _, _, P, _ = _fit_batch(
-        plan.null_design, P_hat, float(plan.estimator_a), np.array(X0), plan.fit_grad_tol, plan.fit_max_iters
+        plan.null_design, P_hat, float(plan.estimator_a), X0, np.ones_like(X0[:, 0]),
+        plan.fit_grad_tol, plan.fit_max_iters,
     )
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)

@@ -6,7 +6,7 @@ from scipy.special import expit
 from lcmdiv import datasets, estimation
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions, _objective, fit
-from lcmdiv.inference import estimator_sweep
+from lcmdiv.inference import estimator_sweep, fit_chain
 from lcmdiv.model import LatentParams, ModelDesign, Theta, _table, all_patterns
 
 
@@ -109,6 +109,24 @@ def scipy_bfgs_fit(design: ModelDesign, counts, a: float, x0, grad_tol: float, m
             break
     value, grad = fun(x)
     return float(value), bool(np.max(np.abs(grad)) <= grad_tol and np.isfinite(value))
+
+
+def result_fields(result):
+    """A fit's point, objective, convergence, latent and manifest views and per-start traces."""
+    traces = result.traces
+    return (
+        result.theta_hat.vector(), result.objective, result.converged, result.latent.w,
+        result.latent.P, result.manifest.p,
+        *([getattr(t, name) for t in traces]
+          for name in ("objective", "grad_norm", "iterations", "evaluations", "restarts")),
+        [estimation._STATUSES.index(t.status) for t in traces],
+    )
+
+
+def assert_same_bits(left, right):
+    assert len(left) == len(right)
+    for x, y in zip(left, right):
+        assert np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
 
 
 @pytest.fixture
@@ -224,8 +242,5 @@ def coleman_chain():
 
 @pytest.fixture(scope="session")
 def coleman_chain_fits(coleman_chain, coleman_counts):
-    opts = FitOptions(starts=30, seed=5)
-    return {
-        level: fit(coleman_chain.model_design(level), coleman_counts, power(2.0 / 3.0), opts)
-        for level in range(1, 5)
-    }
+    fits = fit_chain(coleman_chain, coleman_counts, power(2.0 / 3.0), FitOptions(starts=30, seed=5))
+    return dict(enumerate(fits, start=1))

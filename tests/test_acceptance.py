@@ -29,7 +29,7 @@ from scipy.stats import binom as binom_dist
 from lcmdiv.asymptotics import build_bundle, build_nested_projections
 from lcmdiv.divergence import phi_divergence, power
 from lcmdiv.estimation import FitOptions, canonicalize, fit, objective_and_gradient
-from lcmdiv.inference import NestedChain, chi2_quantile, gof_statistic
+from lcmdiv.inference import NestedChain, chi2_quantile, fit_chain, gof_statistic
 from lcmdiv.model import ModelDesign, Theta, sample_counts
 from lcmdiv.montecarlo import dale_band
 
@@ -153,8 +153,7 @@ class TestCriterion3NestedUnconditional:
             truth = Theta(lam=np.array([0.5, -0.7, 0.4]), eta=np.array([0.2]))
             counts = sample_counts(design, truth, 900, seed=seed)
             opts = FitOptions(starts=8, seed=seed)
-            fit_A = fit(pair.model_design(1), counts, power(0.0), opts)
-            fit_B = fit(pair.model_design(2), counts, power(0.0), opts)
+            fit_A, fit_B = fit_chain(pair, counts, power(0.0), opts)
             s = nested_S(counts, power(0.0), fit_A, fit_B)
             # Direct likelihood-ratio form from the same fits.
             pos = counts.n > 0

@@ -452,13 +452,45 @@ class TestGofCommand:
         library = gof_statistic(coleman_design, coleman_counts, power(1.0), coleman_fit_23)
         assert doc["test"]["statistic"] == pytest.approx(library.statistic, rel=1e-9)
 
-    def test_unconverged_fit_exits_without_a_report(self, capsys):
-        code, out, err = run_cli(
-            capsys, "gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman",
-            "--max-iters", "1", "--starts", "5", "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ("gof", "--design", "bundled:coleman_m1", "--max-iters", "1", "--starts", "5"),
+                "goodness-of-fit statistic requires a converged fit: no start converged: 5 max_iters",
+                id="gof",
+            ),
+            # The nested tests name the model whose fit failed.
+            pytest.param(
+                ("nested", "--design", "bundled:coleman_m1_chain_basis", "--zero-lambda", "7,8",
+                 "--max-iters", "1", "--starts", "5"),
+                "nested test requires a converged fit of model A: no start converged: 5 max_iters",
+                id="nested-A",
+            ),
+            pytest.param(
+                ("nested", "--design", "bundled:coleman_m1_chain_basis", "--zero-lambda", "7,8",
+                 "--max-iters", "60", "--starts", "2", "--seed", "3"),
+                "nested test requires a converged fit of model B: no start converged: 2 max_iters",
+                id="nested-B",
+            ),
+            pytest.param(
+                ("select", "--chain", "bundled:coleman_chain", "--max-iters", "1", "--starts", "5"),
+                "nested test of M2 within M1 requires a converged fit of M1: no start converged: 5 max_iters",
+                id="select-M1",
+            ),
+            pytest.param(
+                ("select", "--chain", "bundled:coleman_chain", "--max-iters", "60", "--starts", "3",
+                 "--seed", "3"),
+                "nested test of M3 within M2 requires a converged fit of M3: no start converged: 3 max_iters",
+                id="select-M3",
+            ),
+        ],
+    )
+    def test_unconverged_fit_exits_without_a_report(self, capsys, argv, message):
+        phi = ("--phi1", "power:a=0.6666666666666666", "--phi2", "power:a=0.6666666666666666")
+        code, out, err = run_cli(capsys, *argv, "--counts", "bundled:coleman", *phi, "--format", "json")
         assert code == EXIT_COMPUTE
-        assert "no start converged: 5 max_iters" in err
+        assert err.strip() == f"computation failed: {message}"
         assert out == ""
 
     def test_h_transformed_run(self, capsys):
@@ -539,14 +571,15 @@ class TestNestedAndSelect:
     def test_nested_both_fits_each_model_once(self, capsys, monkeypatch, h):
         import lcmdiv.cli
 
+        # One fit_chain call fits both models, whichever statistics are asked for.
         calls = []
-        real_fit = lcmdiv.cli.fit
+        real_fit_chain = lcmdiv.cli.fit_chain
 
-        def counting_fit(*args, **kwargs):
-            calls.append(args[0])
-            return real_fit(*args, **kwargs)
+        def counting_fit_chain(chain, *args, **kwargs):
+            calls.append(chain.n_models)
+            return real_fit_chain(chain, *args, **kwargs)
 
-        monkeypatch.setattr(lcmdiv.cli, "fit", counting_fit)
+        monkeypatch.setattr(lcmdiv.cli, "fit_chain", counting_fit_chain)
         argv = (
             "nested", "--design", "bundled:coleman_m1_chain_basis", "--counts", "bundled:coleman",
             "--zero-lambda", "7,8", "--h", h,
@@ -558,7 +591,7 @@ class TestNestedAndSelect:
             calls.clear()
             code, out, _ = run_cli(capsys, *argv, "--statistic", statistic)
             assert code == EXIT_OK
-            assert len(calls) == 2
+            assert calls == [2]
             tests[statistic] = json.loads(out)["tests"]
         assert tests["both"] == {"S": tests["S"]["S"], "T": tests["T"]["T"]}
 

@@ -29,7 +29,15 @@ from lcmdiv.model import (
     sample_counts,
 )
 
-from conftest import make_design, random_theta, reference_class_pattern_probs, scipy_bfgs_fit, table_latent
+from conftest import (
+    assert_same_bits,
+    make_design,
+    random_theta,
+    reference_class_pattern_probs,
+    result_fields,
+    scipy_bfgs_fit,
+    table_latent,
+)
 
 
 def tv_distance(p, q):
@@ -304,13 +312,15 @@ class TestFit:
         assert coleman_fit_23.objective <= at_ref
 
 
-def _fit_rows(design, counts, a, options, seeds=None):
+def _fit_rows(design, counts, a, options, seeds=None, free=None):
     """``_fit_batch`` of the data sets ``counts`` from the launch points of ``options``,
-    row ``i`` drawn with ``seeds[i]`` (by default every row with ``options.seed``)."""
+    row ``i`` drawn with ``seeds[i]`` (by default every row with ``options.seed``) and
+    moving the coordinates where ``free[i]`` is 1 (by default all), launched at 0 on the others."""
     P_hat = np.array([c.p_hat() for c in counts])
     X0 = np.array([estimation._initial_points(design, options, seed)
                    for seed in seeds or [options.seed] * len(counts)])
-    return estimation._fit_batch(design, P_hat, a, X0, options.grad_tol, options.max_iters)
+    free = np.ones_like(X0[:, 0]) if free is None else np.asarray(free, dtype=np.float64)
+    return estimation._fit_batch(design, P_hat, a, X0 * free[:, None], free, options.grad_tol, options.max_iters)
 
 
 def _columns(out):
@@ -322,24 +332,6 @@ def _row_fields(out, i):
     """Row ``i`` of a ``_fit_batch`` outcome, as the fields a ``FitResult`` reports."""
     X, value, converged, w, S, p, starts = out
     return (X[i], value[i], converged[i], w[i], expit(S[i]), p[i], *(column[i] for column in starts))
-
-
-def _result_fields(result):
-    """The fields of ``_row_fields`` read from a ``FitResult``."""
-    traces = result.traces
-    return (
-        result.theta_hat.vector(), result.objective, result.converged, result.latent.w,
-        result.latent.P, result.manifest.p,
-        *([getattr(t, name) for t in traces]
-          for name in ("objective", "grad_norm", "iterations", "evaluations", "restarts")),
-        [estimation._STATUSES.index(t.status) for t in traces],
-    )
-
-
-def _assert_same_bits(left, right):
-    assert len(left) == len(right)
-    for x, y in zip(left, right):
-        assert np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
 
 
 def _cell_fits(N, lambda8, replications, seed=1):
@@ -384,7 +376,8 @@ class TestBatchedFit:
         options = FitOptions(starts=30, seed=1, init_scale=5.0)
         X0 = estimation._initial_points(coleman_design, options, options.seed)[21:22]
         _, value, _, iterations, evaluations, restarts, status = estimation._minimize(
-            coleman_design, coleman_counts.p_hat()[None], 2.0, X0, options.grad_tol, options.max_iters
+            coleman_design, coleman_counts.p_hat()[None], 2.0, X0, np.ones_like(X0), options.grad_tol,
+            options.max_iters,
         )
         assert (iterations[0], evaluations[0], restarts[0]) == (400, 461, 1)
         assert status[0] == estimation._CONVERGED
@@ -408,27 +401,42 @@ class TestBatchedFit:
         # index -1 with 60 iterations the Coleman rows' starts converge or end
         # max_iters and the emptied counts have an infinite objective; at 2/3
         # with a tolerance no start reaches, every start restarts and ends
-        # line_search.  Each row equals the fit of its data set alone.
+        # line_search.  Each row equals the fit of its data set alone.  The
+        # last row is masked, the submodel with lambda 8 and eta 4 fixed: it
+        # leaves by the same routes as its own batch, and every start ends
+        # exactly at 0 on the fixed coordinates.
         n = np.array(coleman_counts.n)
         n[3] = 0
         emptied = ObservedCounts(n=n)
-        mixed, seeds = [coleman_counts, coleman_counts, emptied, emptied], [1, 2, 3, 4]
+        mixed, seeds = [coleman_counts, coleman_counts, emptied, emptied, coleman_counts], [1, 2, 3, 4, 5]
+        masked = np.ones(coleman_design.t + coleman_design.u)
+        masked[[7, 11]] = 0.0
+        free = [np.ones_like(masked)] * 4 + [masked]
         batches = (
             (FitOptions(starts=5, max_iters=60), -1.0),
             (FitOptions(starts=4, grad_tol=1e-14, max_iters=400), 2.0 / 3.0),
         )
         routes = []
         for options, a in batches:
-            out = _fit_rows(coleman_design, mixed, a, options, seeds)
+            out = _fit_rows(coleman_design, mixed, a, options, seeds, free)
             status, restarts = out[-1][-1], out[-1][-2]
             routes.append([sorted({estimation._STATUSES[s] for s in row}) for row in status])
             assert (restarts[status == estimation._LINE_SEARCH] > 0).all()
-            for i, (c, seed) in enumerate(zip(mixed, seeds)):
+            for i, (c, seed) in enumerate(zip(mixed[:4], seeds)):
                 alone = fit(coleman_design, c, power(a), replace(options, seed=seed))
-                _assert_same_bits(_row_fields(out, i), _result_fields(alone))
+                assert_same_bits(_row_fields(out, i), result_fields(alone))
+            alone = _fit_rows(coleman_design, mixed[4:], a, options, seeds[4:], free[4:])
+            assert_same_bits(_row_fields(out, 4), _row_fields(alone, 0))
+            X0 = estimation._initial_points(coleman_design, options, seeds[4]) * masked
+            X, *per_start = estimation._minimize(
+                coleman_design, np.tile(coleman_counts.p_hat(), (len(X0), 1)), a, X0,
+                np.tile(masked, (len(X0), 1)), options.grad_tol, options.max_iters,
+            )
+            assert_same_bits(per_start, [column[4] for column in out[-1]])
+            assert (X[:, masked == 0] == 0.0).all() and (out[0][4, masked == 0] == 0.0).all()
         assert routes == [
-            [["converged", "max_iters"]] * 2 + [["infinite_objective"]] * 2,
-            [["line_search"]] * 4,
+            [["converged", "max_iters"]] * 2 + [["infinite_objective"]] * 2 + [["converged", "max_iters"]],
+            [["line_search"]] * 5,
         ]
 
         plan, counts, _ = _cell_fits(200, 2.0, 9, seed=4)
@@ -445,7 +453,7 @@ class TestBatchedFit:
             for part, field in zip(zip(*parts), _columns(whole)):
                 assert np.concatenate(part).tobytes() == field.tobytes()
         alone = fit(plan.null_design, counts[5], power(plan.estimator_a), replace(options, seed=5))
-        _assert_same_bits(_row_fields(whole, 5), _result_fields(alone))
+        assert_same_bits(_row_fields(whole, 5), result_fields(alone))
 
     def test_converged_latent_is_the_kernel_table(self, coleman_design, coleman_fit_23):
         # The class weights and item probabilities come from the batch's
@@ -484,12 +492,12 @@ class TestBatchedFit:
         options = FitOptions(starts=3)
         seeds = [1, 2, 1]
         out = _fit_rows(plan.null_design, counts * 3, 0.0, options, seeds)
-        _assert_same_bits(_row_fields(out, 0), _row_fields(out, 2))
+        assert_same_bits(_row_fields(out, 0), _row_fields(out, 2))
         evaluations = out[-1][3]
         assert evaluations[0].tolist() != evaluations[1].tolist()
         for i, seed in enumerate(seeds):
             alone = fit(plan.null_design, counts[0], power(0.0), replace(options, seed=seed))
-            _assert_same_bits(_row_fields(out, i), _result_fields(alone))
+            assert_same_bits(_row_fields(out, i), result_fields(alone))
 
     def test_launch_points_are_data(self, coleman_design, coleman_counts, coleman_fit_23):
         # Launch points no FitOptions can express: at index 1, the index-2/3
@@ -502,14 +510,15 @@ class TestBatchedFit:
         points = np.array([given, np.zeros_like(given)])
 
         def batch(X0):
-            return estimation._fit_batch(coleman_design, P_hat, 1.0, X0, options.grad_tol, options.max_iters)
+            free = np.ones_like(X0[:, 0])
+            return estimation._fit_batch(coleman_design, P_hat, 1.0, X0, free, options.grad_tol, options.max_iters)
 
         out = batch(points[None])
         alone = [batch(x[None, None]) for x in points]
         for s, one in enumerate(alone):
-            _assert_same_bits([column[0, s] for column in out[-1]], [column[0, 0] for column in one[-1]])
-        _assert_same_bits(
-            _row_fields(alone[0], 0), _result_fields(fit(coleman_design, coleman_counts, power(1.0), options))
+            assert_same_bits([column[0, s] for column in out[-1]], [column[0, 0] for column in one[-1]])
+        assert_same_bits(
+            _row_fields(alone[0], 0), result_fields(fit(coleman_design, coleman_counts, power(1.0), options))
         )
         value = out[-1][0][0]
         assert out[2][0] and (out[-1][-1] == estimation._CONVERGED).all() and value[0] < value[1]

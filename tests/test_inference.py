@@ -15,6 +15,7 @@ from lcmdiv.inference import (
     WARNINGS,
     NestedChain,
     chi2_quantile,
+    fit_chain,
     gof_rows,
     gof_statistic,
     nested_S,
@@ -36,8 +37,10 @@ from lcmdiv.model import (
 from conftest import (
     COLEMAN_REF_A_GRID,
     COLEMAN_REF_T_ROW,
+    assert_same_bits,
     make_design,
     random_theta,
+    result_fields,
 )
 
 
@@ -440,11 +443,6 @@ def synthetic_pair():
     return pair, counts
 
 
-def fit_models(pair, counts, phi2, options):
-    """Fits of model A and of the nested model B of a one-step chain with one estimator."""
-    return tuple(fit(pair.model_design(level), counts, phi2, options) for level in (1, 2))
-
-
 class TestNestedStatistics:
     def test_identical_models_give_zero(self, synthetic_pair):
         pair, counts = synthetic_pair
@@ -458,7 +456,7 @@ class TestNestedStatistics:
 
     def test_classical_likelihood_ratio_equality(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=8, seed=4))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=8, seed=4))
         s = nested_S(counts, power(0.0), fit_A, fit_B)
         assert s.dof == pair.free_params(1) - pair.free_params(2) == 1
         pos = counts.n > 0
@@ -470,7 +468,7 @@ class TestNestedStatistics:
 
     def test_pearson_nested_form(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=8, seed=5))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=8, seed=5))
         t = nested_T(counts, power(1.0), fit_A, fit_B)
         pA, pB = fit_A.manifest.p, fit_B.manifest.p
         direct = counts.N * float(np.sum((pA - pB) ** 2 / pB))
@@ -479,7 +477,7 @@ class TestNestedStatistics:
 
     def test_h_transforms_reduce_to_identity(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fits = fit_models(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=6))
+        fits = fit_chain(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=6))
         for test in (nested_S, nested_T):
             assert test(counts, power(2.0 / 3.0), *fits) == test(
                 counts, power(2.0 / 3.0), *fits, h=identity_h()
@@ -487,7 +485,7 @@ class TestNestedStatistics:
 
     def test_h_transform_small_statistic_agreement(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fits = fit_models(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=7))
+        fits = fit_chain(pair, counts, power(2.0 / 3.0), FitOptions(starts=6, seed=7))
         plain = nested_T(counts, power(2.0 / 3.0), *fits)
         renyi = nested_T(counts, power(2.0 / 3.0), *fits, h=HSpec(tag="renyi", a=2.0))
         assert renyi.statistic == pytest.approx(plain.statistic, rel=0.01)
@@ -502,7 +500,7 @@ class TestNestedStatistics:
     def test_nonnegative_when_transforms_match(self, synthetic_pair):
         pair, counts = synthetic_pair
         for a in (-0.5, 0.0, 2.0 / 3.0, 1.0):
-            fits = fit_models(pair, counts, power(a), FitOptions(starts=8, seed=8))
+            fits = fit_chain(pair, counts, power(a), FitOptions(starts=8, seed=8))
             s = nested_S(counts, power(a), *fits)
             assert s.statistic >= -1e-12
 
@@ -561,7 +559,7 @@ class TestNestedStatistics:
         design = simulation_null_design()
         counts = sample_counts(design, simulation_theta0(), 200, seed=3)
         assert np.count_nonzero(counts.n == 0) == 3
-        fits = fit_models(
+        fits = fit_chain(
             NestedChain(design, (((6,), ()),)), counts, power(0.0),
             FitOptions(starts=2, seed=1, grad_tol=1e-6),
         )
@@ -575,7 +573,7 @@ class TestNestedStatistics:
         # B's manifest with a zero cell that A fills: D_B is infinite, D_A is not,
         # and a bounded h keeps the difference finite.
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
         q = fit_B.manifest.p.copy()
         q[1] += q[0]
         q[0] = 0.0
@@ -590,7 +588,7 @@ class TestNestedStatistics:
     def test_subnormal_cell_of_B_takes_the_empty_cell_limit(self, synthetic_pair):
         # A's cell over B's subnormal one overflows; T takes the limit it has at q = 0.
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
         results = []
         for cell in (5e-324, 0.0):
             q = fit_B.manifest.p.copy()
@@ -605,7 +603,7 @@ class TestNestedStatistics:
 class TestNestedBoundary:
     def test_more_parameters_in_B_is_refused(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=3, seed=1))
         for test in (nested_S, nested_T):
             with pytest.raises(DomainError, match="more parameters"):
                 test(counts, power(0.0), fit_B, fit_A)
@@ -621,7 +619,7 @@ class TestNestedBoundary:
 
     def test_unconverged_fit_is_refused(self, synthetic_pair):
         pair, counts = synthetic_pair
-        fit_A, fit_B = fit_models(pair, counts, power(0.0), FitOptions(starts=1, max_iters=1))
+        fit_A, fit_B = fit_chain(pair, counts, power(0.0), FitOptions(starts=1, max_iters=1))
         assert not fit_B.converged
         with pytest.raises(NotConvergedError):
             nested_T(counts, power(0.0), fit_A, fit_B)
@@ -666,6 +664,39 @@ class TestColemanChain:
             NestedChain(design=design, steps=(((0, 1), ()), ((0,), ())))  # shrinks
         with pytest.raises(DomainError, match="unique"):
             NestedChain(design=design, steps=(((0,), ()), ((0, 0, 1), ())))  # repeats an index
+
+
+class TestFitChain:
+    """Every model of a chain is a row of one batch over the base design."""
+
+    def test_model_1_is_the_fit_of_the_base_design(
+        self, coleman_chain, coleman_counts, coleman_chain_fits
+    ):
+        alone = fit(coleman_chain.design, coleman_counts, power(2.0 / 3.0), FitOptions(starts=30, seed=5))
+        assert_same_bits(result_fields(coleman_chain_fits[1]), result_fields(alone))
+
+    def test_rows_do_not_depend_on_the_rest_of_the_chain(
+        self, coleman_chain, coleman_counts, coleman_chain_fits
+    ):
+        # Model B of the pair is model 2 of the four-model chain, bit for bit.
+        pair = NestedChain(coleman_chain.design, (coleman_chain.mask(2),))
+        fit_A, fit_B = fit_chain(pair, coleman_counts, power(2.0 / 3.0), FitOptions(starts=30, seed=5))
+        assert_same_bits(result_fields(fit_A), result_fields(coleman_chain_fits[1]))
+        assert_same_bits(result_fields(fit_B), result_fields(coleman_chain_fits[2]))
+
+    def test_reduced_models_reach_their_own_fits(self, coleman_chain, coleman_counts):
+        # A reduced model moves only by rounding: the base design's kernel
+        # also sums its zero coordinates.  Its point is a Theta of its own design.
+        options, spec = FitOptions(seed=1), power(2.0 / 3.0)
+        fits = fit_chain(coleman_chain, coleman_counts, spec, options)
+        assert len(fits) == coleman_chain.n_models
+        for level, chained in enumerate(fits, start=1):
+            design = coleman_chain.model_design(level)
+            alone = fit(design, coleman_counts, spec, options)
+            assert chained.converged and alone.converged
+            assert abs(chained.objective - alone.objective) <= 1e-12 * alone.objective
+            assert (chained.theta_hat.lam.size, chained.theta_hat.eta.size) == (design.t, design.u)
+            assert chained.theta_hat.vector().size == coleman_chain.free_params(level)
 
 
 class TestSequentialSelection:
