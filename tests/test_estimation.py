@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import multinomial
 
-from lcmdiv import estimation, model
+from lcmdiv import estimation, fit_chain, model
 from lcmdiv.datasets import coleman_counts, coleman_design_m1, simulation_plan
 from lcmdiv.divergence import _phi_divergence, phi_divergence, power
 from lcmdiv.errors import DomainError
@@ -672,3 +673,38 @@ class TestFitOptionsValidation:
             with pytest.raises(DomainError, match=f"{name} must be an integer"):
                 FitOptions(**{"starts": 2, name: value})
         assert FitOptions(starts=np.int64(2), max_iters=np.int32(5), seed=np.uint64(3)).starts == 2
+
+
+class TestPinnedIntegers:
+    """The integers of data-set fits against stored values, not against another run.
+
+    Each start's ``(iterations, evaluations, restarts, status)`` is hashed,
+    and the totals are kept readable.  The two fits are the CLI's: the
+    Coleman panel at index 2/3, one model and the four-model chain.
+    """
+
+    @staticmethod
+    def _pin(result):
+        table = np.array(
+            [[t.iterations, t.evaluations, t.restarts, estimation._STATUSES.index(t.status)]
+             for t in result.traces],
+            dtype=np.int64,
+        )
+        return hashlib.sha256(table.tobytes()).hexdigest(), *table[:, :3].sum(axis=0).tolist()
+
+    def test_fit(self, coleman_design, coleman_counts):
+        result = fit(coleman_design, coleman_counts, power(2.0 / 3.0), FitOptions(starts=30, seed=1))
+        assert {t.status for t in result.traces} == {"converged"}
+        assert self._pin(result) == (
+            "ddf84acb914d9098a44630b611642685fac3c987a0c7b633d3282d9c549a2961", 2035, 2148, 0
+        )
+
+    def test_fit_chain(self, coleman_chain, coleman_counts):
+        fits = fit_chain(coleman_chain, coleman_counts, power(2.0 / 3.0), FitOptions(seed=1))
+        assert all({t.status for t in f.traces} == {"converged"} for f in fits)
+        assert [self._pin(f) for f in fits] == [
+            ("27ca4a4f5312ff69ee10b89dc825750c4d46aa2964d7faa0e718cd7a905522d6", 1842, 1886, 0),
+            ("74fd05f21ee1239e1358db605cd33e43dc17574bf008d7e359f3c77a8d496c52", 1389, 1463, 0),
+            ("dc02b8ec983423f12e53b280f75cdc3afaf634b2a17bf7f29aed2be500e7576b", 1071, 1107, 0),
+            ("39bb4e42af58be631b1286c56421156ca302acdbc73e0fdcf98204ebf7e58cab", 892, 932, 0),
+        ]
