@@ -8,13 +8,11 @@ from .errors import (
     NotConvergedError,
     RankDeficiencyError,
 )
-from .estimation import FitOptions, FitResult, fit, objective_and_gradient
+from .estimation import FitOptions, FitResult, fit, fit_chain, objective_and_gradient
 from .inference import (
-    NestedChain,
     TestResult,
     chi2_quantile,
     estimator_sweep,
-    fit_chain,
     gof_statistic,
     nested_S,
     nested_T,
@@ -25,6 +23,7 @@ from .model import (
     LatentParams,
     ManifestDistribution,
     ModelDesign,
+    NestedChain,
     ObservedCounts,
     Theta,
     manifest_distribution,

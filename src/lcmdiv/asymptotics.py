@@ -39,8 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .inference import NestedChain
-from .model import ModelDesign, Theta, _evaluate, _rank_of, _vector
+from .model import ModelDesign, NestedChain, Theta, _evaluate, _rank_of, _vector
 
 
 def _scaled_jacobian(design: ModelDesign, x: np.ndarray) -> tuple:

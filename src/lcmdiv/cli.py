@@ -36,17 +36,15 @@ import numpy as np
 from . import __version__, datasets, fileio
 from .divergence import HSpec, PhiSpec, identity_h, power
 from .errors import DomainError, InputFormatError, LcmdivError
-from .estimation import FitOptions, fit
+from .estimation import FitOptions, fit, fit_chain
 from .inference import (
-    NestedChain,
     TestResult,
-    fit_chain,
     gof_statistic,
     nested_S,
     nested_T,
     sequential_selection,
 )
-from .model import Theta, jacobian_rank
+from .model import NestedChain, Theta, jacobian_rank
 from .montecarlo import emit_power_curves, run_simulation
 from .asymptotics import build_bundle, build_nested_projections
 

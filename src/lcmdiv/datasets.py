@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .inference import NestedChain
-from .model import ModelDesign, ObservedCounts, Theta
+from .model import ModelDesign, NestedChain, ObservedCounts, Theta
 from .montecarlo import SimulationPlan
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,19 @@ The optimizer is one batched BFGS (:func:`_minimize`): every start of every
 row of :func:`_fit_batch` is a row of one array, and rows that converge drop
 out.  The batch takes its launch points as data, from the one producer
 :func:`_initial_points`, and a free-coordinate mask per row, so one batch
-over a base design also fits its zero-restricted submodels: the models of a
-nested chain are rows of one batch (``inference.fit_chain``).  The loop runs
+over a base design also fits its zero-restricted submodels.  The loop runs
 on raw ``(b, t + u)`` arrays, checked at the public entry points, and checks
 only that they are finite.  After the loop, every row's best start,
-converged or not, is evaluated in one kernel call.  :func:`_fit_result` is
-the one builder of a :class:`FitResult`, for :func:`fit`, the batch of one
-data set, and for ``fit_chain``; the simulation study reads the batch's
-arrays.
+converged or not, is evaluated in one kernel call.  :func:`fit_chain` is the
+one data-set fit: it fits the models of a ``model.NestedChain`` as rows of
+one batch and builds every :class:`FitResult`, and :func:`fit` is the chain
+of one model.  The simulation study reads the batch's arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,6 +51,7 @@ from .model import (
     LatentParams,
     ManifestDistribution,
     ModelDesign,
+    NestedChain,
     ObservedCounts,
     Theta,
     _pullback,
@@ -343,7 +343,7 @@ def fit(
     spec: PhiSpec,
     options: FitOptions = FitOptions(),
 ) -> FitResult:
-    """Minimum divergence estimate of the model parameters.
+    """Minimum divergence estimate of the model parameters: :func:`fit_chain` of the one-model chain.
 
     Runs ``options.starts`` quasi-Newton searches, as one batch, and keeps
     the converged start with the smallest objective (ties broken by start
@@ -352,48 +352,73 @@ def fit(
     start with the smallest objective where it stopped, with every per-start
     trace; its message counts the starts by status.
     """
-    _check_items(design, counts)
-    X0 = _initial_points(design, options, options.seed)[None]
-    P_hat, free = counts.p_hat()[None], np.ones_like(X0[:, 0])
-    out = _fit_batch(design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters)
-    return _fit_result(out, 0, design, slice(None), counts, spec)
+    return fit_chain(NestedChain(design, ()), counts, spec, options)[0]
 
 
-def _fit_result(out, row, design, columns, counts, spec) -> FitResult:
-    """Row ``row`` of the ``_fit_batch`` outcome ``out`` as a fit of ``design`` to ``counts``.
+def fit_chain(
+    chain: NestedChain, counts: ObservedCounts, spec: PhiSpec, options: FitOptions = FitOptions()
+) -> list:
+    """Minimum divergence fits of every model of ``chain``, one per level.
 
-    ``theta_hat`` is the row's result point at ``columns``, the positions of
-    ``design``'s coordinates in the batch's design.
+    The models are rows of one batched fit over ``chain.design``, each
+    moving only its free coordinates, so they share the optimizer's passes.
+    Model ``level`` launches from the points its own fit draws,
+    ``_initial_points(chain.model_design(level), options, options.seed)``,
+    placed at ``chain.free_columns(level)`` with its fixed coordinates at 0.
+    ``options.init_theta`` is a point of ``chain.design``; each model's first
+    launch is its restriction, the point at ``chain.free_columns(level)``.
+    Model ``level``'s ``theta_hat`` is read back at those columns, a
+    ``Theta`` of ``chain.model_design(level)``.  Model 1 is the fit of
+    ``chain.design`` alone.  A reduced model equals its own fit up to
+    rounding: the base design's kernel also sums its zero coordinates.
     """
-    X, objective, converged, w, S, p, starts = out
-    value, gnorm, iterations, evaluations, restarts, status = (column[row] for column in starts)
-    traces = tuple(
-        StartTrace(
-            start=s,
-            objective=float(value[s]),
-            grad_norm=float(gnorm[s]),
-            iterations=int(iterations[s]),
-            converged=bool(status[s] == _CONVERGED),
-            evaluations=int(evaluations[s]),
-            status=_STATUSES[status[s]],
-            restarts=int(restarts[s]),
+    _check_items(chain.design, counts)
+    models = [(chain.model_design(lvl), chain.free_columns(lvl)) for lvl in range(1, chain.n_models + 1)]
+    dim = chain.design.t + chain.design.u
+    X0, free = np.zeros((len(models), options.starts, dim)), np.zeros((len(models), dim))
+    if options.init_theta is not None:
+        warm = _vector(chain.design, options.init_theta)[0]
+    for i, (design, columns) in enumerate(models):
+        launch = options
+        if options.init_theta is not None and design is not chain.design:
+            launch = replace(options, init_theta=Theta.from_vector(design, warm[columns]))
+        X0[i][:, columns] = _initial_points(design, launch, options.seed)
+        free[i, columns] = 1.0
+    P_hat = np.tile(counts.p_hat(), (len(models), 1))
+    X, objective, converged, w, S, p, starts = _fit_batch(
+        chain.design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters
+    )
+    fits = []
+    for i, (design, columns) in enumerate(models):
+        value, gnorm, iterations, evaluations, restarts, status = (column[i] for column in starts)
+        traces = tuple(
+            StartTrace(
+                start=s,
+                objective=float(value[s]),
+                grad_norm=float(gnorm[s]),
+                iterations=int(iterations[s]),
+                converged=bool(status[s] == _CONVERGED),
+                evaluations=int(evaluations[s]),
+                status=_STATUSES[status[s]],
+                restarts=int(restarts[s]),
+            )
+            for s in range(options.starts)
         )
-        for s in range(len(status))
-    )
-    tally = ", ".join(
-        f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
-    )
-    return FitResult(
-        theta_hat=Theta.from_vector(design, X[row, columns]),
-        objective=float(objective[row]),
-        converged=bool(converged[row]),
-        traces=traces,
-        latent=LatentParams(w=w[row], P=expit(S[row])),
-        manifest=ManifestDistribution(p=p[row]),
-        spec=spec,
-        empty_cells=bool(np.any(counts.n == 0)),
-        message="" if converged[row] else f"no start converged: {tally}",
-    )
+        tally = ", ".join(
+            f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
+        )
+        fits.append(FitResult(
+            theta_hat=Theta.from_vector(design, X[i, columns]),
+            objective=float(objective[i]),
+            converged=bool(converged[i]),
+            traces=traces,
+            latent=LatentParams(w=w[i], P=expit(S[i])),
+            manifest=ManifestDistribution(p=p[i]),
+            spec=spec,
+            empty_cells=bool(np.any(counts.n == 0)),
+            message="" if converged[i] else f"no start converged: {tally}",
+        ))
+    return fits
 
 
 def _fit_batch(design, P_hat, a, X0, free, grad_tol, max_iters) -> tuple:

@@ -38,8 +38,7 @@ import numpy as np
 
 from . import datasets
 from .errors import InputFormatError
-from .inference import NestedChain
-from .model import _INT64, ModelDesign, ObservedCounts, Theta, all_patterns, pattern_index
+from .model import _INT64, ModelDesign, NestedChain, ObservedCounts, Theta, all_patterns, pattern_index
 from .montecarlo import SimulationPlan
 
 

@@ -12,8 +12,8 @@ power index, not only maximum likelihood (index 0); under the model
 the statistic is asymptotically chi-square with ``2**k - r - 1`` degrees of
 freedom, ``r`` the number of identifiable parameters.
 
-A model B nested in A (some coordinates fixed to zero, a :class:`NestedChain`
-of one step) is tested with either
+A model B nested in A (some coordinates fixed to zero, a
+:class:`lcmdiv.model.NestedChain` of one step) is tested with either
 
     S = (2N / phi1''(1)) * [D_phi1(p_hat, p(B)) - D_phi1(p_hat, p(A))]
     T = (2N / phi1''(1)) * D_phi1(p(A), p(B))
@@ -21,8 +21,8 @@ of one step) is tested with either
 both asymptotically chi-square with ``h1 - h2`` degrees of freedom (the
 difference in free-parameter counts).  Like :func:`gof_statistic`, the
 nested tests take fits made beforehand: fit A and B with one estimator, as
-:func:`fit_chain` fits every model of a chain in one batch, then test the
-two fits with :func:`nested_S` or :func:`nested_T`.  The S
+:func:`lcmdiv.estimation.fit_chain` fits every model of a chain in one
+batch, then test the two fits with :func:`nested_S` or :func:`nested_T`.  The S
 difference is oriented B-minus-A so that the classical likelihood-ratio
 case (both transforms at power index 0) is nonnegative.  With unequal
 estimation and testing transforms S can come out negative; it is returned
@@ -57,8 +57,8 @@ from scipy.special import chdtrc, chdtri
 
 from .divergence import HSpec, PhiSpec, _phi_divergence, identity_h, power
 from .errors import DomainError, require_integer
-from .estimation import FitOptions, FitResult, _check_items, _fit_batch, _fit_result, _initial_points, fit
-from .model import ModelDesign, ObservedCounts
+from .estimation import FitOptions, FitResult, fit, fit_chain
+from .model import ModelDesign, NestedChain, ObservedCounts
 
 
 def chi2_quantile(q: float, dof: int) -> float:
@@ -331,97 +331,6 @@ def _nested(difference, kind, counts, phi1, fit_A, fit_B, alpha, h) -> TestResul
 # ---------------------------------------------------------------------------
 # Sequential selection over a nested chain
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NestedChain:
-    """A decreasing sequence of models over one base design.
-
-    ``steps`` holds cumulative 0-based ``(zero_lam, zero_eta)`` masks for the
-    second, third, ... model: the base design with those coordinates of
-    ``lam`` and ``eta`` fixed to zero.  The first model is the unrestricted
-    design, and a nested pair (model B in model A) is the chain of one step.
-    Each mask names each coordinate at most once, leaves at least one
-    ``lam`` and one ``eta`` coordinate free, and strictly contains the
-    previous one.
-    """
-
-    design: ModelDesign
-    steps: tuple
-
-    def __post_init__(self):
-        norm = [((), ())]
-        for zl, ze in self.steps:
-            zl, ze = tuple(sorted(int(i) for i in zl)), tuple(sorted(int(i) for i in ze))
-            for zeroed, size, name in ((zl, self.design.t, "lambda"), (ze, self.design.u, "eta")):
-                if len(set(zeroed)) != len(zeroed):
-                    raise DomainError("zeroed coordinate indices must be unique")
-                if zeroed and not 0 <= zeroed[0] <= zeroed[-1] < size:
-                    raise DomainError(f"zeroed {name} index out of range")
-                if len(zeroed) == size:
-                    raise DomainError(f"cannot zero every {name} coordinate")
-            prev_l, prev_e = norm[-1]
-            if not (set(prev_l) <= set(zl) and set(prev_e) <= set(ze) and (zl, ze) != norm[-1]):
-                raise DomainError("chain masks must strictly grow at every step")
-            norm.append((zl, ze))
-        object.__setattr__(self, "steps", tuple(norm[1:]))
-
-    @property
-    def n_models(self) -> int:
-        return len(self.steps) + 1
-
-    def mask(self, level: int) -> tuple:
-        """Cumulative (zero_lam, zero_eta) of model ``level`` (1-based)."""
-        if not 1 <= level <= self.n_models:
-            raise DomainError(f"model level must be in [1, {self.n_models}]")
-        return ((), ()) if level == 1 else self.steps[level - 2]
-
-    def free_columns(self, level: int) -> list:
-        """Positions of model ``level``'s free coordinates in the base design's ``(lam, eta)``."""
-        zl, ze = self.mask(level)
-        t = self.design.t
-        return [i for i in range(t) if i not in zl] + [t + i for i in range(self.design.u) if i not in ze]
-
-    def model_design(self, level: int) -> ModelDesign:
-        """Model ``level`` as a design: the base design's columns of its free coordinates.
-
-        Model 1 is the base design itself, not a re-indexed copy, so its fits keep their bits.
-        """
-        columns = np.array(self.free_columns(level))  # refuses a level outside the chain
-        if level == 1:
-            return self.design
-        A, t = self.design, self.design.t
-        return ModelDesign(Q=A.Q[:, :, columns[columns < t]], C=A.C, V=A.V[:, columns[columns >= t] - t], d=A.d)
-
-    def free_params(self, level: int) -> int:
-        return len(self.free_columns(level))
-
-
-def fit_chain(
-    chain: NestedChain, counts: ObservedCounts, spec: PhiSpec, options: FitOptions = FitOptions()
-) -> list:
-    """Minimum divergence fits of every model of ``chain``, one per level.
-
-    The models are rows of one batched fit over ``chain.design``, each
-    moving only its free coordinates, so they share the optimizer's passes.
-    Model ``level`` launches from the points its own fit draws,
-    ``_initial_points(chain.model_design(level), options, options.seed)``,
-    placed at ``chain.free_columns(level)`` with its fixed coordinates at 0;
-    its ``theta_hat`` is read back at those columns, a ``Theta`` of
-    ``chain.model_design(level)``.  Model 1 is ``fit(chain.design, ...)`` bit
-    for bit.  A reduced model equals its own fit up to rounding: the base
-    design's kernel also sums its zero coordinates.
-    """
-    _check_items(chain.design, counts)
-    models = [(chain.model_design(lvl), chain.free_columns(lvl)) for lvl in range(1, chain.n_models + 1)]
-    dim = chain.design.t + chain.design.u
-    X0, free = np.zeros((len(models), options.starts, dim)), np.zeros((len(models), dim))
-    for i, (design, columns) in enumerate(models):
-        X0[i][:, columns] = _initial_points(design, options, options.seed)
-        free[i, columns] = 1.0
-    P_hat = np.tile(counts.p_hat(), (len(models), 1))
-    out = _fit_batch(chain.design, P_hat, spec.a, X0, free, options.grad_tol, options.max_iters)
-    return [_fit_result(out, i, design, columns, counts, spec) for i, (design, columns) in enumerate(models)]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ Jacobian).  :func:`manifest_distribution` needs only ``p`` and stops at the
 table; :func:`sample_counts` draws from it, and a simulation cell draws
 every replication of one model from one such vector.  The views of one
 point pass the one-row batch of ``_vector`` and read row 0 at the boundary.
+
+A :class:`NestedChain` is a set of zero masks over one design: each of its
+models is the design with some coordinates fixed at zero, and a single
+model (no mask) is the chain of length one.
 """
 
 from __future__ import annotations
@@ -179,6 +183,70 @@ class Theta:
                 f"theta has shapes lam{self.lam.shape}, eta{self.eta.shape}; "
                 f"design expects ({design.t},), ({design.u},)"
             )
+
+
+@dataclass(frozen=True)
+class NestedChain:
+    """A decreasing sequence of models over one base design.
+
+    ``steps`` holds cumulative 0-based ``(zero_lam, zero_eta)`` masks for the
+    second, third, ... model: the base design with those coordinates of
+    ``lam`` and ``eta`` fixed to zero.  The first model is the unrestricted
+    design, and a nested pair (model B in model A) is the chain of one step.
+    Each mask names each coordinate at most once, leaves at least one
+    ``lam`` and one ``eta`` coordinate free, and strictly contains the
+    previous one.
+    """
+
+    design: ModelDesign
+    steps: tuple
+
+    def __post_init__(self):
+        norm = [((), ())]
+        for zl, ze in self.steps:
+            zl, ze = tuple(sorted(int(i) for i in zl)), tuple(sorted(int(i) for i in ze))
+            for zeroed, size, name in ((zl, self.design.t, "lambda"), (ze, self.design.u, "eta")):
+                if len(set(zeroed)) != len(zeroed):
+                    raise DomainError("zeroed coordinate indices must be unique")
+                if zeroed and not 0 <= zeroed[0] <= zeroed[-1] < size:
+                    raise DomainError(f"zeroed {name} index out of range")
+                if len(zeroed) == size:
+                    raise DomainError(f"cannot zero every {name} coordinate")
+            prev_l, prev_e = norm[-1]
+            if not (set(prev_l) <= set(zl) and set(prev_e) <= set(ze) and (zl, ze) != norm[-1]):
+                raise DomainError("chain masks must strictly grow at every step")
+            norm.append((zl, ze))
+        object.__setattr__(self, "steps", tuple(norm[1:]))
+
+    @property
+    def n_models(self) -> int:
+        return len(self.steps) + 1
+
+    def mask(self, level: int) -> tuple:
+        """Cumulative (zero_lam, zero_eta) of model ``level`` (1-based)."""
+        if not 1 <= level <= self.n_models:
+            raise DomainError(f"model level must be in [1, {self.n_models}]")
+        return ((), ()) if level == 1 else self.steps[level - 2]
+
+    def free_columns(self, level: int) -> list:
+        """Positions of model ``level``'s free coordinates in the base design's ``(lam, eta)``."""
+        zl, ze = self.mask(level)
+        t = self.design.t
+        return [i for i in range(t) if i not in zl] + [t + i for i in range(self.design.u) if i not in ze]
+
+    def model_design(self, level: int) -> ModelDesign:
+        """Model ``level`` as a design: the base design's columns of its free coordinates.
+
+        Model 1 is the base design itself, not a re-indexed copy, so its fits keep their bits.
+        """
+        columns = np.array(self.free_columns(level))  # refuses a level outside the chain
+        if level == 1:
+            return self.design
+        A, t = self.design, self.design.t
+        return ModelDesign(Q=A.Q[:, :, columns[columns < t]], C=A.C, V=A.V[:, columns[columns >= t] - t], d=A.d)
+
+    def free_params(self, level: int) -> int:
+        return len(self.free_columns(level))
 
 
 @dataclass(frozen=True)
