@@ -193,9 +193,9 @@ class NestedChain:
     second, third, ... model: the base design with those coordinates of
     ``lam`` and ``eta`` fixed to zero.  The first model is the unrestricted
     design, and a nested pair (model B in model A) is the chain of one step.
-    Each mask names each coordinate at most once, leaves at least one
-    ``lam`` and one ``eta`` coordinate free, and strictly contains the
-    previous one.
+    Each mask names each coordinate at most once, by an integer index,
+    leaves at least one ``lam`` and one ``eta`` coordinate free, and
+    strictly contains the previous one.
     """
 
     design: ModelDesign
@@ -204,6 +204,9 @@ class NestedChain:
     def __post_init__(self):
         norm = [((), ())]
         for zl, ze in self.steps:
+            for zeroed, name in ((zl, "lambda"), (ze, "eta")):
+                for i in zeroed:
+                    require_integer(f"zeroed {name} index", i)
             zl, ze = tuple(sorted(int(i) for i in zl)), tuple(sorted(int(i) for i in ze))
             for zeroed, size, name in ((zl, self.design.t, "lambda"), (ze, self.design.u, "eta")):
                 if len(set(zeroed)) != len(zeroed):
@@ -224,6 +227,7 @@ class NestedChain:
 
     def mask(self, level: int) -> tuple:
         """Cumulative (zero_lam, zero_eta) of model ``level`` (1-based)."""
+        require_integer("model level", level)
         if not 1 <= level <= self.n_models:
             raise DomainError(f"model level must be in [1, {self.n_models}]")
         return ((), ()) if level == 1 else self.steps[level - 2]

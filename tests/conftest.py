@@ -5,8 +5,8 @@ from scipy.special import expit
 
 from lcmdiv import datasets, estimation
 from lcmdiv.divergence import power
-from lcmdiv.estimation import FitOptions, _objective, fit
-from lcmdiv.inference import estimator_sweep, fit_chain
+from lcmdiv.estimation import FitOptions, _objective, fit, fit_chain
+from lcmdiv.inference import estimator_sweep
 from lcmdiv.model import LatentParams, ModelDesign, Theta, _table, all_patterns
 
 

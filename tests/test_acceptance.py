@@ -28,9 +28,9 @@ from scipy.stats import binom as binom_dist
 
 from lcmdiv.asymptotics import build_bundle, build_nested_projections
 from lcmdiv.divergence import phi_divergence, power
-from lcmdiv.estimation import FitOptions, canonicalize, fit, objective_and_gradient
-from lcmdiv.inference import NestedChain, chi2_quantile, fit_chain, gof_statistic
-from lcmdiv.model import ModelDesign, Theta, sample_counts
+from lcmdiv.estimation import FitOptions, canonicalize, fit, fit_chain, objective_and_gradient
+from lcmdiv.inference import chi2_quantile, gof_statistic
+from lcmdiv.model import ModelDesign, NestedChain, Theta, sample_counts
 from lcmdiv.montecarlo import dale_band
 
 from conftest import (

@@ -4,9 +4,7 @@ import pytest
 from lcmdiv.asymptotics import build_bundle, build_nested_projections
 from lcmdiv.datasets import simulation_null_design
 from lcmdiv.errors import DomainError, RankDeficiencyError
-from lcmdiv.inference import NestedChain
-from lcmdiv.model import manifest_distribution
-from lcmdiv.model import ModelDesign, Theta
+from lcmdiv.model import ModelDesign, NestedChain, Theta, manifest_distribution
 
 from conftest import make_design, random_theta
 

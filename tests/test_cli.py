@@ -16,8 +16,8 @@ from lcmdiv import datasets, fileio
 from lcmdiv.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main, parse_args
 from lcmdiv.divergence import power
 from lcmdiv.estimation import FitOptions
-from lcmdiv.inference import NestedChain, gof_statistic
-from lcmdiv.model import Theta, jacobian_rank
+from lcmdiv.inference import gof_statistic
+from lcmdiv.model import NestedChain, Theta, jacobian_rank
 
 from conftest import make_design
 

@@ -8,7 +8,7 @@ import pytest
 
 from lcmdiv import fileio
 from lcmdiv.errors import InputFormatError
-from lcmdiv.inference import NestedChain
+from lcmdiv.model import NestedChain
 from lcmdiv.montecarlo import SimulationPlan
 
 from conftest import make_design

@@ -10,12 +10,10 @@ from lcmdiv import datasets
 from lcmdiv.datasets import simulation_null_design, simulation_theta0
 from lcmdiv.divergence import HSpec, _phi_divergence, identity_h, phi_divergence, power
 from lcmdiv.errors import DomainError, NotConvergedError
-from lcmdiv.estimation import FitOptions, fit
+from lcmdiv.estimation import FitOptions, fit, fit_chain
 from lcmdiv.inference import (
     WARNINGS,
-    NestedChain,
     chi2_quantile,
-    fit_chain,
     gof_rows,
     gof_statistic,
     nested_S,
@@ -28,6 +26,7 @@ from lcmdiv.inference import (
 from lcmdiv.model import (
     ManifestDistribution,
     ModelDesign,
+    NestedChain,
     ObservedCounts,
     Theta,
     manifest_distribution,
@@ -699,6 +698,30 @@ class TestFitChain:
             assert chained.theta_hat.vector().size == coleman_chain.free_params(level)
 
 
+    def test_warm_start_is_a_point_of_the_base_design(
+        self, coleman_chain, coleman_counts, coleman_chain_fits
+    ):
+        # Each model launches from the base point's restriction to its free
+        # columns, then from its own draws.
+        spec, base = power(2.0 / 3.0), coleman_chain.design
+        options = FitOptions(starts=3, seed=2, init_theta=coleman_chain_fits[1].theta_hat)
+        fits = fit_chain(coleman_chain, coleman_counts, spec, options)
+        assert_same_bits(result_fields(fits[0]), result_fields(fit(base, coleman_counts, spec, options)))
+        for level, chained in enumerate(fits[1:], start=2):
+            design = coleman_chain.model_design(level)
+            restricted = Theta.from_vector(design, options.init_theta.vector()[coleman_chain.free_columns(level)])
+            alone = fit(design, coleman_counts, spec, replace(options, init_theta=restricted))
+            assert chained.traces[0].converged and alone.traces[0].converged
+            assert abs(chained.traces[0].objective - alone.traces[0].objective) <= 1e-12 * alone.traces[0].objective
+        # The walk takes the same options, and adopts model 2 as the cold walk does.
+        result = sequential_selection(coleman_chain, coleman_counts, spec, spec, options=options)
+        assert result.selected == 2
+        assert not result.tests[0].reject and result.tests[1].reject
+        wrong = Theta(lam=np.zeros(base.t - 2), eta=np.zeros(base.u))  # a point of model 2
+        with pytest.raises(DomainError, match="design expects"):
+            fit_chain(coleman_chain, coleman_counts, spec, replace(options, init_theta=wrong))
+
+
 class TestSequentialSelection:
     def test_nothing_rejected_selects_smallest(self):
         design = make_design(seed=96, k=3, m=2, t=3, u=1)
@@ -866,6 +889,19 @@ def test_bench_script_imports_resolve():
         ),
         pytest.param(
             lambda fit23: datasets.coleman_chain().mask(5), "model level must be in [1, 4]", id="chain-level"
+        ),
+        pytest.param(
+            lambda fit23: datasets.coleman_chain().free_params(2.0),
+            "model level must be an integer, got 2.0", id="chain-level-float",
+        ),
+        pytest.param(
+            # Was silently truncated: 6.7 zeroed lambda7, True zeroed lambda2.
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((6.7, 7), ()),)),
+            "zeroed lambda index must be an integer, got 6.7", id="chain-index-float",
+        ),
+        pytest.param(
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((6,), (True,)),)),
+            "zeroed eta index must be an integer, got True", id="chain-index-bool",
         ),
         pytest.param(
             # Refused before any fit.
