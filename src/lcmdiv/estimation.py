@@ -390,19 +390,11 @@ def fit_chain(
     )
     fits = []
     for i, (design, columns) in enumerate(models):
-        value, gnorm, iterations, evaluations, restarts, status = (column[i] for column in starts)
         traces = tuple(
-            StartTrace(
-                start=s,
-                objective=float(value[s]),
-                grad_norm=float(gnorm[s]),
-                iterations=int(iterations[s]),
-                converged=bool(status[s] == _CONVERGED),
-                evaluations=int(evaluations[s]),
-                status=_STATUSES[status[s]],
-                restarts=int(restarts[s]),
+            StartTrace(s, value, gnorm, iterations, status == _CONVERGED, evaluations, _STATUSES[status], restarts)
+            for s, (value, gnorm, iterations, evaluations, restarts, status) in enumerate(
+                zip(*(column[i].tolist() for column in starts))
             )
-            for s in range(options.starts)
         )
         tally = ", ".join(
             f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
