@@ -376,11 +376,10 @@ def fit_chain(
     models = [(chain.model_design(lvl), chain.free_columns(lvl)) for lvl in range(1, chain.n_models + 1)]
     dim = chain.design.t + chain.design.u
     X0, free = np.zeros((len(models), options.starts, dim)), np.zeros((len(models), dim))
-    if options.init_theta is not None:
-        warm = _vector(chain.design, options.init_theta)[0]
+    warm = None if options.init_theta is None else _vector(chain.design, options.init_theta)[0]
     for i, (design, columns) in enumerate(models):
         launch = options
-        if options.init_theta is not None and design is not chain.design:
+        if warm is not None and design is not chain.design:  # model 1 launches from init_theta itself
             launch = replace(options, init_theta=Theta.from_vector(design, warm[columns]))
         X0[i][:, columns] = _initial_points(design, launch, options.seed)
         free[i, columns] = 1.0
@@ -390,11 +389,19 @@ def fit_chain(
     )
     fits = []
     for i, (design, columns) in enumerate(models):
+        value, gnorm, iterations, evaluations, restarts, status = (column[i] for column in starts)
         traces = tuple(
-            StartTrace(s, value, gnorm, iterations, status == _CONVERGED, evaluations, _STATUSES[status], restarts)
-            for s, (value, gnorm, iterations, evaluations, restarts, status) in enumerate(
-                zip(*(column[i].tolist() for column in starts))
+            StartTrace(
+                start=s,
+                objective=float(value[s]),
+                grad_norm=float(gnorm[s]),
+                iterations=int(iterations[s]),
+                converged=bool(status[s] == _CONVERGED),
+                evaluations=int(evaluations[s]),
+                status=_STATUSES[status[s]],
+                restarts=int(restarts[s]),
             )
+            for s in range(options.starts)
         )
         tally = ", ".join(
             f"{n} {name}" for name in _STATUSES[1:] if (n := sum(tr.status == name for tr in traces))
