@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, datasets, fileio
 from .divergence import HSpec, PhiSpec, identity_h, power
-from .errors import DomainError, InputFormatError, LcmdivError
+from .errors import DomainError, InputFormatError, LcmdivError, require_integer
 from .estimation import FitOptions, fit, fit_chain
 from .inference import (
     TestResult,
@@ -258,13 +258,12 @@ def parse_args(argv) -> argparse.Namespace:
     # Option values the run would refuse only after fitting, or not at all.
     if ns.subcommand in ("gof", "nested", "select") and not 0.0 < 1.0 - ns.alpha < 1.0:
         raise DomainError("--alpha must be in (0, 1), with 1 - alpha below 1")
-    if ns.subcommand == "gof" and ns.dof_override is not None and ns.dof_override < 1:
-        raise DomainError("--dof-override must be >= 1")
+    if ns.subcommand == "gof" and ns.dof_override is not None:
+        require_integer("--dof-override", ns.dof_override, 1)
     if ns.subcommand == "verify":
         if not 0.0 < ns.theta_scale < math.inf:
             raise DomainError("--theta-scale must be > 0 and finite")
-        if ns.theta_seed < 0:
-            raise DomainError(f"--theta-seed must be >= 0, got {ns.theta_seed}")
+        require_integer("--theta-seed", ns.theta_seed, 0)
         if ns.drop_eta is not None:
             if not 1 <= ns.drop_eta <= ns.design.u:
                 raise DomainError(f"--drop-eta must be in [1, {ns.design.u}], got {ns.drop_eta}")
@@ -280,8 +279,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise DomainError("nested needs --zero-lambda or --zero-eta: model B must fix a coordinate")
         ns.chain = NestedChain(ns.design, (mask,) if any(mask) else ())
     if ns.subcommand == "simulate":
-        if ns.jobs < 1:  # refused here: run_simulation's DomainError would exit as a failed run
-            raise DomainError("--jobs must be >= 1")
+        # Refused here: run_simulation's DomainError would exit as a failed run.
+        require_integer("--jobs", ns.jobs, 1)
         overrides = {
             name: getattr(ns, name)
             for name in ("sample_sizes", "lambda8_grid", "a_values", "replications", "seed", "alpha")

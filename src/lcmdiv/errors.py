@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all modules, and the integer check of their options."""
+"""Exception hierarchy shared by all modules, and the one refusal of their integer
+options (starts, seeds, replications, sample sizes, jobs, a dof override, ``N``):
+:func:`require_integer` checks both the type and the lower bound."""
 
 from numbers import Integral
+from typing import Optional
 
 
 class LcmdivError(Exception):
@@ -27,8 +30,11 @@ class InputFormatError(LcmdivError, ValueError):
     """A design, counts, plan or chain file failed to parse."""
 
 
-def require_integer(name: str, value) -> None:
-    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a Python or
-    numpy integer; a ``bool`` is refused too."""
+def require_integer(name: str, value, minimum: Optional[int] = None) -> None:
+    """Raise :class:`DomainError` naming ``name`` and ``value`` unless ``value`` is a
+    Python or numpy integer (a ``bool`` is refused too) and, when ``minimum`` is
+    given, not below it; a value below it is refused with its own message."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")

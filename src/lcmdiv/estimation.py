@@ -86,14 +86,11 @@ class FitOptions:
     init_theta: Optional[Theta] = None
 
     def __post_init__(self):
-        for name in ("starts", "max_iters", "seed"):
-            require_integer(name, getattr(self, name))
-        if self.starts < 1:
-            raise DomainError("starts must be >= 1")
-        if not (0.0 < self.init_scale < math.inf and 0.0 < self.grad_tol < math.inf) or self.max_iters < 1:
-            raise DomainError("init_scale and grad_tol must be positive and finite, max_iters >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            require_integer(name, getattr(self, name), minimum)
+        for name in ("init_scale", "grad_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

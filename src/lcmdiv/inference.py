@@ -168,9 +168,7 @@ def resolve_gof_dof(
     """Degrees of freedom of the design's goodness-of-fit tests, with the policy label."""
     cells = design.n_patterns
     if override is not None:
-        require_integer("dof override", override)
-        if override < 1:
-            raise DomainError("dof override must be >= 1")
+        require_integer("dof override", override, 1)
         return int(override), f"override:{int(override)}"
     if policy == "rank":
         return cells - design.generic_rank - 1, "rank"

@@ -493,13 +493,11 @@ def sample_counts(design: ModelDesign, theta: Theta, N: int, seed) -> ObservedCo
     counter-based (Philox) generator, so results are reproducible for a fixed
     seed and seeds are cheap to derive for parallel replications.  ``seed``
     may be an integer >= 0 or a ``numpy.random.SeedSequence``; anything else,
-    and an ``N`` that is not an integer, raises :class:`DomainError`.
+    and an ``N`` that is not an integer >= 1, raises :class:`DomainError`.
     """
-    require_integer("N", N)
+    require_integer("N", N, 1)
     if not isinstance(seed, np.random.SeedSequence):
-        require_integer("seed", seed)
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed}")
+        require_integer("seed", seed, 0)
     if design.k > MAX_ITEMS_FOR_SAMPLING:
         raise DomainError(f"sampling supports at most k = {MAX_ITEMS_FOR_SAMPLING} items")
     return ObservedCounts(n=_draw(manifest_distribution(design, theta).p, N, seed))
@@ -509,10 +507,8 @@ def _draw(p: np.ndarray, N: int, seed) -> np.ndarray:
     """The tally of :func:`sample_counts` from the manifest vector ``p``.
 
     Many draws from one model (the replications of a simulation cell) share
-    one ``p``.
+    one ``p``; ``N`` is not checked here.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(p)
     # Every draw in [0, 1) then lies below cum[-1], so its cell is in range.

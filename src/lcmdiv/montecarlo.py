@@ -109,16 +109,14 @@ class SimulationPlan:
     fit_max_iters: int = 300
 
     def __post_init__(self):
-        for name in ("replications", "seed", "fit_starts", "fit_max_iters"):
-            require_integer(name, getattr(self, name))
+        require_integer("replications", self.replications, 1)
+        require_integer("seed", self.seed, 0)
+        if not self.sample_sizes:
+            raise DomainError("at least one sample size is required")
         for N in self.sample_sizes:
-            require_integer("each of sample_sizes", N)
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
+            require_integer("each of sample_sizes", N, 1)
         if not 0.0 < 1.0 - self.alpha < 1.0:  # the level the test's critical value is taken at
             raise DomainError("alpha must be in (0, 1), with 1 - alpha below 1")
-        if not self.sample_sizes or min(self.sample_sizes) < 1:
-            raise DomainError("at least one sample size is required, each >= 1")
         if len(set(self.sample_sizes)) != len(self.sample_sizes):
             raise DomainError("sample sizes must not repeat: each names one power-curve file")
         if not self.lambda8_grid or not self.a_values:
@@ -127,8 +125,6 @@ class SimulationPlan:
             raise DomainError("the coefficient grid and the statistic indices must be finite")
         if not math.isfinite(self.estimator_a):
             raise DomainError("the estimator index must be finite")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
         null, alt = self.null_design, self.alt_design
         # Refused here, before the run's dof resolution builds a Jacobian over 2**k patterns.
         if null.k > MAX_ITEMS_FOR_SAMPLING:
@@ -142,7 +138,7 @@ class SimulationPlan:
         if self.dof_policy not in ("rank", "nominal"):
             raise DomainError("dof policy must be 'rank' or 'nominal'")
         self.theta0.check_shape(self.null_design)
-        self.fit_options()  # FitOptions checks the fit fields
+        self.fit_options()  # FitOptions checks the fit fields, by its own names (starts, max_iters)
 
     def fit_options(self) -> FitOptions:
         """Options of every replication's fit; each replication seeds its own random starts."""
@@ -291,9 +287,7 @@ def run_simulation(plan: SimulationPlan, n_jobs: int = 1) -> SizePowerTable:
     failures and wall time: its replications' share of the wall time of
     the chunks that ran them.
     """
-    require_integer("n_jobs", n_jobs)
-    if n_jobs < 1:
-        raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
+    require_integer("n_jobs", n_jobs, 1)
     band = dale_band(plan.alpha)
     design = plan.null_design
     dof = resolve_gof_dof(design, plan.dof_policy)[0]

@@ -310,6 +310,24 @@ class TestParsing:
         assert err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--plan", "bundled:sim", "--jobs", "0", "--out-dir", "{tmp}/d"),
+         "--jobs must be >= 1, got 0"),
+        (("simulate", "--plan", "bundled:sim", "--replications", "0", "--out-dir", "{tmp}/d"),
+         "replications must be >= 1, got 0"),
+        (("simulate", "--plan", "bundled:sim", "--sizes", "0", "--out-dir", "{tmp}/d"),
+         "each of sample_sizes must be >= 1, got 0"),
+        (("gof", "--design", "bundled:coleman_m1", "--counts", "bundled:coleman", "--dof-override", "0"),
+         "--dof-override must be >= 1, got 0"),
+        (("verify", "--design", "bundled:sim_null", "--drop-eta", "1", "--theta-seed", "-1"),
+         "--theta-seed must be >= 0, got -1"),
+    ])
+    def test_range_refusals_name_their_flag(self, capsys, tmp_path, argv, message):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_list_bundled(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--list-bundled")
         assert code == EXIT_OK and "coleman_m1" in out and "sim" in out

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -664,10 +665,16 @@ class TestInitialPoints:
 
 class TestFitOptionsValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(DomainError):
-            FitOptions(starts=0)
-        with pytest.raises(DomainError):
-            FitOptions(grad_tol=0.0)
+        # Each refusal names its own field and value.
+        for name, value, message in (
+            ("starts", 0, "starts must be >= 1, got 0"),
+            ("max_iters", 0, "max_iters must be >= 1, got 0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("init_scale", 0.0, "init_scale must be positive and finite, got 0.0"),
+            ("grad_tol", 0.0, "grad_tol must be positive and finite, got 0.0"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                FitOptions(**{name: value})
         # Integer options refuse floats and booleans when the options are built.
         for name, value in (("starts", 2.5), ("max_iters", 2.5), ("seed", 1.5), ("starts", True)):
             with pytest.raises(DomainError, match=f"{name} must be an integer"):

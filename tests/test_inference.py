@@ -870,7 +870,7 @@ def test_bench_script_imports_resolve():
         pytest.param(lambda fit23: chi2_quantile(0.5, 0), "dof must be >= 1", id="quantile-dof"),
         pytest.param(
             lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 0),
-            "dof override must be >= 1", id="dof-override",
+            "dof override must be >= 1, got 0", id="dof-override",
         ),
         pytest.param(
             lambda fit23: resolve_gof_dof(simulation_null_design(), "rank", 2.7),

@@ -477,7 +477,7 @@ def _sample_coleman(N, seed):
         pytest.param(lambda: all_patterns(0), "k must be positive", id="patterns-k"),
         pytest.param(
             lambda: sample_counts(datasets.coleman_design_m1(), Theta(lam=np.zeros(8), eta=np.zeros(4)), 0, 1),
-            "N must be >= 1", id="sample-N",
+            "N must be >= 1, got 0", id="sample-N",
         ),
         pytest.param(lambda: _sample_coleman(200.5, 1), "N must be an integer, got 200.5", id="sample-N-float"),
         pytest.param(lambda: _sample_coleman(True, 1), "N must be an integer, got True", id="sample-N-bool"),

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import pickle
+import re
 import warnings
 from dataclasses import replace
 
@@ -398,12 +399,21 @@ class TestRunSimulation:
 
     def test_plan_validation(self):
         plan = simulation_plan()
-        with pytest.raises(DomainError):
-            replace(plan, replications=0)
+        # Each range refusal names its own field and value; the fit fields by
+        # the names FitOptions and the plan file's "fit" section give them.
+        for bad, message in (
+            ({"replications": 0}, "replications must be >= 1, got 0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"sample_sizes": (200, 0)}, "each of sample_sizes must be >= 1, got 0"),
+            ({"sample_sizes": ()}, "at least one sample size is required"),
+            ({"fit_starts": 0}, "starts must be >= 1, got 0"),
+            ({"fit_max_iters": 0}, "max_iters must be >= 1, got 0"),
+            ({"dof_policy": "taped"}, "dof policy must be 'rank' or 'nominal'"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                replace(plan, **bad)
         with pytest.raises(DomainError):
             replace(plan, alpha=1.5)
-        with pytest.raises(DomainError):
-            replace(plan, dof_policy="taped")
         # The alternative adds one lambda column and nothing else.
         alt = plan.alt_design
         for bad_alt in (
@@ -417,9 +427,9 @@ class TestRunSimulation:
                 replace(plan, alt_design=bad_alt)
         # Refused when the plan is built, not in the middle of a run.
         for bad in (
-            {"sample_sizes": (200, 0)}, {"sample_sizes": ()}, {"lambda8_grid": ()},
+            {"lambda8_grid": ()},
             {"a_values": ()}, {"estimator_a": math.inf}, {"estimator_a": math.nan},
-            {"fit_starts": 0}, {"fit_grad_tol": 0.0}, {"fit_max_iters": 0},
+            {"fit_grad_tol": 0.0},
             {"a_values": (0.5, math.nan)}, {"a_values": (math.inf,)},
             {"lambda8_grid": (0.0, math.inf)}, {"lambda8_grid": (math.nan,)},
             {"fit_grad_tol": math.inf}, {"fit_grad_tol": math.nan},
@@ -427,8 +437,6 @@ class TestRunSimulation:
             {"alpha": 1e-17}, {"alpha": math.nan},
             # Each sample size names one power-curve file.
             {"sample_sizes": (200, 50, 200)},
-            # numpy refuses a negative seed only inside a chunk.
-            {"seed": -1},
             # Integer fields refuse floats and booleans.
             {"replications": 2.5}, {"replications": True}, {"sample_sizes": (200.5,)},
             {"seed": 1.5}, {"fit_starts": 1.5}, {"fit_max_iters": 2.5},
@@ -448,7 +456,8 @@ class TestRunSimulation:
     @pytest.mark.parametrize("n_jobs", [0, -1, 2.0, True])
     def test_jobs_that_are_not_a_positive_integer_are_refused(self, n_jobs):
         plan = simulation_plan(sample_sizes=(200,), lambda8_grid=(0.0,), replications=1)
-        with pytest.raises(DomainError, match="n_jobs"):
+        rule = ">= 1" if type(n_jobs) is int else "an integer"
+        with pytest.raises(DomainError, match=f"^{re.escape(f'n_jobs must be {rule}, got {n_jobs!r}')}$"):
             run_simulation(plan, n_jobs=n_jobs)
 
 
