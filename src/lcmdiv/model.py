@@ -203,7 +203,13 @@ class NestedChain:
 
     def __post_init__(self):
         norm = [((), ())]
-        for zl, ze in self.steps:
+        for number, step in enumerate(self.steps, 1):
+            try:
+                zl, ze = (tuple(zeroed) for zeroed in step)
+            except (TypeError, ValueError):  # not a pair, or an entry that is not a sequence
+                raise DomainError(
+                    f"chain step {number} must be a pair (zero_lambda, zero_eta) of index sequences, got {step!r}"
+                ) from None
             for zeroed, name in ((zl, "lambda"), (ze, "eta")):
                 for i in zeroed:
                     require_integer(f"zeroed {name} index", i)

@@ -903,6 +903,27 @@ def test_bench_script_imports_resolve():
             lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((6,), (True,)),)),
             "zeroed eta index must be an integer, got True", id="chain-index-bool",
         ),
+        # A malformed step is refused by name, not by Python's unpacking.
+        pytest.param(
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((1,),),)),
+            "chain step 1 must be a pair (zero_lambda, zero_eta) of index sequences, got ((1,),)",
+            id="chain-step-short",
+        ),
+        pytest.param(
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((1,), (), ()),)),
+            "chain step 1 must be a pair (zero_lambda, zero_eta) of index sequences, got ((1,), (), ())",
+            id="chain-step-long",
+        ),
+        pytest.param(
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), (((1,), ()), 5)),
+            "chain step 2 must be a pair (zero_lambda, zero_eta) of index sequences, got 5",
+            id="chain-step-not-a-pair",
+        ),
+        pytest.param(
+            lambda fit23: NestedChain(datasets.coleman_design_chain_basis(), ((5, ()),)),
+            "chain step 1 must be a pair (zero_lambda, zero_eta) of index sequences, got (5, ())",
+            id="chain-step-bare-index",
+        ),
         pytest.param(
             # Refused before any fit.
             lambda fit23: sequential_selection(
