@@ -262,7 +262,7 @@ def _replicate_chunk(args):
     X0 = np.array(X0)
     _, _, converged, _, _, P, _ = _fit_batch(
         plan.null_design, P_hat, float(plan.estimator_a), X0, np.ones_like(X0[:, 0]),
-        plan.fit_grad_tol, plan.fit_max_iters,
+        options.grad_tol, options.max_iters,
     )
     shape = (len(plan.a_values), hi - lo)
     statistic, reject = np.full(shape, math.nan), np.zeros(shape, dtype=bool)
