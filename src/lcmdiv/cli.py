@@ -38,6 +38,7 @@ from .divergence import HSpec, PhiSpec, identity_h, power
 from .errors import DomainError, InputFormatError, LcmdivError, require_integer
 from .estimation import FitOptions, fit, fit_chain
 from .inference import (
+    DOF_POLICIES,
     TestResult,
     gof_statistic,
     nested_S,
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2", type=_phi_spec, default=power(0.0), help="estimation transform")
     p.add_argument("--h", type=_h_spec, default=identity_h())
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--dof-policy", choices=("rank", "nominal"), default="rank")
+    p.add_argument("--dof-policy", choices=DOF_POLICIES, default="rank")
     p.add_argument("--dof-override", type=int)
     add_fit_opts(p)
     _add_output_opts(p)

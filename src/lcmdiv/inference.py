@@ -162,19 +162,20 @@ def _result(rows: Decisions, dof, alpha, phi1, phi2, h, kind, dof_policy) -> Tes
     )
 
 
+# The dof policies of resolve_gof_dof: the generic Jacobian rank, or the literal parameter count.
+DOF_POLICIES = ("rank", "nominal")
+
+
 def resolve_gof_dof(
     design: ModelDesign, policy: str = "rank", override: Optional[int] = None
 ) -> tuple[int, str]:
     """Degrees of freedom of the design's goodness-of-fit tests, with the policy label."""
-    cells = design.n_patterns
     if override is not None:
         require_integer("dof override", override, 1)
         return int(override), f"override:{int(override)}"
-    if policy == "rank":
-        return cells - design.generic_rank - 1, "rank"
-    if policy == "nominal":
-        return cells - design.n_params - 1, "nominal"
-    raise DomainError(f"unknown dof policy: {policy!r}")
+    if policy not in DOF_POLICIES:
+        raise DomainError(f"unknown dof policy: {policy!r}")
+    return design.n_patterns - (design.generic_rank if policy == "rank" else design.n_params) - 1, policy
 
 
 def gof_statistic(

@@ -44,7 +44,7 @@ from scipy.special import betaincinv
 from .divergence import power
 from .errors import DomainError, require_integer
 from .estimation import FitOptions, _fit_batch, _initial_points
-from .inference import WARNINGS, gof_rows, resolve_gof_dof
+from .inference import DOF_POLICIES, WARNINGS, gof_rows, resolve_gof_dof
 from .model import MAX_ITEMS_FOR_SAMPLING, ModelDesign, Theta, _draw, manifest_distribution
 
 _log = logging.getLogger(__name__)
@@ -135,8 +135,8 @@ class SimulationPlan:
         same = zip((alt.Q[..., : null.t], alt.C, alt.V, alt.d), (null.Q, null.C, null.V, null.d))
         if alt.t != null.t + 1 or not all(np.array_equal(x, y) for x, y in same):
             raise DomainError("alt design must extend the null design by one lambda column only")
-        if self.dof_policy not in ("rank", "nominal"):
-            raise DomainError("dof policy must be 'rank' or 'nominal'")
+        if self.dof_policy not in DOF_POLICIES:
+            raise DomainError(f"dof policy must be {' or '.join(map(repr, DOF_POLICIES))}")
         self.theta0.check_shape(self.null_design)
         self.fit_options()  # FitOptions checks the fit fields, by its own names (starts, max_iters)
 
